@@ -1,4 +1,4 @@
-"""Federated round protocol: aggregation, checkpoints, server and client.
+"""Federated round protocol: the round core, and the server and client that run it.
 
 One communication round t: the server broadcasts the global weights, every
 site trains exactly one local epoch and uploads its delta, and the server
@@ -12,6 +12,10 @@ aggregation; strict mode aborts (resumably) when any expected site misses
 the round deadline, tolerant mode aggregates over the responders with
 n = responder count. A closing exchange pushes the finished model to every
 site, which persists it locally so evaluation never needs the server.
+
+:class:`Federation` owns every server-side protocol decision; ``run_server``
+drives it over a transport and ``simnet.run_simulated`` drives it on a
+virtual clock, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -34,7 +38,6 @@ from .dataset import SiteDataset
 from .fingerprint import DatasetFingerprint, average_fingerprints, compute_fingerprint, derive_config
 from .learner import (TrainConfig, WEIGHT_LEN, build_training_matrix, save_weights,
                       site_train_seed, train_epochs)
-from .seeding import rng_from
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +45,7 @@ AGG_STRICT = "strict"
 AGG_TOLERANT = "tolerant"
 
 CHECKPOINT_MAGIC = b"FRCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _CKPT_HEADER = struct.Struct("<4sH32sI")
 
 
@@ -88,28 +91,19 @@ def aggregate(w: np.ndarray, deltas: Mapping[str, np.ndarray], n_sites: int,
 
 @dataclass
 class Checkpoint:
-    """Resumable server state committed after every aggregation.
-
-    ``rng_state`` is the server generator's bit-generator state; the server
-    draws nothing from it today, but it is saved and restored so any future
-    server-side randomization stays deterministic across restarts.
-    """
+    """Resumable server state committed after every aggregation."""
 
     round_index: int
     weights: np.ndarray
     fp_avg_digest: str
     experiment_seed: int
     experiment_digest: str
-    completed_sites: dict[str, bool]
-    rng_state: dict
 
     def save(self, path: Path) -> Path:
         meta = {
             "round_index": self.round_index,
             "fp_avg_digest": self.fp_avg_digest,
             "experiment_seed": self.experiment_seed,
-            "completed_sites": self.completed_sites,
-            "rng_state": self.rng_state,
         }
         body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
         digest_raw = bytes.fromhex(self.experiment_digest)
@@ -148,8 +142,6 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
         fp_avg_digest=meta["fp_avg_digest"],
         experiment_seed=int(meta["experiment_seed"]),
         experiment_digest=digest,
-        completed_sites={k: bool(v) for k, v in meta["completed_sites"].items()},
-        rng_state=meta["rng_state"],
     )
 
 
@@ -179,6 +171,111 @@ class ServerParams:
 
 def checkpoint_path(checkpoint_dir: Path, round_index: int) -> Path:
     return Path(checkpoint_dir) / f"checkpoint-{round_index:04d}.frck"
+
+
+def load_resume(path: Path | None, params: ServerParams) -> Checkpoint | None:
+    """Load the checkpoint to resume from, refusing one of another experiment.
+
+    Called before any site is contacted; the fingerprint digest is checked
+    later, by :class:`Federation`, once the fingerprints are known.
+    """
+    if path is None:
+        return None
+    ckpt = load_checkpoint(path, expected_digest=params.experiment_digest)
+    if ckpt.experiment_seed != params.experiment_seed:
+        raise CheckpointMismatch("checkpoint was written with a different experiment seed")
+    return ckpt
+
+
+class Federation:
+    """The server's round protocol, free of transport and clock.
+
+    It averages the site fingerprints, derives the experiment configuration,
+    commits a checkpoint at the start and after every round, and decides
+    each round: which deltas are usable, whether a missing or failed site
+    aborts the run (strict) or is excluded (tolerant), and the aggregate.
+    Every abort is an :class:`ExperimentAborted` that points at the last
+    committed checkpoint.
+    """
+
+    def __init__(self, params: ServerParams, fingerprints: Mapping[str, DatasetFingerprint],
+                 resumed: Checkpoint | None = None, stop_after_round: int | None = None):
+        self.params = params
+        self.fp_avg = average_fingerprints([fingerprints[s] for s in params.expected_sites])
+        self.derived = derive_config(self.fp_avg, params.experiment_seed, params.train)
+        self._stop_after_round = stop_after_round
+        self._ckpt_dir = Path(params.checkpoint_dir) if params.checkpoint_dir else None
+        if self._ckpt_dir:
+            self._ckpt_dir.mkdir(parents=True, exist_ok=True)
+        if resumed is not None:
+            if resumed.fp_avg_digest != self.fp_avg.digest:
+                raise CheckpointMismatch(
+                    "checkpoint fingerprint digest does not match the site data")
+            self.weights = resumed.weights.copy()
+            self.round_index = resumed.round_index
+            logger.info("resumed at round %d", self.round_index)
+        else:
+            self.weights = self.derived.init_weights.copy()
+            self.round_index = 0
+        self.last_checkpoint = self._commit()
+        self.config = wire.ConfigBroadcast(
+            fp_avg=self.fp_avg, experiment_seed=params.experiment_seed,
+            rounds=params.rounds, train=params.train,
+            experiment_digest=params.experiment_digest)
+
+    def rounds(self) -> range:
+        """The rounds still to run."""
+        return range(self.round_index + 1, self.params.rounds + 1)
+
+    def _commit(self) -> Path | None:
+        if self._ckpt_dir is None:
+            return None
+        ckpt = Checkpoint(
+            round_index=self.round_index, weights=self.weights,
+            fp_avg_digest=self.fp_avg.digest,
+            experiment_seed=self.params.experiment_seed,
+            experiment_digest=self.params.experiment_digest)
+        return ckpt.save(checkpoint_path(self._ckpt_dir, self.round_index))
+
+    def _abort(self, t: int, reason: str, stopped: bool = False) -> ExperimentAborted:
+        return ExperimentAborted(reason, round_index=t,
+                                 checkpoint_path=self.last_checkpoint, stopped=stopped)
+
+    def exclude(self, t: int, sites: Iterable[str], why: str) -> None:
+        """Leave ``sites`` out of round ``t``: an abort in strict mode, a
+        logged exclusion in tolerant mode."""
+        if self.params.aggregation == AGG_STRICT:
+            raise self._abort(t, f"round {t}: {why} from {sorted(sites)}")
+        logger.warning("round %d: excluding %s (%s, tolerant mode)", t, sorted(sites), why)
+
+    def close_round(self, t: int, received: Mapping[str, np.ndarray]) -> None:
+        """Aggregate the deltas received for round ``t`` and commit it.
+
+        A site that sent nothing, or a delta that is not ``WEIGHT_LEN``
+        finite numbers, is excluded; with no usable delta at all the round
+        aborts in either mode.
+        """
+        missing = set(self.params.expected_sites) - set(received)
+        if missing:
+            self.exclude(t, missing, "no delta")
+        usable = {}
+        for site in sorted(received):
+            delta = np.asarray(received[site])
+            if delta.shape == (WEIGHT_LEN,) and np.isfinite(delta).all():
+                usable[site] = delta
+            else:
+                self.exclude(t, [site], "malformed or non-finite delta")
+        if not usable:
+            raise self._abort(t, f"round {t}: no usable delta")
+        # n is the responder count: the full site count unless tolerant mode
+        # excluded some.
+        self.weights = aggregate(self.weights, usable, n_sites=len(usable))
+        self.round_index = t
+        self.last_checkpoint = self._commit()
+        logger.info("round %d/%d aggregated over %d sites", t, self.params.rounds,
+                    len(usable))
+        if self._stop_after_round == t:
+            raise self._abort(t, f"server stopped after round {t}", stopped=True)
 
 
 class _Inbox:
@@ -240,35 +337,30 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
     earlier, interrupted run of the same experiment. ``stop_after_round``
     emulates a server crash right after that round's checkpoint commits,
     for fault-injection tests.
+
+    An upload counts for the site registered on its connection; one that
+    names another site is dropped.
     """
     expected = set(params.expected_sites)
-    ckpt_dir = Path(params.checkpoint_dir) if params.checkpoint_dir else None
-    if ckpt_dir:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-
-    resumed: Checkpoint | None = None
-    if resume is not None:
-        resumed = load_checkpoint(resume, expected_digest=params.experiment_digest)
-        if resumed.experiment_seed != params.experiment_seed:
-            raise CheckpointMismatch("checkpoint was written with a different experiment seed")
+    resumed = load_resume(resume, params)
 
     inbox = _Inbox()
     acceptor = _Acceptor(listener, inbox)
     site_conn: dict[str, tp.Connection] = {}
     conn_site: dict[int, str] = {}
     dead_conns: set[int] = set()
-    server_rng = rng_from(params.experiment_digest, "server")
 
-    def bind(conn: tp.Connection, site_id: str) -> None:
+    def bind(conn: tp.Connection, site_id: str) -> bool:
+        if site_id not in expected:
+            try:
+                conn.send(wire.Abort(f"unexpected site {site_id!r}"))
+            except tp.TransportClosed:
+                pass
+            conn.close()
+            return False
         site_conn[site_id] = conn
         conn_site[id(conn)] = site_id
-
-    def reject(conn: tp.Connection, reason: str) -> None:
-        try:
-            conn.send(wire.Abort(reason))
-        except tp.TransportClosed:
-            pass
-        conn.close()
+        return True
 
     def broadcast(msg: wire.Message) -> None:
         for site in sorted(site_conn):
@@ -277,12 +369,6 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
             except tp.TransportClosed:
                 logger.warning("broadcast to %s failed (disconnected)", site)
 
-    def abort_run(reason: str, round_index: int, ckpt_file: Path | None) -> ExperimentAborted:
-        broadcast(wire.Abort(reason))
-        acceptor.close_all()
-        logger.error("experiment aborted at round %d: %s", round_index, reason)
-        return ExperimentAborted(reason, round_index=round_index, checkpoint_path=ckpt_file)
-
     try:
         # Phase 1: registration and fingerprint collection from every site.
         fingerprints: dict[str, DatasetFingerprint] = {}
@@ -290,140 +376,68 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
         while set(fingerprints) != expected:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise abort_run("setup timeout: missing fingerprints from "
-                                f"{sorted(expected - set(fingerprints))}", 0, None)
+                raise ExperimentAborted("setup timeout: missing fingerprints from "
+                                        f"{sorted(expected - set(fingerprints))}", 0)
             try:
                 conn, msg, _exc = inbox.get(timeout=remaining)
             except queue.Empty:
                 continue
-            if msg is None:
-                continue
             if isinstance(msg, wire.Register):
-                if msg.site_id not in expected:
-                    reject(conn, f"unexpected site {msg.site_id!r}")
-                    continue
                 bind(conn, msg.site_id)
             elif isinstance(msg, wire.FingerprintSubmit):
                 site = conn_site.get(id(conn))
                 if site is not None:
                     fingerprints[site] = msg.fingerprint
-            elif isinstance(msg, wire.Heartbeat):
-                pass
             elif isinstance(msg, wire.Abort):
-                raise abort_run(f"client abort during setup: {msg.reason}", 0, None)
+                raise ExperimentAborted(f"client abort during setup: {msg.reason}", 0)
 
-        fp_avg = average_fingerprints([fingerprints[s] for s in sorted(fingerprints)])
-        derived = derive_config(fp_avg, params.experiment_seed, params.train)
-
-        if resumed is not None:
-            if resumed.fp_avg_digest != fp_avg.digest:
-                raise CheckpointMismatch(
-                    "checkpoint fingerprint digest does not match the collected data")
-            w = resumed.weights.copy()
-            start_round = resumed.round_index
-            if resumed.rng_state:
-                server_rng.bit_generator.state = resumed.rng_state
-            logger.info("resumed at round %d", start_round)
-        else:
-            w = derived.init_weights.copy()
-            start_round = 0
-
-        def write_checkpoint(t: int) -> Path | None:
-            if ckpt_dir is None:
-                return None
-            ckpt = Checkpoint(
-                round_index=t, weights=w, fp_avg_digest=fp_avg.digest,
-                experiment_seed=params.experiment_seed,
-                experiment_digest=params.experiment_digest,
-                completed_sites={s: True for s in sorted(expected)},
-                rng_state=server_rng.bit_generator.state,
-            )
-            return ckpt.save(checkpoint_path(ckpt_dir, t))
-
-        last_ckpt = write_checkpoint(start_round)
-
-        broadcast(wire.ConfigBroadcast(
-            fp_avg=fp_avg, experiment_seed=params.experiment_seed,
-            rounds=params.rounds, train=params.train,
-            experiment_digest=params.experiment_digest))
+        fed = Federation(params, fingerprints, resumed, stop_after_round)
+        broadcast(fed.config)
 
         # Phase 2: the round loop.
-        for t in range(start_round + 1, params.rounds + 1):
-            broadcast(wire.RoundStart(round_index=t, weights=w))
+        for t in fed.rounds():
+            broadcast(wire.RoundStart(round_index=t, weights=fed.weights))
             received: dict[str, np.ndarray] = {}
             deadline = time.monotonic() + params.round_timeout_s
             while set(received) != expected:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    missing = sorted(expected - set(received))
-                    if params.aggregation == AGG_STRICT or not received:
-                        raise abort_run(f"round {t} timeout: no delta from {missing}",
-                                        t, last_ckpt)
-                    logger.warning("round %d: excluding %s (tolerant mode)", t, missing)
                     break
                 try:
                     conn, msg, _exc = inbox.get(timeout=remaining)
                 except queue.Empty:
                     continue
+                site = conn_site.get(id(conn))
                 if msg is None:
                     dead_conns.add(id(conn))
-                    site = conn_site.get(id(conn))
                     if site is not None:
                         logger.warning("round %d: lost connection to %s", t, site)
-                    continue
-                if isinstance(msg, wire.Register):
+                elif isinstance(msg, wire.Register):
                     # A restarted client re-registers mid-experiment: rebind it
                     # and replay the current configuration and round.
-                    if msg.site_id not in expected:
-                        reject(conn, f"unexpected site {msg.site_id!r}")
-                        continue
-                    bind(conn, msg.site_id)
-                    try:
-                        conn.send(wire.ConfigBroadcast(
-                            fp_avg=fp_avg, experiment_seed=params.experiment_seed,
-                            rounds=params.rounds, train=params.train,
-                            experiment_digest=params.experiment_digest))
-                        conn.send(wire.RoundStart(round_index=t, weights=w))
-                    except tp.TransportClosed:
-                        logger.warning("round %d: replay to %s failed", t, msg.site_id)
-                elif isinstance(msg, wire.FingerprintSubmit):
-                    pass  # re-registration replays its fingerprint; already averaged
+                    if bind(conn, msg.site_id):
+                        try:
+                            conn.send(fed.config)
+                            conn.send(wire.RoundStart(round_index=t, weights=fed.weights))
+                        except tp.TransportClosed:
+                            logger.warning("round %d: replay to %s failed", t, msg.site_id)
                 elif isinstance(msg, wire.DeltaUpload):
-                    if msg.site_id not in expected:
-                        continue
-                    if msg.round_index != t:
+                    if msg.site_id != site:
+                        logger.warning("round %d: dropping a delta labelled %r from the "
+                                       "connection of %r", t, msg.site_id, site)
+                    elif msg.round_index != t:
                         logger.debug("ignoring stale delta for round %d from %s",
-                                     msg.round_index, msg.site_id)
-                        continue
-                    if msg.delta.shape != (WEIGHT_LEN,):
-                        raise abort_run(f"{msg.site_id} sent a malformed delta", t, last_ckpt)
-                    received[msg.site_id] = msg.delta
-                elif isinstance(msg, wire.Heartbeat):
-                    pass
-                elif isinstance(msg, wire.Abort):
-                    site = conn_site.get(id(conn), "?")
-                    if params.aggregation == AGG_STRICT:
-                        raise abort_run(f"site {site} aborted: {msg.reason}", t, last_ckpt)
-                    logger.warning("site %s aborted (%s); tolerant mode continues",
-                                   site, msg.reason)
-
-            # Tolerant mode reaches this point with a partial set; n then is
-            # the responder count. Strict mode reaches it only complete.
-            w = aggregate(w, received, n_sites=len(received))
-            last_ckpt = write_checkpoint(t)
+                                     msg.round_index, site)
+                    else:
+                        received[site] = msg.delta
+                elif isinstance(msg, wire.Abort) and site is not None:
+                    fed.exclude(t, [site], f"site aborted: {msg.reason}")
+            fed.close_round(t, received)
             broadcast(wire.CheckpointNotice(round_index=t))
-            logger.info("round %d/%d aggregated over %d sites", t, params.rounds,
-                        len(received))
-
-            if stop_after_round == t:
-                acceptor.close_all()
-                raise ExperimentAborted(f"server stopped after round {t}",
-                                        round_index=t, checkpoint_path=last_ckpt,
-                                        stopped=True)
 
         # Phase 3: final-model distribution round. Wait briefly for clients
         # to hang up so the broadcast is never cut off by our own close.
-        broadcast(wire.FinalModel(weights=w))
+        broadcast(wire.FinalModel(weights=fed.weights))
         open_conns = {id(c) for c in site_conn.values()} - dead_conns
         deadline = time.monotonic() + 5.0
         while open_conns and time.monotonic() < deadline:
@@ -433,9 +447,24 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
                 break
             if msg is None:
                 open_conns.discard(id(conn))
-        return w
+        return fed.weights
+    except ExperimentAborted as abort:
+        if not abort.stopped:
+            logger.error("experiment aborted at round %s: %s", abort.round_index, abort.reason)
+            broadcast(wire.Abort(abort.reason))
+        raise
     finally:
         acceptor.close_all()
+
+
+def _client_abort(conn: tp.Connection, reason: str) -> ExperimentAborted:
+    """Tell the server why this site gives up, hang up, and build the abort."""
+    try:
+        conn.send(wire.Abort(reason))
+    except tp.TransportClosed:
+        pass
+    conn.close()
+    return ExperimentAborted(reason)
 
 
 def run_client(dataset: SiteDataset, conn: tp.Connection, *,
@@ -447,13 +476,18 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
     The client registers, submits its training-data fingerprint, then for
     every round trains exactly one local epoch on the received weights and
     uploads the delta. The received final model is persisted to
-    ``model_out`` so evaluation needs no server afterwards.
+    ``model_out`` so evaluation needs no server afterwards. Every failure,
+    of the connection or of the server's messages, ends as
+    :class:`ExperimentAborted`.
     """
     site_id = dataset.site_id
     if not dataset.train:
         raise ValueError(f"site {site_id} has no training samples")
-    conn.send(wire.Register(site_id=site_id))
-    conn.send(wire.FingerprintSubmit(fingerprint=compute_fingerprint(dataset.train)))
+    try:
+        conn.send(wire.Register(site_id=site_id))
+        conn.send(wire.FingerprintSubmit(fingerprint=compute_fingerprint(dataset.train)))
+    except tp.TransportClosed as exc:
+        raise ExperimentAborted(f"server connection lost: {exc}") from exc
 
     features = labels = None
     local_cfg: TrainConfig | None = None
@@ -463,30 +497,26 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
             msg = conn.recv(timeout=recv_timeout_s)
         except (tp.TransportClosed, tp.RecvTimeout) as exc:
             raise ExperimentAborted(f"server connection lost: {exc}") from exc
+        except wire.ProtocolError as exc:
+            conn.close()
+            raise ExperimentAborted(f"undecodable message from server: {exc}") from exc
 
+        if (isinstance(msg, (wire.RoundStart, wire.FinalModel))
+                and msg.weights.shape != (WEIGHT_LEN,)):
+            raise _client_abort(conn, f"server sent {msg.weights.shape[0]} weights in "
+                                      f"{type(msg).__name__}, expected {WEIGHT_LEN}")
         if isinstance(msg, wire.ConfigBroadcast):
             if expected_digest is not None and msg.experiment_digest != expected_digest:
-                reason = (f"config digest mismatch: server has "
-                          f"{msg.experiment_digest[:12]}..., site expects "
-                          f"{expected_digest[:12]}...")
-                try:
-                    conn.send(wire.Abort(reason))
-                except tp.TransportClosed:
-                    pass
-                conn.close()
-                raise ExperimentAborted(reason)
+                raise _client_abort(conn, f"config digest mismatch: server has "
+                                          f"{msg.experiment_digest[:12]}..., site expects "
+                                          f"{expected_digest[:12]}...")
             derived = derive_config(msg.fp_avg, msg.experiment_seed, msg.train)
             features, labels = build_training_matrix(dataset.train, derived.feature_config)
             local_cfg = replace(msg.train, epochs=1,
                                 seed=site_train_seed(msg.train.seed, site_id))
         elif isinstance(msg, wire.RoundStart):
             if features is None or local_cfg is None:
-                reason = "round started before configuration was received"
-                try:
-                    conn.send(wire.Abort(reason))
-                finally:
-                    conn.close()
-                raise ExperimentAborted(reason)
+                raise _client_abort(conn, "round started before configuration was received")
             trained = train_epochs(msg.weights, features, labels, local_cfg,
                                    start_epoch=msg.round_index)
             try:
@@ -504,7 +534,5 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
         elif isinstance(msg, wire.Abort):
             conn.close()
             raise ExperimentAborted(f"server aborted: {msg.reason}")
-        elif isinstance(msg, wire.Heartbeat):
-            pass
         else:
             logger.debug("%s: ignoring unexpected %s", site_id, type(msg).__name__)

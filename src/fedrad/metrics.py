@@ -149,18 +149,6 @@ def hsd(pred: LabelMask, ref: LabelMask, class_id: int,
     return float(max(d_ref_to_pred, d_pred_to_ref))
 
 
-def hsd95(pred: LabelMask, ref: LabelMask, class_id: int,
-          spacing: Sequence[float]) -> float:
-    """95th-percentile variant of hsd (not the default anywhere)."""
-    p, r = _class_masks(pred, ref, class_id)
-    bp, br = _boundary(p), _boundary(r)
-    if not bp.any() or not br.any():
-        raise ValueError("HSD undefined: a boundary is empty")
-    d1 = np.percentile(_distances_to(bp, spacing)[br], 95)
-    d2 = np.percentile(_distances_to(br, spacing)[bp], 95)
-    return float(max(d1, d2))
-
-
 def nave(pred: LabelMask, ref: LabelMask, class_id: int,
          spacing: Sequence[float] | None = None) -> float:
     """Relative absolute volume error |V_pred - V_ref| / V_ref.

@@ -1,16 +1,17 @@
 """Deterministic simulated-network execution of federated experiments.
 
 A virtual clock (integer nanoseconds, no real sleeping) drives the same
-round structure as the live server: broadcast, local epoch, delta upload,
-aggregate, checkpoint. Per-site links model latency, relative compute speed
-(local-epoch duration multiplier), scheduled per-round outages, and
-permanent crashes. The timing report accounts for stragglers: a round's
-wall time is the slowest site's busy time (train + both message latencies),
-and every faster site idles for the difference.
+round core as the live server (:class:`fedproto.Federation`): broadcast,
+local epoch, delta upload, aggregate, checkpoint. Per-site links model
+latency, relative compute speed (local-epoch duration multiplier),
+scheduled per-round outages, and permanent crashes. The timing report
+accounts for stragglers: a round's wall time is the slowest site's busy
+time (train + both message latencies), and every faster site idles for the
+difference.
 
 With zero faults the simulated run is bit-identical to the live transports
-and to the sequential reference, because all weight arithmetic goes through
-the same pure functions; the simulator only adds time.
+and to the sequential reference, because every round decision and all
+weight arithmetic go through the same core; the simulator only adds time.
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import SiteDataset
-from .fedproto import (Checkpoint, CheckpointMismatch, ServerParams, aggregate,
-                       checkpoint_path, load_checkpoint, AGG_STRICT)
-from .fingerprint import DerivedConfig, average_fingerprints, compute_fingerprint, derive_config
+from .fedproto import ExperimentAborted, Federation, ServerParams, load_resume
+from .fingerprint import DerivedConfig, compute_fingerprint
 from .learner import build_training_matrix, site_train_seed, train_epochs
-from .seeding import rng_from
 
 logger = logging.getLogger(__name__)
 
@@ -113,17 +112,6 @@ class TimingReport:
     n_sites: int
     rows: list[RoundSiteTiming] = field(default_factory=list)
 
-    @property
-    def total_wall_ns(self) -> int:
-        per_round = {row.round_index: row.wall_ns for row in self.rows}
-        return sum(per_round.values())
-
-    def idle_by_site(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for row in self.rows:
-            totals[row.site_id] = totals.get(row.site_id, 0) + row.idle_ns
-        return totals
-
     def to_csv(self, experiment_digest: str | None = None) -> str:
         lines = []
         if experiment_digest is not None:
@@ -180,58 +168,24 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
             logger.warning("%s crashes at round %d, after the experiment ends",
                            link.site_id, link.crash_at_round)
 
-    ckpt_dir = Path(params.checkpoint_dir) if params.checkpoint_dir else None
-    if ckpt_dir:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-
+    resumed = load_resume(resume, params)
     # Configuration-sync phase (instantaneous on the virtual clock).
-    fingerprints = {s: compute_fingerprint(datasets[s].train) for s in expected}
-    fp_avg = average_fingerprints([fingerprints[s] for s in expected])
-    derived = derive_config(fp_avg, params.experiment_seed, params.train)
-    server_rng = rng_from(params.experiment_digest, "server")
-
-    if resume is not None:
-        ckpt = load_checkpoint(resume, expected_digest=params.experiment_digest)
-        if ckpt.experiment_seed != params.experiment_seed:
-            raise CheckpointMismatch("checkpoint was written with a different experiment seed")
-        if ckpt.fp_avg_digest != fp_avg.digest:
-            raise CheckpointMismatch(
-                "checkpoint fingerprint digest does not match the site data")
-        w = ckpt.weights.copy()
-        start_round = ckpt.round_index
-        if ckpt.rng_state:
-            server_rng.bit_generator.state = ckpt.rng_state
-    else:
-        w = derived.init_weights.copy()
-        start_round = 0
+    fed = Federation(params, {s: compute_fingerprint(datasets[s].train) for s in expected},
+                     resumed, stop_after_round)
+    derived = fed.derived
 
     matrices = {s: build_training_matrix(datasets[s].train, derived.feature_config)
                 for s in expected}
     site_cfg = {s: replace(params.train, epochs=1,
                            seed=site_train_seed(params.train.seed, s))
                 for s in expected}
-
-    def write_checkpoint(t: int) -> Path | None:
-        if ckpt_dir is None:
-            return None
-        ckpt = Checkpoint(
-            round_index=t, weights=w, fp_avg_digest=fp_avg.digest,
-            experiment_seed=params.experiment_seed,
-            experiment_digest=params.experiment_digest,
-            completed_sites={s: True for s in expected},
-            rng_state=server_rng.bit_generator.state,
-        )
-        return ckpt.save(checkpoint_path(ckpt_dir, t))
-
-    last_ckpt = write_checkpoint(start_round)
     timing = TimingReport(n_sites=len(expected))
 
     lat_ns = {s: round(link_by_site[s].latency_ms * 1_000_000) for s in expected}
     train_ns = {s: _epoch_ns(link_by_site[s], params, per_batch_seconds) for s in expected}
     timeout_ns = round(params.round_timeout_s * NS_PER_S)
 
-    clock = 0
-    for t in range(start_round + 1, params.rounds + 1):
+    for t in fed.rounds():
         unavailable = apply_fault_schedule(links, t)
         responders = [s for s in expected if s not in unavailable]
 
@@ -241,6 +195,7 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
             arrive_ns = 2 * lat_ns[s] + train_ns[s]
             heapq.heappush(heap, (arrive_ns, s))
 
+        w = fed.weights
         received: dict[str, np.ndarray] = {}
         while heap:
             arrive_ns, s = heapq.heappop(heap)
@@ -260,29 +215,16 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
                 train_ns=train_ns[s] if s in received else 0,
                 latency_ns=2 * lat_ns[s] if s in received else 0,
                 idle_ns=wall_ns - busy, wall_ns=wall_ns))
-        clock += wall_ns
 
-        if not complete and (params.aggregation == AGG_STRICT or not received):
-            reason = (f"round {t}: no delta from "
-                      f"{sorted(set(expected) - set(received))}")
-            logger.error("simulated experiment aborted: %s", reason)
+        try:
+            fed.close_round(t, received)
+        except ExperimentAborted as abort:
+            if not abort.stopped:
+                logger.error("simulated experiment aborted: %s", abort.reason)
             return SimResult(final_weights=None, timing=timing, derived=derived,
-                             aborted=True, abort_reason=reason, abort_round=t,
-                             checkpoint_file=last_ckpt)
-        if not complete:
-            logger.warning("round %d: excluding %s (tolerant mode)", t,
-                           sorted(set(expected) - set(received)))
+                             aborted=True, stopped=abort.stopped,
+                             abort_reason=abort.reason, abort_round=abort.round_index,
+                             checkpoint_file=abort.checkpoint_path)
 
-        w = aggregate(w, received, n_sites=len(received))
-        last_ckpt = write_checkpoint(t)
-
-        if stop_after_round == t:
-            return SimResult(final_weights=None, timing=timing, derived=derived,
-                             aborted=True, stopped=True,
-                             abort_reason=f"stopped after round {t}",
-                             abort_round=t, checkpoint_file=last_ckpt)
-
-    # Final-model distribution round (one more exchange on the clock).
-    clock += 2 * max(lat_ns.values(), default=0)
-    return SimResult(final_weights=w, timing=timing, derived=derived,
-                     checkpoint_file=last_ckpt)
+    return SimResult(final_weights=fed.weights, timing=timing, derived=derived,
+                     checkpoint_file=fed.last_checkpoint)

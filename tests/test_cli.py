@@ -174,3 +174,54 @@ def test_console_entry_point():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0
     assert "fedrad" in result.stdout
+
+
+def _frame_round_start_3_weights(conn):
+    from fedrad import wire
+    from fedrad.learner import TrainConfig
+    conn.recv(timeout=10)  # Register
+    fp = conn.recv(timeout=10).fingerprint
+    train = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4,
+                        learning_rate=0.1, seed=1)
+    return (wire.encode_frame(wire.ConfigBroadcast(
+                fp_avg=fp, experiment_seed=1, rounds=1, train=train,
+                experiment_digest="0" * 64))
+            + wire.encode_frame(wire.RoundStart(round_index=1, weights=np.zeros(3))))
+
+
+def _frame_garbage(conn):
+    return b"this is not a frame at all"
+
+
+@pytest.mark.parametrize("reply", [_frame_round_start_3_weights, _frame_garbage])
+def test_join_bad_server_message_aborts(tmp_path, capsys, reply):
+    # a server that sends a wrong-length weight vector or an undecodable frame
+    # ends the site's run as a resumable abort (exit 3)
+    from fedrad.transport import TcpConnection
+    config = small_config(tmp_path, n_sites=1, rounds=1)
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    main(["gen", "--config", str(path)])
+    site_dir = Path(config.output_dir) / "sites" / "s0"
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve():
+        sock, _ = listener.accept()
+        with sock:
+            sock.sendall(reply(TcpConnection(sock)))
+            sock.settimeout(10)
+            while sock.recv(4096):  # hold the line until the site hangs up
+                pass
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    try:
+        rc = main(["join", "--site", str(site_dir), "--server", f"127.0.0.1:{port}"])
+    finally:
+        server.join(timeout=30)
+        listener.close()
+    assert not server.is_alive()
+    assert rc == 3
+    assert "aborted" in capsys.readouterr().out

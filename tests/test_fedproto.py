@@ -112,11 +112,7 @@ def test_aggregate_validation(rng):
 def _ckpt(rng, t=4):
     return Checkpoint(
         round_index=t, weights=rng.normal(size=WEIGHT_LEN),
-        fp_avg_digest="f" * 64, experiment_seed=42, experiment_digest="a" * 64,
-        completed_sites={"s1": True, "s2": True},
-        rng_state={"bit_generator": "PCG64",
-                   "state": {"state": 123456789, "inc": 987654321},
-                   "has_uint32": 0, "uinteger": 0})
+        fp_avg_digest="f" * 64, experiment_seed=42, experiment_digest="a" * 64)
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
@@ -130,8 +126,6 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert back.fp_avg_digest == ckpt.fp_avg_digest
     assert back.experiment_seed == ckpt.experiment_seed
     assert back.experiment_digest == ckpt.experiment_digest
-    assert back.completed_sites == ckpt.completed_sites
-    assert back.rng_state == ckpt.rng_state
 
 
 def test_checkpoint_digest_refusal(tmp_path, rng):
@@ -361,8 +355,7 @@ def test_server_stop_after_round_then_resume(tmp_path):
 def test_resume_refuses_other_experiment(tmp_path, rng):
     ckpt = Checkpoint(round_index=1, weights=rng.normal(size=WEIGHT_LEN),
                       fp_avg_digest="f" * 64, experiment_seed=999,
-                      experiment_digest="c" * 64, completed_sites={},
-                      rng_state={})
+                      experiment_digest="c" * 64)
     path = tmp_path / "other.frck"
     ckpt.save(path)
     datasets = make_datasets(["s1"])
@@ -432,3 +425,122 @@ def test_tcp_client_persists_final_model(tmp_path):
                                   client_kw={"s1": {"model_out": model_path}})
     from fedrad.learner import load_weights
     assert np.array_equal(load_weights(model_path), out["w"])
+
+
+# ---------------------------------------------------------------------------
+# misbehaving sites
+
+def _scripted_site(hub, datasets, sid):
+    """A bare connection that has registered as ``sid`` and sent its fingerprint."""
+    from fedrad import wire
+    from fedrad.fingerprint import compute_fingerprint
+    conn = hub.connect()
+    conn.send(wire.Register(site_id=sid))
+    conn.send(wire.FingerprintSubmit(fingerprint=compute_fingerprint(datasets[sid].train)))
+    return conn
+
+
+def _recv_until(conn, kind):
+    while True:
+        msg = conn.recv(timeout=30)
+        if isinstance(msg, kind):
+            return msg
+
+
+def test_upload_counts_for_the_registered_site():
+    # s2's connection uploads a junk delta labelled s1, then its own; s1 stays
+    # silent, so tolerant round 1 must aggregate the honest s2 delta alone
+    from fedrad import wire
+    datasets = make_datasets(["s1", "s2"])
+    params = make_params(["s1", "s2"], rounds=1, aggregation=AGG_TOLERANT,
+                         round_timeout_s=1.0)
+    hub = InProcessHub()
+    silent = _scripted_site(hub, datasets, "s1")
+    spoofer = _scripted_site(hub, datasets, "s2")
+    server_out = {}
+
+    def serve():
+        try:
+            server_out["w"] = run_server(params, hub)
+        except Exception as exc:  # noqa: BLE001
+            server_out["exc"] = exc
+
+    server = threading.Thread(target=serve, daemon=True)
+    server.start()
+    w0 = _recv_until(spoofer, wire.RoundStart).weights
+    honest = np.full(WEIGHT_LEN, 0.25)
+    spoofer.send(wire.DeltaUpload(round_index=1, site_id="s1",
+                                  delta=np.full(WEIGHT_LEN, 1e6)))
+    spoofer.send(wire.DeltaUpload(round_index=1, site_id="s2", delta=honest))
+    final = _recv_until(spoofer, wire.FinalModel).weights
+    silent.close()
+    spoofer.close()
+    server.join(timeout=30)
+    assert not server.is_alive()
+    assert "w" in server_out, server_out.get("exc")
+    assert np.array_equal(server_out["w"], aggregate(w0, {"s2": honest}, 1))
+    assert np.array_equal(final, server_out["w"])
+
+
+def _nan_site(hub, datasets, sid):
+    """A site that answers every round with a NaN delta."""
+    from fedrad import wire
+    from fedrad.transport import TransportClosed
+    conn = _scripted_site(hub, datasets, sid)
+    try:
+        while True:
+            msg = conn.recv(timeout=30)
+            if isinstance(msg, wire.RoundStart):
+                conn.send(wire.DeltaUpload(round_index=msg.round_index, site_id=sid,
+                                           delta=np.full(WEIGHT_LEN, np.nan)))
+            elif isinstance(msg, (wire.FinalModel, wire.Abort)):
+                break
+    except TransportClosed:
+        pass
+    conn.close()
+
+
+@pytest.mark.parametrize("aggregation", ["strict", AGG_TOLERANT])
+def test_non_finite_delta_never_checkpointed(tmp_path, aggregation):
+    datasets = make_datasets(["s1", "s2"])
+    ckpt_dir = tmp_path / "ck"
+    params = make_params(["s1", "s2"], rounds=2, ckpt_dir=ckpt_dir,
+                         aggregation=aggregation)
+    hub = InProcessHub()
+    server_out, client_out = {}, {}
+
+    def serve():
+        try:
+            server_out["w"] = run_server(params, hub)
+        except Exception as exc:  # noqa: BLE001
+            server_out["exc"] = exc
+
+    def honest():
+        try:
+            client_out["s1"] = run_client(datasets["s1"], hub.connect())
+        except Exception as exc:  # noqa: BLE001
+            client_out["s1"] = exc
+
+    threads = [threading.Thread(target=serve, daemon=True),
+               threading.Thread(target=honest, daemon=True),
+               threading.Thread(target=_nan_site, args=(hub, datasets, "s2"), daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+
+    written = sorted(ckpt_dir.glob("*.frck"))
+    assert written
+    for path in written:
+        assert np.isfinite(load_checkpoint(path).weights).all(), path.name
+    if aggregation == "strict":
+        exc = server_out.get("exc")
+        assert isinstance(exc, ExperimentAborted) and not exc.stopped
+        assert exc.round_index == 1
+        assert load_checkpoint(exc.checkpoint_path).round_index == 0
+        assert isinstance(client_out["s1"], ExperimentAborted)
+    else:
+        assert "w" in server_out, server_out.get("exc")
+        assert len(written) == 3
+        assert np.array_equal(client_out["s1"], server_out["w"])

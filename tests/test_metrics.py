@@ -5,7 +5,7 @@ from oracles import brute_dsc, brute_hsd, brute_nave, brute_nsd
 
 from fedrad.dataset import LabelMask
 from fedrad.metrics import (FN_DEFAULTS, METRICS, MetricRecord, RecordStatus, dsc, hsd,
-                            hsd95, nave, nsd, read_metrics_csv, score_pair, summarize,
+                            nave, nsd, read_metrics_csv, score_pair, summarize,
                             write_metrics_csv)
 
 SP = (1.0, 1.0, 1.0)
@@ -119,14 +119,6 @@ def test_nave_values():
     assert nave(ref, ref, 1) == 0.0
     double = cube((8, 8, 8), (0, 0, 0), (8, 4, 4))
     assert nave(double, ref, 1) == 1.0
-
-
-def test_hsd95_not_larger_than_hsd(rng):
-    for _ in range(10):
-        pred, ref, spacing = random_pair(rng, p=0.2)
-        if not (pred.labels == 1).any() or not (ref.labels == 1).any():
-            continue
-        assert hsd95(pred, ref, 1, spacing) <= hsd(pred, ref, 1, spacing) + 1e-12
 
 
 def test_score_pair_scored():

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import LESION_CLASSES, SiteDataset
 from .learner import FeatureConfig, ensemble_predict
@@ -230,6 +229,25 @@ class RankTable:
         return sorted(self.overall, key=lambda m: (self.overall[m], m))
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of the positions
+    they span (``scipy.stats.rankdata(x, method="average")``, NaN included:
+    any NaN makes every rank NaN).
+
+    The ranks are exact halves, so they match scipy's bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def rank(values: Mapping[tuple[str, str, str], float],
          directions: Mapping[str, str] = METRIC_DIRECTIONS,
          allow_missing: bool = False) -> RankTable:
@@ -263,7 +281,7 @@ def rank(values: Mapping[tuple[str, str, str], float],
             direction = directions.get(metric, "desc")
             if direction not in ("asc", "desc"):
                 raise ValueError(f"bad direction {direction!r} for {metric}")
-            ranks = rankdata(vals if direction == "asc" else -vals, method="average")
+            ranks = average_ranks(vals if direction == "asc" else -vals)
             for m, r in zip(present, ranks):
                 cell_ranks[(m, site, metric)] = float(r)
 

@@ -339,7 +339,9 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
     for fault-injection tests.
 
     An upload counts for the site registered on its connection; one that
-    names another site is dropped.
+    names another site is dropped. An ``Abort`` from a connection that never
+    registered is ignored. In tolerant mode a round closes before its
+    deadline once every site has uploaded or has no open connection.
     """
     expected = set(params.expected_sites)
     resumed = load_resume(resume, params)
@@ -362,6 +364,14 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
         conn_site[id(conn)] = site_id
         return True
 
+    def awaited(received: Mapping[str, np.ndarray]) -> set[str]:
+        """Sites the round still waits for. Tolerant mode gives up on a site
+        whose connection has closed; one that re-registers is waited for."""
+        pending = expected - set(received)
+        if params.aggregation == AGG_TOLERANT:
+            pending = {s for s in pending if id(site_conn[s]) not in dead_conns}
+        return pending
+
     def broadcast(msg: wire.Message) -> None:
         for site in sorted(site_conn):
             try:
@@ -382,13 +392,15 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
                 conn, msg, _exc = inbox.get(timeout=remaining)
             except queue.Empty:
                 continue
-            if isinstance(msg, wire.Register):
+            if msg is None:
+                dead_conns.add(id(conn))
+            elif isinstance(msg, wire.Register):
                 bind(conn, msg.site_id)
             elif isinstance(msg, wire.FingerprintSubmit):
                 site = conn_site.get(id(conn))
                 if site is not None:
                     fingerprints[site] = msg.fingerprint
-            elif isinstance(msg, wire.Abort):
+            elif isinstance(msg, wire.Abort) and id(conn) in conn_site:
                 raise ExperimentAborted(f"client abort during setup: {msg.reason}", 0)
 
         fed = Federation(params, fingerprints, resumed, stop_after_round)
@@ -399,7 +411,7 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
             broadcast(wire.RoundStart(round_index=t, weights=fed.weights))
             received: dict[str, np.ndarray] = {}
             deadline = time.monotonic() + params.round_timeout_s
-            while set(received) != expected:
+            while awaited(received):
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break

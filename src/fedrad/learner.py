@@ -28,6 +28,7 @@ from .seeding import derive_seed, rng_from
 
 N_FEATURES = 3
 WEIGHT_LEN = N_CLASSES * (N_FEATURES + 1)
+_TINY = np.finfo(np.float64).tiny
 
 WEIGHT_MAGIC = b"FRWT"
 WEIGHT_VERSION = 1
@@ -120,15 +121,32 @@ def _check_weights(w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last (class) axis of ``logits``, in place.
+
+    The row max and row sum are built column by column. For a few classes,
+    elementwise operations cost far less than an ``axis=-1`` reduction. The
+    columns are added left to right, the order in which numpy sums a row
+    this short, so the result is bit-identical to ``max``/``sum(axis=-1)``
+    (pinned against that reference in the tests).
+    """
+    row = np.maximum(logits[..., 0], logits[..., 1])
+    for k in range(2, N_CLASSES):
+        np.maximum(row, logits[..., k], out=row)
+    logits -= row[..., None]
+    np.exp(logits, out=logits)
+    np.add(logits[..., 0], logits[..., 1], out=row)
+    for k in range(2, N_CLASSES):
+        row += logits[..., k]
+    logits /= row[..., None]
+    return logits
+
+
 def forward(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Softmax class probabilities; output shape = features.shape[:-1] + (C,)."""
     w = _check_weights(w)
     wm = w.reshape(N_CLASSES, N_FEATURES + 1)
-    logits = features @ wm.T
-    logits -= logits.max(axis=-1, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+    return _softmax(features @ wm.T)
 
 
 def loss_and_grad(w: np.ndarray, features: np.ndarray,
@@ -144,9 +162,11 @@ def loss_and_grad(w: np.ndarray, features: np.ndarray,
         raise ValueError("labels out of range")
     n = features.shape[0]
     probs = forward(w, features)
-    eps = np.finfo(np.float64).tiny
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + eps)))
-    probs[np.arange(n), labels] -= 1.0
+    rows = np.arange(n)
+    p_true = probs[rows, labels]
+    # the sum over n is np.mean's own arithmetic, without its dispatch cost
+    loss = float(-(np.log(p_true + _TINY).sum() / n))
+    probs[rows, labels] = p_true - 1.0
     grad = (probs.T @ features) / n
     return loss, grad.reshape(WEIGHT_LEN)
 
@@ -159,18 +179,22 @@ def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
     seeded by (config.seed, "epoch", global index); in federated mode the
     caller passes the round index as ``start_epoch`` with epochs=1 so that a
     round's delta equals one epoch of the equivalent local run.
+
+    An epoch's batch indices come from one draw of shape (batches, batch
+    size); the generator yields the same stream as one draw per batch.
+    Weights that become non-finite raise ``ValueError``.
     """
-    w = _check_weights(w).copy()
+    w = _check_weights(w)
     if features.shape[0] == 0:
         raise ValueError("empty training set")
     n = features.shape[0]
     for e in range(start_epoch, start_epoch + config.epochs):
         rng = rng_from(config.seed, "epoch", e)
-        for _ in range(config.batches_per_epoch):
-            idx = rng.integers(0, n, size=config.batch_size)
-            _, grad = loss_and_grad(w, features[idx], labels[idx])
+        batches = rng.integers(0, n, size=(config.batches_per_epoch, config.batch_size))
+        for idx in batches:
+            _, grad = loss_and_grad(w, features.take(idx, axis=0), labels.take(idx))
             w = w - config.learning_rate * grad
-    return w
+    return _check_weights(w)
 
 
 def build_training_matrix(samples: Sequence[Sample],

@@ -109,7 +109,6 @@ class RoundSiteTiming:
 
 @dataclass
 class TimingReport:
-    n_sites: int
     rows: list[RoundSiteTiming] = field(default_factory=list)
 
     def to_csv(self, experiment_digest: str | None = None) -> str:
@@ -179,7 +178,7 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     site_cfg = {s: replace(params.train, epochs=1,
                            seed=site_train_seed(params.train.seed, s))
                 for s in expected}
-    timing = TimingReport(n_sites=len(expected))
+    timing = TimingReport()
 
     lat_ns = {s: round(link_by_site[s].latency_ms * 1_000_000) for s in expected}
     train_ns = {s: _epoch_ns(link_by_site[s], params, per_batch_seconds) for s in expected}

@@ -2,8 +2,11 @@
 
 These deliberately avoid the library code paths they check: connected
 components by explicit flood fill, surface distances by all-pairs
-comparison, gradients by central finite differences, and the federated
-protocol by a plain in-process loop over sites.
+comparison, gradients by central finite differences, the federated
+protocol by a plain in-process loop over sites, and the SGD step and
+softmax by the original straightforward implementation (one draw per
+batch, fancy-index gathers, ``max``/``sum(axis=-1)`` reductions), which the
+optimized learner must match bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import numpy as np
 
 from fedrad.fedproto import aggregate
 from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
-from fedrad.learner import build_training_matrix, loss_and_grad, site_train_seed, train_epochs
+from fedrad.learner import (N_CLASSES, N_FEATURES, build_training_matrix, loss_and_grad,
+                            site_train_seed, train_epochs)
+from fedrad.seeding import rng_from
 
 _OFFSETS_26 = [(dz, dy, dx)
                for dz in (-1, 0, 1) for dy in (-1, 0, 1) for dx in (-1, 0, 1)
@@ -152,3 +157,36 @@ def sequential_federated_reference(datasets, train_config, experiment_seed, roun
             deltas[s] = trained - w
         w = aggregate(w, deltas, n_sites=len(site_ids))
     return w, derived
+
+
+def reference_forward(w, features):
+    """Softmax class probabilities with ``axis=-1`` reductions."""
+    wm = np.asarray(w, dtype=np.float64).reshape(N_CLASSES, N_FEATURES + 1)
+    logits = features @ wm.T
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
+
+
+def reference_loss_and_grad(w, features, labels):
+    n = features.shape[0]
+    probs = reference_forward(w, features)
+    eps = np.finfo(np.float64).tiny
+    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + eps)))
+    probs[np.arange(n), labels] -= 1.0
+    grad = (probs.T @ features) / n
+    return loss, grad.reshape(-1)
+
+
+def reference_train_epochs(w, features, labels, config, start_epoch=1):
+    """Mini-batch SGD drawing each batch's indices with its own call."""
+    w = np.asarray(w, dtype=np.float64).copy()
+    n = features.shape[0]
+    for e in range(start_epoch, start_epoch + config.epochs):
+        rng = rng_from(config.seed, "epoch", e)
+        for _ in range(config.batches_per_epoch):
+            idx = rng.integers(0, n, size=config.batch_size)
+            _, grad = reference_loss_and_grad(w, features[idx], labels[idx])
+            w = w - config.learning_rate * grad
+    return w

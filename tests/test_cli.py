@@ -225,3 +225,12 @@ def test_join_bad_server_message_aborts(tmp_path, capsys, reply):
     assert not server.is_alive()
     assert rc == 3
     assert "aborted" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs hundreds of modules of start-up in every fedrad process
+    code = "import sys, fedrad.cli; print('scipy.stats' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -6,8 +6,8 @@ import pytest
 import rank_fixtures as rf
 
 from fedrad.evalrank import (ModelRegistry, ModelVariant, Scenario, TrainedModel,
-                             VariantKind, rank, rank_scenario, resolve_variant, run_scenario,
-                             scenario_variants)
+                             VariantKind, average_ranks, rank, rank_scenario, resolve_variant,
+                             run_scenario, scenario_variants)
 from fedrad.learner import FeatureConfig, WEIGHT_LEN
 from fedrad.metrics import METRIC_DIRECTIONS
 
@@ -63,6 +63,21 @@ def test_rank_tie_averaging():
     assert table.cell_ranks[("A", "s", "DSC")] == 1.5
     assert table.cell_ranks[("B", "s", "DSC")] == 1.5
     assert table.cell_ranks[("C", "s", "DSC")] == 3.0
+
+
+def test_average_ranks_matches_scipy_rankdata():
+    # small integer values give many ties; ranks are exact halves, so equal
+    from scipy.stats import rankdata
+    rng = np.random.default_rng(7)
+    for k in range(3000):
+        n = int(rng.integers(1, 14))
+        x = rng.integers(0, 4, size=n) * rng.choice([1.0, -1.0, 0.25])
+        if k % 5 == 0:
+            x[rng.integers(0, n)] = rng.choice([np.inf, -np.inf, -0.0])
+        if k % 97 == 0:
+            x[rng.integers(0, n)] = np.nan  # propagates: every rank NaN
+        assert np.array_equal(average_ranks(x), rankdata(x, method="average"),
+                              equal_nan=True), x
 
 
 def test_rank_missing_cell_error():

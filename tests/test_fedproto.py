@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -314,6 +315,57 @@ def test_tolerant_aggregates_over_responders():
         assert not t.is_alive()
     assert "w" in server_out, server_out.get("exc")
     assert np.array_equal(results["s1"], server_out["w"])
+
+
+def test_tolerant_stops_waiting_for_a_closed_site():
+    # s2 hangs up after round 1: rounds 2 and 3 close as soon as s1 uploads,
+    # not at the 20 s deadline
+    datasets = make_datasets(["s1", "s2"])
+    params = make_params(["s1", "s2"], rounds=3, aggregation=AGG_TOLERANT,
+                         round_timeout_s=20.0)
+    hub = InProcessHub()
+    server_out = {}
+    results = {}
+
+    def serve():
+        try:
+            server_out["w"] = run_server(params, hub)
+        except Exception as exc:  # noqa: BLE001
+            server_out["exc"] = exc
+
+    def client1():
+        results["s1"] = run_client(datasets["s1"], hub.connect())
+
+    threads = [threading.Thread(target=serve, daemon=True),
+               threading.Thread(target=client1, daemon=True),
+               threading.Thread(target=_partial_client,
+                                args=(datasets, "s2", hub, 1), daemon=True)]
+    start = time.monotonic()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert time.monotonic() - start < 10.0
+    assert "w" in server_out, server_out.get("exc")
+    assert np.array_equal(results["s1"], server_out["w"])
+
+
+def test_setup_ignores_abort_from_unregistered_connection():
+    from fedrad import wire
+    datasets = make_datasets(["s1", "s2"])
+    params = make_params(["s1", "s2"], rounds=2)
+    reference, _ = run_experiment(params, datasets)
+
+    hub = InProcessHub()
+    stray = hub.connect()  # accepted first, never registers
+    stray.send(wire.Abort("stop the experiment"))
+    server_out, client_out = run_experiment(params, datasets, listener=hub)
+    stray.close()
+    assert "w" in server_out, server_out.get("exc")
+    assert np.array_equal(server_out["w"], reference["w"])
+    for got in client_out.values():
+        assert np.array_equal(got, reference["w"])
 
 
 def test_client_digest_mismatch_aborts():

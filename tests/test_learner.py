@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import make_sample
-from oracles import finite_diff_grad
+from oracles import (finite_diff_grad, reference_forward, reference_loss_and_grad,
+                     reference_train_epochs)
 
 from fedrad.dataset import Volume
 from fedrad.learner import (FeatureConfig, N_FEATURES, TrainConfig, WEIGHT_LEN,
@@ -162,6 +163,106 @@ def test_epoch_chaining_matches_single_call(rng):
     for t in range(1, 5):
         step = train_epochs(step, features, labels, one, start_epoch=t)
     assert np.array_equal(whole, step)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the reference implementation in oracles.py
+
+def _site_like_matrix(rng, n=5000):
+    # feature scales like a real site's: normalized intensities, smoothed
+    # intensities, a non-negative gradient magnitude and the bias
+    raw = rng.normal(scale=1.5, size=n)
+    features = np.stack([raw, raw + rng.normal(scale=0.2, size=n),
+                         np.abs(rng.normal(scale=0.8, size=n)), np.ones(n)], axis=1)
+    return features, rng.integers(0, 4, size=n)
+
+
+@pytest.mark.parametrize("batch_size,batches_per_epoch,epochs,start_epoch", [
+    (256, 50, 2, 1), (1, 7, 3, 1), (7, 3, 4, 5), (33, 10, 1, 20), (64, 1, 6, 2),
+])
+def test_train_epochs_matches_reference_bitwise(rng, batch_size, batches_per_epoch,
+                                                epochs, start_epoch):
+    features, labels = _site_like_matrix(rng)
+    w0 = rng.normal(scale=0.3, size=WEIGHT_LEN)
+    cfg = TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch,
+                      batch_size=batch_size, learning_rate=0.5, seed=20240117)
+    assert np.array_equal(train_epochs(w0, features, labels, cfg, start_epoch=start_epoch),
+                          reference_train_epochs(w0, features, labels, cfg,
+                                                 start_epoch=start_epoch))
+
+
+def test_train_epochs_chaining_matches_reference_bitwise(rng):
+    # rounds of one epoch, chained as a federated site runs them
+    features, labels = _site_like_matrix(rng)
+    one = TrainConfig(epochs=1, batches_per_epoch=20, batch_size=128,
+                      learning_rate=0.5, seed=3)
+    w_new = w_ref = rng.normal(scale=0.3, size=WEIGHT_LEN)
+    for t in range(1, 6):
+        w_new = train_epochs(w_new, features, labels, one, start_epoch=t)
+        w_ref = reference_train_epochs(w_ref, features, labels, one, start_epoch=t)
+        assert np.array_equal(w_new, w_ref), t
+
+
+def test_loss_and_grad_matches_reference_bitwise(rng):
+    for n in (1, 2, 31, 256):
+        features, labels = _site_like_matrix(rng, n=n)
+        w = rng.normal(scale=2.0, size=WEIGHT_LEN)
+        loss, grad = loss_and_grad(w, features, labels)
+        ref_loss, ref_grad = reference_loss_and_grad(w, features, labels)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("dims", [(16, 16, 16), (18, 16, 16), (16, 20, 20),
+                                  (16, 18, 18), (18, 16, 18)])
+def test_forward_matches_reference_bitwise(rng, dims):
+    # the grid shapes of the shipped site profiles
+    for _ in range(10):
+        features = np.concatenate([rng.normal(scale=rng.uniform(0.5, 20.0),
+                                              size=dims + (N_FEATURES,)),
+                                   np.ones(dims + (1,))], axis=-1)
+        w = rng.normal(scale=rng.uniform(0.1, 5.0), size=WEIGHT_LEN)
+        assert np.array_equal(forward(w, features), reference_forward(w, features))
+
+
+# ---------------------------------------------------------------------------
+# input checks of the SGD step
+
+@pytest.mark.parametrize("bad", [-1, 4, 255])
+def test_labels_out_of_range_rejected(rng, bad):
+    features, labels = random_batch(rng, n=16)
+    labels[5] = bad
+    with pytest.raises(ValueError, match="labels out of range"):
+        loss_and_grad(np.zeros(WEIGHT_LEN), features, labels)
+    cfg = TrainConfig(epochs=1, batches_per_epoch=4, batch_size=16, seed=0)
+    with pytest.raises(ValueError, match="labels out of range"):
+        train_epochs(np.zeros(WEIGHT_LEN), features, np.full(16, bad), cfg)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_weights_rejected(rng, bad):
+    features, labels = random_batch(rng, n=16)
+    w = np.zeros(WEIGHT_LEN)
+    w[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        loss_and_grad(w, features, labels)
+    cfg = TrainConfig(epochs=1, batches_per_epoch=2, batch_size=8, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        train_epochs(w, features, labels, cfg)
+
+
+@pytest.mark.parametrize("epochs,batches_per_epoch", [(1, 1), (1, 3), (3, 2)])
+@pytest.mark.parametrize("learning_rate", [1e306, np.inf])
+def test_diverging_run_raises_instead_of_returning_non_finite(rng, epochs, batches_per_epoch,
+                                                              learning_rate):
+    # the first step already overflows, so (1, 1) can only be caught on return
+    features, labels = random_batch(rng, n=64)
+    features[:, :N_FEATURES] *= 1e3
+    cfg = TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch, batch_size=16,
+                      learning_rate=learning_rate, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite"):
+        train_epochs(rng.normal(size=WEIGHT_LEN), features, labels, cfg)
 
 
 def test_predict_zero_weights_tie_breaks_to_background():

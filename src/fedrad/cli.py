@@ -28,11 +28,11 @@ from pathlib import Path
 from . import experiment as exp
 from . import siteio
 from .dataset import site_statistics
-from .evalrank import (ModelRegistry, Scenario, rank, rank_summary_dict,
+from .evalrank import (ModelRegistry, Scenario, rank_records, rank_summary_dict,
                        run_scenario, write_ranks_csv)
 from .fedproto import ExperimentAborted, run_client, run_server
 from .fingerprint import average_fingerprints, compute_fingerprint, derive_config
-from .metrics import read_metrics_csv, summarize, write_metrics_csv
+from .metrics import read_metrics_csv, write_metrics_csv
 from .simnet import run_simulated
 from .transport import TcpServerTransport, connect_tcp
 from .validation import validate_site_dir
@@ -272,13 +272,7 @@ def cmd_evaluate(args) -> int:
 def cmd_rank(args) -> int:
     in_path = Path(args.input)
     records, digest = read_metrics_csv(in_path)
-    scenario = Scenario(args.scenario)
-    values = {}
-    for (model, site), recs in records.items():
-        summary = summarize(recs, site)
-        for metric, mean in summary.means.items():
-            values[(model, site, metric)] = mean
-    table = rank(values, allow_missing=scenario is Scenario.GEN_WITHOUT_LOCAL)
+    table = rank_records(records, Scenario(args.scenario))
     out_dir = Path(args.out_dir) if args.out_dir else in_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     write_ranks_csv(out_dir / "ranks.csv", table, digest)

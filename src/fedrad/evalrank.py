@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import LESION_CLASSES, SiteDataset
 from .learner import FeatureConfig, ensemble_predict
-from .metrics import METRIC_DIRECTIONS, METRICS, MetricRecord, MetricSummary, score_pair, summarize
+from .metrics import METRIC_DIRECTIONS, METRICS, MetricRecord, score_pair, summarize
 
 
 class Scenario(str, enum.Enum):
@@ -168,7 +168,6 @@ def resolve_variant(variant: ModelVariant, registry: ModelRegistry,
 class ScenarioResult:
     scenario: Scenario
     records: dict[tuple[str, str], list[MetricRecord]]  # (model label, site)
-    summaries: dict[tuple[str, str], MetricSummary]
 
 
 def run_scenario(scenario: Scenario, datasets: Mapping[str, SiteDataset],
@@ -180,7 +179,6 @@ def run_scenario(scenario: Scenario, datasets: Mapping[str, SiteDataset],
         raise ValueError(f"datasets missing for sites: {missing}")
 
     records: dict[tuple[str, str], list[MetricRecord]] = {}
-    summaries: dict[tuple[str, str], MetricSummary] = {}
     for eval_site in roster:
         test = datasets[eval_site].test
         if not test:
@@ -197,10 +195,8 @@ def run_scenario(scenario: Scenario, datasets: Mapping[str, SiteDataset],
                 for class_id in LESION_CLASSES:
                     recs.extend(score_pair(pred, sample.mask, class_id,
                                            sample.volume.spacing))
-            key = (variant.label, eval_site)
-            records[key] = recs
-            summaries[key] = summarize(recs, eval_site)
-    return ScenarioResult(scenario=scenario, records=records, summaries=summaries)
+            records[(variant.label, eval_site)] = recs
+    return ScenarioResult(scenario=scenario, records=records)
 
 
 @dataclass
@@ -293,11 +289,18 @@ def rank(values: Mapping[tuple[str, str, str], float],
                      sites=sites, metric_names=metric_names)
 
 
-def rank_scenario(result: ScenarioResult) -> RankTable:
-    values = {(label, site, metric): summary.means[metric]
-              for (label, site), summary in result.summaries.items()
-              for metric in summary.means}
-    return rank(values, allow_missing=result.scenario is Scenario.GEN_WITHOUT_LOCAL)
+def rank_records(records: Mapping[tuple[str, str], Sequence[MetricRecord]],
+                 scenario: Scenario) -> RankTable:
+    """Rank a scenario's scoring records, keyed by (model label, site).
+
+    Each (model, site) is summarized into its per-metric means. Only the
+    generalization-without-local grid may have empty cells: no site is
+    scored with its own local model there.
+    """
+    values = {(model, site, metric): mean
+              for (model, site), recs in records.items()
+              for metric, mean in summarize(recs, site).means.items()}
+    return rank(values, allow_missing=scenario is Scenario.GEN_WITHOUT_LOCAL)
 
 
 def write_ranks_csv(path, table: RankTable, experiment_digest: str | None = None) -> None:

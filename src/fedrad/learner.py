@@ -15,6 +15,7 @@ to epoch t of an uninterrupted local run.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -65,8 +66,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batches_per_epoch <= 0 or self.batch_size <= 0:
             raise ValueError("epochs, batches_per_epoch, batch_size must be positive")
-        if not self.learning_rate >= 0.0:
-            raise ValueError("learning_rate must be non-negative")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate is negative or non-finite: {self.learning_rate!r}")
 
     def to_dict(self) -> dict:
         return {"epochs": self.epochs, "batches_per_epoch": self.batches_per_epoch,
@@ -219,11 +220,12 @@ def predict(w: np.ndarray, volume: Volume, config: FeatureConfig) -> LabelMask:
     return LabelMask(id=volume.id, labels=np.argmax(probs, axis=-1).astype(np.uint8))
 
 
-def ensemble_proba(weights_list: Sequence[np.ndarray], volume: Volume,
-                   config: FeatureConfig,
-                   configs: Sequence[FeatureConfig] | None = None,
-                   member_weights: Sequence[float] | None = None) -> np.ndarray:
-    """Weighted average of member probability fields.
+def ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volume,
+                     config: FeatureConfig,
+                     configs: Sequence[FeatureConfig] | None = None,
+                     member_weights: Sequence[float] | None = None) -> LabelMask:
+    """Argmax of the weighted average of member probability fields, with the
+    same tie-break as :func:`predict`.
 
     ``configs`` optionally gives each member its own feature normalization
     (models trained in different federations); by default all members share
@@ -251,16 +253,7 @@ def ensemble_proba(weights_list: Sequence[np.ndarray], volume: Volume,
             cache[fc] = extract_features(volume, fc)
         probs = forward(w, cache[fc])
         acc = mw[k] * probs if acc is None else acc + mw[k] * probs
-    return acc
-
-
-def ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volume,
-                     config: FeatureConfig,
-                     configs: Sequence[FeatureConfig] | None = None,
-                     member_weights: Sequence[float] | None = None) -> LabelMask:
-    """Argmax of the member-probability average, same tie-break as predict."""
-    probs = ensemble_proba(weights_list, volume, config, configs, member_weights)
-    return LabelMask(id=volume.id, labels=np.argmax(probs, axis=-1).astype(np.uint8))
+    return LabelMask(id=volume.id, labels=np.argmax(acc, axis=-1).astype(np.uint8))
 
 
 def save_weights(path: Path, w: np.ndarray) -> None:

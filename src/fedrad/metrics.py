@@ -102,91 +102,98 @@ def _boundary(mask: np.ndarray) -> np.ndarray:
     return mask & ~ndimage.binary_erosion(mask, structure=_STRUCT_6, border_value=0)
 
 
-def _distances_to(boundary: np.ndarray, spacing: Sequence[float]) -> np.ndarray:
-    # Distance from every voxel center to the nearest boundary-voxel center.
-    return ndimage.distance_transform_edt(~boundary, sampling=spacing)
+def _boundary_distances(p: np.ndarray, r: np.ndarray,
+                        spacing: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Distances in mm from each reference boundary voxel to the nearest
+    prediction boundary voxel, and from each prediction boundary voxel to
+    the nearest reference one. One distance transform per direction; when
+    the other boundary is empty every distance is infinite."""
+    bp, br = _boundary(p), _boundary(r)
+    if bp.any() and br.any():
+        return (ndimage.distance_transform_edt(~bp, sampling=spacing)[br],
+                ndimage.distance_transform_edt(~br, sampling=spacing)[bp])
+    return np.full(int(br.sum()), np.inf), np.full(int(bp.sum()), np.inf)
 
 
-def dsc(pred: LabelMask, ref: LabelMask, class_id: int) -> float:
-    """Dice similarity 2|P&R| / (|P|+|R|) of one class."""
-    p, r = _class_masks(pred, ref, class_id)
+def _dsc(p: np.ndarray, r: np.ndarray) -> float:
     np_, nr = int(p.sum()), int(r.sum())
     if np_ + nr == 0:
         raise ValueError("DSC undefined: class absent from both masks")
     return 2.0 * int((p & r).sum()) / (np_ + nr)
 
 
-def nsd(pred: LabelMask, ref: LabelMask, class_id: int,
-        spacing: Sequence[float], tau: float = NSD_TAU_MM) -> float:
-    """Normalized surface dice: fraction of boundary voxels of either mask
-    lying within ``tau`` mm of the other mask's boundary."""
-    p, r = _class_masks(pred, ref, class_id)
-    bp, br = _boundary(p), _boundary(r)
-    n_bp, n_br = int(bp.sum()), int(br.sum())
-    if n_bp + n_br == 0:
+def _nsd(d_ref: np.ndarray, d_pred: np.ndarray) -> float:
+    n = d_ref.size + d_pred.size
+    if n == 0:
         raise ValueError("NSD undefined: both boundaries empty")
-    close = 0
-    if n_br:
-        d_to_pred = (_distances_to(bp, spacing)[br] if n_bp
-                     else np.full(n_br, np.inf))
-        close += int((d_to_pred <= tau).sum())
-    if n_bp:
-        d_to_ref = (_distances_to(br, spacing)[bp] if n_br
-                    else np.full(n_bp, np.inf))
-        close += int((d_to_ref <= tau).sum())
-    return close / (n_bp + n_br)
+    return (int((d_ref <= NSD_TAU_MM).sum()) + int((d_pred <= NSD_TAU_MM).sum())) / n
+
+
+def _hsd(d_ref: np.ndarray, d_pred: np.ndarray) -> float:
+    if d_ref.size == 0 or d_pred.size == 0:
+        raise ValueError("HSD undefined: a boundary is empty")
+    return float(max(d_ref.max(), d_pred.max()))
+
+
+def _nave(p: np.ndarray, r: np.ndarray) -> float:
+    nr = int(r.sum())
+    if nr == 0:
+        raise ValueError("NAVE undefined: class absent from reference")
+    return abs(int(p.sum()) - nr) / nr
+
+
+def dsc(pred: LabelMask, ref: LabelMask, class_id: int) -> float:
+    """Dice similarity 2|P&R| / (|P|+|R|) of one class."""
+    return _dsc(*_class_masks(pred, ref, class_id))
+
+
+def nsd(pred: LabelMask, ref: LabelMask, class_id: int,
+        spacing: Sequence[float]) -> float:
+    """Normalized surface dice: fraction of boundary voxels of either mask
+    lying within ``NSD_TAU_MM`` of the other mask's boundary."""
+    return _nsd(*_boundary_distances(*_class_masks(pred, ref, class_id), spacing))
 
 
 def hsd(pred: LabelMask, ref: LabelMask, class_id: int,
         spacing: Sequence[float]) -> float:
     """Symmetric Hausdorff distance (100th percentile) between boundaries, mm."""
-    p, r = _class_masks(pred, ref, class_id)
-    bp, br = _boundary(p), _boundary(r)
-    if not bp.any() or not br.any():
-        raise ValueError("HSD undefined: a boundary is empty")
-    d_ref_to_pred = _distances_to(bp, spacing)[br].max()
-    d_pred_to_ref = _distances_to(br, spacing)[bp].max()
-    return float(max(d_ref_to_pred, d_pred_to_ref))
+    return _hsd(*_boundary_distances(*_class_masks(pred, ref, class_id), spacing))
 
 
-def nave(pred: LabelMask, ref: LabelMask, class_id: int,
-         spacing: Sequence[float] | None = None) -> float:
+def nave(pred: LabelMask, ref: LabelMask, class_id: int) -> float:
     """Relative absolute volume error |V_pred - V_ref| / V_ref.
 
-    The voxel volume cancels, so this is computed from voxel counts;
-    ``spacing`` is accepted for interface symmetry.
+    The voxel volume cancels, so this is computed from voxel counts.
     """
-    p, r = _class_masks(pred, ref, class_id)
-    np_, nr = int(p.sum()), int(r.sum())
-    if nr == 0:
-        raise ValueError("NAVE undefined: class absent from reference")
-    return abs(np_ - nr) / nr
+    return _nave(*_class_masks(pred, ref, class_id))
 
 
 def score_pair(pred: LabelMask, ref: LabelMask, class_id: int,
                spacing: Sequence[float]) -> list[MetricRecord]:
-    """Score one (prediction, reference, class) pair into four records."""
+    """Score one (prediction, reference, class) pair into four records.
+
+    The class masks, boundaries and distance transforms are built once and
+    shared by the four metrics.
+    """
     p, r = _class_masks(pred, ref, class_id)
     in_pred, in_ref = bool(p.any()), bool(r.any())
     sid = ref.id
 
     if in_ref and in_pred:
+        d_ref, d_pred = _boundary_distances(p, r, spacing)
         values = {
-            METRIC_DSC: dsc(pred, ref, class_id),
-            METRIC_NSD: nsd(pred, ref, class_id, spacing),
-            METRIC_HSD: hsd(pred, ref, class_id, spacing),
-            METRIC_NAVE: nave(pred, ref, class_id),
+            METRIC_DSC: _dsc(p, r),
+            METRIC_NSD: _nsd(d_ref, d_pred),
+            METRIC_HSD: _hsd(d_ref, d_pred),
+            METRIC_NAVE: _nave(p, r),
         }
         status = RecordStatus.SCORED
     elif in_ref:
         values = dict(FN_DEFAULTS)
         status = RecordStatus.FN_DEFAULTED
-    elif in_pred:
-        values = {m: float("nan") for m in METRICS}
-        status = RecordStatus.FP_SKIPPED
     else:
         values = {m: float("nan") for m in METRICS}
-        status = RecordStatus.TN_SKIPPED
+        status = RecordStatus.FP_SKIPPED if in_pred else RecordStatus.TN_SKIPPED
 
     return [MetricRecord(sample_id=sid, class_id=class_id, metric=m,
                          value=values[m], status=status) for m in METRICS]

@@ -16,7 +16,6 @@ weight arithmetic go through the same core; the simulator only adds time.
 
 from __future__ import annotations
 
-import heapq
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -182,33 +181,22 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
 
     lat_ns = {s: round(link_by_site[s].latency_ms * 1_000_000) for s in expected}
     train_ns = {s: _epoch_ns(link_by_site[s], params, per_batch_seconds) for s in expected}
+    # A delta arrives after the RoundStart hop, one local epoch and the upload hop.
+    arrive_ns = {s: 2 * lat_ns[s] + train_ns[s] for s in expected}
     timeout_ns = round(params.round_timeout_s * NS_PER_S)
 
     for t in fed.rounds():
         unavailable = apply_fault_schedule(links, t)
-        responders = [s for s in expected if s not in unavailable]
-
-        # Delta arrival events: RoundStart hop, one local epoch, upload hop.
-        heap: list[tuple[int, str]] = []
-        for s in responders:
-            arrive_ns = 2 * lat_ns[s] + train_ns[s]
-            heapq.heappush(heap, (arrive_ns, s))
-
         w = fed.weights
-        received: dict[str, np.ndarray] = {}
-        while heap:
-            arrive_ns, s = heapq.heappop(heap)
-            if arrive_ns > timeout_ns:
-                break  # past the deadline; the server stops waiting
-            trained = train_epochs(w, matrices[s][0], matrices[s][1],
-                                   site_cfg[s], start_epoch=t)
-            received[s] = trained - w
+        # The server stops waiting at the deadline; later deltas are missing.
+        received = {s: train_epochs(w, *matrices[s], site_cfg[s], start_epoch=t) - w
+                    for s in expected
+                    if s not in unavailable and arrive_ns[s] <= timeout_ns}
 
         complete = set(received) == set(expected)
-        wall_ns = (max(2 * lat_ns[s] + train_ns[s] for s in received)
-                   if complete else timeout_ns)
+        wall_ns = max(arrive_ns[s] for s in received) if complete else timeout_ns
         for s in expected:
-            busy = (train_ns[s] + 2 * lat_ns[s]) if s in received else 0
+            busy = arrive_ns[s] if s in received else 0
             timing.rows.append(RoundSiteTiming(
                 round_index=t, site_id=s,
                 train_ns=train_ns[s] if s in received else 0,

@@ -65,7 +65,6 @@ class MsgType(enum.IntEnum):
     DELTA_UPLOAD = 5
     CHECKPOINT_NOTICE = 6
     FINAL_MODEL = 7
-    HEARTBEAT = 8
     ABORT = 9
 
 
@@ -112,17 +111,12 @@ class FinalModel:
 
 
 @dataclass(eq=False)
-class Heartbeat:
-    pass
-
-
-@dataclass(eq=False)
 class Abort:
     reason: str
 
 
 Message = (Register | FingerprintSubmit | ConfigBroadcast | RoundStart
-           | DeltaUpload | CheckpointNotice | FinalModel | Heartbeat | Abort)
+           | DeltaUpload | CheckpointNotice | FinalModel | Abort)
 
 _TYPE_OF = {
     Register: MsgType.REGISTER,
@@ -132,7 +126,6 @@ _TYPE_OF = {
     DeltaUpload: MsgType.DELTA_UPLOAD,
     CheckpointNotice: MsgType.CHECKPOINT_NOTICE,
     FinalModel: MsgType.FINAL_MODEL,
-    Heartbeat: MsgType.HEARTBEAT,
     Abort: MsgType.ABORT,
 }
 
@@ -187,8 +180,6 @@ def _encode_payload(msg: Message) -> bytes:
         return struct.pack("<I", msg.round_index)
     if isinstance(msg, FinalModel):
         return _weights_bytes(msg.weights)
-    if isinstance(msg, Heartbeat):
-        return b""
     if isinstance(msg, Abort):
         return msg.reason.encode("utf-8")
     raise TypeError(f"not a wire message: {type(msg)!r}")
@@ -231,10 +222,6 @@ def _decode_payload(msg_type: MsgType, buf: bytes) -> Message:
             return CheckpointNotice(round_index=t)
         if msg_type is MsgType.FINAL_MODEL:
             return FinalModel(weights=_weights_from(buf, "FinalModel"))
-        if msg_type is MsgType.HEARTBEAT:
-            if buf:
-                raise MalformedPayload("Heartbeat: unexpected payload")
-            return Heartbeat()
         if msg_type is MsgType.ABORT:
             return Abort(reason=_text_from(buf, "Abort"))
     except ProtocolError:

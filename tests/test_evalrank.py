@@ -6,7 +6,7 @@ import pytest
 import rank_fixtures as rf
 
 from fedrad.evalrank import (ModelRegistry, ModelVariant, Scenario, TrainedModel,
-                             VariantKind, average_ranks, rank, rank_scenario, resolve_variant,
+                             VariantKind, average_ranks, rank, rank_records, resolve_variant,
                              run_scenario, scenario_variants)
 from fedrad.learner import FeatureConfig, WEIGHT_LEN
 from fedrad.metrics import METRIC_DIRECTIONS
@@ -241,10 +241,10 @@ def test_run_scenario_shapes(small_dataset):
         samples = [s for s in small_dataset.samples]
         datasets[sid] = SiteDataset(site_id=sid, train=samples[:5], test=samples[5:7])
     result = run_scenario(Scenario.PERSONALIZATION, datasets, registry)
-    assert len(result.summaries) == 3 * 5  # shaped like the scenario grid
-    labels = {label for (label, _site) in result.summaries}
+    assert len(result.records) == 3 * 5  # shaped like the scenario grid
+    labels = {label for (label, _site) in result.records}
     assert labels == {"L", "E", "FL", "Spec(E)", "Spec(FL)"}
-    table = rank_scenario(result)
+    table = rank_records(result.records, result.scenario)
     assert set(table.models) == labels
     n = len(labels)
     assert table.rank_point_total() == pytest.approx(
@@ -258,8 +258,26 @@ def test_run_scenario_without_local_never_uses_own_local(small_dataset):
     datasets = {sid: SiteDataset(site_id=sid, train=samples[:5], test=samples[5:6])
                 for sid in ("s1", "s2")}
     result = run_scenario(Scenario.GEN_WITHOUT_LOCAL, datasets, registry)
-    assert ("L[s1]", "s1") not in result.summaries
-    assert ("L[s1]", "s2") in result.summaries
-    assert ("L[s2]", "s1") in result.summaries
-    table = rank_scenario(result)  # sparse grid must rank without error
+    assert ("L[s1]", "s1") not in result.records
+    assert ("L[s1]", "s2") in result.records
+    assert ("L[s2]", "s1") in result.records
+    table = rank_records(result.records, result.scenario)  # sparse grid must rank
     assert table.ordered_models()
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_rank_records_survives_csv_roundtrip(small_dataset, tmp_path, scenario):
+    from fedrad.dataset import SiteDataset
+    from fedrad.metrics import read_metrics_csv, write_metrics_csv
+    registry = _registry(sites=("s1", "s2", "s3"), rng_seed=7)
+    samples = list(small_dataset.samples)
+    datasets = {sid: SiteDataset(site_id=sid, train=samples[:5], test=samples[5:7])
+                for sid in ("s1", "s2", "s3")}
+    result = run_scenario(scenario, datasets, registry)
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, result.records, "e" * 64)
+    back, _digest = read_metrics_csv(path)
+    want = rank_records(result.records, scenario)
+    got = rank_records(back, scenario)
+    assert got.cell_ranks == want.cell_ranks
+    assert got.overall == want.overall

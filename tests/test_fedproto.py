@@ -596,3 +596,61 @@ def test_non_finite_delta_never_checkpointed(tmp_path, aggregation):
         assert "w" in server_out, server_out.get("exc")
         assert len(written) == 3
         assert np.array_equal(client_out["s1"], server_out["w"])
+
+
+class _ResendsLastDelta:
+    """Client connection that re-sends its previous round's delta before each
+    new upload, so the server sees a stale round-(t-1) delta during round t."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self._last = None
+        self.stale_sent = 0
+
+    def send(self, msg):
+        from fedrad import wire
+        if isinstance(msg, wire.DeltaUpload):
+            if self._last is not None:
+                self._conn.send(self._last)
+                self.stale_sent += 1
+            self._last = msg
+        self._conn.send(msg)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def test_stale_delta_ignored_until_the_real_upload():
+    datasets = make_datasets(["s1", "s2"])
+    params = make_params(["s1", "s2"], rounds=3)
+    hub = InProcessHub()
+    resender = _ResendsLastDelta(hub.connect())
+    server_out, client_out = {}, {}
+
+    def serve():
+        try:
+            server_out["w"] = run_server(params, hub)
+        except Exception as exc:  # noqa: BLE001
+            server_out["exc"] = exc
+
+    def join(sid, conn):
+        try:
+            client_out[sid] = run_client(datasets[sid], conn)
+        except Exception as exc:  # noqa: BLE001
+            client_out[sid] = exc
+
+    threads = [threading.Thread(target=serve, daemon=True),
+               threading.Thread(target=join, args=("s1", resender), daemon=True),
+               threading.Thread(target=join, args=("s2", hub.connect()), daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert resender.stale_sent == 2  # in rounds 2 and 3
+    assert "w" in server_out, server_out.get("exc")
+    want, _ = sequential_federated_reference(datasets, TRAIN, params.experiment_seed, 3)
+    assert np.array_equal(server_out["w"], want)
+    assert np.array_equal(client_out["s1"], want)
+    assert np.array_equal(client_out["s2"], want)
+

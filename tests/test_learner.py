@@ -140,6 +140,14 @@ def test_training_zero_learning_rate(rng):
     assert np.array_equal(train_epochs(w, features, labels, cfg), w)
 
 
+@pytest.mark.parametrize("bad", [float("inf"), float("nan"), -0.1])
+def test_train_config_refuses_bad_learning_rate(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(learning_rate=bad)
+    with pytest.raises(ValueError):
+        TrainConfig.from_dict({**TrainConfig().to_dict(), "learning_rate": bad})
+
+
 def test_training_deterministic(rng):
     features, labels = random_batch(rng, n=64)
     cfg = TrainConfig(epochs=2, batches_per_epoch=10, batch_size=16,
@@ -255,6 +263,12 @@ def test_non_finite_start_weights_rejected(rng, bad):
 @pytest.mark.parametrize("learning_rate", [1e306, np.inf])
 def test_diverging_run_raises_instead_of_returning_non_finite(rng, epochs, batches_per_epoch,
                                                               learning_rate):
+    if np.isinf(learning_rate):
+        # refused up front, before a first step could overflow
+        with pytest.raises(ValueError, match="non-finite"):
+            TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch,
+                        learning_rate=learning_rate)
+        return
     # the first step already overflows, so (1, 1) can only be caught on return
     features, labels = random_batch(rng, n=64)
     features[:, :N_FEATURES] *= 1e3

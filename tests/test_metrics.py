@@ -150,6 +150,50 @@ def test_score_pair_false_positive_and_true_negative():
     assert not any(r.included for r in fp_records + tn_records)
 
 
+def test_score_pair_equals_public_metrics(rng):
+    checked = 0
+    while checked < 100:
+        pred, ref, spacing = random_pair(rng, p=float(rng.uniform(0.03, 0.3)))
+        if not (pred.labels == 1).any() or not (ref.labels == 1).any():
+            continue
+        checked += 1
+        got = {r.metric: r.value for r in score_pair(pred, ref, 1, spacing)}
+        assert got == {"DSC": dsc(pred, ref, 1), "NSD": nsd(pred, ref, 1, spacing),
+                       "HSD": hsd(pred, ref, 1, spacing), "NAVE": nave(pred, ref, 1)}
+
+
+def test_score_pair_one_distance_transform_per_direction(monkeypatch):
+    from fedrad import metrics
+    calls = []
+    edt = metrics.ndimage.distance_transform_edt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return edt(*args, **kwargs)
+
+    monkeypatch.setattr(metrics.ndimage, "distance_transform_edt", counted)
+    ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
+    pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
+    score_pair(pred, ref, 1, SP)
+    assert len(calls) == 2
+    empty = lm(np.zeros((8, 8, 8)))
+    score_pair(empty, ref, 1, SP)
+    score_pair(pred, empty, 1, SP)
+    assert len(calls) == 2
+
+
+def test_boundary_metrics_with_one_empty_boundary():
+    ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
+    empty = lm(np.zeros((8, 8, 8)))
+    assert nsd(empty, ref, 1, SP) == 0.0
+    with pytest.raises(ValueError):
+        nsd(empty, empty, 1, SP)
+    with pytest.raises(ValueError):
+        hsd(empty, ref, 1, SP)
+    with pytest.raises(ValueError):
+        nave(ref, empty, 1)
+
+
 def test_summarize_means():
     rec = lambda m, v, st: MetricRecord("s", 1, m, v, st)
     records = [rec("DSC", 0.8, RecordStatus.SCORED)]

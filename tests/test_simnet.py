@@ -128,6 +128,46 @@ def test_offline_round_tolerant_continues():
     assert sim.final_weights is not None
 
 
+# Default schedule: 5 batches of 0.02 s, so one local epoch is 0.1 s. With a
+# 5 s deadline, a one-way latency of 2450 ms lands the delta exactly on time.
+ON_TIME_MS = 2450.0
+LATE_MS = 2450.000001
+
+
+def test_late_site_strict_aborts_at_last_checkpoint(tmp_path):
+    datasets = make_datasets(["a", "b"])
+    params = make_params(["a", "b"], rounds=3, ckpt_dir=tmp_path / "ck",
+                         round_timeout_s=5.0)
+    on_time = run_simulated(params, datasets,
+                            links_for(["a", "b"], b={"latency_ms": ON_TIME_MS}))
+    assert not on_time.aborted
+    assert all(r.wall_ns == 5 * NS_PER_S for r in on_time.timing.rows)
+
+    late = run_simulated(params, datasets,
+                         links_for(["a", "b"], b={"latency_ms": LATE_MS}))
+    assert late.aborted and not late.stopped
+    assert late.abort_round == 1
+    assert "['b']" in late.abort_reason
+    assert load_checkpoint(late.checkpoint_file).round_index == 0
+    row_b = next(r for r in late.timing.rows if r.site_id == "b")
+    assert row_b.train_ns == 0 and row_b.idle_ns == row_b.wall_ns == 5 * NS_PER_S
+
+
+def test_late_site_tolerant_aggregates_without_it():
+    datasets = make_datasets(["a", "b"])
+    params = make_params(["a", "b"], rounds=3, aggregation="tolerant",
+                         round_timeout_s=5.0)
+    late = run_simulated(params, datasets,
+                         links_for(["a", "b"], b={"latency_ms": LATE_MS}))
+    offline = run_simulated(params, datasets,
+                            links_for(["a", "b"], b={"offline_rounds": {1, 2, 3}}))
+    full = run_simulated(params, datasets, links_for(["a", "b"]))
+    assert not late.aborted
+    assert np.array_equal(late.final_weights, offline.final_weights)
+    assert not np.array_equal(late.final_weights, full.final_weights)
+    assert all(r.train_ns == 0 for r in late.timing.rows if r.site_id == "b")
+
+
 def test_crash_permanent_from_round():
     datasets = make_datasets(["a", "b"])
     params = make_params(["a", "b"], rounds=5, aggregation="tolerant",

@@ -31,7 +31,6 @@ def all_message_variants(rng):
         wire.DeltaUpload(round_index=3, site_id="site_x", delta=w * 0.5),
         wire.CheckpointNotice(round_index=17),
         wire.FinalModel(weights=w),
-        wire.Heartbeat(),
         wire.Abort(reason="round 3 timeout"),
         wire.Abort(reason=""),
     ]
@@ -57,10 +56,10 @@ def test_roundtrip_every_variant(rng):
 
 
 def test_frame_layout(rng):
-    frame = wire.encode_frame(wire.Heartbeat())
+    frame = wire.encode_frame(wire.Abort(reason=""))
     assert frame[:2] == b"FR"
     assert frame[2] == wire.VERSION
-    assert frame[3] == wire.MsgType.HEARTBEAT
+    assert frame[3] == wire.MsgType.ABORT
     assert frame[4:8] == (0).to_bytes(4, "little")
     assert len(frame) == 8
 
@@ -98,16 +97,19 @@ def test_malformed_payloads():
                                     int(wire.MsgType.DELTA_UPLOAD), len(body)) + body
     with pytest.raises(wire.MalformedPayload):
         wire.decode_frame(frame)
-    # Heartbeat with a payload
-    frame = wire._FRAME_HEADER.pack(wire.MAGIC, wire.VERSION,
-                                    int(wire.MsgType.HEARTBEAT), 1) + b"\x00"
-    with pytest.raises(wire.MalformedPayload):
+
+
+def test_retired_heartbeat_type_is_unknown():
+    # type code 8 was a Heartbeat that nothing ever sent; it is no longer decoded
+    assert 8 not in {int(t) for t in wire.MsgType}
+    frame = wire._FRAME_HEADER.pack(wire.MAGIC, wire.VERSION, 8, 0)
+    with pytest.raises(wire.UnknownType):
         wire.decode_frame(frame)
 
 
 def test_oversized_declared_payload():
     frame = wire._FRAME_HEADER.pack(wire.MAGIC, wire.VERSION,
-                                    int(wire.MsgType.HEARTBEAT), wire.MAX_PAYLOAD + 1)
+                                    int(wire.MsgType.ABORT), wire.MAX_PAYLOAD + 1)
     with pytest.raises(wire.Oversized):
         wire.decode_frame(frame)
 

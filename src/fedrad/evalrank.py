@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .dataset import LESION_CLASSES, SiteDataset
-from .learner import FeatureConfig, ensemble_predict
+from .learner import FeatureConfig, ensemble_predict, predict_proba
 from .metrics import METRIC_DIRECTIONS, METRICS, MetricRecord, score_pair, summarize
 
 
@@ -71,9 +71,10 @@ class ModelVariant:
         }[self.kind]
 
 
-@dataclass
+@dataclass(eq=False)
 class TrainedModel:
-    """Weights plus the feature normalization they were trained with."""
+    """Weights plus the feature normalization they were trained with; equal
+    only to itself, so a model can key its probability fields."""
 
     weights: np.ndarray
     feature_config: FeatureConfig
@@ -183,19 +184,23 @@ def run_scenario(scenario: Scenario, datasets: Mapping[str, SiteDataset],
         test = datasets[eval_site].test
         if not test:
             raise ValueError(f"site {eval_site} has no test samples")
+        members_of = {}
         for variant in scenario_variants(scenario, roster, eval_site):
-            members = resolve_variant(variant, registry, eval_site)
-            weights = [m.weights for m, _ in members]
-            configs = [m.feature_config for m, _ in members]
-            mweights = [mw for _, mw in members]
-            recs: list[MetricRecord] = []
-            for sample in sorted(test, key=lambda s: s.sample_id):
-                pred = ensemble_predict(weights, sample.volume, configs[0],
-                                        configs=configs, member_weights=mweights)
+            members_of[variant.label] = resolve_variant(variant, registry, eval_site)
+            records[(variant.label, eval_site)] = []
+        for sample in sorted(test, key=lambda s: s.sample_id):
+            # each member model's field is computed once and shared by the variants
+            fields: dict[TrainedModel, np.ndarray] = {}
+            for label, members in members_of.items():
+                for model, _ in members:
+                    if model not in fields:
+                        fields[model] = predict_proba(model.weights, sample.volume,
+                                                      model.feature_config)
+                pred = ensemble_predict([fields[m] for m, _ in members],
+                                        [mw for _, mw in members], sample.volume.id)
                 for class_id in LESION_CLASSES:
-                    recs.extend(score_pair(pred, sample.mask, class_id,
-                                           sample.volume.spacing))
-            records[(variant.label, eval_site)] = recs
+                    records[(label, eval_site)].extend(
+                        score_pair(pred, sample.mask, class_id, sample.volume.spacing))
     return ScenarioResult(scenario=scenario, records=records)
 
 
@@ -245,15 +250,15 @@ def average_ranks(x: np.ndarray) -> np.ndarray:
 
 
 def rank(values: Mapping[tuple[str, str, str], float],
-         directions: Mapping[str, str] = METRIC_DIRECTIONS,
          allow_missing: bool = False) -> RankTable:
     """Rank models per (site, metric) cell and average into the overall score.
 
     ``values`` maps (model, site, metric) to that model's mean metric value.
-    Higher is better for "desc" metrics, lower for "asc". Tied values share
-    the average of the positions they span. Every model must populate every
-    cell unless ``allow_missing`` is set (scenarios with per-site rosters,
-    where a model's overall score averages over the cells it appears in).
+    ``METRIC_DIRECTIONS`` says lower is better for "asc" metrics; higher is
+    better for the rest. Tied values share the average of the positions they
+    span. Every model must populate every cell unless ``allow_missing`` is
+    set (scenarios with per-site rosters, where a model's overall score
+    averages over the cells it appears in).
     """
     models = sorted({k[0] for k in values})
     sites = sorted({k[1] for k in values})
@@ -274,10 +279,8 @@ def rank(values: Mapping[tuple[str, str, str], float],
             if not present:
                 continue
             vals = np.array([values[(m, site, metric)] for m in present], dtype=float)
-            direction = directions.get(metric, "desc")
-            if direction not in ("asc", "desc"):
-                raise ValueError(f"bad direction {direction!r} for {metric}")
-            ranks = average_ranks(vals if direction == "asc" else -vals)
+            ascending = METRIC_DIRECTIONS.get(metric, "desc") == "asc"
+            ranks = average_ranks(vals if ascending else -vals)
             for m, r in zip(present, ranks):
                 cell_ranks[(m, site, metric)] = float(r)
 

@@ -68,6 +68,10 @@ class ExperimentConfig:
         ids = [p.site_id for p in self.sites]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate site ids")
+        for sid in ids:
+            # the CSV artifacts join their fields with bare commas, one record a line
+            if any(c in sid for c in ",\r\n"):
+                raise ValueError(f"site id {sid!r} contains a comma or a line break")
         for s in self.scenarios:
             Scenario(s)  # raises on unknown names
 

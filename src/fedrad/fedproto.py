@@ -44,6 +44,9 @@ logger = logging.getLogger(__name__)
 AGG_STRICT = "strict"
 AGG_TOLERANT = "tolerant"
 
+# how long a site waits for the server's next message before giving up
+CLIENT_RECV_TIMEOUT_S = 600.0
+
 CHECKPOINT_MAGIC = b"FRCK"
 CHECKPOINT_VERSION = 2
 _CKPT_HEADER = struct.Struct("<4sH32sI")
@@ -481,8 +484,7 @@ def _client_abort(conn: tp.Connection, reason: str) -> ExperimentAborted:
 
 def run_client(dataset: SiteDataset, conn: tp.Connection, *,
                expected_digest: str | None = None,
-               model_out: Path | None = None,
-               recv_timeout_s: float = 600.0) -> np.ndarray:
+               model_out: Path | None = None) -> np.ndarray:
     """Join an experiment as one site; returns the final global weights.
 
     The client registers, submits its training-data fingerprint, then for
@@ -506,7 +508,7 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
 
     while True:
         try:
-            msg = conn.recv(timeout=recv_timeout_s)
+            msg = conn.recv(timeout=CLIENT_RECV_TIMEOUT_S)
         except (tp.TransportClosed, tp.RecvTimeout) as exc:
             raise ExperimentAborted(f"server connection lost: {exc}") from exc
         except wire.ProtocolError as exc:

@@ -220,40 +220,20 @@ def predict(w: np.ndarray, volume: Volume, config: FeatureConfig) -> LabelMask:
     return LabelMask(id=volume.id, labels=np.argmax(probs, axis=-1).astype(np.uint8))
 
 
-def ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volume,
-                     config: FeatureConfig,
-                     configs: Sequence[FeatureConfig] | None = None,
-                     member_weights: Sequence[float] | None = None) -> LabelMask:
-    """Argmax of the weighted average of member probability fields, with the
-    same tie-break as :func:`predict`.
-
-    ``configs`` optionally gives each member its own feature normalization
-    (models trained in different federations); by default all members share
-    ``config``. ``member_weights`` defaults to uniform and is normalized.
+def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[float],
+                     mask_id: str) -> LabelMask:
+    """Argmax of the weighted average of member probability fields (each as
+    :func:`predict_proba` returns it), with the same tie-break as
+    :func:`predict`. ``member_weights`` are normalized by their sum.
     """
-    if len(weights_list) == 0:
-        raise ValueError("ensemble needs at least one member")
-    for w in weights_list:
-        _check_weights(w)
-    if configs is not None and len(configs) != len(weights_list):
-        raise ValueError("configs must match the number of members")
-    if member_weights is None:
-        mw = np.full(len(weights_list), 1.0 / len(weights_list))
-    else:
-        mw = np.asarray(member_weights, dtype=np.float64)
-        if mw.shape != (len(weights_list),) or mw.min() < 0 or mw.sum() <= 0:
-            raise ValueError("invalid member weights")
-        mw = mw / mw.sum()
-
-    cache: dict[FeatureConfig, np.ndarray] = {}
+    mw = np.asarray(member_weights, dtype=np.float64)
+    if len(fields) == 0 or mw.shape != (len(fields),) or mw.min() < 0 or mw.sum() <= 0:
+        raise ValueError("ensemble needs at least one member and one valid weight each")
+    mw = mw / mw.sum()
     acc = None
-    for k, w in enumerate(weights_list):
-        fc = configs[k] if configs is not None else config
-        if fc not in cache:
-            cache[fc] = extract_features(volume, fc)
-        probs = forward(w, cache[fc])
+    for k, probs in enumerate(fields):
         acc = mw[k] * probs if acc is None else acc + mw[k] * probs
-    return LabelMask(id=volume.id, labels=np.argmax(acc, axis=-1).astype(np.uint8))
+    return LabelMask(id=mask_id, labels=np.argmax(acc, axis=-1).astype(np.uint8))
 
 
 def save_weights(path: Path, w: np.ndarray) -> None:

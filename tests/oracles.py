@@ -6,20 +6,27 @@ comparison, gradients by central finite differences, the federated
 protocol by a plain in-process loop over sites, and the SGD step and
 softmax by the original straightforward implementation (one draw per
 batch, fancy-index gathers, ``max``/``sum(axis=-1)`` reductions), which the
-optimized learner must match bit for bit.
+optimized learner must match bit for bit, and scenario evaluation by the
+original loop that re-extracts features and re-runs every member model for
+every ensemble prediction.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import replace
+from typing import Sequence
 
 import numpy as np
 
+from fedrad.dataset import LESION_CLASSES, LabelMask, Volume
+from fedrad.evalrank import resolve_variant, scenario_variants
 from fedrad.fedproto import aggregate
 from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
-from fedrad.learner import (N_CLASSES, N_FEATURES, build_training_matrix, loss_and_grad,
+from fedrad.learner import (N_CLASSES, N_FEATURES, FeatureConfig, _check_weights,
+                            build_training_matrix, extract_features, forward, loss_and_grad,
                             site_train_seed, train_epochs)
+from fedrad.metrics import score_pair
 from fedrad.seeding import rng_from
 
 _OFFSETS_26 = [(dz, dy, dx)
@@ -190,3 +197,62 @@ def reference_train_epochs(w, features, labels, config, start_epoch=1):
             _, grad = reference_loss_and_grad(w, features[idx], labels[idx])
             w = w - config.learning_rate * grad
     return w
+
+
+def reference_ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volume,
+                               config: FeatureConfig,
+                               configs: Sequence[FeatureConfig] | None = None,
+                               member_weights: Sequence[float] | None = None) -> LabelMask:
+    """Argmax of the weighted average of member probability fields, with the
+    same tie-break as :func:`predict`.
+
+    ``configs`` optionally gives each member its own feature normalization
+    (models trained in different federations); by default all members share
+    ``config``. ``member_weights`` defaults to uniform and is normalized.
+    """
+    if len(weights_list) == 0:
+        raise ValueError("ensemble needs at least one member")
+    for w in weights_list:
+        _check_weights(w)
+    if configs is not None and len(configs) != len(weights_list):
+        raise ValueError("configs must match the number of members")
+    if member_weights is None:
+        mw = np.full(len(weights_list), 1.0 / len(weights_list))
+    else:
+        mw = np.asarray(member_weights, dtype=np.float64)
+        if mw.shape != (len(weights_list),) or mw.min() < 0 or mw.sum() <= 0:
+            raise ValueError("invalid member weights")
+        mw = mw / mw.sum()
+
+    cache: dict[FeatureConfig, np.ndarray] = {}
+    acc = None
+    for k, w in enumerate(weights_list):
+        fc = configs[k] if configs is not None else config
+        if fc not in cache:
+            cache[fc] = extract_features(volume, fc)
+        probs = forward(w, cache[fc])
+        acc = mw[k] * probs if acc is None else acc + mw[k] * probs
+    return LabelMask(id=volume.id, labels=np.argmax(acc, axis=-1).astype(np.uint8))
+
+
+def reference_scenario_records(scenario, datasets, registry):
+    """Scenario records by the original loop: one weights-based ensemble
+    prediction per (variant, sample), members recomputed every time."""
+    roster = sorted(registry.locals)
+    records = {}
+    for eval_site in roster:
+        test = datasets[eval_site].test
+        for variant in scenario_variants(scenario, roster, eval_site):
+            members = resolve_variant(variant, registry, eval_site)
+            weights = [m.weights for m, _ in members]
+            configs = [m.feature_config for m, _ in members]
+            mweights = [mw for _, mw in members]
+            recs = []
+            for sample in sorted(test, key=lambda s: s.sample_id):
+                pred = reference_ensemble_predict(weights, sample.volume, configs[0],
+                                                  configs=configs, member_weights=mweights)
+                for class_id in LESION_CLASSES:
+                    recs.extend(score_pair(pred, sample.mask, class_id,
+                                           sample.volume.spacing))
+            records[(variant.label, eval_site)] = recs
+    return records

@@ -221,14 +221,14 @@ def test_resolve_missing_model_named():
 
 def test_spec_ensemble_single_site_degenerates_to_local(rng):
     from fedrad.dataset import Volume
-    from fedrad.learner import ensemble_predict, predict
+    from fedrad.learner import ensemble_predict, predict, predict_proba
     registry = _registry(sites=("only",), with_fed=False, with_loo=False)
     members = resolve_variant(ModelVariant(VariantKind.SPEC_ENSEMBLE), registry, "only")
     vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
-    spec_mask = ensemble_predict([m.weights for m, _ in members], vol, FC,
-                                 configs=[m.feature_config for m, _ in members],
-                                 member_weights=[mw for _, mw in members])
+    spec_mask = ensemble_predict(
+        [predict_proba(m.weights, vol, m.feature_config) for m, _ in members],
+        [mw for _, mw in members], vol.id)
     local_mask = predict(registry.locals["only"].weights, vol, FC)
     assert np.array_equal(spec_mask.labels, local_mask.labels)
 
@@ -263,6 +263,62 @@ def test_run_scenario_without_local_never_uses_own_local(small_dataset):
     assert ("L[s2]", "s1") in result.records
     table = rank_records(result.records, result.scenario)  # sparse grid must rank
     assert table.ordered_models()
+
+
+def _three_site_datasets(small_dataset):
+    from fedrad.dataset import SiteDataset
+    samples = list(small_dataset.samples)
+    return {sid: SiteDataset(site_id=sid, train=samples[:5], test=samples[5:5 + k])
+            for sid, k in (("s1", 2), ("s2", 3), ("s3", 1))}
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_run_scenario_one_field_per_member_and_sample(small_dataset, monkeypatch, scenario):
+    import fedrad.learner as learner
+    registry = _registry(sites=("s1", "s2", "s3"), rng_seed=11)
+    datasets = _three_site_datasets(small_dataset)
+    roster = sorted(registry.locals)
+    want = 0
+    for site in roster:
+        distinct = {id(m) for v in scenario_variants(scenario, roster, site)
+                    for m, _ in resolve_variant(v, registry, site)}
+        want += len(distinct) * len(datasets[site].test)
+    calls = []
+    real_forward = learner.forward
+
+    def counting_forward(w, features):
+        calls.append(1)
+        return real_forward(w, features)
+
+    monkeypatch.setattr(learner, "forward", counting_forward)
+    run_scenario(scenario, datasets, registry)
+    assert len(calls) == want
+
+
+def _same_value(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_run_scenario_matches_weights_based_reference(small_dataset, scenario):
+    from oracles import reference_scenario_records
+    registry = _registry(sites=("s1", "s2", "s3"), rng_seed=13)
+    # the federated models carry their own feature normalizations
+    registry.fed.feature_config = FeatureConfig(shift=-500.0, scale=50.0,
+                                                clip_low=-900.0, clip_high=100.0)
+    for s in ("s1", "s2"):
+        registry.fed_leave_out[s].feature_config = FeatureConfig(
+            shift=-450.0, scale=80.0, clip_low=-1000.0, clip_high=200.0)
+    datasets = _three_site_datasets(small_dataset)
+    got = run_scenario(scenario, datasets, registry).records
+    want = reference_scenario_records(scenario, datasets, registry)
+    assert list(got) == list(want)
+    for key in want:
+        assert len(got[key]) == len(want[key]), key
+        for g, w in zip(got[key], want[key]):
+            assert (g.sample_id, g.class_id, g.metric, g.status) == \
+                   (w.sample_id, w.class_id, w.metric, w.status), key
+            assert _same_value(g.value, w.value), (key, g, w)
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))

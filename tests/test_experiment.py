@@ -57,6 +57,15 @@ def test_config_validation(tmp_path):
         replace(config, sites=config.sites + (config.sites[0],))
 
 
+@pytest.mark.parametrize("site_id", ["site,a", "site\na", "site\ra", "site_a\n"])
+def test_config_refuses_site_id_that_breaks_csv(tmp_path, site_id):
+    # metrics.csv and ranks.csv join fields with bare commas, one record a line
+    config = small_config(tmp_path)
+    bad = replace(config.sites[0], site_id=site_id)
+    with pytest.raises(ValueError, match="comma or a line break"):
+        replace(config, sites=(bad,) + config.sites[1:])
+
+
 def test_leave_out_config(tmp_path):
     config = small_config(tmp_path, n_sites=3)
     sub = exp.leave_out_config(config, "s1")

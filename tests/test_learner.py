@@ -298,36 +298,43 @@ def test_ensemble_single_and_identical_members(rng):
                  spacing=(1, 1, 1))
     w = rng.normal(size=WEIGHT_LEN)
     single = predict(w, vol, FC)
-    assert np.array_equal(ensemble_predict([w], vol, FC).labels, single.labels)
-    assert np.array_equal(ensemble_predict([w, w, w], vol, FC).labels, single.labels)
+    p = predict_proba(w, vol, FC)
+    one = ensemble_predict([p], [1.0], vol.id)
+    three = ensemble_predict([p, p, p], [1.0, 1.0, 1.0], vol.id)
+    assert np.array_equal(one.labels, single.labels)
+    assert np.array_equal(three.labels, single.labels)
+    assert one.id == three.id == "v"
 
 
 def test_ensemble_order_invariance(rng):
     vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
-    w1, w2 = rng.normal(size=WEIGHT_LEN), rng.normal(size=WEIGHT_LEN)
-    a = ensemble_predict([w1, w2], vol, FC)
-    b = ensemble_predict([w2, w1], vol, FC)
+    p1 = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
+    p2 = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
+    a = ensemble_predict([p1, p2], [1.0, 1.0], vol.id)
+    b = ensemble_predict([p2, p1], [1.0, 1.0], vol.id)
     assert np.array_equal(a.labels, b.labels)
 
 
 def test_ensemble_validation(rng):
     vol = Volume(id="v", intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
     with pytest.raises(ValueError):
-        ensemble_predict([], vol, FC)
+        ensemble_predict([], [], vol.id)
+    with pytest.raises(ValueError):  # a member's weights are checked where its field is made
+        predict_proba(np.zeros(WEIGHT_LEN - 1), vol, FC)
+    p = predict_proba(np.zeros(WEIGHT_LEN), vol, FC)
     with pytest.raises(ValueError):
-        ensemble_predict([np.zeros(WEIGHT_LEN - 1)], vol, FC)
-    with pytest.raises(ValueError):
-        ensemble_predict([np.zeros(WEIGHT_LEN)], vol, FC, member_weights=[1.0, 2.0])
+        ensemble_predict([p], [1.0, 2.0], vol.id)
 
 
 def test_spec_is_two_member_average(rng):
     # Spec(X) = 1/2 p_X + 1/2 p_local, expressed as a weighted member list
     vol = Volume(id="v", intensities=rng.normal(size=(5, 5, 5)).astype(np.float32),
                  spacing=(1, 1, 1))
-    wx, wl = rng.normal(size=WEIGHT_LEN), rng.normal(size=WEIGHT_LEN)
-    direct = 0.5 * predict_proba(wx, vol, FC) + 0.5 * predict_proba(wl, vol, FC)
-    via_members = ensemble_predict([wx, wl], vol, FC, member_weights=[0.5, 0.5])
+    px = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
+    pl = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
+    direct = 0.5 * px + 0.5 * pl
+    via_members = ensemble_predict([px, pl], [0.5, 0.5], vol.id)
     assert np.array_equal(via_members.labels, np.argmax(direct, axis=-1).astype(np.uint8))
 
 

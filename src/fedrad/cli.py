@@ -3,7 +3,6 @@
     fedrad gen --config exp.json          generate the site datasets
     fedrad validate <site-dir> ...        data-readiness validation
     fedrad characterize --config exp.json descriptive statistics per site
-    fedrad train-local --config exp.json  standalone per-site models
     fedrad train-sim --config exp.json    simulated federated training
     fedrad serve --config exp.json        live federated server (TCP)
     fedrad join --site <dir> --server h:p live federated client
@@ -30,8 +29,8 @@ from . import siteio
 from .dataset import site_statistics
 from .evalrank import (ModelRegistry, Scenario, rank_records, rank_summary_dict,
                        run_scenario, write_ranks_csv)
-from .fedproto import ExperimentAborted, run_client, run_server
-from .fingerprint import average_fingerprints, compute_fingerprint, derive_config
+from .fedproto import ExperimentAborted, checkpoint_path, load_checkpoint, run_client, run_server
+from .fingerprint import derive_config
 from .metrics import read_metrics_csv, write_metrics_csv
 from .simnet import run_simulated
 from .transport import TcpServerTransport, connect_tcp
@@ -119,21 +118,6 @@ def cmd_characterize(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_local(args) -> int:
-    config = _load_config(args.config)
-    out = _out_dir(config)
-    datasets = exp.load_all(config, out)
-    locals_ = exp.train_local_models(config, datasets)
-    try:
-        registry = exp.load_registry(out, config.digest)
-    except (FileNotFoundError, ValueError):
-        registry = ModelRegistry()
-    registry.locals = locals_
-    path = exp.save_registry(registry, out, config.digest)
-    print(f"trained {len(locals_)} local models -> {path}")
-    return EXIT_OK
-
-
 def cmd_train_sim(args) -> int:
     config = _load_config(args.config)
     if config.transport != exp.TRANSPORT_SIM:
@@ -148,7 +132,7 @@ def cmd_train_sim(args) -> int:
     registry.locals = exp.train_local_models(config, datasets)
 
     links = exp.zero_fault_links(config)
-    if "fed" in needed or args.fed_always:
+    if "fed" in needed:
         params = exp.server_params(config, exp.checkpoints_dir(out, "main"))
         result = run_simulated(params, datasets, links,
                                per_batch_seconds=config.per_batch_seconds,
@@ -189,13 +173,11 @@ def cmd_train_sim(args) -> int:
 def cmd_serve(args) -> int:
     config = _load_config(args.config)
     out = _out_dir(config)
-    # load up front: the fed model's feature config is derived from the site
-    # data after training, and a missing dataset should fail before serving
-    datasets = exp.load_all(config, out)
     host, _, port = args.bind.partition(":")
     listener = TcpServerTransport(host or "127.0.0.1", int(port or 0))
     print(f"listening on {listener.address[0]}:{listener.address[1]}", flush=True)
-    params = exp.server_params(config, exp.checkpoints_dir(out, "main"))
+    ckpt_dir = exp.checkpoints_dir(out, "main")
+    params = exp.server_params(config, ckpt_dir)
     try:
         weights = run_server(params, listener,
                              resume=Path(args.resume) if args.resume else None)
@@ -210,15 +192,15 @@ def cmd_serve(args) -> int:
         registry = exp.load_registry(out, config.digest)
     except (FileNotFoundError, ValueError):
         registry = ModelRegistry()
-    # The derived feature config is a pure function of the site data; rebuild
-    # it so the stored fed model is directly usable for evaluation.
-    fp_avg = average_fingerprints(
-        [compute_fingerprint(datasets[s].train) for s in config.site_ids])
-    derived = derive_config(fp_avg, config.seed, config.train)
+    # The final checkpoint holds the averaged fingerprint the sites sent; the
+    # fed model's feature config derives from it, so the server needs no site data.
+    final = load_checkpoint(checkpoint_path(ckpt_dir, config.rounds),
+                            expected_digest=config.digest)
+    derived = derive_config(final.fp_avg, config.seed, config.train)
     registry.fed = exp.TrainedModel(weights=weights,
                                     feature_config=derived.feature_config)
     exp.save_registry(registry, out, config.digest)
-    print(f"federated training complete; checkpoints in {exp.checkpoints_dir(out, 'main')}")
+    print(f"federated training complete; checkpoints in {ckpt_dir}")
     return EXIT_OK
 
 
@@ -358,15 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("train-local", help="train standalone per-site models")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=cmd_train_local)
-
     p = sub.add_parser("train-sim", help="run federated training on the simulated network")
     p.add_argument("--config", required=True)
     p.add_argument("--resume", help="checkpoint file to resume the main run from")
-    p.add_argument("--fed-always", action="store_true",
-                   help="train the federated model even if no scenario needs it")
     p.set_defaults(func=cmd_train_sim)
 
     p = sub.add_parser("serve", help="run the federated server over TCP")

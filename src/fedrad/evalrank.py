@@ -306,18 +306,15 @@ def rank_records(records: Mapping[tuple[str, str], Sequence[MetricRecord]],
     return rank(values, allow_missing=scenario is Scenario.GEN_WITHOUT_LOCAL)
 
 
-def write_ranks_csv(path, table: RankTable, experiment_digest: str | None = None) -> None:
-    lines = []
-    if experiment_digest is not None:
-        lines.append(f"# experiment={experiment_digest}")
-    lines.append("model,site,metric,rank")
+def write_ranks_csv(path, table: RankTable, experiment_digest: str) -> None:
+    lines = [f"# experiment={experiment_digest}", "model,site,metric,rank"]
     for (model, site, metric) in sorted(table.cell_ranks):
         lines.append(f"{model},{site},{metric},{table.cell_ranks[(model, site, metric)]!r}")
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def rank_summary_dict(table: RankTable, experiment_digest: str | None = None) -> dict:
+def rank_summary_dict(table: RankTable, experiment_digest: str) -> dict:
     return {
         "experiment": experiment_digest,
         "overall_rank": {m: table.overall[m] for m in sorted(table.overall)},

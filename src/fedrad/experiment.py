@@ -31,7 +31,7 @@ from .fedproto import AGG_STRICT, AGG_TOLERANT, ServerParams
 from .fingerprint import compute_fingerprint, derive_config
 from .learner import (FeatureConfig, TrainConfig, build_training_matrix, load_weights,
                       save_weights, site_train_seed, train_epochs)
-from .seeding import canonical_json, digest_of
+from .seeding import digest_of
 from .simnet import DEFAULT_PER_BATCH_SECONDS, SiteLink
 
 logger = logging.getLogger(__name__)
@@ -79,12 +79,6 @@ class ExperimentConfig:
     def site_ids(self) -> tuple[str, ...]:
         return tuple(sorted(p.site_id for p in self.sites))
 
-    def profile(self, site_id: str) -> SiteProfile:
-        for p in self.sites:
-            if p.site_id == site_id:
-                return p
-        raise KeyError(f"no site {site_id!r} in experiment {self.name!r}")
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -129,9 +123,6 @@ class ExperimentConfig:
     @property
     def digest(self) -> str:
         return digest_of(self.to_dict())
-
-    def canonical(self) -> str:
-        return canonical_json(self.to_dict())
 
 
 def load_config(path: Path) -> ExperimentConfig:

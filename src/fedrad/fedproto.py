@@ -48,7 +48,7 @@ AGG_TOLERANT = "tolerant"
 CLIENT_RECV_TIMEOUT_S = 600.0
 
 CHECKPOINT_MAGIC = b"FRCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _CKPT_HEADER = struct.Struct("<4sH32sI")
 
 
@@ -68,19 +68,13 @@ class ExperimentAborted(RuntimeError):
         self.stopped = stopped
 
 
-def aggregate(w: np.ndarray, deltas: Mapping[str, np.ndarray], n_sites: int,
-              strict: bool = True) -> np.ndarray:
+def aggregate(w: np.ndarray, deltas: Mapping[str, np.ndarray]) -> np.ndarray:
     """Apply one non-weighted averaging update to the global weights.
 
     ``deltas`` maps site id to that site's weight delta; they are summed in
-    ascending site-id order and the sum divided by ``n_sites``. In strict
-    mode the number of deltas must equal ``n_sites``.
+    ascending site-id order and the sum divided by their count.
     """
     w = np.asarray(w, dtype=np.float64)
-    if n_sites <= 0:
-        raise ValueError("n_sites must be positive")
-    if strict and len(deltas) != n_sites:
-        raise ValueError(f"strict aggregation needs {n_sites} deltas, got {len(deltas)}")
     if not deltas:
         raise ValueError("no deltas to aggregate")
     acc = np.zeros_like(w)
@@ -89,7 +83,7 @@ def aggregate(w: np.ndarray, deltas: Mapping[str, np.ndarray], n_sites: int,
         if delta.shape != w.shape:
             raise ValueError(f"delta of {site} has shape {delta.shape}, expected {w.shape}")
         acc = acc + delta
-    return w + acc / n_sites
+    return w + acc / len(deltas)
 
 
 @dataclass
@@ -98,14 +92,14 @@ class Checkpoint:
 
     round_index: int
     weights: np.ndarray
-    fp_avg_digest: str
+    fp_avg: DatasetFingerprint
     experiment_seed: int
     experiment_digest: str
 
     def save(self, path: Path) -> Path:
         meta = {
             "round_index": self.round_index,
-            "fp_avg_digest": self.fp_avg_digest,
+            "fp_avg": self.fp_avg.to_dict(),
             "experiment_seed": self.experiment_seed,
         }
         body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
@@ -135,17 +129,20 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
     body_end = _CKPT_HEADER.size + body_len
     if len(raw) < body_end:
         raise CheckpointMismatch(f"{path}: truncated metadata")
-    meta = json.loads(raw[_CKPT_HEADER.size:body_end].decode("ascii"))
     weights = np.frombuffer(raw[body_end:], dtype="<f8").copy()
     if weights.shape != (WEIGHT_LEN,):
         raise CheckpointMismatch(f"{path}: expected {WEIGHT_LEN} weights, got {weights.shape}")
-    return Checkpoint(
-        round_index=int(meta["round_index"]),
-        weights=weights,
-        fp_avg_digest=meta["fp_avg_digest"],
-        experiment_seed=int(meta["experiment_seed"]),
-        experiment_digest=digest,
-    )
+    try:
+        meta = json.loads(raw[_CKPT_HEADER.size:body_end].decode("ascii"))
+        return Checkpoint(
+            round_index=int(meta["round_index"]),
+            weights=weights,
+            fp_avg=DatasetFingerprint.from_dict(meta["fp_avg"]),
+            experiment_seed=int(meta["experiment_seed"]),
+            experiment_digest=digest,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointMismatch(f"{path}: bad metadata: {exc!r}") from exc
 
 
 @dataclass
@@ -211,7 +208,7 @@ class Federation:
         if self._ckpt_dir:
             self._ckpt_dir.mkdir(parents=True, exist_ok=True)
         if resumed is not None:
-            if resumed.fp_avg_digest != self.fp_avg.digest:
+            if resumed.fp_avg.digest != self.fp_avg.digest:
                 raise CheckpointMismatch(
                     "checkpoint fingerprint digest does not match the site data")
             self.weights = resumed.weights.copy()
@@ -235,7 +232,7 @@ class Federation:
             return None
         ckpt = Checkpoint(
             round_index=self.round_index, weights=self.weights,
-            fp_avg_digest=self.fp_avg.digest,
+            fp_avg=self.fp_avg,
             experiment_seed=self.params.experiment_seed,
             experiment_digest=self.params.experiment_digest)
         return ckpt.save(checkpoint_path(self._ckpt_dir, self.round_index))
@@ -272,7 +269,7 @@ class Federation:
             raise self._abort(t, f"round {t}: no usable delta")
         # n is the responder count: the full site count unless tolerant mode
         # excluded some.
-        self.weights = aggregate(self.weights, usable, n_sites=len(usable))
+        self.weights = aggregate(self.weights, usable)
         self.round_index = t
         self.last_checkpoint = self._commit()
         logger.info("round %d/%d aggregated over %d sites", t, self.params.rounds,

@@ -200,16 +200,13 @@ def score_pair(pred: LabelMask, ref: LabelMask, class_id: int,
 
 
 def write_metrics_csv(path, records_by_model_site: dict[tuple[str, str], list[MetricRecord]],
-                      experiment_digest: str | None = None) -> None:
+                      experiment_digest: str) -> None:
     """Write scoring records as CSV: model,site,sample,class,metric,value,status.
 
     Skip-marker records keep an empty value field. The model column is what
     lets the ranking stage recover which rows belong to which variant.
     """
-    lines = []
-    if experiment_digest is not None:
-        lines.append(f"# experiment={experiment_digest}")
-    lines.append("model,site,sample,class,metric,value,status")
+    lines = [f"# experiment={experiment_digest}", "model,site,sample,class,metric,value,status"]
     for (model, site) in sorted(records_by_model_site):
         for rec in records_by_model_site[(model, site)]:
             value = repr(rec.value) if math.isfinite(rec.value) else ""
@@ -219,19 +216,20 @@ def write_metrics_csv(path, records_by_model_site: dict[tuple[str, str], list[Me
         f.write("\n".join(lines) + "\n")
 
 
-def read_metrics_csv(path) -> tuple[dict[tuple[str, str], list[MetricRecord]], str | None]:
-    """Inverse of :func:`write_metrics_csv`; returns (records, digest)."""
-    digest = None
+def read_metrics_csv(path) -> tuple[dict[tuple[str, str], list[MetricRecord]], str]:
+    """Inverse of :func:`write_metrics_csv`; returns (records, digest).
+
+    A file that does not open with its ``# experiment=`` line is refused.
+    """
     records: dict[tuple[str, str], list[MetricRecord]] = {}
     with open(path) as f:
+        first = f.readline()
+        if not first.startswith("# experiment="):
+            raise ValueError(f"{path}: no '# experiment=' line")
+        digest = first.rstrip("\n").split("=", 1)[1]
         for line in f:
             line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# experiment="):
-                digest = line.split("=", 1)[1]
-                continue
-            if line.startswith("model,"):
+            if not line or line.startswith("model,"):
                 continue
             model, site, sample, class_id, metric, value, status = line.split(",")
             rec = MetricRecord(

@@ -110,11 +110,8 @@ class RoundSiteTiming:
 class TimingReport:
     rows: list[RoundSiteTiming] = field(default_factory=list)
 
-    def to_csv(self, experiment_digest: str | None = None) -> str:
-        lines = []
-        if experiment_digest is not None:
-            lines.append(f"# experiment={experiment_digest}")
-        lines.append("round,site,train_s,latency_s,idle_s,wall_s")
+    def to_csv(self, experiment_digest: str) -> str:
+        lines = [f"# experiment={experiment_digest}", "round,site,train_s,latency_s,idle_s,wall_s"]
         for row in self.rows:
             lines.append(",".join([
                 str(row.round_index), row.site_id,

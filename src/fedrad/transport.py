@@ -49,17 +49,18 @@ class TcpConnection(Connection):
             raise TransportClosed(str(exc)) from exc
 
     def _read_exact(self, n: int, timeout: float | None) -> bytes:
-        self._sock.settimeout(timeout)
-        while len(self._buf) < n:
-            try:
+        # settimeout fails too on a socket that another thread has closed
+        try:
+            self._sock.settimeout(timeout)
+            while len(self._buf) < n:
                 chunk = self._sock.recv(65536)
-            except socket.timeout as exc:
-                raise RecvTimeout() from exc
-            except OSError as exc:
-                raise TransportClosed(str(exc)) from exc
-            if not chunk:
-                raise TransportClosed("connection closed by peer")
-            self._buf += chunk
+                if not chunk:
+                    raise TransportClosed("connection closed by peer")
+                self._buf += chunk
+        except socket.timeout as exc:
+            raise RecvTimeout() from exc
+        except OSError as exc:
+            raise TransportClosed(str(exc)) from exc
         out, self._buf = self._buf[:n], self._buf[n:]
         return out
 
@@ -95,8 +96,8 @@ class TcpServerTransport:
         return self._sock.getsockname()[:2]
 
     def accept(self, timeout: float | None = None) -> TcpConnection:
-        self._sock.settimeout(timeout)
         try:
+            self._sock.settimeout(timeout)
             conn, _ = self._sock.accept()
         except socket.timeout as exc:
             raise RecvTimeout() from exc

@@ -2,20 +2,19 @@
 
 Validators return findings instead of raising, so a run can exclude bad
 samples and keep going; the exclusion list is part of the report for
-reproducibility. :func:`inject_corruption` produces samples that violate
-exactly one rule and is used to test detection completeness.
+reproducibility. :func:`validate_site_dir` checks a persisted site, and
+reports unreadable grid files as ``HeaderCorrupt`` findings.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabelMask, N_CLASSES, Sample, SiteDataset, Volume
-from .seeding import rng_from
+from .dataset import N_CLASSES, Sample
 from . import siteio
 
 
@@ -27,17 +26,6 @@ class FindingCode(str, enum.Enum):
     REFERENCE_MISMATCH = "ReferenceMismatch"
     EMPTY_VOLUME = "EmptyVolume"
     HEADER_CORRUPT = "HeaderCorrupt"
-
-
-# Codes 'inject_corruption' can produce on an in-memory sample.
-INJECTABLE_CODES = (
-    FindingCode.DIMS_MISMATCH,
-    FindingCode.LABEL_OUT_OF_RANGE,
-    FindingCode.NON_FINITE_INTENSITY,
-    FindingCode.NON_POSITIVE_SPACING,
-    FindingCode.REFERENCE_MISMATCH,
-    FindingCode.EMPTY_VOLUME,
-)
 
 
 @dataclass(frozen=True)
@@ -119,15 +107,6 @@ def validate_sample(sample: Sample) -> list[ValidationFinding]:
     return out
 
 
-def validate_dataset(dataset: SiteDataset) -> ValidationReport:
-    report = ValidationReport(site_id=dataset.site_id)
-    for sample in sorted(dataset.samples, key=lambda s: s.sample_id):
-        findings = validate_sample(sample)
-        report.sample_pass[sample.sample_id] = not findings
-        report.findings.extend(findings)
-    return report
-
-
 def validate_site_dir(site_dir: Path) -> ValidationReport:
     """Validate a persisted site; unreadable payloads become HeaderCorrupt findings."""
     manifest = siteio.read_manifest(site_dir)
@@ -145,68 +124,3 @@ def validate_site_dir(site_dir: Path) -> ValidationReport:
         report.sample_pass[sid] = not findings
         report.findings.extend(findings)
     return report
-
-
-def inject_corruption(sample: Sample, kind: FindingCode, seed: int) -> Sample:
-    """Return a copy of ``sample`` that fails validation with exactly ``kind``."""
-    rng = rng_from(seed, "corrupt", kind.value, sample.sample_id)
-    vol, mask = sample.volume, sample.mask
-
-    if kind is FindingCode.DIMS_MISMATCH:
-        axis = int(rng.integers(0, 3))
-        sel = [slice(None)] * 3
-        sel[axis] = slice(0, mask.labels.shape[axis] - 1)
-        new_mask = LabelMask(id=mask.id, labels=mask.labels[tuple(sel)].copy())
-        return replace(sample, mask=new_mask)
-
-    if kind is FindingCode.LABEL_OUT_OF_RANGE:
-        labels = mask.labels.copy()
-        flat = int(rng.integers(0, labels.size))
-        labels.ravel()[flat] = int(rng.integers(N_CLASSES, 2 * N_CLASSES))
-        return replace(sample, mask=LabelMask(id=mask.id, labels=labels))
-
-    if kind is FindingCode.NON_FINITE_INTENSITY:
-        intens = vol.intensities.copy()
-        flat = int(rng.integers(0, intens.size))
-        intens.ravel()[flat] = [np.nan, np.inf, -np.inf][int(rng.integers(0, 3))]
-        return replace(sample, volume=Volume(id=vol.id, intensities=intens,
-                                             spacing=vol.spacing))
-
-    if kind is FindingCode.NON_POSITIVE_SPACING:
-        axis = int(rng.integers(0, 3))
-        spacing = list(vol.spacing)
-        spacing[axis] = [0.0, -abs(spacing[axis])][int(rng.integers(0, 2))]
-        return replace(sample, volume=Volume(id=vol.id, intensities=vol.intensities,
-                                             spacing=tuple(spacing)))
-
-    if kind is FindingCode.REFERENCE_MISMATCH:
-        return replace(sample, mask=LabelMask(id=mask.id + "-x", labels=mask.labels))
-
-    if kind is FindingCode.EMPTY_VOLUME:
-        # Empty both grids so only the emptiness rule fires, not DimsMismatch.
-        empty_shape = (0,) + vol.intensities.shape[1:]
-        return replace(
-            sample,
-            volume=Volume(id=vol.id,
-                          intensities=np.empty(empty_shape, dtype=vol.intensities.dtype),
-                          spacing=vol.spacing),
-            mask=LabelMask(id=mask.id, labels=np.empty(empty_shape, dtype=mask.labels.dtype)),
-        )
-
-    raise ValueError(f"cannot inject {kind.value} into an in-memory sample")
-
-
-def corrupt_grid_file(site_dir: Path, sample_id: str, seed: int) -> Path:
-    """Garble the header of a sample's volume file (HeaderCorrupt test fixture)."""
-    rng = rng_from(seed, "corrupt-file", sample_id)
-    path = Path(site_dir) / f"{sample_id}.vol.frvd"
-    raw = bytearray(path.read_bytes())
-    mode = int(rng.integers(0, 3))
-    if mode == 0:
-        raw[0:4] = b"XXXX"  # bad magic
-    elif mode == 1:
-        del raw[len(raw) // 2:]  # truncate
-    else:
-        raw[4] = 0xFF  # absurd version
-    path.write_bytes(bytes(raw))
-    return path

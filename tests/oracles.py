@@ -162,7 +162,7 @@ def sequential_federated_reference(datasets, train_config, experiment_seed, roun
         for s in site_ids:
             trained = train_epochs(w, matrices[s][0], matrices[s][1], cfgs[s], start_epoch=t)
             deltas[s] = trained - w
-        w = aggregate(w, deltas, n_sites=len(site_ids))
+        w = aggregate(w, deltas)
     return w, derived
 
 

@@ -16,6 +16,7 @@ import pytest
 
 import rank_fixtures as rf
 from conftest import make_profile
+from corruption import INJECTABLE_CODES, corrupt_grid_file, inject_corruption
 from oracles import (brute_dsc, brute_hsd, brute_nave, brute_nsd, finite_diff_grad,
                      sequential_federated_reference)
 
@@ -31,8 +32,7 @@ from fedrad.metrics import (FN_DEFAULTS, RecordStatus, dsc, hsd, nave, nsd,
 from fedrad.simnet import NS_PER_S, SiteLink, run_simulated
 from fedrad.siteio import save_site_dataset
 from fedrad.transport import TcpServerTransport, connect_tcp
-from fedrad.validation import (FindingCode, INJECTABLE_CODES, corrupt_grid_file,
-                               inject_corruption, validate_sample, validate_site_dir)
+from fedrad.validation import FindingCode, validate_sample, validate_site_dir
 
 
 def criterion(number, name):

@@ -9,11 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corruption import corrupt_grid_file
 from test_experiment import small_config
 
 from fedrad import experiment as exp
 from fedrad.cli import main
-from fedrad.validation import corrupt_grid_file
 
 
 @pytest.fixture
@@ -123,6 +123,38 @@ def test_report_refuses_foreign_artifacts(config_file, capsys):
     capsys.readouterr()
 
 
+def _serve_and_join(config_path, site_dirs):
+    """Run ``fedrad serve`` on a free port and ``fedrad join`` for every site
+    dir, each on its own thread; returns the server's and the sites' exit codes."""
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    rcs = {}
+
+    def serve():
+        rcs["serve"] = main(["serve", "--config", str(config_path),
+                             "--bind", f"127.0.0.1:{port}"])
+
+    def join(site_dir):
+        deadline = time.monotonic() + 15
+        rc = 1
+        while rc == 1 and time.monotonic() < deadline:
+            rc = main(["join", "--site", str(site_dir),
+                       "--server", f"127.0.0.1:{port}", "--config", str(config_path)])
+            if rc == 1:
+                time.sleep(0.1)
+        rcs[site_dir] = rc
+
+    threads = [threading.Thread(target=serve, daemon=True)]
+    threads += [threading.Thread(target=join, args=(d,), daemon=True) for d in site_dirs]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive(), "serve or join hung"
+    return rcs.get("serve"), [rcs.get(d) for d in site_dirs]
+
+
 def test_tcp_serve_join_roundtrip(tmp_path, capsys):
     config = small_config(tmp_path, n_sites=1, rounds=2)
     from dataclasses import replace
@@ -131,35 +163,45 @@ def test_tcp_serve_join_roundtrip(tmp_path, capsys):
     exp.save_config(config, path)
     main(["gen", "--config", str(path)])
 
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
-
-    server_rc = {}
-    server = threading.Thread(
-        target=lambda: server_rc.update(rc=main(["serve", "--config", str(path),
-                                                 "--bind", f"127.0.0.1:{port}"])),
-        daemon=True)
-    server.start()
-
     site_dir = Path(config.output_dir) / "sites" / "s0"
-    deadline = time.monotonic() + 15
-    rc = 1
-    while rc == 1 and time.monotonic() < deadline:
-        rc = main(["join", "--site", str(site_dir),
-                   "--server", f"127.0.0.1:{port}", "--config", str(path)])
-        if rc == 1:
-            time.sleep(0.1)
-    assert rc == 0
-    server.join(timeout=30)
-    assert not server.is_alive()
-    assert server_rc["rc"] == 0
+    server_rc, join_rcs = _serve_and_join(path, [site_dir])
+    assert join_rcs == [0]
+    assert server_rc == 0
     assert (site_dir / "final_model.frwt").exists()
     # the server also stored the fed model in the registry
     registry = exp.load_registry(Path(config.output_dir), config.digest)
     from fedrad.learner import load_weights
     assert np.array_equal(load_weights(site_dir / "final_model.frwt"),
                           registry.fed.weights)
+    capsys.readouterr()
+
+
+def test_serve_needs_no_site_data(tmp_path, capsys):
+    # a federation server holds no site data: with the sites moved out of its
+    # output dir, serve still stores the fed model that the simulator trains
+    from dataclasses import replace
+    from fedrad import siteio
+    from fedrad.simnet import run_simulated
+    config = replace(small_config(tmp_path, n_sites=2, rounds=2), transport="tcp")
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    out = Path(config.output_dir)
+    at_sites = tmp_path / "at-the-sites"
+    exp.sites_dir(out).rename(at_sites)
+    site_dirs = [at_sites / s for s in config.site_ids]
+
+    server_rc, join_rcs = _serve_and_join(path, site_dirs)
+    assert join_rcs == [0, 0]
+    assert server_rc == 0
+    assert not exp.sites_dir(out).exists()
+
+    datasets = {s: siteio.load_site_dataset(at_sites / s) for s in config.site_ids}
+    sim = run_simulated(exp.server_params(config, None), datasets,
+                        exp.zero_fault_links(config))
+    fed = exp.load_registry(out, config.digest).fed
+    assert np.array_equal(fed.weights, sim.final_weights)
+    assert fed.feature_config.to_dict() == sim.derived.feature_config.to_dict()
     capsys.readouterr()
 
 

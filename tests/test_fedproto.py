@@ -1,3 +1,5 @@
+import json
+import struct
 import threading
 import time
 
@@ -8,6 +10,7 @@ from conftest import make_profile
 from oracles import sequential_federated_reference
 
 from fedrad.dataset import generate_site_dataset
+from fedrad.fingerprint import DatasetFingerprint
 from fedrad.fedproto import (AGG_TOLERANT, Checkpoint, CheckpointMismatch, ExperimentAborted,
                              ServerParams, aggregate, checkpoint_path, load_checkpoint,
                              run_client, run_server)
@@ -73,58 +76,69 @@ def run_experiment(params, datasets, listener=None, client_kw=None,
 
 def test_aggregate_basic():
     w = np.array([1.0, 1.0])
-    out = aggregate(w, {"a": np.array([2.0, 0.0]), "b": np.array([0.0, 2.0])}, 2)
+    out = aggregate(w, {"a": np.array([2.0, 0.0]), "b": np.array([0.0, 2.0])})
     assert np.array_equal(out, np.array([2.0, 2.0]))
 
 
 def test_aggregate_zero_deltas_identity(rng):
     w = rng.normal(size=8)
     zero = {s: np.zeros(8) for s in "abc"}
-    assert np.array_equal(aggregate(w, zero, 3), w)
+    assert np.array_equal(aggregate(w, zero), w)
 
 
 def test_aggregate_single_site(rng):
     w = rng.normal(size=4)
     d = rng.normal(size=4)
-    assert np.array_equal(aggregate(w, {"a": d}, 1), w + d)
+    assert np.array_equal(aggregate(w, {"a": d}), w + d)
 
 
 def test_aggregate_order_invariant(rng):
     w = rng.normal(size=16)
     deltas = {f"s{i}": rng.normal(size=16) for i in range(6)}
-    a = aggregate(w, deltas, 6)
-    b = aggregate(w, dict(reversed(list(deltas.items()))), 6)
+    a = aggregate(w, deltas)
+    b = aggregate(w, dict(reversed(list(deltas.items()))))
     assert np.array_equal(a, b)
 
 
 def test_aggregate_validation(rng):
     w = rng.normal(size=4)
     with pytest.raises(ValueError):
-        aggregate(w, {"a": np.zeros(4)}, 2)  # strict count mismatch
+        aggregate(w, {"a": np.zeros(3)})  # length mismatch
     with pytest.raises(ValueError):
-        aggregate(w, {"a": np.zeros(3)}, 1)  # length mismatch
-    with pytest.raises(ValueError):
-        aggregate(w, {}, 0)
+        aggregate(w, {})
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
+FP = DatasetFingerprint(n_samples=12, intensity_mean=-512.25, intensity_std=61.5,
+                        intensity_p005=-701.0, intensity_p995=-330.125,
+                        spacing_mean=(2.0, 0.9, 0.9),
+                        class_voxel_freqs=(0.91, 0.05, 0.03, 0.01))
+
+
 def _ckpt(rng, t=4):
     return Checkpoint(
         round_index=t, weights=rng.normal(size=WEIGHT_LEN),
-        fp_avg_digest="f" * 64, experiment_seed=42, experiment_digest="a" * 64)
+        fp_avg=FP, experiment_seed=42, experiment_digest="a" * 64)
+
+
+def _write_raw_checkpoint(path, meta: bytes, version=3):
+    """An FRCK file with the given version and metadata bytes, zero weights."""
+    header = struct.pack("<4sH32sI", b"FRCK", version, bytes.fromhex("a" * 64), len(meta))
+    path.write_bytes(header + meta + np.zeros(WEIGHT_LEN, dtype="<f8").tobytes())
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
     ckpt = _ckpt(rng)
     path = tmp_path / "c.frck"
     ckpt.save(path)
-    assert path.read_bytes()[:4] == b"FRCK"
+    assert struct.unpack_from("<4sH", path.read_bytes()) == (b"FRCK", 3)
     back = load_checkpoint(path)
     assert back.round_index == ckpt.round_index
     assert np.array_equal(back.weights, ckpt.weights)
-    assert back.fp_avg_digest == ckpt.fp_avg_digest
+    assert back.fp_avg == ckpt.fp_avg
+    assert back.fp_avg.digest == FP.digest
     assert back.experiment_seed == ckpt.experiment_seed
     assert back.experiment_digest == ckpt.experiment_digest
 
@@ -144,6 +158,46 @@ def test_checkpoint_corruption_refused(tmp_path, rng):
     raw[0] = 0x58
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointMismatch):
+        load_checkpoint(path)
+
+
+def test_version_2_checkpoint_refused(tmp_path):
+    # format 2 stored only the fingerprint digest, from which no feature
+    # config can be derived
+    path = tmp_path / "v2.frck"
+    meta = {"round_index": 1, "fp_avg_digest": FP.digest, "experiment_seed": 42}
+    _write_raw_checkpoint(path, json.dumps(meta).encode("ascii"), version=2)
+    with pytest.raises(CheckpointMismatch, match="version 2"):
+        load_checkpoint(path)
+
+
+def _meta(**fp_fields):
+    """Checkpoint metadata whose fingerprint has ``fp_fields`` replaced."""
+    return json.dumps({"round_index": 1, "experiment_seed": 42,
+                       "fp_avg": dict(FP.to_dict(), **fp_fields)}).encode("ascii")
+
+
+@pytest.mark.parametrize("meta", [
+    b"{not json",
+    b"\xff\xfe",
+    b"[1, 2, 3]",
+    b'{"round_index": 1, "experiment_seed": 42}',
+    b'{"round_index": 1, "experiment_seed": 42, "fp_avg": "abc"}',
+    b'{"round_index": 1, "experiment_seed": 42, "fp_avg": {"n_samples": 3}}',
+    b'{"round_index": "x", "experiment_seed": 42, "fp_avg": null}',
+    _meta(intensity_mean="abc"),
+    _meta(spacing_mean=2.0),
+    _meta(class_voxel_freqs=None),
+    _meta(n_samples=[3]),
+], ids=["bad-json", "not-ascii", "not-an-object", "fp-avg-missing", "fp-avg-string",
+        "fp-avg-incomplete", "round-index-string", "mean-string", "spacing-scalar",
+        "freqs-null", "count-list"])
+def test_bad_checkpoint_metadata_is_a_mismatch(tmp_path, meta):
+    path = tmp_path / "bad.frck"
+    _write_raw_checkpoint(path, _meta())
+    assert load_checkpoint(path).fp_avg == FP
+    _write_raw_checkpoint(path, meta)
+    with pytest.raises(CheckpointMismatch, match="bad metadata"):
         load_checkpoint(path)
 
 
@@ -195,7 +249,7 @@ def test_client_delta_is_definitional(tmp_path):
         X, y = build_training_matrix(datasets[sid].train, derived.feature_config)
         cfg = replace(TRAIN, epochs=1, seed=site_train_seed(TRAIN.seed, sid))
         deltas[sid] = train_epochs(w0, X, y, cfg, start_epoch=1) - w0
-    assert np.array_equal(server_out["w"], agg(w0, deltas, 2))
+    assert np.array_equal(server_out["w"], agg(w0, deltas))
 
 
 def test_checkpoints_written_every_round(tmp_path):
@@ -406,7 +460,7 @@ def test_server_stop_after_round_then_resume(tmp_path):
 
 def test_resume_refuses_other_experiment(tmp_path, rng):
     ckpt = Checkpoint(round_index=1, weights=rng.normal(size=WEIGHT_LEN),
-                      fp_avg_digest="f" * 64, experiment_seed=999,
+                      fp_avg=FP, experiment_seed=999,
                       experiment_digest="c" * 64)
     path = tmp_path / "other.frck"
     ckpt.save(path)
@@ -530,7 +584,7 @@ def test_upload_counts_for_the_registered_site():
     server.join(timeout=30)
     assert not server.is_alive()
     assert "w" in server_out, server_out.get("exc")
-    assert np.array_equal(server_out["w"], aggregate(w0, {"s2": honest}, 1))
+    assert np.array_equal(server_out["w"], aggregate(w0, {"s2": honest}))
     assert np.array_equal(final, server_out["w"])
 
 

@@ -243,3 +243,18 @@ def test_metrics_csv_roundtrip(tmp_path):
             assert (a.sample_id, a.class_id, a.metric, a.status) == \
                    (b.sample_id, b.class_id, b.metric, b.status)
             assert a.value == b.value or (np.isnan(a.value) and np.isnan(b.value))
+
+
+def test_metrics_csv_without_digest_line_refused(tmp_path):
+    ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
+    path = tmp_path / "metrics.csv"
+    write_metrics_csv(path, {("L", "site_a"): score_pair(ref, ref, 1, SP)}, "e" * 64)
+    lines = path.read_text().splitlines(keepends=True)
+    assert lines[0] == "# experiment=" + "e" * 64 + "\n"
+    path.write_text("".join(lines[1:]))
+    with pytest.raises(ValueError, match="experiment="):
+        read_metrics_csv(path)
+    # the ranking stage refuses it as a usage error
+    from fedrad.cli import main
+    assert main(["rank", "--in", str(path), "--scenario", "personalization"]) == 1
+    assert not (tmp_path / "ranks.csv").exists()

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, make_sample
+from corruption import INJECTABLE_CODES, corrupt_grid_file, inject_corruption
 
 from fedrad.dataset import SiteDataset, generate_sample, generate_site_dataset
 from fedrad.siteio import save_site_dataset
-from fedrad.validation import (FindingCode, INJECTABLE_CODES, corrupt_grid_file,
-                               inject_corruption, validate_dataset, validate_sample,
-                               validate_site_dir)
+from fedrad.validation import FindingCode, validate_sample, validate_site_dir
 
 
 def test_pristine_sample_passes():
@@ -30,17 +29,19 @@ def test_dims_mismatch():
     assert codes == [FindingCode.DIMS_MISMATCH]
 
 
-def test_validate_dataset_counts():
+def test_validate_site_dir_counts(tmp_path):
     profile = make_profile(seed=22, n_samples=6)
     ds = generate_site_dataset(profile)
-    report = validate_dataset(ds)
+    save_site_dataset(ds, tmp_path / "clean", profile)
+    report = validate_site_dir(tmp_path / "clean")
     assert report.all_passed
     assert report.counts_by_code == {}
 
     corrupted = inject_corruption(ds.train[0], FindingCode.NON_FINITE_INTENSITY, seed=1)
     mixed = SiteDataset(site_id=ds.site_id,
                         train=[corrupted] + ds.train[1:], test=ds.test)
-    report = validate_dataset(mixed)
+    save_site_dataset(mixed, tmp_path / "mixed", profile)
+    report = validate_site_dir(tmp_path / "mixed")
     assert report.n_failed == 1
     assert report.excluded == [corrupted.sample_id]
     assert report.counts_by_code == {"NonFiniteIntensity": 1}
@@ -102,9 +103,10 @@ def test_no_false_positives_on_pristine():
         assert validate_sample(sample) == []
 
 
-def test_report_to_dict():
-    ds = generate_site_dataset(make_profile(seed=27, n_samples=4))
-    doc = validate_dataset(ds).to_dict()
+def test_report_to_dict(tmp_path):
+    profile = make_profile(seed=27, n_samples=4)
+    save_site_dataset(generate_site_dataset(profile), tmp_path / "site", profile)
+    doc = validate_site_dir(tmp_path / "site").to_dict()
     assert doc["n_samples"] == 4
     assert doc["n_failed"] == 0
     assert doc["excluded"] == []

@@ -32,6 +32,7 @@ from .evalrank import (ModelRegistry, Scenario, rank_records, rank_summary_dict,
 from .fedproto import ExperimentAborted, checkpoint_path, load_checkpoint, run_client, run_server
 from .fingerprint import derive_config
 from .metrics import read_metrics_csv, write_metrics_csv
+from .seeding import check_stamp, read_stamped_csv, read_stamped_json, write_json
 from .simnet import run_simulated
 from .transport import TcpServerTransport, connect_tcp
 from .validation import validate_site_dir
@@ -96,7 +97,7 @@ def cmd_validate(args) -> int:
             print(f"  {f.sample_id}: {f.code.value}: {f.detail}")
         any_failed = any_failed or not report.all_passed
     if args.json:
-        Path(args.json).write_text(json.dumps(reports, indent=2, sort_keys=True) + "\n")
+        write_json(args.json, reports)
     return EXIT_VALIDATION if any_failed else EXIT_OK
 
 
@@ -104,16 +105,14 @@ def cmd_characterize(args) -> int:
     config = _load_config(args.config)
     out = _out_dir(config)
     stats = []
-    for sid in config.site_ids:
-        ds = siteio.load_site_dataset(exp.site_dir(out, sid))
+    for sid, ds in exp.load_all(config, out).items():
         stats.append(site_statistics(ds).to_dict())
         cc = stats[-1]["class_cc_counts"]
         means = {c: round(v["mean"], 2) for c, v in cc.items() if v}
         print(f"{sid}: voxel volume {stats[-1]['voxel_volume_mm3']['mean']:.3f} mm3, "
               f"mean CC count per class {means}")
-    doc = {"experiment": config.digest, "sites": stats}
     path = out / "characteristics.json"
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_json(path, {"experiment": config.digest, "sites": stats})
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -255,26 +254,17 @@ def cmd_rank(args) -> int:
     in_path = Path(args.input)
     records, digest = read_metrics_csv(in_path)
     table = rank_records(records, Scenario(args.scenario))
-    out_dir = Path(args.out_dir) if args.out_dir else in_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_ranks_csv(out_dir / "ranks.csv", table, digest)
-    (out_dir / "summary.json").write_text(
-        json.dumps(rank_summary_dict(table, digest), indent=2, sort_keys=True) + "\n")
+    ranks_path = in_path.parent / "ranks.csv"
+    write_ranks_csv(ranks_path, table, digest)
+    write_json(in_path.parent / "summary.json", rank_summary_dict(table, digest))
     best = table.ordered_models()[0]
     print(f"{args.scenario}: best model {best} "
-          f"(overall rank {table.overall[best]:.2f}); wrote {out_dir / 'ranks.csv'}")
+          f"(overall rank {table.overall[best]:.2f}); wrote {ranks_path}")
     return EXIT_OK
 
 
-def _read_digest_comment(path: Path) -> str | None:
-    with open(path) as f:
-        first = f.readline().strip()
-    if first.startswith("# experiment="):
-        return first.split("=", 1)[1]
-    return None
-
-
 def cmd_report(args) -> int:
+    """Join the artifacts into report.json; a foreign stamp raises ValueError (exit 1)."""
     config = _load_config(args.config)
     out = _out_dir(config)
     report: dict = {"experiment": config.digest, "name": config.name,
@@ -288,35 +278,20 @@ def cmd_report(args) -> int:
             print(f"fedrad report: missing artifacts for scenario {name!r} "
                   f"(run evaluate and rank first)", file=sys.stderr)
             return EXIT_USAGE
-        summary = json.loads(summary_path.read_text())
-        for artifact, found in ((summary_path, summary.get("experiment")),
-                                (metrics_path, _read_digest_comment(metrics_path))):
-            if found != config.digest:
-                print(f"fedrad report: {artifact} belongs to experiment "
-                      f"{str(found)[:12]}..., expected {config.digest[:12]}...",
-                      file=sys.stderr)
-                return EXIT_USAGE
-        report["scenarios"][name] = summary
+        report["scenarios"][name] = read_stamped_json(summary_path, config.digest)
+        check_stamp(metrics_path, read_stamped_csv(metrics_path)[0], config.digest)
 
     timing_path = out / "timing.csv"
     if timing_path.exists():
-        if _read_digest_comment(timing_path) != config.digest:
-            print(f"fedrad report: {timing_path} belongs to a different experiment",
-                  file=sys.stderr)
-            return EXIT_USAGE
+        check_stamp(timing_path, read_stamped_csv(timing_path)[0], config.digest)
         report["timing_csv"] = timing_path.name
 
     characteristics = out / "characteristics.json"
     if characteristics.exists():
-        doc = json.loads(characteristics.read_text())
-        if doc.get("experiment") != config.digest:
-            print(f"fedrad report: {characteristics} belongs to a different experiment",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        report["characteristics"] = doc["sites"]
+        report["characteristics"] = read_stamped_json(characteristics, config.digest)["sites"]
 
     path = out / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_json(path, report)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -365,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rank", help="aggregate metric scores into model rankings")
     p.add_argument("--in", dest="input", required=True, metavar="METRICS.CSV")
     p.add_argument("--scenario", required=True, choices=[s.value for s in Scenario])
-    p.add_argument("--out-dir")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("report", help="join metrics, ranks, and timing into one bundle")

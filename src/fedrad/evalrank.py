@@ -30,6 +30,7 @@ import numpy as np
 from .dataset import LESION_CLASSES, SiteDataset
 from .learner import FeatureConfig, ensemble_predict, predict_proba
 from .metrics import METRIC_DIRECTIONS, METRICS, MetricRecord, score_pair, summarize
+from .seeding import stamped_csv
 
 
 class Scenario(str, enum.Enum):
@@ -116,13 +117,19 @@ def _require(registry_map: Mapping[str, TrainedModel], key: str, what: str) -> T
     return model
 
 
+# Spec(X) -> X
+_SPECIALIZED = {VariantKind.SPEC_ENSEMBLE: VariantKind.ENSEMBLE,
+                VariantKind.SPEC_FED: VariantKind.FED,
+                VariantKind.SPEC_FED_LEAVE_OUT: VariantKind.FED_LEAVE_OUT}
+
+
 def resolve_variant(variant: ModelVariant, registry: ModelRegistry,
                     eval_site: str) -> list[tuple[TrainedModel, float]]:
     """Member models with probability-average weights for one variant.
 
     Spec(X) is the two-member average of X's probability field and the
-    local model's; when X is itself an ensemble of N members, that is the
-    weighted member list [members at 1/(2N) each, local at 1/2].
+    local model's: X's members at half their weight, then the local model
+    at 1/2. For an ensemble of N members that is 1/(2N) per member.
     """
     roster = sorted(registry.locals)
     n = len(roster)
@@ -148,20 +155,10 @@ def resolve_variant(variant: ModelVariant, registry: ModelRegistry,
     if kind is VariantKind.FED_LEAVE_OUT:
         return [(_require(registry.fed_leave_out, eval_site,
                           f"federated model excluding {eval_site}"), 1.0)]
-    if kind is VariantKind.SPEC_ENSEMBLE:
+    if kind in _SPECIALIZED:
+        members = resolve_variant(ModelVariant(_SPECIALIZED[kind]), registry, eval_site)
         local = _require(registry.locals, eval_site, f"local model of {eval_site}")
-        members = [(registry.locals[s], 0.5 / n) for s in roster]
-        return members + [(local, 0.5)]
-    if kind is VariantKind.SPEC_FED:
-        if registry.fed is None:
-            raise KeyError("missing trained model: federated model")
-        local = _require(registry.locals, eval_site, f"local model of {eval_site}")
-        return [(registry.fed, 0.5), (local, 0.5)]
-    if kind is VariantKind.SPEC_FED_LEAVE_OUT:
-        fed_loo = _require(registry.fed_leave_out, eval_site,
-                           f"federated model excluding {eval_site}")
-        local = _require(registry.locals, eval_site, f"local model of {eval_site}")
-        return [(fed_loo, 0.5), (local, 0.5)]
+        return [(model, w / 2) for model, w in members] + [(local, 0.5)]
     raise ValueError(f"unknown variant kind {kind!r}")
 
 
@@ -307,11 +304,11 @@ def rank_records(records: Mapping[tuple[str, str], Sequence[MetricRecord]],
 
 
 def write_ranks_csv(path, table: RankTable, experiment_digest: str) -> None:
-    lines = [f"# experiment={experiment_digest}", "model,site,metric,rank"]
+    lines = ["model,site,metric,rank"]
     for (model, site, metric) in sorted(table.cell_ranks):
         lines.append(f"{model},{site},{metric},{table.cell_ranks[(model, site, metric)]!r}")
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(stamped_csv(experiment_digest, lines))
 
 
 def rank_summary_dict(table: RankTable, experiment_digest: str) -> dict:

@@ -31,7 +31,7 @@ from .fedproto import AGG_STRICT, AGG_TOLERANT, ServerParams
 from .fingerprint import compute_fingerprint, derive_config
 from .learner import (FeatureConfig, TrainConfig, build_training_matrix, load_weights,
                       save_weights, site_train_seed, train_epochs)
-from .seeding import digest_of
+from .seeding import check_stamp, digest_of, read_stamped_json, write_json
 from .simnet import DEFAULT_PER_BATCH_SECONDS, SiteLink
 
 logger = logging.getLogger(__name__)
@@ -130,7 +130,7 @@ def load_config(path: Path) -> ExperimentConfig:
 
 
 def save_config(config: ExperimentConfig, path: Path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n")
+    write_json(path, config.to_dict())
 
 
 def leave_out_config(config: ExperimentConfig, held_out: str) -> ExperimentConfig:
@@ -211,9 +211,8 @@ def load_all(config: ExperimentConfig, out: Path) -> dict[str, SiteDataset]:
     datasets = {}
     for sid in config.site_ids:
         manifest = siteio.read_manifest(site_dir(out, sid))
-        if manifest.get("experiment") != config.digest:
-            raise ValueError(f"site {sid}: dataset belongs to a different experiment "
-                             f"(run 'fedrad gen' for this config)")
+        check_stamp(f"site {sid}: dataset", manifest.get("experiment"), config.digest,
+                    hint="; run 'fedrad gen' for this config")
         datasets[sid] = siteio.load_site_dataset(site_dir(out, sid))
     return datasets
 
@@ -277,8 +276,7 @@ def save_registry(registry: ModelRegistry, out: Path, experiment_digest: str) ->
         put(_model_entry_name("fed_loo", sid), model)
 
     path = mdir / "models.json"
-    path.write_text(json.dumps({"experiment": experiment_digest, "models": entries},
-                               indent=2, sort_keys=True) + "\n")
+    write_json(path, {"experiment": experiment_digest, "models": entries})
     return path
 
 
@@ -287,9 +285,7 @@ def load_registry(out: Path, experiment_digest: str) -> ModelRegistry:
     path = mdir / "models.json"
     if not path.exists():
         raise FileNotFoundError(f"{path}: no trained models (run training first)")
-    doc = json.loads(path.read_text())
-    if doc.get("experiment") != experiment_digest:
-        raise ValueError(f"{path}: models belong to a different experiment")
+    doc = read_stamped_json(path, experiment_digest)
     registry = ModelRegistry()
     for name, entry in doc["models"].items():
         model = TrainedModel(

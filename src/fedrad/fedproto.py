@@ -60,12 +60,11 @@ class ExperimentAborted(RuntimeError):
     """A run ended before the final model; carries resume information."""
 
     def __init__(self, reason: str, round_index: int | None = None,
-                 checkpoint_path: Path | None = None, stopped: bool = False):
+                 checkpoint_path: Path | None = None):
         super().__init__(reason)
         self.reason = reason
         self.round_index = round_index
         self.checkpoint_path = checkpoint_path
-        self.stopped = stopped
 
 
 def aggregate(w: np.ndarray, deltas: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -199,11 +198,10 @@ class Federation:
     """
 
     def __init__(self, params: ServerParams, fingerprints: Mapping[str, DatasetFingerprint],
-                 resumed: Checkpoint | None = None, stop_after_round: int | None = None):
+                 resumed: Checkpoint | None = None):
         self.params = params
         self.fp_avg = average_fingerprints([fingerprints[s] for s in params.expected_sites])
         self.derived = derive_config(self.fp_avg, params.experiment_seed, params.train)
-        self._stop_after_round = stop_after_round
         self._ckpt_dir = Path(params.checkpoint_dir) if params.checkpoint_dir else None
         if self._ckpt_dir:
             self._ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -237,9 +235,8 @@ class Federation:
             experiment_digest=self.params.experiment_digest)
         return ckpt.save(checkpoint_path(self._ckpt_dir, self.round_index))
 
-    def _abort(self, t: int, reason: str, stopped: bool = False) -> ExperimentAborted:
-        return ExperimentAborted(reason, round_index=t,
-                                 checkpoint_path=self.last_checkpoint, stopped=stopped)
+    def _abort(self, t: int, reason: str) -> ExperimentAborted:
+        return ExperimentAborted(reason, round_index=t, checkpoint_path=self.last_checkpoint)
 
     def exclude(self, t: int, sites: Iterable[str], why: str) -> None:
         """Leave ``sites`` out of round ``t``: an abort in strict mode, a
@@ -274,8 +271,6 @@ class Federation:
         self.last_checkpoint = self._commit()
         logger.info("round %d/%d aggregated over %d sites", t, self.params.rounds,
                     len(usable))
-        if self._stop_after_round == t:
-            raise self._abort(t, f"server stopped after round {t}", stopped=True)
 
 
 class _Inbox:
@@ -328,15 +323,12 @@ class _Acceptor:
                 conn.close()
 
 
-def run_server(params: ServerParams, listener, *, resume: Path | None = None,
-               stop_after_round: int | None = None) -> np.ndarray:
+def run_server(params: ServerParams, listener, *, resume: Path | None = None) -> np.ndarray:
     """Drive a federated experiment to its final model over a transport.
 
     ``listener`` is anything with ``accept(timeout)`` (TcpServerTransport or
     InProcessHub). ``resume`` continues from a checkpoint written by an
-    earlier, interrupted run of the same experiment. ``stop_after_round``
-    emulates a server crash right after that round's checkpoint commits,
-    for fault-injection tests.
+    earlier, interrupted run of the same experiment.
 
     An upload counts for the site registered on its connection; one that
     names another site is dropped. An ``Abort`` from a connection that never
@@ -403,7 +395,7 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
             elif isinstance(msg, wire.Abort) and id(conn) in conn_site:
                 raise ExperimentAborted(f"client abort during setup: {msg.reason}", 0)
 
-        fed = Federation(params, fingerprints, resumed, stop_after_round)
+        fed = Federation(params, fingerprints, resumed)
         broadcast(fed.config)
 
         # Phase 2: the round loop.
@@ -461,9 +453,8 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None,
                 open_conns.discard(id(conn))
         return fed.weights
     except ExperimentAborted as abort:
-        if not abort.stopped:
-            logger.error("experiment aborted at round %s: %s", abort.round_index, abort.reason)
-            broadcast(wire.Abort(abort.reason))
+        logger.error("experiment aborted at round %s: %s", abort.round_index, abort.reason)
+        broadcast(wire.Abort(abort.reason))
         raise
     finally:
         acceptor.close_all()

@@ -27,6 +27,7 @@ import numpy as np
 from scipy import ndimage
 
 from .dataset import LabelMask
+from .seeding import read_stamped_csv, stamped_csv
 
 METRIC_DSC = "DSC"
 METRIC_NSD = "NSD"
@@ -206,37 +207,32 @@ def write_metrics_csv(path, records_by_model_site: dict[tuple[str, str], list[Me
     Skip-marker records keep an empty value field. The model column is what
     lets the ranking stage recover which rows belong to which variant.
     """
-    lines = [f"# experiment={experiment_digest}", "model,site,sample,class,metric,value,status"]
+    lines = ["model,site,sample,class,metric,value,status"]
     for (model, site) in sorted(records_by_model_site):
         for rec in records_by_model_site[(model, site)]:
             value = repr(rec.value) if math.isfinite(rec.value) else ""
             lines.append(f"{model},{site},{rec.sample_id},{rec.class_id},"
                          f"{rec.metric},{value},{rec.status.value}")
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(stamped_csv(experiment_digest, lines))
 
 
 def read_metrics_csv(path) -> tuple[dict[tuple[str, str], list[MetricRecord]], str]:
     """Inverse of :func:`write_metrics_csv`; returns (records, digest).
 
-    A file that does not open with its ``# experiment=`` line is refused.
+    A file that does not open with its stamp line is refused.
     """
+    digest, lines = read_stamped_csv(path)
     records: dict[tuple[str, str], list[MetricRecord]] = {}
-    with open(path) as f:
-        first = f.readline()
-        if not first.startswith("# experiment="):
-            raise ValueError(f"{path}: no '# experiment=' line")
-        digest = first.rstrip("\n").split("=", 1)[1]
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("model,"):
-                continue
-            model, site, sample, class_id, metric, value, status = line.split(",")
-            rec = MetricRecord(
-                sample_id=sample, class_id=int(class_id), metric=metric,
-                value=float(value) if value else float("nan"),
-                status=RecordStatus(status))
-            records.setdefault((model, site), []).append(rec)
+    for line in lines:
+        if line.startswith("model,"):
+            continue
+        model, site, sample, class_id, metric, value, status = line.split(",")
+        rec = MetricRecord(
+            sample_id=sample, class_id=int(class_id), metric=metric,
+            value=float(value) if value else float("nan"),
+            status=RecordStatus(status))
+        records.setdefault((model, site), []).append(rec)
     return records, digest
 
 

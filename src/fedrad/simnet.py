@@ -27,6 +27,7 @@ from .dataset import SiteDataset
 from .fedproto import ExperimentAborted, Federation, ServerParams, load_resume
 from .fingerprint import DerivedConfig, compute_fingerprint
 from .learner import build_training_matrix, site_train_seed, train_epochs
+from .seeding import stamped_csv
 
 logger = logging.getLogger(__name__)
 
@@ -111,14 +112,14 @@ class TimingReport:
     rows: list[RoundSiteTiming] = field(default_factory=list)
 
     def to_csv(self, experiment_digest: str) -> str:
-        lines = [f"# experiment={experiment_digest}", "round,site,train_s,latency_s,idle_s,wall_s"]
+        lines = ["round,site,train_s,latency_s,idle_s,wall_s"]
         for row in self.rows:
             lines.append(",".join([
                 str(row.round_index), row.site_id,
                 repr(row.train_ns / NS_PER_S), repr(row.latency_ns / NS_PER_S),
                 repr(row.idle_ns / NS_PER_S), repr(row.wall_ns / NS_PER_S),
             ]))
-        return "\n".join(lines) + "\n"
+        return stamped_csv(experiment_digest, lines)
 
 
 @dataclass
@@ -127,7 +128,6 @@ class SimResult:
     timing: TimingReport
     derived: DerivedConfig
     aborted: bool = False
-    stopped: bool = False
     abort_reason: str | None = None
     abort_round: int | None = None
     checkpoint_file: Path | None = None
@@ -141,14 +141,13 @@ def _epoch_ns(link: SiteLink, params: ServerParams, per_batch_seconds: float) ->
 def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
                   links: Sequence[SiteLink], *,
                   per_batch_seconds: float = DEFAULT_PER_BATCH_SECONDS,
-                  resume: Path | None = None,
-                  stop_after_round: int | None = None) -> SimResult:
+                  resume: Path | None = None) -> SimResult:
     """Run a whole federated experiment on the virtual clock.
 
     ``datasets`` maps site id to its loaded dataset; ``links`` must cover
     every expected site. Checkpoints are written to
     ``params.checkpoint_dir`` exactly as the live server does, and
-    ``resume``/``stop_after_round`` behave identically.
+    ``resume`` behaves identically.
     """
     expected = sorted(params.expected_sites)
     link_by_site = {l.site_id: l for l in links}
@@ -166,7 +165,7 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     resumed = load_resume(resume, params)
     # Configuration-sync phase (instantaneous on the virtual clock).
     fed = Federation(params, {s: compute_fingerprint(datasets[s].train) for s in expected},
-                     resumed, stop_after_round)
+                     resumed)
     derived = fed.derived
 
     matrices = {s: build_training_matrix(datasets[s].train, derived.feature_config)
@@ -203,12 +202,10 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
         try:
             fed.close_round(t, received)
         except ExperimentAborted as abort:
-            if not abort.stopped:
-                logger.error("simulated experiment aborted: %s", abort.reason)
+            logger.error("simulated experiment aborted: %s", abort.reason)
             return SimResult(final_weights=None, timing=timing, derived=derived,
-                             aborted=True, stopped=abort.stopped,
-                             abort_reason=abort.reason, abort_round=abort.round_index,
-                             checkpoint_file=abort.checkpoint_path)
+                             aborted=True, abort_reason=abort.reason,
+                             abort_round=abort.round_index, checkpoint_file=abort.checkpoint_path)
 
     return SimResult(final_weights=fed.weights, timing=timing, derived=derived,
                      checkpoint_file=fed.last_checkpoint)

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import LabelMask, Provenance, Sample, SiteDataset, SiteProfile, Volume
+from .seeding import write_json
 
 GRID_MAGIC = b"FRVD"
 GRID_VERSION = 1
@@ -108,7 +109,7 @@ def save_site_dataset(dataset: SiteDataset, site_dir: Path,
         "samples": entries,
     }
     path = site_dir / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
     return path
 
 

@@ -7,6 +7,29 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fedrad.dataset import CcRegime, LabelMask, Sample, SiteProfile, Volume, generate_site_dataset
+from fedrad.fedproto import Federation
+
+_close_round = Federation.close_round
+
+
+class ServerCrash(Exception):
+    """Stands in for a killed server process; carries its last checkpoint."""
+
+    def __init__(self, checkpoint):
+        super().__init__(f"server crashed after committing {checkpoint}")
+        self.checkpoint = checkpoint
+
+
+def crash_after_round(monkeypatch, k):
+    """Make every federation, simulated or live, raise :class:`ServerCrash`
+    right after it commits round ``k``, where a killed server would stop."""
+
+    def close_round(self, t, received):
+        _close_round(self, t, received)
+        if t == k:
+            raise ServerCrash(self.last_checkpoint)
+
+    monkeypatch.setattr(Federation, "close_round", close_round)
 
 
 def make_profile(site_id="site_t", n_samples=8, seed=7, regime=CcRegime.FEW_LARGE,

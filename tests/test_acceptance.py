@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import rank_fixtures as rf
-from conftest import make_profile
+from conftest import ServerCrash, crash_after_round, make_profile
 from corruption import INJECTABLE_CODES, corrupt_grid_file, inject_corruption
 from oracles import (brute_dsc, brute_hsd, brute_nave, brute_nsd, finite_diff_grad,
                      sequential_federated_reference)
@@ -202,7 +202,7 @@ def test_criterion_5_gradient_check():
 # 6. crash-restart determinism (sim and tcp)
 
 @criterion(6, "crash-restart determinism")
-def test_criterion_6_crash_restart(tmp_path):
+def test_criterion_6_crash_restart(tmp_path, monkeypatch):
     profiles = [make_profile(site_id=f"s{i}", n_samples=6, seed=700 + i)
                 for i in range(3)]
     datasets = {p.site_id: generate_site_dataset(p) for p in profiles}
@@ -220,33 +220,37 @@ def test_criterion_6_crash_restart(tmp_path):
     full = run_simulated(params(None), datasets, links)
 
     for k in (1, rounds - 1):
+        # every federation below dies right after committing round k; the
+        # resumed ones start at round k + 1, past the crash
+        crash_after_round(monkeypatch, k)
+
         # simulated transport
         sim_dir = tmp_path / f"sim{k}"
-        stopped = run_simulated(params(sim_dir), datasets, links, stop_after_round=k)
-        assert stopped.stopped and stopped.abort_round == k
+        with pytest.raises(ServerCrash) as crash:
+            run_simulated(params(sim_dir), datasets, links)
         resumed = run_simulated(params(sim_dir), datasets, links,
-                                resume=stopped.checkpoint_file)
+                                resume=crash.value.checkpoint)
         assert np.array_equal(resumed.final_weights, full.final_weights), \
             f"sim resume after round {k} diverged"
 
         # tcp transport
         tcp_dir = tmp_path / f"tcp{k}"
-        ckpt = _tcp_run_until_stop(params(tcp_dir), datasets, stop_after=k)
+        ckpt = _tcp_run_until_crash(params(tcp_dir), datasets)
         final = _tcp_run_resumed(params(tcp_dir), datasets, resume=ckpt)
         assert np.array_equal(final, full.final_weights), \
             f"tcp resume after round {k} diverged"
 
 
-def _tcp_run_until_stop(params, datasets, stop_after):
+def _tcp_run_until_crash(params, datasets):
     listener = TcpServerTransport()
     host, port = listener.address
     out = {}
 
     def serve():
         try:
-            run_server(params, listener, stop_after_round=stop_after)
-        except ExperimentAborted as abort:
-            out["ckpt"] = abort.checkpoint_path
+            run_server(params, listener)
+        except ServerCrash as crash:
+            out["ckpt"] = crash.checkpoint
 
     threads = [threading.Thread(target=serve, daemon=True)]
     for sid in sorted(datasets):

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -105,22 +106,37 @@ def test_train_sim_rerun_byte_identical(config_file, capsys):
     capsys.readouterr()
 
 
-def test_report_refuses_foreign_artifacts(config_file, capsys):
+def test_characterize_refuses_another_experiments_data(config_file, tmp_path, capsys):
+    path, config = config_file
+    assert main(["gen", "--config", str(path)]) == 0
+    other = tmp_path / "other.json"
+    exp.save_config(replace(config, seed=999), other)  # same output_dir
+    assert main(["characterize", "--config", str(other)]) == 1
+    assert "different experiment" in capsys.readouterr().err
+    assert not (Path(config.output_dir) / "characteristics.json").exists()
+
+
+@pytest.mark.parametrize("artifact", ["summary.json", "metrics.csv", "timing.csv",
+                                      "characteristics.json"])
+def test_report_refuses_foreign_artifacts(config_file, capsys, artifact):
     path, config = config_file
     out = Path(config.output_dir)
-    main(["gen", "--config", str(path)])
-    main(["train-sim", "--config", str(path)])
-    main(["evaluate", "--config", str(path)])
+    for stage in ("gen", "train-sim", "evaluate", "characterize"):
+        assert main([stage, "--config", str(path)]) == 0
     for scenario in config.scenarios:
         metrics = out / "eval" / scenario / "metrics.csv"
-        main(["rank", "--in", str(metrics), "--scenario", scenario])
-    # tamper with one summary's digest
-    summary_path = out / "eval" / config.scenarios[0] / "summary.json"
-    doc = json.loads(summary_path.read_text())
-    doc["experiment"] = "f" * 64
-    summary_path.write_text(json.dumps(doc))
-    assert main(["report", "--config", str(path)]) == 1
+        assert main(["rank", "--in", str(metrics), "--scenario", scenario]) == 0
+    assert main(["report", "--config", str(path)]) == 0
     capsys.readouterr()
+
+    # stamp one artifact with another experiment's digest
+    in_eval = artifact in ("summary.json", "metrics.csv")
+    victim = (out / "eval" / config.scenarios[0] if in_eval else out) / artifact
+    text = victim.read_text()
+    assert text.count(config.digest) == 1
+    victim.write_text(text.replace(config.digest, "f" * 64))
+    assert main(["report", "--config", str(path)]) == 1
+    assert f"{victim} belongs to" in capsys.readouterr().err
 
 
 def _serve_and_join(config_path, site_dirs):

@@ -200,14 +200,19 @@ def test_resolve_ensembles_and_leave_out():
 def test_resolve_spec_weighting():
     registry = _registry()
     spec_e = resolve_variant(ModelVariant(VariantKind.SPEC_ENSEMBLE), registry, "sa")
-    weights = [mw for _, mw in spec_e]
-    assert weights == pytest.approx([1 / 6, 1 / 6, 1 / 6, 1 / 2])
-    assert spec_e[-1][0] is registry.locals["sa"]
+    # exact: the weights decide the ensemble's bytes, and (1/n)/2 == 0.5/n
+    assert [mw for _, mw in spec_e] == [0.5 / 3] * 3 + [0.5]
+    assert [m for m, _ in spec_e] == [registry.locals[s] for s in ("sa", "sb", "sc", "sa")]
 
     spec_fl = resolve_variant(ModelVariant(VariantKind.SPEC_FED), registry, "sa")
     assert [mw for _, mw in spec_fl] == [0.5, 0.5]
     assert spec_fl[0][0] is registry.fed
     assert spec_fl[1][0] is registry.locals["sa"]
+
+    spec_loo = resolve_variant(ModelVariant(VariantKind.SPEC_FED_LEAVE_OUT), registry, "sb")
+    assert [mw for _, mw in spec_loo] == [0.5, 0.5]
+    assert spec_loo[0][0] is registry.fed_leave_out["sb"]
+    assert spec_loo[1][0] is registry.locals["sb"]
 
 
 def test_resolve_missing_model_named():

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_profile
+from conftest import ServerCrash, crash_after_round, make_profile
 from oracles import sequential_federated_reference
 
 from fedrad.dataset import generate_site_dataset
@@ -433,9 +433,8 @@ def test_client_digest_mismatch_aborts():
     assert isinstance(server_out.get("exc"), ExperimentAborted)
 
 
-def test_server_stop_after_round_then_resume(tmp_path):
+def test_server_crash_after_round_then_resume(tmp_path, monkeypatch):
     datasets = make_datasets(["s1", "s2"])
-    ckpt_dir = tmp_path / "ck"
     rounds = 4
     uninterrupted = make_params(["s1", "s2"], rounds=rounds)
     full_out, _ = run_experiment(uninterrupted, datasets)
@@ -443,16 +442,17 @@ def test_server_stop_after_round_then_resume(tmp_path):
     for k in (1, rounds - 1):
         kdir = tmp_path / f"ck{k}"
         params = make_params(["s1", "s2"], rounds=rounds, ckpt_dir=kdir)
-        out1, clients1 = run_experiment(params, datasets,
-                                        server_kw={"stop_after_round": k})
-        exc = out1.get("exc")
-        assert isinstance(exc, ExperimentAborted) and exc.stopped
-        assert exc.round_index == k
+        crash_after_round(monkeypatch, k)
+        out1, clients1 = run_experiment(params, datasets)
+        crash = out1.get("exc")
+        assert isinstance(crash, ServerCrash)
+        assert load_checkpoint(crash.checkpoint).round_index == k
         # every client lost its connection and exited resumably
         assert all(isinstance(c, ExperimentAborted) for c in clients1.values())
 
+        # the resumed run starts at round k + 1, past the crash
         out2, clients2 = run_experiment(params, datasets,
-                                        server_kw={"resume": exc.checkpoint_path})
+                                        server_kw={"resume": crash.checkpoint})
         assert np.array_equal(out2["w"], full_out["w"])
         for got in clients2.values():
             assert np.array_equal(got, full_out["w"])
@@ -642,7 +642,7 @@ def test_non_finite_delta_never_checkpointed(tmp_path, aggregation):
         assert np.isfinite(load_checkpoint(path).weights).all(), path.name
     if aggregation == "strict":
         exc = server_out.get("exc")
-        assert isinstance(exc, ExperimentAborted) and not exc.stopped
+        assert isinstance(exc, ExperimentAborted)
         assert exc.round_index == 1
         assert load_checkpoint(exc.checkpoint_path).round_index == 0
         assert isinstance(client_out["s1"], ExperimentAborted)

@@ -1,7 +1,12 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedrad.seeding import canonical_json, derive_seed, digest_of, rng_from
+import fedrad
+from fedrad.seeding import (canonical_json, derive_seed, digest_of, read_stamped_csv,
+                            read_stamped_json, rng_from, stamped_csv, write_json)
 
 
 def test_canonical_json_sorted_and_compact():
@@ -42,3 +47,43 @@ def test_rng_from_streams_independent():
 def test_derive_seed_rejects_unknown_types():
     with pytest.raises(TypeError):
         derive_seed(1.5)
+
+
+def test_stamped_artifacts_roundtrip_and_refuse_foreign(tmp_path):
+    csv = tmp_path / "a.csv"
+    csv.write_text(stamped_csv("d" * 64, ["x,y", "1,2"]))
+    assert csv.read_text() == "# experiment=" + "d" * 64 + "\nx,y\n1,2\n"
+    assert read_stamped_csv(csv) == ("d" * 64, ["x,y", "1,2"])
+    csv.write_text("x,y\n1,2\n")
+    with pytest.raises(ValueError, match="experiment="):
+        read_stamped_csv(csv)
+
+    doc = tmp_path / "a.json"
+    write_json(doc, {"experiment": "d" * 64, "b": [1]})
+    assert doc.read_text() == '{\n  "b": [\n    1\n  ],\n  "experiment": "' + "d" * 64 + '"\n}\n'
+    assert read_stamped_json(doc, "d" * 64)["b"] == [1]
+    with pytest.raises(ValueError, match="different experiment"):
+        read_stamped_json(doc, "e" * 64)
+    for unstamped in ({"b": [1]}, ["d" * 64]):
+        write_json(doc, unstamped)
+        with pytest.raises(ValueError, match="different experiment"):
+            read_stamped_json(doc, "d" * 64)
+
+
+# A stamp read or compared by hand: .get("experiment") or ["experiment"] next
+# to == or !=, on either side and across a line break.
+_HAND_CHECK = re.compile(
+    r"""(\.get\(\s*["']experiment["']\s*\)|\[\s*["']experiment["']\s*\])\s*[!=]="""
+    r"""|[!=]=\s*[\w.]*(\.get\(\s*["']experiment["']|\[\s*["']experiment["'])""")
+
+
+def test_only_seeding_knows_the_stamp_format():
+    offenders = []
+    for path in sorted(Path(fedrad.__file__).parent.glob("*.py")):
+        if path.name == "seeding.py":
+            continue
+        text = path.read_text()
+        hits = [m.start() for m in re.finditer(re.escape("# experiment="), text)]
+        hits += [m.start() for m in _HAND_CHECK.finditer(text)]
+        offenders += [f"{path.name}:{text.count(chr(10), 0, at) + 1}" for at in sorted(hits)]
+    assert not offenders, f"stamp written or checked outside fedrad.seeding: {offenders}"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import ServerCrash, crash_after_round
 from oracles import sequential_federated_reference
 from test_fedproto import TRAIN, make_datasets, make_params, run_experiment
 
@@ -106,7 +107,7 @@ def test_offline_round_strict_aborts(tmp_path):
     params = make_params(["a", "b"], rounds=4, ckpt_dir=ckpt_dir, round_timeout_s=5.0)
     links = links_for(["a", "b"], b={"offline_rounds": {2}})
     sim = run_simulated(params, datasets, links)
-    assert sim.aborted and not sim.stopped
+    assert sim.aborted
     assert sim.abort_round == 2
     assert load_checkpoint(sim.checkpoint_file).round_index == 1
     covered = {row.round_index for row in sim.timing.rows}
@@ -145,7 +146,7 @@ def test_late_site_strict_aborts_at_last_checkpoint(tmp_path):
 
     late = run_simulated(params, datasets,
                          links_for(["a", "b"], b={"latency_ms": LATE_MS}))
-    assert late.aborted and not late.stopped
+    assert late.aborted
     assert late.abort_round == 1
     assert "['b']" in late.abort_reason
     assert load_checkpoint(late.checkpoint_file).round_index == 0
@@ -181,7 +182,7 @@ def test_crash_permanent_from_round():
             assert row.train_ns == 0
 
 
-def test_sim_stop_and_resume_bitidentical(tmp_path):
+def test_sim_stop_and_resume_bitidentical(tmp_path, monkeypatch):
     datasets = make_datasets(["a", "b", "c"])
     rounds = 5
     full_params = make_params(["a", "b", "c"], rounds=rounds)
@@ -191,10 +192,12 @@ def test_sim_stop_and_resume_bitidentical(tmp_path):
         ckpt_dir = tmp_path / f"ck{k}"
         params = make_params(["a", "b", "c"], rounds=rounds, ckpt_dir=ckpt_dir)
         links = links_for(params.expected_sites)
-        stopped = run_simulated(params, datasets, links, stop_after_round=k)
-        assert stopped.stopped and stopped.abort_round == k
-        resumed = run_simulated(params, datasets, links,
-                                resume=stopped.checkpoint_file)
+        crash_after_round(monkeypatch, k)
+        with pytest.raises(ServerCrash) as crash:
+            run_simulated(params, datasets, links)
+        assert load_checkpoint(crash.value.checkpoint).round_index == k
+        # the resumed run starts at round k + 1, past the crash
+        resumed = run_simulated(params, datasets, links, resume=crash.value.checkpoint)
         assert np.array_equal(resumed.final_weights, full.final_weights)
 
 

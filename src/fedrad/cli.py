@@ -31,7 +31,7 @@ from .evalrank import (ModelRegistry, Scenario, rank_records, rank_summary_dict,
                        run_scenario, write_ranks_csv)
 from .fedproto import ExperimentAborted, checkpoint_path, load_checkpoint, run_client, run_server
 from .fingerprint import derive_config
-from .metrics import read_metrics_csv, write_metrics_csv
+from .records import read_metrics_csv, write_metrics_csv
 from .seeding import check_stamp, read_stamped_csv, read_stamped_json, write_json
 from .simnet import run_simulated
 from .transport import TcpServerTransport, connect_tcp
@@ -56,7 +56,7 @@ def _setup_logging() -> None:
 def _load_config(path: str) -> exp.ExperimentConfig:
     try:
         return exp.load_config(Path(path))
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as err:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise SystemExit(f"fedrad: cannot load config {path}: {err}")
 
 

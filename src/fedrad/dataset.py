@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .seeding import derive_seed, rng_from
 
@@ -202,6 +201,20 @@ def _ellipsoid_voxels(dims, center, radii) -> np.ndarray:
     return d2 <= 1.0
 
 
+def _dilate_26(mask: np.ndarray) -> np.ndarray:
+    """Binary dilation of a boolean grid by the 3x3x3 cube; outside the grid
+    counts as False. The cube is separable, so each axis in turn ORs the
+    mask with its shifts by -1 and +1."""
+    out = mask
+    for axis in range(mask.ndim):
+        src, out = out, out.copy()
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        out[hi] |= src[lo]
+        out[lo] |= src[hi]
+    return out
+
+
 def _place_lesions(rng: np.random.Generator, labels: np.ndarray, class_id: int,
                    regime: CcRegime, scale: float) -> None:
     """Paint ``class_id`` lesions into ``labels`` as disjoint ellipsoids.
@@ -227,7 +240,7 @@ def _place_lesions(rng: np.random.Generator, labels: np.ndarray, class_id: int,
                 continue
             if labels[cand].any():
                 continue  # would overwrite an existing label
-            near = ndimage.binary_dilation(cand, structure=_STRUCT_26)
+            near = _dilate_26(cand)
             if (labels[near] == class_id).any():
                 continue  # would 26-merge with an existing component
             labels[cand] = class_id
@@ -328,6 +341,8 @@ def connected_components(mask: LabelMask, class_id: int,
         raise ValueError(f"class_id must be one of {LESION_CLASSES}, got {class_id}")
     sp = spacing if spacing is not None else (1.0, 1.0, 1.0)
     voxel_ml = (sp[0] * sp[1] * sp[2]) / 1000.0
+    from scipy import ndimage  # on first use: only characterization labels components
+
     labeled, n = ndimage.label(mask.labels == class_id, structure=_STRUCT_26)
     out = []
     if n:

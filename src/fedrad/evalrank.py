@@ -29,7 +29,7 @@ import numpy as np
 
 from .dataset import LESION_CLASSES, SiteDataset
 from .learner import FeatureConfig, ensemble_predict, predict_proba
-from .metrics import METRIC_DIRECTIONS, METRICS, MetricRecord, score_pair, summarize
+from .records import METRIC_DIRECTIONS, METRICS, MetricRecord, summarize
 from .seeding import stamped_csv
 
 
@@ -171,6 +171,9 @@ class ScenarioResult:
 def run_scenario(scenario: Scenario, datasets: Mapping[str, SiteDataset],
                  registry: ModelRegistry) -> ScenarioResult:
     """Evaluate every checked variant on every site's test set."""
+    # imported here: scoring loads scipy.ndimage, which ranking never needs
+    from .metrics import score_pair
+
     roster = sorted(registry.locals)
     missing = [s for s in roster if s not in datasets]
     if missing:

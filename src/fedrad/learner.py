@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .dataset import LabelMask, N_CLASSES, Sample, Volume
 from .seeding import derive_seed, rng_from
@@ -101,6 +100,8 @@ def extract_features(volume: Volume, config: FeatureConfig) -> np.ndarray:
     Features: normalized clipped intensity, normalized 3^3 box-smoothed
     intensity, scaled gradient magnitude, constant bias 1.
     """
+    from scipy import ndimage  # on first use: most fedrad stages extract no features
+
     if not (np.isfinite(config.shift) and np.isfinite(config.scale) and config.scale > 0):
         raise ValueError(f"invalid feature normalization: {config}")
     x = np.asarray(volume.intensities, dtype=np.float64)

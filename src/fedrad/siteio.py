@@ -119,7 +119,7 @@ def read_manifest(site_dir: Path) -> dict:
         manifest = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise GridFormatError(f"cannot read manifest {path}: {exc}") from exc
-    if manifest.get("format") != "frvd-site-v1":
+    if not isinstance(manifest, dict) or manifest.get("format") != "frvd-site-v1":
         raise GridFormatError(f"{path}: unknown manifest format")
     return manifest
 

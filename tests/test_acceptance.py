@@ -27,8 +27,8 @@ from fedrad.dataset import LabelMask, generate_sample, generate_site_dataset
 from fedrad.evalrank import rank
 from fedrad.fedproto import ExperimentAborted, run_client, run_server
 from fedrad.learner import N_FEATURES, WEIGHT_LEN, loss_and_grad
-from fedrad.metrics import (FN_DEFAULTS, RecordStatus, dsc, hsd, nave, nsd,
-                            score_pair, summarize)
+from fedrad.metrics import FN_DEFAULTS, dsc, hsd, nave, nsd, score_pair
+from fedrad.records import RecordStatus, summarize
 from fedrad.simnet import NS_PER_S, SiteLink, run_simulated
 from fedrad.siteio import save_site_dataset
 from fedrad.transport import TcpServerTransport, connect_tcp

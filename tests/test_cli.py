@@ -285,10 +285,56 @@ def test_join_bad_server_message_aborts(tmp_path, capsys, reply):
     assert "aborted" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs hundreds of modules of start-up in every fedrad process
-    code = "import sys, fedrad.cli; print('scipy.stats' in sys.modules)"
+def _scipy_modules_after(code: str) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the scipy.stats/ndimage modules it loaded."""
+    code += ("\nimport json, sys\nprint(json.dumps([m for m in ('scipy.stats', 'scipy.ndimage')"
+             " if m in sys.modules]))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            timeout=60)
+                            timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats and scipy.ndimage cost hundreds of modules of start-up in
+    # every fedrad process; only the stages that filter, label or take a
+    # distance transform load scipy.ndimage
+    assert _scipy_modules_after("import fedrad.cli") == []
+
+
+def test_gen_and_validate_leave_out_scipy_ndimage(config_file):
+    path, _config = config_file
+    code = ("from fedrad.cli import main\n"
+            f"assert main(['gen', '--config', {str(path)!r}]) == 0\n"
+            f"assert main(['validate', '--config', {str(path)!r}]) == 0")
+    assert _scipy_modules_after(code) == []
+
+
+def test_rank_and_report_leave_out_scipy_ndimage(config_file, capsys):
+    path, config = config_file
+    for stage in ("gen", "train-sim", "evaluate"):
+        assert main([stage, "--config", str(path)]) == 0
+    capsys.readouterr()
+    out = Path(config.output_dir)
+    calls = [["rank", "--in", str(out / "eval" / s / "metrics.csv"), "--scenario", s]
+             for s in config.scenarios] + [["report", "--config", str(path)]]
+    code = "from fedrad.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in calls)
+    assert _scipy_modules_after(code) == []
+    assert (out / "report.json").exists()
+
+
+def test_config_not_an_object_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    for text in ("[]", "5", '"exp"'):
+        path.write_text(text)
+        assert main(["gen", "--config", str(path)]) == 1
+        assert "cannot load config" in capsys.readouterr().err
+
+
+def test_validate_manifest_not_an_object(tmp_path, capsys):
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "manifest.json").write_text("[]")
+    assert main(["validate", str(site)]) == 1
+    assert "manifest" in capsys.readouterr().err

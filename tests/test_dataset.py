@@ -96,6 +96,27 @@ def test_connected_components_against_flood_fill(rng):
         assert got == flood_fill_components(labels, 1)
 
 
+def test_dilate_26_matches_scipy():
+    from scipy import ndimage
+    from fedrad.dataset import _dilate_26
+    rng = np.random.default_rng(26)
+    cube = np.ones((3, 3, 3), dtype=bool)
+    for i in range(1200):
+        dims = tuple(int(d) for d in rng.integers(1, 7, size=3))
+        mask = rng.random(dims) < rng.uniform(0.0, 0.4)
+        if i % 3 == 0:  # one voxel on each of the six faces
+            for axis in range(3):
+                for end in (0, dims[axis] - 1):
+                    voxel = [int(rng.integers(0, d)) for d in dims]
+                    voxel[axis] = end
+                    mask[tuple(voxel)] = True
+        before = mask.copy()
+        got = _dilate_26(mask)
+        assert got.dtype == bool
+        assert np.array_equal(got, ndimage.binary_dilation(mask, structure=cube)), (dims, i)
+        assert np.array_equal(mask, before)
+
+
 def test_connected_components_basics():
     labels = np.zeros((8, 8, 8), dtype=np.uint8)
     labels[1, 1, 1] = 1

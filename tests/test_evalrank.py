@@ -9,7 +9,7 @@ from fedrad.evalrank import (ModelRegistry, ModelVariant, Scenario, TrainedModel
                              VariantKind, average_ranks, rank, rank_records, resolve_variant,
                              run_scenario, scenario_variants)
 from fedrad.learner import FeatureConfig, WEIGHT_LEN
-from fedrad.metrics import METRIC_DIRECTIONS
+from fedrad.records import METRIC_DIRECTIONS
 
 FC = FeatureConfig(shift=0.0, scale=1.0, clip_low=-10.0, clip_high=10.0)
 
@@ -329,7 +329,7 @@ def test_run_scenario_matches_weights_based_reference(small_dataset, scenario):
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_rank_records_survives_csv_roundtrip(small_dataset, tmp_path, scenario):
     from fedrad.dataset import SiteDataset
-    from fedrad.metrics import read_metrics_csv, write_metrics_csv
+    from fedrad.records import read_metrics_csv, write_metrics_csv
     registry = _registry(sites=("s1", "s2", "s3"), rng_seed=7)
     samples = list(small_dataset.samples)
     datasets = {sid: SiteDataset(site_id=sid, train=samples[:5], test=samples[5:7])

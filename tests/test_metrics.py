@@ -4,8 +4,8 @@ import pytest
 from oracles import brute_dsc, brute_hsd, brute_nave, brute_nsd
 
 from fedrad.dataset import LabelMask
-from fedrad.metrics import (FN_DEFAULTS, METRICS, MetricRecord, RecordStatus, dsc, hsd,
-                            nave, nsd, read_metrics_csv, score_pair, summarize,
+from fedrad.metrics import FN_DEFAULTS, dsc, hsd, nave, nsd, score_pair
+from fedrad.records import (METRICS, MetricRecord, RecordStatus, read_metrics_csv, summarize,
                             write_metrics_csv)
 
 SP = (1.0, 1.0, 1.0)

@@ -6,6 +6,8 @@ per-layer metric in a benchmark run.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,19 @@ def test_traced_function_resolves(name, module, path):
     for attr in path.split("."):
         target = getattr(target, attr)
     assert callable(target), name
+
+
+def test_tracer_installs_every_hook():
+    # install() rebinds module attributes, so it runs in its own interpreter;
+    # the EDT hook needs the module-level ``ndimage`` name in fedrad.metrics
+    code = ("import importlib.util, fedrad.cli\n"
+            f"spec = importlib.util.spec_from_file_location('perfbench_tracer', {str(TRACER)!r})\n"
+            "tracer = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracer)\n"
+            "t = tracer.Tracer()\n"
+            "tracer.install(t)\n"
+            "print(t.missing)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

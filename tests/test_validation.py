@@ -5,7 +5,7 @@ from conftest import make_profile, make_sample
 from corruption import INJECTABLE_CODES, corrupt_grid_file, inject_corruption
 
 from fedrad.dataset import SiteDataset, generate_sample, generate_site_dataset
-from fedrad.siteio import save_site_dataset
+from fedrad.siteio import GridFormatError, save_site_dataset
 from fedrad.validation import FindingCode, validate_sample, validate_site_dir
 
 
@@ -54,6 +54,12 @@ def test_injection_detected_with_exactly_that_code(code):
     bad = inject_corruption(sample, code, seed=99)
     codes = [f.code for f in validate_sample(bad)]
     assert codes == [code]
+
+
+def test_manifest_not_an_object_refused(tmp_path):
+    (tmp_path / "manifest.json").write_text("[]")
+    with pytest.raises(GridFormatError, match="manifest"):
+        validate_site_dir(tmp_path)
 
 
 def test_injection_unsupported_kind():

@@ -235,13 +235,12 @@ def cmd_evaluate(args) -> int:
         print(f"fedrad evaluate: {err}", file=sys.stderr)
         return EXIT_USAGE
     scenario_names = [args.scenario] if args.scenario else list(config.scenarios)
-    for name in scenario_names:
-        scenario = Scenario(name)
-        try:
-            result = run_scenario(scenario, datasets, registry)
-        except KeyError as err:
-            print(f"fedrad evaluate: {err}", file=sys.stderr)
-            return EXIT_USAGE
+    try:
+        results = run_scenario([Scenario(name) for name in scenario_names], datasets, registry)
+    except KeyError as err:
+        print(f"fedrad evaluate: {err}", file=sys.stderr)
+        return EXIT_USAGE
+    for name, result in zip(scenario_names, results):
         edir = exp.eval_dir(out, name)
         edir.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(edir / "metrics.csv", result.records, config.digest)

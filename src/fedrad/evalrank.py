@@ -168,9 +168,16 @@ class ScenarioResult:
     records: dict[tuple[str, str], list[MetricRecord]]  # (model label, site)
 
 
-def run_scenario(scenario: Scenario, datasets: Mapping[str, SiteDataset],
-                 registry: ModelRegistry) -> ScenarioResult:
-    """Evaluate every checked variant on every site's test set."""
+def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDataset],
+                 registry: ModelRegistry) -> list[ScenarioResult]:
+    """Evaluate every checked variant of each scenario on every site's test
+    set; the results come back in the order of ``scenarios``.
+
+    Per test sample, each member model's probability field is computed once
+    and shared by every variant of every scenario; only one sample's fields
+    are held at a time. Each (scenario, variant, sample) is still predicted
+    and scored on its own.
+    """
     # imported here: scoring loads scipy.ndimage, which ranking never needs
     from .metrics import score_pair
 
@@ -179,19 +186,19 @@ def run_scenario(scenario: Scenario, datasets: Mapping[str, SiteDataset],
     if missing:
         raise ValueError(f"datasets missing for sites: {missing}")
 
-    records: dict[tuple[str, str], list[MetricRecord]] = {}
+    records: list[dict[tuple[str, str], list[MetricRecord]]] = [{} for _ in scenarios]
     for eval_site in roster:
         test = datasets[eval_site].test
         if not test:
             raise ValueError(f"site {eval_site} has no test samples")
-        members_of = {}
-        for variant in scenario_variants(scenario, roster, eval_site):
-            members_of[variant.label] = resolve_variant(variant, registry, eval_site)
-            records[(variant.label, eval_site)] = []
+        checklist = []  # (records of one variant on this site, its members)
+        for scenario, scenario_records in zip(scenarios, records):
+            for variant in scenario_variants(scenario, roster, eval_site):
+                out = scenario_records[(variant.label, eval_site)] = []
+                checklist.append((out, resolve_variant(variant, registry, eval_site)))
         for sample in sorted(test, key=lambda s: s.sample_id):
-            # each member model's field is computed once and shared by the variants
             fields: dict[TrainedModel, np.ndarray] = {}
-            for label, members in members_of.items():
+            for out, members in checklist:
                 for model, _ in members:
                     if model not in fields:
                         fields[model] = predict_proba(model.weights, sample.volume,
@@ -199,9 +206,9 @@ def run_scenario(scenario: Scenario, datasets: Mapping[str, SiteDataset],
                 pred = ensemble_predict([fields[m] for m, _ in members],
                                         [mw for _, mw in members], sample.volume.id)
                 for class_id in LESION_CLASSES:
-                    records[(label, eval_site)].extend(
-                        score_pair(pred, sample.mask, class_id, sample.volume.spacing))
-    return ScenarioResult(scenario=scenario, records=records)
+                    out.extend(score_pair(pred, sample.mask, class_id, sample.volume.spacing))
+    return [ScenarioResult(scenario=scenario, records=scenario_records)
+            for scenario, scenario_records in zip(scenarios, records)]
 
 
 @dataclass

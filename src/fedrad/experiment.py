@@ -74,6 +74,9 @@ class ExperimentConfig:
                 raise ValueError(f"site id {sid!r} contains a comma or a line break")
         for s in self.scenarios:
             Scenario(s)  # raises on unknown names
+        if len(set(self.scenarios)) != len(self.scenarios):
+            # evaluate writes one metrics.csv per scenario name
+            raise ValueError(f"duplicate scenarios in {list(self.scenarios)}")
 
     @property
     def site_ids(self) -> tuple[str, ...]:

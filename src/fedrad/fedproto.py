@@ -128,9 +128,11 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
     body_end = _CKPT_HEADER.size + body_len
     if len(raw) < body_end:
         raise CheckpointMismatch(f"{path}: truncated metadata")
+    n_weight_bytes = len(raw) - body_end
+    if n_weight_bytes != 8 * WEIGHT_LEN:
+        raise CheckpointMismatch(f"{path}: expected {8 * WEIGHT_LEN} weight bytes, "
+                                 f"got {n_weight_bytes}")
     weights = np.frombuffer(raw[body_end:], dtype="<f8").copy()
-    if weights.shape != (WEIGHT_LEN,):
-        raise CheckpointMismatch(f"{path}: expected {WEIGHT_LEN} weights, got {weights.shape}")
     try:
         meta = json.loads(raw[_CKPT_HEADER.size:body_end].decode("ascii"))
         return Checkpoint(
@@ -140,7 +142,7 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
             experiment_seed=int(meta["experiment_seed"]),
             experiment_digest=digest,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointMismatch(f"{path}: bad metadata: {exc!r}") from exc
 
 

@@ -33,6 +33,8 @@ _CODE_TO_DTYPE = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
 _DTYPE_TO_CODE = {np.dtype("float32"): DTYPE_F32, np.dtype("uint8"): DTYPE_U8}
 
 MANIFEST_NAME = "manifest.json"
+# the fields of a manifest sample entry that readers index as strings
+_ENTRY_STRINGS = ("sample_id", "volume_file", "mask_file", "provenance")
 
 
 class GridFormatError(ValueError):
@@ -121,6 +123,16 @@ def read_manifest(site_dir: Path) -> dict:
         raise GridFormatError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "frvd-site-v1":
         raise GridFormatError(f"{path}: unknown manifest format")
+    if not isinstance(manifest.get("site_id"), str):
+        raise GridFormatError(f"{path}: site_id is not a string")
+    if not isinstance(manifest.get("samples"), list):
+        raise GridFormatError(f"{path}: samples is not a list")
+    for i, entry in enumerate(manifest["samples"]):
+        if not isinstance(entry, dict):
+            raise GridFormatError(f"{path}: samples[{i}] is not an object")
+        for key in _ENTRY_STRINGS:
+            if not isinstance(entry.get(key), str):
+                raise GridFormatError(f"{path}: samples[{i}].{key} is not a string")
     return manifest
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from corruption import corrupt_grid_file
 from test_experiment import small_config
+from test_validation import MALFORMED_IDS, MALFORMED_MANIFESTS
 
 from fedrad import experiment as exp
 from fedrad.cli import main
@@ -84,6 +86,12 @@ def test_full_sim_pipeline(config_file, capsys):
         assert main(["rank", "--in", str(metrics), "--scenario", scenario]) == 0
     for f, data in snapshots.items():
         assert f.read_bytes() == data, f"{f} changed between identical runs"
+    # one scenario on its own writes the bytes of the full evaluation
+    for scenario in config.scenarios:
+        metrics = out / "eval" / scenario / "metrics.csv"
+        metrics.unlink()
+        assert main(["evaluate", "--config", str(path), "--scenario", scenario]) == 0
+        assert metrics.read_bytes() == snapshots[metrics], scenario
 
     assert main(["report", "--config", str(path)]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -338,3 +346,14 @@ def test_validate_manifest_not_an_object(tmp_path, capsys):
     (site / "manifest.json").write_text("[]")
     assert main(["validate", str(site)]) == 1
     assert "manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields,named", MALFORMED_MANIFESTS, ids=MALFORMED_IDS)
+def test_validate_malformed_manifest_is_a_usage_error(tmp_path, capsys, fields, named):
+    site = tmp_path / "site"
+    site.mkdir()
+    (site / "manifest.json").write_text(json.dumps(dict(format="frvd-site-v1", **fields)))
+    assert main(["validate", str(site)]) == 1
+    err = capsys.readouterr().err
+    assert "manifest.json" in err
+    assert re.search(named, err)

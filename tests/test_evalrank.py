@@ -245,7 +245,7 @@ def test_run_scenario_shapes(small_dataset):
     for i, sid in enumerate(("s1", "s2", "s3")):
         samples = [s for s in small_dataset.samples]
         datasets[sid] = SiteDataset(site_id=sid, train=samples[:5], test=samples[5:7])
-    result = run_scenario(Scenario.PERSONALIZATION, datasets, registry)
+    [result] = run_scenario([Scenario.PERSONALIZATION], datasets, registry)
     assert len(result.records) == 3 * 5  # shaped like the scenario grid
     labels = {label for (label, _site) in result.records}
     assert labels == {"L", "E", "FL", "Spec(E)", "Spec(FL)"}
@@ -262,7 +262,7 @@ def test_run_scenario_without_local_never_uses_own_local(small_dataset):
     samples = list(small_dataset.samples)
     datasets = {sid: SiteDataset(site_id=sid, train=samples[:5], test=samples[5:6])
                 for sid in ("s1", "s2")}
-    result = run_scenario(Scenario.GEN_WITHOUT_LOCAL, datasets, registry)
+    [result] = run_scenario([Scenario.GEN_WITHOUT_LOCAL], datasets, registry)
     assert ("L[s1]", "s1") not in result.records
     assert ("L[s1]", "s2") in result.records
     assert ("L[s2]", "s1") in result.records
@@ -277,27 +277,40 @@ def _three_site_datasets(small_dataset):
             for sid, k in (("s1", 2), ("s2", 3), ("s3", 1))}
 
 
-@pytest.mark.parametrize("scenario", list(Scenario))
-def test_run_scenario_one_field_per_member_and_sample(small_dataset, monkeypatch, scenario):
+def test_run_scenario_one_field_per_member_and_sample(small_dataset, monkeypatch):
+    """One call over every scenario computes each member model's field once
+    per test sample; each (scenario, variant, sample) is still predicted once
+    and scored once per lesion class."""
+    import fedrad.evalrank as evalrank
     import fedrad.learner as learner
+    import fedrad.metrics as metrics
     registry = _registry(sites=("s1", "s2", "s3"), rng_seed=11)
     datasets = _three_site_datasets(small_dataset)
     roster = sorted(registry.locals)
-    want = 0
+    want_fields = want_preds = 0
     for site in roster:
-        distinct = {id(m) for v in scenario_variants(scenario, roster, site)
-                    for m, _ in resolve_variant(v, registry, site)}
-        want += len(distinct) * len(datasets[site].test)
-    calls = []
-    real_forward = learner.forward
+        variants = [v for scenario in Scenario
+                    for v in scenario_variants(scenario, roster, site)]
+        distinct = {id(m) for v in variants for m, _ in resolve_variant(v, registry, site)}
+        want_fields += len(distinct) * len(datasets[site].test)
+        want_preds += len(variants) * len(datasets[site].test)
+    calls = {"extract_features": 0, "forward": 0, "ensemble_predict": 0, "score_pair": 0}
 
-    def counting_forward(w, features):
-        calls.append(1)
-        return real_forward(w, features)
+    def counting(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(learner, "forward", counting_forward)
-    run_scenario(scenario, datasets, registry)
-    assert len(calls) == want
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(learner, "extract_features")
+    counting(learner, "forward")
+    counting(evalrank, "ensemble_predict")
+    counting(metrics, "score_pair")
+    run_scenario(list(Scenario), datasets, registry)
+    assert calls == {"extract_features": want_fields, "forward": want_fields,
+                     "ensemble_predict": want_preds, "score_pair": 3 * want_preds}
 
 
 def _same_value(a, b):
@@ -306,6 +319,8 @@ def _same_value(a, b):
 
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_run_scenario_matches_weights_based_reference(small_dataset, scenario):
+    """A scenario's records from one call over all scenarios, in either
+    order, equal the reference loop's."""
     from oracles import reference_scenario_records
     registry = _registry(sites=("s1", "s2", "s3"), rng_seed=13)
     # the federated models carry their own feature normalizations
@@ -315,15 +330,18 @@ def test_run_scenario_matches_weights_based_reference(small_dataset, scenario):
         registry.fed_leave_out[s].feature_config = FeatureConfig(
             shift=-450.0, scale=80.0, clip_low=-1000.0, clip_high=200.0)
     datasets = _three_site_datasets(small_dataset)
-    got = run_scenario(scenario, datasets, registry).records
     want = reference_scenario_records(scenario, datasets, registry)
-    assert list(got) == list(want)
-    for key in want:
-        assert len(got[key]) == len(want[key]), key
-        for g, w in zip(got[key], want[key]):
-            assert (g.sample_id, g.class_id, g.metric, g.status) == \
-                   (w.sample_id, w.class_id, w.metric, w.status), key
-            assert _same_value(g.value, w.value), (key, g, w)
+    for order in (list(Scenario), list(reversed(Scenario))):
+        results = run_scenario(order, datasets, registry)
+        assert [r.scenario for r in results] == order
+        got = results[order.index(scenario)].records
+        assert list(got) == list(want)
+        for key in want:
+            assert len(got[key]) == len(want[key]), key
+            for g, w in zip(got[key], want[key]):
+                assert (g.sample_id, g.class_id, g.metric, g.status) == \
+                       (w.sample_id, w.class_id, w.metric, w.status), key
+                assert _same_value(g.value, w.value), (key, g, w)
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
@@ -334,7 +352,7 @@ def test_rank_records_survives_csv_roundtrip(small_dataset, tmp_path, scenario):
     samples = list(small_dataset.samples)
     datasets = {sid: SiteDataset(site_id=sid, train=samples[:5], test=samples[5:7])
                 for sid in ("s1", "s2", "s3")}
-    result = run_scenario(scenario, datasets, registry)
+    [result] = run_scenario([scenario], datasets, registry)
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, result.records, "e" * 64)
     back, _digest = read_metrics_csv(path)

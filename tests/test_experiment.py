@@ -53,6 +53,8 @@ def test_config_validation(tmp_path):
         replace(config, transport="carrier-pigeon")
     with pytest.raises(ValueError):
         replace(config, scenarios=("nonsense",))
+    with pytest.raises(ValueError, match="duplicate scenarios"):
+        replace(config, scenarios=("personalization", "personalization"))
     with pytest.raises(ValueError):
         replace(config, sites=config.sites + (config.sites[0],))
 

@@ -189,9 +189,11 @@ def _meta(**fp_fields):
     _meta(spacing_mean=2.0),
     _meta(class_voxel_freqs=None),
     _meta(n_samples=[3]),
+    b'{"round_index": 1e999, "experiment_seed": 42, "fp_avg": null}',
+    _meta(n_samples=float("inf")),
 ], ids=["bad-json", "not-ascii", "not-an-object", "fp-avg-missing", "fp-avg-string",
         "fp-avg-incomplete", "round-index-string", "mean-string", "spacing-scalar",
-        "freqs-null", "count-list"])
+        "freqs-null", "count-list", "round-index-overflow", "count-infinite"])
 def test_bad_checkpoint_metadata_is_a_mismatch(tmp_path, meta):
     path = tmp_path / "bad.frck"
     _write_raw_checkpoint(path, _meta())
@@ -199,6 +201,36 @@ def test_bad_checkpoint_metadata_is_a_mismatch(tmp_path, meta):
     _write_raw_checkpoint(path, meta)
     with pytest.raises(CheckpointMismatch, match="bad metadata"):
         load_checkpoint(path)
+
+
+def test_mutated_checkpoints_raise_only_mismatch(tmp_path, rng):
+    """Seeded truncations, bit flips, appends and deletions of a good
+    checkpoint either load or raise CheckpointMismatch, nothing else."""
+    path = tmp_path / "c.frck"
+    _ckpt(rng).save(path)
+    good = path.read_bytes()
+    fuzz = np.random.default_rng(20240117)
+    outcomes = {"loaded": 0, "refused": 0}
+    for _ in range(10_000):
+        raw = bytearray(good)
+        op = fuzz.integers(4)
+        if op == 0:
+            del raw[fuzz.integers(len(raw)):]
+        elif op == 1:
+            for _ in range(fuzz.integers(1, 4)):
+                raw[fuzz.integers(len(raw))] ^= 1 << int(fuzz.integers(8))
+        elif op == 2:
+            raw += fuzz.bytes(int(fuzz.integers(1, 17)))
+        else:
+            start = fuzz.integers(len(raw))
+            del raw[start:start + fuzz.integers(1, 17)]
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+            outcomes["loaded"] += 1
+        except CheckpointMismatch:
+            outcomes["refused"] += 1
+    assert outcomes["loaded"] > 0 and outcomes["refused"] > 0, outcomes
 
 
 # ---------------------------------------------------------------------------

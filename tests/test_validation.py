@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,34 @@ def test_injection_detected_with_exactly_that_code(code):
 def test_manifest_not_an_object_refused(tmp_path):
     (tmp_path / "manifest.json").write_text("[]")
     with pytest.raises(GridFormatError, match="manifest"):
+        validate_site_dir(tmp_path)
+
+
+_ENTRY = {"sample_id": "a", "split": "test", "provenance": "manual",
+          "volume_file": "a.vol.frvd", "mask_file": "a.mask.frvd"}
+# (manifest fields besides "format", the field the error must name)
+MALFORMED_MANIFESTS = [
+    ({"samples": []}, "site_id"),
+    ({"site_id": 3, "samples": []}, "site_id"),
+    ({"site_id": "x"}, "samples"),
+    ({"site_id": "x", "samples": {"a": _ENTRY}}, "samples"),
+    ({"site_id": "x", "samples": [1]}, r"samples\[0\]"),
+    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id=None)]},
+     r"samples\[1\]\.sample_id"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, volume_file=["a"])]}, "volume_file"),
+    ({"site_id": "x", "samples": [{k: v for k, v in _ENTRY.items() if k != "mask_file"}]},
+     "mask_file"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, provenance=2)]}, "provenance"),
+]
+MALFORMED_IDS = ["site-id-missing", "site-id-int", "samples-missing", "samples-object",
+                 "entry-int", "sample-id-null", "volume-file-list", "mask-file-missing",
+                 "provenance-int"]
+
+
+@pytest.mark.parametrize("fields,named", MALFORMED_MANIFESTS, ids=MALFORMED_IDS)
+def test_malformed_manifest_names_the_field(tmp_path, fields, named):
+    (tmp_path / "manifest.json").write_text(json.dumps(dict(format="frvd-site-v1", **fields)))
+    with pytest.raises(GridFormatError, match=named):
         validate_site_dir(tmp_path)
 
 

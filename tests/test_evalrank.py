@@ -277,23 +277,10 @@ def _three_site_datasets(small_dataset):
             for sid, k in (("s1", 2), ("s2", 3), ("s3", 1))}
 
 
-def test_run_scenario_one_field_per_member_and_sample(small_dataset, monkeypatch):
-    """One call over every scenario computes each member model's field once
-    per test sample; each (scenario, variant, sample) is still predicted once
-    and scored once per lesion class."""
+def _count_calls(monkeypatch):
     import fedrad.evalrank as evalrank
     import fedrad.learner as learner
     import fedrad.metrics as metrics
-    registry = _registry(sites=("s1", "s2", "s3"), rng_seed=11)
-    datasets = _three_site_datasets(small_dataset)
-    roster = sorted(registry.locals)
-    want_fields = want_preds = 0
-    for site in roster:
-        variants = [v for scenario in Scenario
-                    for v in scenario_variants(scenario, roster, site)]
-        distinct = {id(m) for v in variants for m, _ in resolve_variant(v, registry, site)}
-        want_fields += len(distinct) * len(datasets[site].test)
-        want_preds += len(variants) * len(datasets[site].test)
     calls = {"extract_features": 0, "forward": 0, "ensemble_predict": 0, "score_pair": 0}
 
     def counting(module, name):
@@ -308,9 +295,42 @@ def test_run_scenario_one_field_per_member_and_sample(small_dataset, monkeypatch
     counting(learner, "forward")
     counting(evalrank, "ensemble_predict")
     counting(metrics, "score_pair")
+    return calls
+
+
+def _want_counts(scenarios, datasets, registry):
+    roster = sorted(registry.locals)
+    want_fields = want_preds = 0
+    for site in roster:
+        variants = [v for scenario in scenarios
+                    for v in scenario_variants(scenario, roster, site)]
+        distinct = {id(m) for v in variants for m, _ in resolve_variant(v, registry, site)}
+        want_fields += len(distinct) * len(datasets[site].test)
+        want_preds += len(variants) * len(datasets[site].test)
+    return {"extract_features": want_fields, "forward": want_fields,
+            "ensemble_predict": want_preds, "score_pair": 3 * want_preds}
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_run_scenario_one_field_per_member_and_sample(small_dataset, monkeypatch, scenario):
+    """A call for one scenario computes each member model's field once per
+    test sample, and predicts and scores each (variant, sample) once."""
+    registry = _registry(sites=("s1", "s2", "s3"), rng_seed=11)
+    datasets = _three_site_datasets(small_dataset)
+    calls = _count_calls(monkeypatch)
+    run_scenario([scenario], datasets, registry)
+    assert calls == _want_counts([scenario], datasets, registry)
+
+
+def test_run_all_scenarios_one_field_per_member_and_sample(small_dataset, monkeypatch):
+    """One call over every scenario computes each member model's field once
+    per test sample; each (scenario, variant, sample) is still predicted once
+    and scored once per lesion class."""
+    registry = _registry(sites=("s1", "s2", "s3"), rng_seed=11)
+    datasets = _three_site_datasets(small_dataset)
+    calls = _count_calls(monkeypatch)
     run_scenario(list(Scenario), datasets, registry)
-    assert calls == {"extract_features": want_fields, "forward": want_fields,
-                     "ensemble_predict": want_preds, "score_pair": 3 * want_preds}
+    assert calls == _want_counts(list(Scenario), datasets, registry)
 
 
 def _same_value(a, b):

@@ -18,7 +18,6 @@ Set FEDRAD_LOG=error|warn|info|debug to control logging.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -32,7 +31,7 @@ from .evalrank import (ModelRegistry, Scenario, rank_records, rank_summary_dict,
 from .fedproto import ExperimentAborted, checkpoint_path, load_checkpoint, run_client, run_server
 from .fingerprint import derive_config
 from .records import read_metrics_csv, write_metrics_csv
-from .seeding import check_stamp, read_stamped_csv, read_stamped_json, write_json
+from .seeding import check_stamp, read_stamped_csv, read_stamped_json, to_dict, write_json
 from .simnet import run_simulated
 from .transport import TcpServerTransport, connect_tcp
 from .validation import validate_site_dir
@@ -56,7 +55,7 @@ def _setup_logging() -> None:
 def _load_config(path: str) -> exp.ExperimentConfig:
     try:
         return exp.load_config(Path(path))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+    except (OSError, ValueError) as err:
         raise SystemExit(f"fedrad: cannot load config {path}: {err}")
 
 
@@ -195,7 +194,7 @@ def cmd_serve(args) -> int:
     # fed model's feature config derives from it, so the server needs no site data.
     final = load_checkpoint(checkpoint_path(ckpt_dir, config.rounds),
                             expected_digest=config.digest)
-    derived = derive_config(final.fp_avg, config.seed, config.train)
+    derived = derive_config(final.fp_avg, config.seed)
     registry.fed = exp.TrainedModel(weights=weights,
                                     feature_config=derived.feature_config)
     exp.save_registry(registry, out, config.digest)
@@ -267,7 +266,7 @@ def cmd_report(args) -> int:
     config = _load_config(args.config)
     out = _out_dir(config)
     report: dict = {"experiment": config.digest, "name": config.name,
-                    "config": config.to_dict(), "scenarios": {}}
+                    "config": to_dict(config), "scenarios": {}}
 
     for name in config.scenarios:
         edir = exp.eval_dir(out, name)

@@ -112,35 +112,6 @@ class SiteProfile:
     cc_count_regime: CcRegime
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "site_id": self.site_id,
-            "n_samples": self.n_samples,
-            "grid_dims": list(self.grid_dims),
-            "spacing": list(self.spacing),
-            "intensity_mean": self.intensity_mean,
-            "intensity_std": self.intensity_std,
-            "class_prevalence": list(self.class_prevalence),
-            "lesion_volume_scale": self.lesion_volume_scale,
-            "cc_count_regime": self.cc_count_regime.value,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SiteProfile":
-        return cls(
-            site_id=d["site_id"],
-            n_samples=int(d["n_samples"]),
-            grid_dims=tuple(int(v) for v in d["grid_dims"]),
-            spacing=tuple(float(v) for v in d["spacing"]),
-            intensity_mean=float(d["intensity_mean"]),
-            intensity_std=float(d["intensity_std"]),
-            class_prevalence=tuple(float(v) for v in d["class_prevalence"]),
-            lesion_volume_scale=float(d["lesion_volume_scale"]),
-            cc_count_regime=CcRegime(d["cc_count_regime"]),
-            seed=int(d["seed"]),
-        )
-
 
 @dataclass
 class SiteDataset:

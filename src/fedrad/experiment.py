@@ -31,7 +31,7 @@ from .fedproto import AGG_STRICT, AGG_TOLERANT, ServerParams
 from .fingerprint import compute_fingerprint, derive_config
 from .learner import (FeatureConfig, TrainConfig, build_training_matrix, load_weights,
                       save_weights, site_train_seed, train_epochs)
-from .seeding import check_stamp, digest_of, read_stamped_json, write_json
+from .seeding import check_stamp, digest_of, from_dict, read_stamped_json, to_dict, write_json
 from .simnet import DEFAULT_PER_BATCH_SECONDS, SiteLink
 
 logger = logging.getLogger(__name__)
@@ -47,8 +47,8 @@ class ExperimentConfig:
     rounds: int
     sites: tuple[SiteProfile, ...]
     train: TrainConfig
-    links: tuple[SiteLink, ...]
-    scenarios: tuple[str, ...]
+    links: tuple[SiteLink, ...] = ()
+    scenarios: tuple[str, ...] = ()
     aggregation: str = AGG_STRICT
     transport: str = TRANSPORT_SIM
     round_timeout_s: float = 60.0
@@ -82,58 +82,21 @@ class ExperimentConfig:
     def site_ids(self) -> tuple[str, ...]:
         return tuple(sorted(p.site_id for p in self.sites))
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "rounds": self.rounds,
-            "sites": [p.to_dict() for p in self.sites],
-            "train": self.train.to_dict(),
-            "links": [l.to_dict() for l in self.links],
-            "scenarios": list(self.scenarios),
-            "aggregation": self.aggregation,
-            "transport": self.transport,
-            "round_timeout_s": self.round_timeout_s,
-            "setup_timeout_s": self.setup_timeout_s,
-            "per_batch_seconds": self.per_batch_seconds,
-            "test_fraction": self.test_fraction,
-            "stratify_class": self.stratify_class,
-            "output_dir": self.output_dir,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        train = dict(d["train"])
-        train.setdefault("seed", d["seed"])
-        return cls(
-            name=d["name"],
-            seed=int(d["seed"]),
-            rounds=int(d["rounds"]),
-            sites=tuple(SiteProfile.from_dict(p) for p in d["sites"]),
-            train=TrainConfig.from_dict(train),
-            links=tuple(SiteLink.from_dict(l) for l in d.get("links", [])),
-            scenarios=tuple(d.get("scenarios", [])),
-            aggregation=d.get("aggregation", AGG_STRICT),
-            transport=d.get("transport", TRANSPORT_SIM),
-            round_timeout_s=float(d.get("round_timeout_s", 60.0)),
-            setup_timeout_s=float(d.get("setup_timeout_s", 120.0)),
-            per_batch_seconds=float(d.get("per_batch_seconds", DEFAULT_PER_BATCH_SECONDS)),
-            test_fraction=float(d.get("test_fraction", 0.2)),
-            stratify_class=int(d.get("stratify_class", CLASS_PE)),
-            output_dir=d.get("output_dir", "runs/default"),
-        )
-
     @property
     def digest(self) -> str:
-        return digest_of(self.to_dict())
+        return digest_of(to_dict(self))
 
 
 def load_config(path: Path) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(json.loads(Path(path).read_text()))
+    """Read a config file; ``train.seed`` defaults to the experiment seed."""
+    doc = json.loads(Path(path).read_text())
+    if isinstance(doc, dict) and isinstance(doc.get("train"), dict) and "seed" in doc:
+        doc["train"].setdefault("seed", doc["seed"])
+    return from_dict(ExperimentConfig, doc)
 
 
 def save_config(config: ExperimentConfig, path: Path) -> None:
-    write_json(path, config.to_dict())
+    write_json(path, to_dict(config))
 
 
 def leave_out_config(config: ExperimentConfig, held_out: str) -> ExperimentConfig:
@@ -226,7 +189,7 @@ def load_all(config: ExperimentConfig, out: Path) -> dict[str, SiteDataset]:
 def train_local_model(config: ExperimentConfig, dataset: SiteDataset) -> TrainedModel:
     """Train one site's standalone model, self-configured from its own data."""
     fp = compute_fingerprint(dataset.train)
-    derived = derive_config(fp, config.seed, config.train)
+    derived = derive_config(fp, config.seed)
     features, labels = build_training_matrix(dataset.train, derived.feature_config)
     cfg = replace(config.train, seed=site_train_seed(config.train.seed, dataset.site_id))
     weights = train_epochs(derived.init_weights, features, labels, cfg)
@@ -268,8 +231,7 @@ def save_registry(registry: ModelRegistry, out: Path, experiment_digest: str) ->
     def put(name: str, model: TrainedModel) -> None:
         fname = name.replace(":", "_") + ".frwt"
         save_weights(mdir / fname, model.weights)
-        entries[name] = {"file": fname,
-                         "feature_config": model.feature_config.to_dict()}
+        entries[name] = {"file": fname, "feature_config": to_dict(model.feature_config)}
 
     for sid, model in sorted(registry.locals.items()):
         put(_model_entry_name("local", sid), model)
@@ -293,7 +255,7 @@ def load_registry(out: Path, experiment_digest: str) -> ModelRegistry:
     for name, entry in doc["models"].items():
         model = TrainedModel(
             weights=load_weights(mdir / entry["file"]),
-            feature_config=FeatureConfig.from_dict(entry["feature_config"]),
+            feature_config=from_dict(FeatureConfig, entry["feature_config"]),
         )
         if name.startswith("local:"):
             registry.locals[name.split(":", 1)[1]] = model

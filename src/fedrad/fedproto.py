@@ -38,6 +38,7 @@ from .dataset import SiteDataset
 from .fingerprint import DatasetFingerprint, average_fingerprints, compute_fingerprint, derive_config
 from .learner import (TrainConfig, WEIGHT_LEN, build_training_matrix, save_weights,
                       site_train_seed, train_epochs)
+from .seeding import from_dict, to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -98,7 +99,7 @@ class Checkpoint:
     def save(self, path: Path) -> Path:
         meta = {
             "round_index": self.round_index,
-            "fp_avg": self.fp_avg.to_dict(),
+            "fp_avg": to_dict(self.fp_avg),
             "experiment_seed": self.experiment_seed,
         }
         body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
@@ -136,13 +137,13 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
     try:
         meta = json.loads(raw[_CKPT_HEADER.size:body_end].decode("ascii"))
         return Checkpoint(
-            round_index=int(meta["round_index"]),
+            round_index=from_dict(int, meta["round_index"], "round_index"),
             weights=weights,
-            fp_avg=DatasetFingerprint.from_dict(meta["fp_avg"]),
-            experiment_seed=int(meta["experiment_seed"]),
+            fp_avg=from_dict(DatasetFingerprint, meta["fp_avg"], "fp_avg"),
+            experiment_seed=from_dict(int, meta["experiment_seed"], "experiment_seed"),
             experiment_digest=digest,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"{path}: bad metadata: {exc!r}") from exc
 
 
@@ -203,7 +204,7 @@ class Federation:
                  resumed: Checkpoint | None = None):
         self.params = params
         self.fp_avg = average_fingerprints([fingerprints[s] for s in params.expected_sites])
-        self.derived = derive_config(self.fp_avg, params.experiment_seed, params.train)
+        self.derived = derive_config(self.fp_avg, params.experiment_seed)
         self._ckpt_dir = Path(params.checkpoint_dir) if params.checkpoint_dir else None
         if self._ckpt_dir:
             self._ckpt_dir.mkdir(parents=True, exist_ok=True)
@@ -514,7 +515,7 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
                 raise _client_abort(conn, f"config digest mismatch: server has "
                                           f"{msg.experiment_digest[:12]}..., site expects "
                                           f"{expected_digest[:12]}...")
-            derived = derive_config(msg.fp_avg, msg.experiment_seed, msg.train)
+            derived = derive_config(msg.fp_avg, msg.experiment_seed)
             features, labels = build_training_matrix(dataset.train, derived.feature_config)
             local_cfg = replace(msg.train, epochs=1,
                                 seed=site_train_seed(msg.train.seed, site_id))

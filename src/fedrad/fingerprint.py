@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import N_CLASSES, Sample
-from .learner import FeatureConfig, TrainConfig, WEIGHT_LEN
-from .seeding import digest_of, rng_from
+from .learner import FeatureConfig, WEIGHT_LEN
+from .seeding import digest_of, rng_from, to_dict
 
 STD_EPSILON = 1e-6
 
@@ -37,32 +37,9 @@ class DatasetFingerprint:
     spacing_mean: tuple[float, float, float]
     class_voxel_freqs: tuple[float, float, float, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "intensity_mean": self.intensity_mean,
-            "intensity_std": self.intensity_std,
-            "intensity_p005": self.intensity_p005,
-            "intensity_p995": self.intensity_p995,
-            "spacing_mean": list(self.spacing_mean),
-            "class_voxel_freqs": list(self.class_voxel_freqs),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetFingerprint":
-        return cls(
-            n_samples=int(d["n_samples"]),
-            intensity_mean=float(d["intensity_mean"]),
-            intensity_std=float(d["intensity_std"]),
-            intensity_p005=float(d["intensity_p005"]),
-            intensity_p995=float(d["intensity_p995"]),
-            spacing_mean=tuple(float(v) for v in d["spacing_mean"]),
-            class_voxel_freqs=tuple(float(v) for v in d["class_voxel_freqs"]),
-        )
-
     @property
     def digest(self) -> str:
-        return digest_of(self.to_dict())
+        return digest_of(to_dict(self))
 
 
 def compute_fingerprint(train: Sequence[Sample]) -> DatasetFingerprint:
@@ -133,25 +110,15 @@ class DerivedConfig:
     """Everything a site derives from the averaged fingerprint."""
 
     feature_config: FeatureConfig
-    train_config: TrainConfig
     init_weights: np.ndarray
 
-    @property
-    def digest(self) -> str:
-        return digest_of({
-            "feature_config": self.feature_config.to_dict(),
-            "train_config": self.train_config.to_dict(),
-            "init_weights": [float(v) for v in self.init_weights],
-        })
 
-
-def derive_config(fp: DatasetFingerprint, experiment_seed: int,
-                  train_config: TrainConfig) -> DerivedConfig:
+def derive_config(fp: DatasetFingerprint, experiment_seed: int) -> DerivedConfig:
     """Derive the model configuration and initialization from a fingerprint.
 
-    Pure in (fingerprint, seed, train config): two sites holding the same
-    averaged fingerprint derive byte-identical configurations, which is the
-    property the federation relies on.
+    Pure in (fingerprint, seed): two sites holding the same averaged
+    fingerprint derive byte-identical configurations, which is the property
+    the federation relies on.
     """
     feature_config = FeatureConfig(
         shift=fp.intensity_mean,
@@ -161,5 +128,4 @@ def derive_config(fp: DatasetFingerprint, experiment_seed: int,
     )
     rng = rng_from("model-init", fp.digest, experiment_seed)
     init = rng.normal(0.0, INIT_WEIGHT_STD, size=WEIGHT_LEN)
-    return DerivedConfig(feature_config=feature_config,
-                         train_config=train_config, init_weights=init)
+    return DerivedConfig(feature_config=feature_config, init_weights=init)

@@ -44,40 +44,20 @@ class FeatureConfig:
     clip_low: float
     clip_high: float
 
-    def to_dict(self) -> dict:
-        return {"shift": self.shift, "scale": self.scale,
-                "clip_low": self.clip_low, "clip_high": self.clip_high}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureConfig":
-        return cls(shift=float(d["shift"]), scale=float(d["scale"]),
-                   clip_low=float(d["clip_low"]), clip_high=float(d["clip_high"]))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 20
-    batches_per_epoch: int = 50
-    batch_size: int = 256
-    learning_rate: float = 0.5
-    seed: int = 0
+    epochs: int
+    batches_per_epoch: int
+    batch_size: int
+    learning_rate: float
+    seed: int
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batches_per_epoch <= 0 or self.batch_size <= 0:
             raise ValueError("epochs, batches_per_epoch, batch_size must be positive")
         if not 0.0 <= self.learning_rate < math.inf:
             raise ValueError(f"learning_rate is negative or non-finite: {self.learning_rate!r}")
-
-    def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "batches_per_epoch": self.batches_per_epoch,
-                "batch_size": self.batch_size, "learning_rate": self.learning_rate,
-                "seed": self.seed}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(epochs=int(d["epochs"]), batches_per_epoch=int(d["batches_per_epoch"]),
-                   batch_size=int(d["batch_size"]), learning_rate=float(d["learning_rate"]),
-                   seed=int(d["seed"]))
 
 
 def site_train_seed(train_seed: int, site_id: str) -> int:

@@ -58,26 +58,6 @@ class SiteLink:
                              "(cannot crash before joining)")
         object.__setattr__(self, "offline_rounds", frozenset(self.offline_rounds))
 
-    def to_dict(self) -> dict:
-        return {
-            "site_id": self.site_id,
-            "latency_ms": self.latency_ms,
-            "speed_factor": self.speed_factor,
-            "offline_rounds": sorted(self.offline_rounds),
-            "crash_at_round": self.crash_at_round,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SiteLink":
-        return cls(
-            site_id=d["site_id"],
-            latency_ms=float(d.get("latency_ms", 0.0)),
-            speed_factor=float(d.get("speed_factor", 1.0)),
-            offline_rounds=frozenset(int(r) for r in d.get("offline_rounds", [])),
-            crash_at_round=(None if d.get("crash_at_round") is None
-                            else int(d["crash_at_round"])),
-        )
-
 
 def apply_fault_schedule(links: Sequence[SiteLink], round_index: int) -> set[str]:
     """Sites unavailable in the given round: scheduled outages plus every

@@ -35,6 +35,7 @@ _DTYPE_TO_CODE = {np.dtype("float32"): DTYPE_F32, np.dtype("uint8"): DTYPE_U8}
 MANIFEST_NAME = "manifest.json"
 # the fields of a manifest sample entry that readers index as strings
 _ENTRY_STRINGS = ("sample_id", "volume_file", "mask_file", "provenance")
+_PROVENANCES = {p.value for p in Provenance}
 
 
 class GridFormatError(ValueError):
@@ -133,6 +134,11 @@ def read_manifest(site_dir: Path) -> dict:
         for key in _ENTRY_STRINGS:
             if not isinstance(entry.get(key), str):
                 raise GridFormatError(f"{path}: samples[{i}].{key} is not a string")
+        if entry.get("split") not in ("train", "test"):
+            raise GridFormatError(f'{path}: samples[{i}].split is not "train" or "test"')
+        if entry["provenance"] not in _PROVENANCES:
+            raise GridFormatError(f"{path}: samples[{i}].provenance is not one of "
+                                  f"{sorted(_PROVENANCES)}")
     return manifest
 
 

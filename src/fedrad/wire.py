@@ -20,7 +20,7 @@ import numpy as np
 
 from .fingerprint import DatasetFingerprint
 from .learner import TrainConfig
-from .seeding import canonical_json
+from .seeding import canonical_json, from_dict, to_dict
 
 MAGIC = b"FR"
 VERSION = 1
@@ -143,7 +143,7 @@ def _weights_from(buf: bytes, what: str) -> np.ndarray:
 def _json_from(buf: bytes, what: str) -> dict:
     try:
         obj = json.loads(buf.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise MalformedPayload(f"{what}: bad JSON payload: {exc}") from exc
     if not isinstance(obj, dict):
         raise MalformedPayload(f"{what}: JSON payload is not an object")
@@ -161,15 +161,9 @@ def _encode_payload(msg: Message) -> bytes:
     if isinstance(msg, Register):
         return msg.site_id.encode("utf-8")
     if isinstance(msg, FingerprintSubmit):
-        return canonical_json(msg.fingerprint.to_dict()).encode("ascii")
+        return canonical_json(to_dict(msg.fingerprint)).encode("ascii")
     if isinstance(msg, ConfigBroadcast):
-        return canonical_json({
-            "fp_avg": msg.fp_avg.to_dict(),
-            "experiment_seed": msg.experiment_seed,
-            "rounds": msg.rounds,
-            "train": msg.train.to_dict(),
-            "experiment_digest": msg.experiment_digest,
-        }).encode("ascii")
+        return canonical_json(to_dict(msg)).encode("ascii")
     if isinstance(msg, RoundStart):
         return struct.pack("<I", msg.round_index) + _weights_bytes(msg.weights)
     if isinstance(msg, DeltaUpload):
@@ -190,17 +184,10 @@ def _decode_payload(msg_type: MsgType, buf: bytes) -> Message:
         if msg_type is MsgType.REGISTER:
             return Register(site_id=_text_from(buf, "Register"))
         if msg_type is MsgType.FINGERPRINT_SUBMIT:
-            return FingerprintSubmit(
-                fingerprint=DatasetFingerprint.from_dict(_json_from(buf, "FingerprintSubmit")))
+            return FingerprintSubmit(fingerprint=from_dict(
+                DatasetFingerprint, _json_from(buf, "FingerprintSubmit")))
         if msg_type is MsgType.CONFIG_BROADCAST:
-            d = _json_from(buf, "ConfigBroadcast")
-            return ConfigBroadcast(
-                fp_avg=DatasetFingerprint.from_dict(d["fp_avg"]),
-                experiment_seed=int(d["experiment_seed"]),
-                rounds=int(d["rounds"]),
-                train=TrainConfig.from_dict(d["train"]),
-                experiment_digest=str(d["experiment_digest"]),
-            )
+            return from_dict(ConfigBroadcast, _json_from(buf, "ConfigBroadcast"))
         if msg_type is MsgType.ROUND_START:
             if len(buf) < 4:
                 raise MalformedPayload("RoundStart: missing round index")
@@ -224,9 +211,7 @@ def _decode_payload(msg_type: MsgType, buf: bytes) -> Message:
             return FinalModel(weights=_weights_from(buf, "FinalModel"))
         if msg_type is MsgType.ABORT:
             return Abort(reason=_text_from(buf, "Abort"))
-    except ProtocolError:
-        raise
-    except (KeyError, ValueError, TypeError, struct.error) as exc:
+    except ValueError as exc:  # a record that from_dict refuses
         raise MalformedPayload(f"{msg_type.name}: {exc}") from exc
     raise UnknownType(f"unhandled message type {msg_type}")
 

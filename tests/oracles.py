@@ -151,7 +151,7 @@ def sequential_federated_reference(datasets, train_config, experiment_seed, roun
     site_ids = sorted(datasets)
     fps = [compute_fingerprint(datasets[s].train) for s in site_ids]
     fp_avg = average_fingerprints(fps)
-    derived = derive_config(fp_avg, experiment_seed, train_config)
+    derived = derive_config(fp_avg, experiment_seed)
     w = derived.init_weights.copy()
     matrices = {s: build_training_matrix(datasets[s].train, derived.feature_config)
                 for s in site_ids}

@@ -17,6 +17,7 @@ from test_validation import MALFORMED_IDS, MALFORMED_MANIFESTS
 
 from fedrad import experiment as exp
 from fedrad.cli import main
+from fedrad.seeding import to_dict
 
 
 @pytest.fixture
@@ -225,7 +226,7 @@ def test_serve_needs_no_site_data(tmp_path, capsys):
                         exp.zero_fault_links(config))
     fed = exp.load_registry(out, config.digest).fed
     assert np.array_equal(fed.weights, sim.final_weights)
-    assert fed.feature_config.to_dict() == sim.derived.feature_config.to_dict()
+    assert to_dict(fed.feature_config) == to_dict(sim.derived.feature_config)
     capsys.readouterr()
 
 

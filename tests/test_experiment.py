@@ -1,5 +1,5 @@
-import json
-from dataclasses import replace
+import enum
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +8,11 @@ import pytest
 from conftest import make_profile
 
 from fedrad import experiment as exp
+from fedrad.dataset import SiteProfile
 from fedrad.evalrank import ModelRegistry, Scenario, TrainedModel
+from fedrad.fingerprint import DatasetFingerprint
 from fedrad.learner import FeatureConfig, TrainConfig, WEIGHT_LEN
+from fedrad.seeding import from_dict, to_dict, write_json
 from fedrad.simnet import SiteLink
 
 
@@ -27,7 +30,7 @@ def small_config(tmp_path, n_sites=2, rounds=2, scenarios=("personalization",)):
 
 def test_config_roundtrip_and_digest(tmp_path):
     config = small_config(tmp_path)
-    again = exp.ExperimentConfig.from_dict(config.to_dict())
+    again = from_dict(exp.ExperimentConfig, to_dict(config))
     assert again == config
     assert again.digest == config.digest
     assert len(config.digest) == 64
@@ -41,6 +44,100 @@ def test_digest_sensitive_to_fields(tmp_path):
     config = small_config(tmp_path)
     assert replace(config, seed=config.seed + 1).digest != config.digest
     assert replace(config, rounds=config.rounds + 1).digest != config.digest
+
+
+# a different valid value, where the generic change of _changed would be refused
+_VALID_CHANGES = {"aggregation": "tolerant", "transport": "tcp",
+                  "scenarios": ("generalization_without_local",)}
+
+
+def _changed(name, value):
+    """A value of the same type as ``value`` that differs from it."""
+    if name in _VALID_CHANGES:
+        return _VALID_CHANGES[name]
+    if is_dataclass(value):
+        first = fields(value)[0].name
+        return replace(value, **{first: _changed(first, getattr(value, first))})
+    if isinstance(value, enum.Enum):
+        return next(m for m in type(value) if m is not value)
+    if isinstance(value, tuple):
+        return (_changed(name, value[0]),) + value[1:]
+    if isinstance(value, frozenset):
+        return value | {3}
+    if value is None:
+        return 3
+    return value + ("x" if isinstance(value, str) else 1)
+
+
+def _replace_in(config, record, name):
+    """``config`` with field ``name`` of its ``record`` changed."""
+    def swap(obj):
+        return replace(obj, **{name: _changed(name, getattr(obj, name))})
+    if record == "ExperimentConfig":
+        return swap(config)
+    if record == "TrainConfig":
+        return replace(config, train=swap(config.train))
+    if record == "SiteProfile":
+        return replace(config, sites=(swap(config.sites[0]),) + config.sites[1:])
+    return replace(config, links=(swap(config.links[0]),) + config.links[1:])
+
+
+@pytest.mark.parametrize("record,name", [
+    (cls.__name__, f.name)
+    for cls in (exp.ExperimentConfig, SiteProfile, SiteLink, TrainConfig) for f in fields(cls)
+])
+def test_digest_covers_every_field(tmp_path, record, name):
+    config = small_config(tmp_path)
+    changed = _replace_in(config, record, name)
+    assert changed != config
+    assert changed.digest != config.digest
+
+
+def test_every_record_roundtrips_through_its_json_form(tmp_path):
+    config = small_config(tmp_path)
+    link = SiteLink(site_id="s1", latency_ms=2.5, speed_factor=0.5,
+                    offline_rounds=frozenset({4, 2}), crash_at_round=7)
+    records = [
+        config, replace(config, links=(link,)), config.sites[0], link, SiteLink("s2"),
+        config.train,
+        FeatureConfig(shift=-500.0, scale=60.0, clip_low=-900.0, clip_high=100.0),
+        DatasetFingerprint(n_samples=12, intensity_mean=-500.0, intensity_std=55.5,
+                           intensity_p005=-900.25, intensity_p995=210.5,
+                           spacing_mean=(2.0, 1.0, 1.25),
+                           class_voxel_freqs=(0.9, 0.04, 0.04, 0.02)),
+    ]
+    for record in records:
+        assert from_dict(type(record), to_dict(record)) == record
+
+
+def test_config_keys_that_may_be_left_out(tmp_path):
+    config = small_config(tmp_path)
+    doc = to_dict(config)
+    for key in ("links", "scenarios", "aggregation", "transport", "round_timeout_s",
+                "setup_timeout_s", "per_batch_seconds", "test_fraction", "stratify_class",
+                "output_dir"):
+        del doc[key]
+    del doc["train"]["seed"]  # defaults to the experiment seed
+    path = tmp_path / "short.json"
+    write_json(path, dict(doc, seed=77))
+    assert exp.load_config(path) == exp.ExperimentConfig(
+        name=config.name, seed=77, rounds=config.rounds, sites=config.sites,
+        train=replace(config.train, seed=77))
+    assert from_dict(SiteLink, {"site_id": "s0"}) == SiteLink(site_id="s0")
+
+    for key in ("name", "seed", "rounds", "sites", "train"):
+        write_json(path, {k: v for k, v in to_dict(config).items() if k != key})
+        with pytest.raises(ValueError, match=f"^{key}: missing"):
+            exp.load_config(path)
+    doc = to_dict(config)
+    del doc["train"]["epochs"]
+    write_json(path, doc)
+    with pytest.raises(ValueError, match=r"^train\.epochs: missing"):
+        exp.load_config(path)
+    del doc["sites"][0]["seed"]
+    write_json(path, doc)
+    with pytest.raises(ValueError, match=r"^sites\[0\]\.seed: missing"):
+        exp.load_config(path)
 
 
 def test_config_validation(tmp_path):
@@ -160,7 +257,7 @@ def test_default_config_stable_digest():
     assert set(c1.scenarios) == {s.value for s in Scenario}
 
 
-def test_default_config_matches_shipped_file():
+def test_default_config_matches_shipped_file(tmp_path):
     shipped = Path(__file__).parent.parent / "configs" / "default.json"
-    config = exp.default_config(3)
-    assert json.loads(shipped.read_text()) == config.to_dict()
+    write_json(tmp_path / "default.json", to_dict(exp.default_config(3)))
+    assert (tmp_path / "default.json").read_bytes() == shipped.read_bytes()

@@ -15,6 +15,7 @@ from fedrad.fedproto import (AGG_TOLERANT, Checkpoint, CheckpointMismatch, Exper
                              ServerParams, aggregate, checkpoint_path, load_checkpoint,
                              run_client, run_server)
 from fedrad.learner import TrainConfig, WEIGHT_LEN
+from fedrad.seeding import to_dict
 from fedrad.transport import InProcessHub, TcpServerTransport, connect_tcp
 
 TRAIN = TrainConfig(epochs=1, batches_per_epoch=5, batch_size=32, learning_rate=0.3, seed=77)
@@ -174,7 +175,7 @@ def test_version_2_checkpoint_refused(tmp_path):
 def _meta(**fp_fields):
     """Checkpoint metadata whose fingerprint has ``fp_fields`` replaced."""
     return json.dumps({"round_index": 1, "experiment_seed": 42,
-                       "fp_avg": dict(FP.to_dict(), **fp_fields)}).encode("ascii")
+                       "fp_avg": dict(to_dict(FP), **fp_fields)}).encode("ascii")
 
 
 @pytest.mark.parametrize("meta", [
@@ -191,9 +192,10 @@ def _meta(**fp_fields):
     _meta(n_samples=[3]),
     b'{"round_index": 1e999, "experiment_seed": 42, "fp_avg": null}',
     _meta(n_samples=float("inf")),
+    _meta(spacing_mean=[2.0, 1.0]),
 ], ids=["bad-json", "not-ascii", "not-an-object", "fp-avg-missing", "fp-avg-string",
         "fp-avg-incomplete", "round-index-string", "mean-string", "spacing-scalar",
-        "freqs-null", "count-list", "round-index-overflow", "count-infinite"])
+        "freqs-null", "count-list", "round-index-overflow", "count-infinite", "spacing-short"])
 def test_bad_checkpoint_metadata_is_a_mismatch(tmp_path, meta):
     path = tmp_path / "bad.frck"
     _write_raw_checkpoint(path, _meta())
@@ -255,7 +257,7 @@ def test_single_site_equals_local_training():
     from fedrad.fingerprint import compute_fingerprint, derive_config
     from fedrad.learner import build_training_matrix, site_train_seed, train_epochs
     fp = compute_fingerprint(datasets["solo"].train)
-    derived = derive_config(fp, params.experiment_seed, TRAIN)
+    derived = derive_config(fp, params.experiment_seed)
     X, y = build_training_matrix(datasets["solo"].train, derived.feature_config)
     cfg = replace(TRAIN, epochs=4, seed=site_train_seed(TRAIN.seed, "solo"))
     local = train_epochs(derived.init_weights, X, y, cfg)
@@ -274,7 +276,7 @@ def test_client_delta_is_definitional(tmp_path):
     from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
     from fedrad.learner import build_training_matrix, site_train_seed, train_epochs
     fps = [compute_fingerprint(datasets[s].train) for s in ("s1", "s2")]
-    derived = derive_config(average_fingerprints(fps), params.experiment_seed, TRAIN)
+    derived = derive_config(average_fingerprints(fps), params.experiment_seed)
     w0 = derived.init_weights
     deltas = {}
     for sid in ("s1", "s2"):
@@ -311,7 +313,7 @@ def _partial_client(datasets, sid, hub, last_round):
         msg = conn.recv(timeout=30)
         if isinstance(msg, wire.ConfigBroadcast):
             cfg = msg
-            derived = derive_config(cfg.fp_avg, cfg.experiment_seed, cfg.train)
+            derived = derive_config(cfg.fp_avg, cfg.experiment_seed)
             matrix = build_training_matrix(datasets[sid].train, derived.feature_config)
             local = replace(cfg.train, epochs=1, seed=site_train_seed(cfg.train.seed, sid))
         elif isinstance(msg, wire.RoundStart):
@@ -369,6 +371,20 @@ def test_setup_timeout_when_site_never_registers():
     params = make_params(["s1", "s2"], rounds=2, setup_timeout_s=1.0)
     server_out, _ = run_experiment(params, datasets, joining=["s1"])
     assert isinstance(server_out.get("exc"), ExperimentAborted)
+
+
+def test_ill_formed_fingerprint_is_a_setup_abort():
+    # a fingerprint with two spacings is refused on decode, so the site never
+    # counts as submitted and the setup deadline aborts the run
+    from dataclasses import replace
+    from fedrad import wire
+    hub = InProcessHub()
+    site = hub.connect()
+    site.send(wire.Register(site_id="s1"))
+    site.send(wire.FingerprintSubmit(fingerprint=replace(FP, spacing_mean=(2.0, 0.9))))
+    with pytest.raises(ExperimentAborted, match="setup timeout"):
+        run_server(make_params(["s1"], rounds=1, setup_timeout_s=0.5), hub)
+    site.close()
 
 
 def test_tolerant_aggregates_over_responders():

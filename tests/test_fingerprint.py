@@ -6,9 +6,8 @@ from conftest import make_profile, make_sample
 from fedrad.dataset import generate_site_dataset
 from fedrad.fingerprint import (DatasetFingerprint, STD_EPSILON, average_fingerprints,
                                 compute_fingerprint, derive_config)
-from fedrad.learner import TrainConfig, WEIGHT_LEN
-
-TRAIN = TrainConfig(epochs=2, batches_per_epoch=3, batch_size=4, learning_rate=0.1, seed=9)
+from fedrad.learner import WEIGHT_LEN
+from fedrad.seeding import from_dict, to_dict
 
 
 def test_constant_volume_fingerprint():
@@ -81,17 +80,16 @@ def test_average_empty_rejected():
 
 def test_derive_config_identical_across_sites(small_dataset):
     fp = compute_fingerprint(small_dataset.train)
-    d1 = derive_config(fp, 123, TRAIN)
-    d2 = derive_config(fp, 123, TRAIN)
-    assert d1.digest == d2.digest
+    d1 = derive_config(fp, 123)
+    d2 = derive_config(fp, 123)
     assert np.array_equal(d1.init_weights, d2.init_weights)
     assert d1.feature_config == d2.feature_config
 
 
 def test_derive_config_seed_changes_init_not_features(small_dataset):
     fp = compute_fingerprint(small_dataset.train)
-    d1 = derive_config(fp, 1, TRAIN)
-    d2 = derive_config(fp, 2, TRAIN)
+    d1 = derive_config(fp, 1)
+    d2 = derive_config(fp, 2)
     assert d1.feature_config == d2.feature_config
     assert not np.array_equal(d1.init_weights, d2.init_weights)
     assert d1.init_weights.shape == (WEIGHT_LEN,)
@@ -99,15 +97,15 @@ def test_derive_config_seed_changes_init_not_features(small_dataset):
 
 def test_derive_config_std_clamp():
     fp = _fp(5.0, std=0.0)
-    derived = derive_config(fp, 7, TRAIN)
+    derived = derive_config(fp, 7)
     assert derived.feature_config.scale == STD_EPSILON
     assert derived.feature_config.shift == 5.0
 
 
 def test_fingerprint_dict_roundtrip(small_dataset):
     fp = compute_fingerprint(small_dataset.train)
-    assert DatasetFingerprint.from_dict(fp.to_dict()) == fp
-    assert fp.digest == DatasetFingerprint.from_dict(fp.to_dict()).digest
+    assert from_dict(DatasetFingerprint, to_dict(fp)) == fp
+    assert fp.digest == from_dict(DatasetFingerprint, to_dict(fp)).digest
 
 
 def test_fingerprint_statistics_against_numpy():

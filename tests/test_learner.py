@@ -10,6 +10,7 @@ from fedrad.learner import (FeatureConfig, N_FEATURES, TrainConfig, WEIGHT_LEN,
                             build_training_matrix, ensemble_predict, extract_features,
                             forward, load_weights, loss_and_grad, predict, predict_proba,
                             save_weights, train_epochs)
+from fedrad.seeding import from_dict
 
 FC = FeatureConfig(shift=0.0, scale=1.0, clip_low=-1e6, clip_high=1e6)
 
@@ -142,10 +143,11 @@ def test_training_zero_learning_rate(rng):
 
 @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -0.1])
 def test_train_config_refuses_bad_learning_rate(bad):
+    good = dict(epochs=1, batches_per_epoch=1, batch_size=1, learning_rate=0.5, seed=0)
     with pytest.raises(ValueError):
-        TrainConfig(learning_rate=bad)
-    with pytest.raises(ValueError):
-        TrainConfig.from_dict({**TrainConfig().to_dict(), "learning_rate": bad})
+        TrainConfig(**{**good, "learning_rate": bad})
+    with pytest.raises(ValueError, match="learning_rate"):
+        from_dict(TrainConfig, {**good, "learning_rate": bad})
 
 
 def test_training_deterministic(rng):
@@ -242,7 +244,7 @@ def test_labels_out_of_range_rejected(rng, bad):
     labels[5] = bad
     with pytest.raises(ValueError, match="labels out of range"):
         loss_and_grad(np.zeros(WEIGHT_LEN), features, labels)
-    cfg = TrainConfig(epochs=1, batches_per_epoch=4, batch_size=16, seed=0)
+    cfg = TrainConfig(epochs=1, batches_per_epoch=4, batch_size=16, learning_rate=0.5, seed=0)
     with pytest.raises(ValueError, match="labels out of range"):
         train_epochs(np.zeros(WEIGHT_LEN), features, np.full(16, bad), cfg)
 
@@ -254,7 +256,7 @@ def test_non_finite_start_weights_rejected(rng, bad):
     w[3] = bad
     with pytest.raises(ValueError, match="non-finite"):
         loss_and_grad(w, features, labels)
-    cfg = TrainConfig(epochs=1, batches_per_epoch=2, batch_size=8, seed=0)
+    cfg = TrainConfig(epochs=1, batches_per_epoch=2, batch_size=8, learning_rate=0.5, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
         train_epochs(w, features, labels, cfg)
 
@@ -266,8 +268,8 @@ def test_diverging_run_raises_instead_of_returning_non_finite(rng, epochs, batch
     if np.isinf(learning_rate):
         # refused up front, before a first step could overflow
         with pytest.raises(ValueError, match="non-finite"):
-            TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch,
-                        learning_rate=learning_rate)
+            TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch, batch_size=16,
+                        learning_rate=learning_rate, seed=0)
         return
     # the first step already overflows, so (1, 1) can only be caught on return
     features, labels = random_batch(rng, n=64)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import fedrad
-from fedrad.seeding import (canonical_json, derive_seed, digest_of, read_stamped_csv,
-                            read_stamped_json, rng_from, stamped_csv, write_json)
+from fedrad.experiment import ExperimentConfig, default_config
+from fedrad.seeding import (canonical_json, derive_seed, digest_of, from_dict,
+                            read_stamped_csv, read_stamped_json, rng_from, stamped_csv,
+                            to_dict, write_json)
 
 
 def test_canonical_json_sorted_and_compact():
@@ -68,6 +70,45 @@ def test_stamped_artifacts_roundtrip_and_refuse_foreign(tmp_path):
         write_json(doc, unstamped)
         with pytest.raises(ValueError, match="different experiment"):
             read_stamped_json(doc, "d" * 64)
+
+
+def _config_doc(path, value):
+    """The default config's JSON form with the value at ``path`` replaced."""
+    doc = to_dict(default_config(2))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path,value,named", [
+    (("rounds",), 1e999, r"^rounds: "),
+    (("round_timeout_s",), float("inf"), r"^round_timeout_s: inf is not a finite number"),
+    (("name",), 5, r"^name: expected a string"),
+    (("train",), [], r"^train: expected an object"),
+    (("train", "learning_rate"), "fast", r"^train\.learning_rate: "),
+    (("sites", 1, "grid_dims"), [16, 16], r"^sites\[1\]\.grid_dims: expected 3 items, got 2"),
+    (("sites", 1, "spacing", 2), None, r"^sites\[1\]\.spacing\[2\]: "),
+    (("sites", 0, "cc_count_regime"), "bogus", r"^sites\[0\]\.cc_count_regime: "),
+    (("links", 1, "offline_rounds"), "12", r"^links\[1\]\.offline_rounds: expected a list"),
+    (("links", 0, "crash_at_round"), "later", r"^links\[0\]\.crash_at_round: "),
+    (("links", 0, "speed_factor"), 0, r"^links\[0\]: site_a: speed_factor must be positive"),
+    (("scenarios",), ["personalization", "personalization"], r"^ExperimentConfig: duplicate"),
+])
+def test_from_dict_names_the_field(path, value, named):
+    with pytest.raises(ValueError, match=named):
+        from_dict(ExperimentConfig, _config_doc(path, value))
+
+
+def test_from_dict_converts_by_type():
+    config = from_dict(ExperimentConfig, _config_doc(("links", 0, "offline_rounds"), [3, 2, 3]))
+    assert config.links[0].offline_rounds == frozenset({2, 3})
+    assert to_dict(config.links[0])["offline_rounds"] == [2, 3]
+    assert from_dict(ExperimentConfig, _config_doc(("rounds",), 7.0)).rounds == 7
+    with pytest.raises(ValueError, match="^ExperimentConfig: expected an object"):
+        from_dict(ExperimentConfig, [])
 
 
 # A stamp read or compared by hand: .get("experiment") or ["experiment"] next

@@ -79,10 +79,16 @@ MALFORMED_MANIFESTS = [
     ({"site_id": "x", "samples": [{k: v for k, v in _ENTRY.items() if k != "mask_file"}]},
      "mask_file"),
     ({"site_id": "x", "samples": [dict(_ENTRY, provenance=2)]}, "provenance"),
+    ({"site_id": "x", "samples": [{k: v for k, v in _ENTRY.items() if k != "split"}]},
+     r"samples\[0\]\.split"),
+    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b", split="val")]},
+     r"samples\[1\]\.split"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, provenance="bogus")]},
+     r"samples\[0\]\.provenance"),
 ]
 MALFORMED_IDS = ["site-id-missing", "site-id-int", "samples-missing", "samples-object",
                  "entry-int", "sample-id-null", "volume-file-list", "mask-file-missing",
-                 "provenance-int"]
+                 "provenance-int", "split-missing", "split-unknown", "provenance-unknown"]
 
 
 @pytest.mark.parametrize("fields,named", MALFORMED_MANIFESTS, ids=MALFORMED_IDS)

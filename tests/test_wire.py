@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from fedrad import wire
 from fedrad.fingerprint import DatasetFingerprint
 from fedrad.learner import TrainConfig
+from fedrad.seeding import canonical_json, to_dict
 
 
 def sample_fp(mean=-500.0):
@@ -91,12 +94,52 @@ def test_malformed_payloads():
                                     int(wire.MsgType.FINGERPRINT_SUBMIT), 3) + b"{{{"
     with pytest.raises(wire.MalformedPayload):
         wire.decode_frame(frame)
+    # FingerprintSubmit nested deeper than the JSON parser can recurse
+    frame = wire._FRAME_HEADER.pack(wire.MAGIC, wire.VERSION,
+                                    int(wire.MsgType.FINGERPRINT_SUBMIT), 100000) + b"[" * 100000
+    with pytest.raises(wire.MalformedPayload):
+        wire.decode_frame(frame)
     # DeltaUpload whose declared site id length exceeds the payload
     body = (3).to_bytes(4, "little") + (200).to_bytes(2, "little") + b"ab"
     frame = wire._FRAME_HEADER.pack(wire.MAGIC, wire.VERSION,
                                     int(wire.MsgType.DELTA_UPLOAD), len(body)) + body
     with pytest.raises(wire.MalformedPayload):
         wire.decode_frame(frame)
+
+
+def _json_frame(msg_type, doc):
+    body = json.dumps(doc).encode("ascii")
+    return wire._FRAME_HEADER.pack(wire.MAGIC, wire.VERSION, int(msg_type), len(body)) + body
+
+
+def _broadcast_doc(**changes):
+    msg = all_message_variants(np.random.default_rng(0))[3]
+    return dict(to_dict(msg), **changes)
+
+
+@pytest.mark.parametrize("msg_type,doc", [
+    (wire.MsgType.FINGERPRINT_SUBMIT, dict(to_dict(sample_fp()), n_samples=1e999)),
+    (wire.MsgType.FINGERPRINT_SUBMIT, dict(to_dict(sample_fp()), spacing_mean=[2.0, 1.0])),
+    (wire.MsgType.FINGERPRINT_SUBMIT, dict(to_dict(sample_fp()), intensity_mean=float("nan"))),
+    (wire.MsgType.CONFIG_BROADCAST, _broadcast_doc(rounds=1e999)),
+    (wire.MsgType.CONFIG_BROADCAST, _broadcast_doc(experiment_digest=5)),
+    (wire.MsgType.CONFIG_BROADCAST, _broadcast_doc(train={"epochs": 1})),
+], ids=["count-overflow", "spacing-short", "mean-nan", "rounds-overflow", "digest-int",
+        "train-incomplete"])
+def test_ill_typed_record_is_a_malformed_payload(msg_type, doc):
+    with pytest.raises(wire.MalformedPayload):
+        wire.decode_frame(_json_frame(msg_type, doc))
+
+
+def test_record_payloads_are_their_json_form(rng):
+    # the bytes of a record message are the canonical JSON of its fields
+    fp_msg, broadcast = all_message_variants(rng)[2:4]
+    assert wire.encode_frame(fp_msg)[8:] == canonical_json(to_dict(sample_fp())).encode()
+    assert json.loads(wire.encode_frame(broadcast)[8:]) == {
+        "experiment_digest": "ab" * 32, "experiment_seed": 987654321, "rounds": 40,
+        "fp_avg": to_dict(sample_fp(-480.0)),
+        "train": {"epochs": 1, "batches_per_epoch": 7, "batch_size": 32,
+                  "learning_rate": 0.25, "seed": 11}}
 
 
 def test_retired_heartbeat_type_is_unknown():

@@ -39,39 +39,6 @@ class Scenario(str, enum.Enum):
     GEN_WITH_LOCAL = "generalization_with_local"
 
 
-class VariantKind(enum.Enum):
-    LOCAL = "local"
-    FOREIGN_LOCAL = "foreign_local"
-    ENSEMBLE = "ensemble"
-    ENSEMBLE_LEAVE_OUT = "ensemble_leave_out"
-    FED = "fed"
-    FED_LEAVE_OUT = "fed_leave_out"
-    SPEC_ENSEMBLE = "spec_ensemble"
-    SPEC_FED = "spec_fed"
-    SPEC_FED_LEAVE_OUT = "spec_fed_leave_out"
-
-
-@dataclass(frozen=True)
-class ModelVariant:
-    kind: VariantKind
-    site: str | None = None  # only FOREIGN_LOCAL carries an explicit site
-
-    @property
-    def label(self) -> str:
-        if self.kind is VariantKind.FOREIGN_LOCAL:
-            return f"L[{self.site}]"
-        return {
-            VariantKind.LOCAL: "L",
-            VariantKind.ENSEMBLE: "E",
-            VariantKind.ENSEMBLE_LEAVE_OUT: "E-loo",
-            VariantKind.FED: "FL",
-            VariantKind.FED_LEAVE_OUT: "FL-loo",
-            VariantKind.SPEC_ENSEMBLE: "Spec(E)",
-            VariantKind.SPEC_FED: "Spec(FL)",
-            VariantKind.SPEC_FED_LEAVE_OUT: "Spec(FL-loo)",
-        }[self.kind]
-
-
 @dataclass(eq=False)
 class TrainedModel:
     """Weights plus the feature normalization they were trained with; equal
@@ -88,78 +55,43 @@ class ModelRegistry:
     fed_leave_out: dict[str, TrainedModel] = field(default_factory=dict)
 
 
-def scenario_variants(scenario: Scenario, roster: Sequence[str],
-                      eval_site: str) -> list[ModelVariant]:
-    """The variant checklist compared on ``eval_site`` in a scenario."""
-    if eval_site not in roster:
-        raise ValueError(f"{eval_site!r} is not in the roster {sorted(roster)}")
-    if scenario is Scenario.PERSONALIZATION:
-        return [ModelVariant(VariantKind.LOCAL), ModelVariant(VariantKind.ENSEMBLE),
-                ModelVariant(VariantKind.FED), ModelVariant(VariantKind.SPEC_ENSEMBLE),
-                ModelVariant(VariantKind.SPEC_FED)]
-    if scenario is Scenario.GEN_WITHOUT_LOCAL:
-        foreign = [ModelVariant(VariantKind.FOREIGN_LOCAL, site=j)
-                   for j in sorted(roster) if j != eval_site]
-        return foreign + [ModelVariant(VariantKind.ENSEMBLE_LEAVE_OUT),
-                          ModelVariant(VariantKind.FED_LEAVE_OUT)]
-    if scenario is Scenario.GEN_WITH_LOCAL:
-        return [ModelVariant(VariantKind.LOCAL), ModelVariant(VariantKind.ENSEMBLE),
-                ModelVariant(VariantKind.FED_LEAVE_OUT),
-                ModelVariant(VariantKind.SPEC_ENSEMBLE),
-                ModelVariant(VariantKind.SPEC_FED_LEAVE_OUT)]
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def _require(registry_map: Mapping[str, TrainedModel], key: str, what: str) -> TrainedModel:
-    model = registry_map.get(key)
-    if model is None:
-        raise KeyError(f"missing trained model: {what}")
-    return model
-
-
-# Spec(X) -> X
-_SPECIALIZED = {VariantKind.SPEC_ENSEMBLE: VariantKind.ENSEMBLE,
-                VariantKind.SPEC_FED: VariantKind.FED,
-                VariantKind.SPEC_FED_LEAVE_OUT: VariantKind.FED_LEAVE_OUT}
-
-
-def resolve_variant(variant: ModelVariant, registry: ModelRegistry,
-                    eval_site: str) -> list[tuple[TrainedModel, float]]:
-    """Member models with probability-average weights for one variant.
+def scenario_variants(scenario: Scenario, registry: ModelRegistry, eval_site: str
+                      ) -> list[tuple[str, list[tuple[TrainedModel, float]]]]:
+    """The variants compared on ``eval_site`` in a scenario, in checklist
+    order: each variant's label and its member models with their
+    probability-average weights.
 
     Spec(X) is the two-member average of X's probability field and the
     local model's: X's members at half their weight, then the local model
     at 1/2. For an ensemble of N members that is 1/(2N) per member.
     """
+    scenario = Scenario(scenario)
     roster = sorted(registry.locals)
-    n = len(roster)
-    kind = variant.kind
+    others = [s for s in roster if s != eval_site]
+    if scenario is Scenario.GEN_WITHOUT_LOCAL and not others:
+        raise ValueError("leave-out ensemble needs at least two sites")
+    if scenario is Scenario.PERSONALIZATION:
+        fl, fed, what = "FL", registry.fed, "federated model"
+    else:
+        fl, fed = "FL-loo", registry.fed_leave_out.get(eval_site)
+        what = f"federated model excluding {eval_site}"
+    if fed is None:
+        raise KeyError(f"missing trained model: {what}")
 
-    if kind is VariantKind.LOCAL:
-        return [(_require(registry.locals, eval_site, f"local model of {eval_site}"), 1.0)]
-    if kind is VariantKind.FOREIGN_LOCAL:
-        if variant.site == eval_site:
-            raise ValueError(f"foreign local {variant.site} evaluated on its own site")
-        return [(_require(registry.locals, variant.site, f"local model of {variant.site}"), 1.0)]
-    if kind is VariantKind.ENSEMBLE:
-        return [(registry.locals[s], 1.0 / n) for s in roster]
-    if kind is VariantKind.ENSEMBLE_LEAVE_OUT:
-        others = [s for s in roster if s != eval_site]
-        if not others:
-            raise ValueError("leave-out ensemble needs at least two sites")
-        return [(registry.locals[s], 1.0 / len(others)) for s in others]
-    if kind is VariantKind.FED:
-        if registry.fed is None:
-            raise KeyError("missing trained model: federated model")
-        return [(registry.fed, 1.0)]
-    if kind is VariantKind.FED_LEAVE_OUT:
-        return [(_require(registry.fed_leave_out, eval_site,
-                          f"federated model excluding {eval_site}"), 1.0)]
-    if kind in _SPECIALIZED:
-        members = resolve_variant(ModelVariant(_SPECIALIZED[kind]), registry, eval_site)
-        local = _require(registry.locals, eval_site, f"local model of {eval_site}")
-        return [(model, w / 2) for model, w in members] + [(local, 0.5)]
-    raise ValueError(f"unknown variant kind {kind!r}")
+    federated = [(fed, 1.0)]
+    if scenario is Scenario.GEN_WITHOUT_LOCAL:
+        return ([(f"L[{j}]", [(registry.locals[j], 1.0)]) for j in others]
+                + [("E-loo", [(registry.locals[j], 1.0 / len(others)) for j in others]),
+                   ("FL-loo", federated)])
+
+    local = registry.locals[eval_site]
+    ensemble = [(registry.locals[s], 1.0 / len(roster)) for s in roster]
+
+    def spec(members):
+        return [(m, w / 2) for m, w in members] + [(local, 0.5)]
+
+    return [("L", [(local, 1.0)]), ("E", ensemble), (fl, federated),
+            ("Spec(E)", spec(ensemble)), (f"Spec({fl})", spec(federated))]
 
 
 @dataclass
@@ -193,9 +125,9 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
             raise ValueError(f"site {eval_site} has no test samples")
         checklist = []  # (records of one variant on this site, its members)
         for scenario, scenario_records in zip(scenarios, records):
-            for variant in scenario_variants(scenario, roster, eval_site):
-                out = scenario_records[(variant.label, eval_site)] = []
-                checklist.append((out, resolve_variant(variant, registry, eval_site)))
+            for label, members in scenario_variants(scenario, registry, eval_site):
+                out = scenario_records[(label, eval_site)] = []
+                checklist.append((out, members))
         for sample in sorted(test, key=lambda s: s.sample_id):
             fields: dict[TrainedModel, np.ndarray] = {}
             for out, members in checklist:
@@ -309,7 +241,7 @@ def rank_records(records: Mapping[tuple[str, str], Sequence[MetricRecord]],
     """
     values = {(model, site, metric): mean
               for (model, site), recs in records.items()
-              for metric, mean in summarize(recs, site).means.items()}
+              for metric, mean in summarize(recs, site).items()}
     return rank(values, allow_missing=scenario is Scenario.GEN_WITHOUT_LOCAL)
 
 

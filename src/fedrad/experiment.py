@@ -19,7 +19,6 @@ Output directory layout (all stages):
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,7 +30,8 @@ from .fedproto import AGG_STRICT, AGG_TOLERANT, ServerParams
 from .fingerprint import compute_fingerprint, derive_config
 from .learner import (FeatureConfig, TrainConfig, build_training_matrix, load_weights,
                       save_weights, site_train_seed, train_epochs)
-from .seeding import check_stamp, digest_of, from_dict, read_stamped_json, to_dict, write_json
+from .seeding import (check_stamp, digest_of, from_dict, parse_json, read_stamped_json, to_dict,
+                      write_json)
 from .simnet import DEFAULT_PER_BATCH_SECONDS, SiteLink
 
 logger = logging.getLogger(__name__)
@@ -89,7 +89,7 @@ class ExperimentConfig:
 
 def load_config(path: Path) -> ExperimentConfig:
     """Read a config file; ``train.seed`` defaults to the experiment seed."""
-    doc = json.loads(Path(path).read_text())
+    doc = parse_json(Path(path).read_bytes(), path)
     if isinstance(doc, dict) and isinstance(doc.get("train"), dict) and "seed" in doc:
         doc["train"].setdefault("seed", doc["seed"])
     return from_dict(ExperimentConfig, doc)

@@ -38,7 +38,7 @@ from .dataset import SiteDataset
 from .fingerprint import DatasetFingerprint, average_fingerprints, compute_fingerprint, derive_config
 from .learner import (TrainConfig, WEIGHT_LEN, build_training_matrix, save_weights,
                       site_train_seed, train_epochs)
-from .seeding import from_dict, to_dict
+from .seeding import from_dict, parse_json, to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -135,7 +135,7 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
                                  f"got {n_weight_bytes}")
     weights = np.frombuffer(raw[body_end:], dtype="<f8").copy()
     try:
-        meta = json.loads(raw[_CKPT_HEADER.size:body_end].decode("ascii"))
+        meta = parse_json(raw[_CKPT_HEADER.size:body_end], "metadata")
         return Checkpoint(
             round_index=from_dict(int, meta["round_index"], "round_index"),
             weights=weights,

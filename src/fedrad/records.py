@@ -55,15 +55,6 @@ class MetricRecord:
         return self.status in INCLUDED_STATUSES
 
 
-@dataclass(frozen=True)
-class MetricSummary:
-    site_id: str
-    means: dict[str, float]
-    n_test: int
-    n_classes: int
-    included_count: int
-
-
 def write_metrics_csv(path, records_by_model_site: dict[tuple[str, str], list[MetricRecord]],
                       experiment_digest: str) -> None:
     """Write scoring records as CSV: model,site,sample,class,metric,value,status.
@@ -100,9 +91,8 @@ def read_metrics_csv(path) -> tuple[dict[tuple[str, str], list[MetricRecord]], s
     return records, digest
 
 
-def summarize(records: Iterable[MetricRecord], site_id: str) -> MetricSummary:
+def summarize(records: Iterable[MetricRecord], site_id: str) -> dict[str, float]:
     """Per-metric mean over Scored + FNDefaulted records of one site/model."""
-    records = list(records)
     included = [rec for rec in records if rec.included]
     if not included:
         raise ValueError(f"site {site_id}: no scorable records")
@@ -111,10 +101,4 @@ def summarize(records: Iterable[MetricRecord], site_id: str) -> MetricSummary:
         vals = [rec.value for rec in included if rec.metric == metric]
         if vals:
             means[metric] = math.fsum(vals) / len(vals)
-    return MetricSummary(
-        site_id=site_id,
-        means=means,
-        n_test=len({rec.sample_id for rec in records}),
-        n_classes=len({rec.class_id for rec in records}),
-        included_count=len(included),
-    )
+    return means

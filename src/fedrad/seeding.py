@@ -172,9 +172,21 @@ def check_stamp(what: Path | str, found: str | None, digest: str, hint: str = ""
                          f"{str(found)[:12]}..., expected {digest[:12]}...){hint}")
 
 
+def parse_json(data: str | bytes, source: Any) -> Any:
+    """The document that the JSON text ``data`` (bytes are UTF-8) holds.
+
+    Text that does not decode, nesting too deep for the parser included, is
+    a ``ValueError`` naming ``source``, the file or message it came from.
+    """
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ValueError(f"{source}: not valid JSON: {exc}") from exc
+
+
 def read_stamped_json(path: Path | str, digest: str) -> dict:
     """Load a JSON artifact, refusing one not stamped with ``digest``."""
-    doc = json.loads(Path(path).read_text())
+    doc = parse_json(Path(path).read_bytes(), path)
     check_stamp(path, doc.get("experiment") if isinstance(doc, dict) else None, digest)
     return doc
 

@@ -14,14 +14,13 @@ one reserved byte, dims 3 x u32, spacing 3 x f32.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import LabelMask, Provenance, Sample, SiteDataset, SiteProfile, Volume
-from .seeding import write_json
+from .seeding import parse_json, write_json
 
 GRID_MAGIC = b"FRVD"
 GRID_VERSION = 1
@@ -119,8 +118,8 @@ def save_site_dataset(dataset: SiteDataset, site_dir: Path,
 def read_manifest(site_dir: Path) -> dict:
     path = Path(site_dir) / MANIFEST_NAME
     try:
-        manifest = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        manifest = parse_json(path.read_bytes(), path)
+    except (OSError, ValueError) as exc:
         raise GridFormatError(f"cannot read manifest {path}: {exc}") from exc
     if not isinstance(manifest, dict) or manifest.get("format") != "frvd-site-v1":
         raise GridFormatError(f"{path}: unknown manifest format")

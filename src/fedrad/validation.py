@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import N_CLASSES, Sample
+from .seeding import to_dict
 from . import siteio
 
 
@@ -33,9 +34,6 @@ class ValidationFinding:
     sample_id: str
     code: FindingCode
     detail: str
-
-    def to_dict(self) -> dict:
-        return {"sample_id": self.sample_id, "code": self.code.value, "detail": self.detail}
 
 
 @dataclass
@@ -71,7 +69,7 @@ class ValidationReport:
             "n_failed": self.n_failed,
             "counts_by_code": self.counts_by_code,
             "excluded": self.excluded,
-            "findings": [f.to_dict() for f in self.findings],
+            "findings": [to_dict(f) for f in self.findings],
         }
 
 

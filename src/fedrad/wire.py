@@ -12,7 +12,6 @@ can tell truncation from corruption.
 from __future__ import annotations
 
 import enum
-import json
 import struct
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .fingerprint import DatasetFingerprint
 from .learner import TrainConfig
-from .seeding import canonical_json, from_dict, to_dict
+from .seeding import canonical_json, from_dict, parse_json, to_dict
 
 MAGIC = b"FR"
 VERSION = 1
@@ -142,9 +141,9 @@ def _weights_from(buf: bytes, what: str) -> np.ndarray:
 
 def _json_from(buf: bytes, what: str) -> dict:
     try:
-        obj = json.loads(buf.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise MalformedPayload(f"{what}: bad JSON payload: {exc}") from exc
+        obj = parse_json(buf, what)
+    except ValueError as exc:
+        raise MalformedPayload(str(exc)) from exc
     if not isinstance(obj, dict):
         raise MalformedPayload(f"{what}: JSON payload is not an object")
     return obj

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from fedrad.dataset import LESION_CLASSES, LabelMask, Volume
-from fedrad.evalrank import resolve_variant, scenario_variants
+from fedrad.evalrank import scenario_variants
 from fedrad.fedproto import aggregate
 from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
 from fedrad.learner import (N_CLASSES, N_FEATURES, FeatureConfig, _check_weights,
@@ -242,8 +242,7 @@ def reference_scenario_records(scenario, datasets, registry):
     records = {}
     for eval_site in roster:
         test = datasets[eval_site].test
-        for variant in scenario_variants(scenario, roster, eval_site):
-            members = resolve_variant(variant, registry, eval_site)
+        for label, members in scenario_variants(scenario, registry, eval_site):
             weights = [m.weights for m, _ in members]
             configs = [m.feature_config for m, _ in members]
             mweights = [mw for _, mw in members]
@@ -254,5 +253,5 @@ def reference_scenario_records(scenario, datasets, registry):
                 for class_id in LESION_CLASSES:
                     recs.extend(score_pair(pred, sample.mask, class_id,
                                            sample.volume.spacing))
-            records[(variant.label, eval_site)] = recs
+            records[(label, eval_site)] = recs
     return records

@@ -149,8 +149,7 @@ def test_criterion_3_degenerate_constants():
                             LabelMask(id="t", labels=empty), 1, (1.0, 1.0, 1.0))
     with_fp = summarize(scored + fp_records, "site")
     without_fp = summarize(scored, "site")
-    assert with_fp.means == without_fp.means
-    assert with_fp.included_count == without_fp.included_count
+    assert with_fp == without_fp
 
 
 # ---------------------------------------------------------------------------

@@ -358,3 +358,32 @@ def test_validate_malformed_manifest_is_a_usage_error(tmp_path, capsys, fields, 
     err = capsys.readouterr().err
     assert "manifest.json" in err
     assert re.search(named, err)
+
+
+
+@pytest.mark.parametrize("artifact,stage", [("experiment.json", "gen"),
+                                            ("manifest.json", "validate"),
+                                            ("manifest.json", "evaluate"),
+                                            ("summary.json", "report")])
+def test_json_nested_too_deep_is_a_usage_error(config_file, capsys, artifact, stage):
+    """A JSON artifact of 100,000 '[' ends the stage that reads it with exit 1
+    and the file named, not with a RecursionError traceback."""
+    config_path, config = config_file
+    out = Path(config.output_dir)
+    if artifact == "experiment.json":  # the config the stage is given
+        victim = config_path = config_path.parent / artifact
+    elif artifact == "manifest.json":
+        assert main(["gen", "--config", str(config_path)]) == 0
+        victim = exp.site_dir(out, "s0") / artifact
+    else:
+        victim = exp.eval_dir(out, config.scenarios[0]) / artifact
+        victim.parent.mkdir(parents=True)
+        (victim.parent / "metrics.csv").write_text("")
+    victim.write_text("[" * 100_000)
+    capsys.readouterr()
+    argv = ([stage, str(victim.parent)] if stage == "validate"
+            else [stage, "--config", str(config_path)])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(victim) in err and "not valid JSON" in err
+    assert "Traceback" not in err

@@ -5,9 +5,8 @@ import pytest
 
 import rank_fixtures as rf
 
-from fedrad.evalrank import (ModelRegistry, ModelVariant, Scenario, TrainedModel,
-                             VariantKind, average_ranks, rank, rank_records, resolve_variant,
-                             run_scenario, scenario_variants)
+from fedrad.evalrank import (ModelRegistry, Scenario, TrainedModel, average_ranks, rank,
+                             rank_records, run_scenario, scenario_variants)
 from fedrad.learner import FeatureConfig, WEIGHT_LEN
 from fedrad.records import METRIC_DIRECTIONS
 
@@ -160,75 +159,91 @@ def _registry(sites=("sa", "sb", "sc"), with_fed=True, with_loo=True, rng_seed=0
     return registry
 
 
+def _labels(scenario, registry, site):
+    return [label for label, _ in scenario_variants(scenario, registry, site)]
+
+
 def test_scenario_checklists_match_matrix():
-    roster = ["sa", "sb", "sc"]
-    pers = [v.label for v in scenario_variants(Scenario.PERSONALIZATION, roster, "sa")]
+    registry = _registry()
+    pers = _labels(Scenario.PERSONALIZATION, registry, "sa")
     assert pers == ["L", "E", "FL", "Spec(E)", "Spec(FL)"]
 
-    gwo = [v.label for v in scenario_variants(Scenario.GEN_WITHOUT_LOCAL, roster, "sb")]
+    gwo = _labels(Scenario.GEN_WITHOUT_LOCAL, registry, "sb")
     assert gwo == ["L[sa]", "L[sc]", "E-loo", "FL-loo"]
     assert "L" not in gwo  # the own local model is never evaluated here
 
-    gwl = [v.label for v in scenario_variants(Scenario.GEN_WITH_LOCAL, roster, "sc")]
+    gwl = _labels(Scenario.GEN_WITH_LOCAL, registry, "sc")
     assert gwl == ["L", "E", "FL-loo", "Spec(E)", "Spec(FL-loo)"]
 
 
-def test_resolve_local_and_foreign():
-    registry = _registry()
-    members = resolve_variant(ModelVariant(VariantKind.LOCAL), registry, "sa")
-    assert len(members) == 1 and members[0][1] == 1.0
-    assert members[0][0] is registry.locals["sa"]
-
-    foreign = resolve_variant(ModelVariant(VariantKind.FOREIGN_LOCAL, site="sb"),
-                              registry, "sa")
-    assert foreign[0][0] is registry.locals["sb"]
-    with pytest.raises(ValueError):
-        resolve_variant(ModelVariant(VariantKind.FOREIGN_LOCAL, site="sa"), registry, "sa")
+# The README's scenario checklists and variant table, written out apart from
+# evalrank: site i's labels per scenario, and each label's members on site i.
+README_CHECKLISTS = {
+    Scenario.PERSONALIZATION: lambda others: ["L", "E", "FL", "Spec(E)", "Spec(FL)"],
+    Scenario.GEN_WITHOUT_LOCAL: lambda others: [f"L[{j}]" for j in others] + ["E-loo", "FL-loo"],
+    Scenario.GEN_WITH_LOCAL: lambda others: ["L", "E", "FL-loo", "Spec(E)", "Spec(FL-loo)"],
+}
 
 
-def test_resolve_ensembles_and_leave_out():
-    registry = _registry()
-    ens = resolve_variant(ModelVariant(VariantKind.ENSEMBLE), registry, "sa")
-    assert len(ens) == 3
-    assert all(mw == pytest.approx(1 / 3) for _, mw in ens)
-
-    loo = resolve_variant(ModelVariant(VariantKind.ENSEMBLE_LEAVE_OUT), registry, "sb")
-    assert len(loo) == 2
-    assert all(m is not registry.locals["sb"] for m, _ in loo)
-
-
-def test_resolve_spec_weighting():
-    registry = _registry()
-    spec_e = resolve_variant(ModelVariant(VariantKind.SPEC_ENSEMBLE), registry, "sa")
-    # exact: the weights decide the ensemble's bytes, and (1/n)/2 == 0.5/n
-    assert [mw for _, mw in spec_e] == [0.5 / 3] * 3 + [0.5]
-    assert [m for m, _ in spec_e] == [registry.locals[s] for s in ("sa", "sb", "sc", "sa")]
-
-    spec_fl = resolve_variant(ModelVariant(VariantKind.SPEC_FED), registry, "sa")
-    assert [mw for _, mw in spec_fl] == [0.5, 0.5]
-    assert spec_fl[0][0] is registry.fed
-    assert spec_fl[1][0] is registry.locals["sa"]
-
-    spec_loo = resolve_variant(ModelVariant(VariantKind.SPEC_FED_LEAVE_OUT), registry, "sb")
-    assert [mw for _, mw in spec_loo] == [0.5, 0.5]
-    assert spec_loo[0][0] is registry.fed_leave_out["sb"]
-    assert spec_loo[1][0] is registry.locals["sb"]
+def _readme_members(label, registry, site):
+    roster = sorted(registry.locals)
+    others = [s for s in roster if s != site]
+    if label.startswith("Spec("):  # ½ · X's probabilities + ½ · L's
+        x = _readme_members(label[len("Spec("):-1], registry, site)
+        return [(m, 0.5 / len(x)) for m, _ in x] + [(registry.locals[site], 0.5)]
+    return {
+        "L": [(registry.locals[site], 1.0)],
+        "E": [(registry.locals[s], 1.0 / len(roster)) for s in roster],
+        "E-loo": [(registry.locals[s], 1.0 / len(others)) for s in others],
+        "FL": [(registry.fed, 1.0)],
+        "FL-loo": [(registry.fed_leave_out.get(site), 1.0)],
+        **{f"L[{j}]": [(registry.locals[j], 1.0)] for j in others},
+    }[label]
 
 
-def test_resolve_missing_model_named():
-    registry = _registry(with_fed=False)
-    with pytest.raises(KeyError, match="federated model"):
-        resolve_variant(ModelVariant(VariantKind.FED), registry, "sa")
-    registry = _registry(with_loo=False)
-    with pytest.raises(KeyError, match="excluding sb"):
-        resolve_variant(ModelVariant(VariantKind.FED_LEAVE_OUT), registry, "sb")
+@pytest.mark.parametrize("scenario", list(Scenario))
+@pytest.mark.parametrize("n_sites", range(1, 7))
+def test_scenario_variants_match_readme_table(n_sites, scenario):
+    """Every site's variants: the README labels in checklist order, each with
+    the very member models, in order, at the exact README weights."""
+    roster = [f"site{k}" for k in range(n_sites)]
+    registry = _registry(sites=tuple(reversed(roster)), rng_seed=n_sites)  # sorted by name
+    for site in roster:
+        others = [s for s in roster if s != site]
+        if scenario is Scenario.GEN_WITHOUT_LOCAL and not others:
+            with pytest.raises(ValueError) as err:
+                scenario_variants(scenario, registry, site)
+            assert err.value.args == ("leave-out ensemble needs at least two sites",)
+            continue
+        got = scenario_variants(scenario, registry, site)
+        assert [label for label, _ in got] == README_CHECKLISTS[scenario](others)
+        for label, members in got:
+            want = _readme_members(label, registry, site)
+            assert [(id(m), w) for m, w in members] == [(id(m), w) for m, w in want], label
+
+
+def test_scenario_variants_missing_model_named():
+    """A scenario needs only its own federated model, and names the one missing."""
+    without_fed = _registry(with_fed=False)
+    with pytest.raises(KeyError) as err:
+        scenario_variants(Scenario.PERSONALIZATION, without_fed, "sa")
+    assert err.value.args == ("missing trained model: federated model",)
+    for scenario in (Scenario.GEN_WITHOUT_LOCAL, Scenario.GEN_WITH_LOCAL):
+        assert scenario_variants(scenario, without_fed, "sa")
+
+    without_loo = _registry(with_loo=False)
+    assert scenario_variants(Scenario.PERSONALIZATION, without_loo, "sb")
+    for scenario in (Scenario.GEN_WITHOUT_LOCAL, Scenario.GEN_WITH_LOCAL):
+        with pytest.raises(KeyError) as err:
+            scenario_variants(scenario, without_loo, "sb")
+        assert err.value.args == ("missing trained model: federated model excluding sb",)
 
 
 def test_spec_ensemble_single_site_degenerates_to_local(rng):
     from fedrad.dataset import Volume
     from fedrad.learner import ensemble_predict, predict, predict_proba
-    registry = _registry(sites=("only",), with_fed=False, with_loo=False)
-    members = resolve_variant(ModelVariant(VariantKind.SPEC_ENSEMBLE), registry, "only")
+    registry = _registry(sites=("only",), with_loo=False)
+    members = dict(scenario_variants(Scenario.PERSONALIZATION, registry, "only"))["Spec(E)"]
     vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
     spec_mask = ensemble_predict(
@@ -299,12 +314,11 @@ def _count_calls(monkeypatch):
 
 
 def _want_counts(scenarios, datasets, registry):
-    roster = sorted(registry.locals)
     want_fields = want_preds = 0
-    for site in roster:
-        variants = [v for scenario in scenarios
-                    for v in scenario_variants(scenario, roster, site)]
-        distinct = {id(m) for v in variants for m, _ in resolve_variant(v, registry, site)}
+    for site in sorted(registry.locals):
+        variants = [members for scenario in scenarios
+                    for _, members in scenario_variants(scenario, registry, site)]
+        distinct = {id(m) for members in variants for m, _ in members}
         want_fields += len(distinct) * len(datasets[site].test)
         want_preds += len(variants) * len(datasets[site].test)
     return {"extract_features": want_fields, "forward": want_fields,

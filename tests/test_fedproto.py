@@ -756,3 +756,11 @@ def test_stale_delta_ignored_until_the_real_upload():
     assert np.array_equal(client_out["s1"], want)
     assert np.array_equal(client_out["s2"], want)
 
+
+
+def test_checkpoint_metadata_nested_too_deep_is_a_mismatch(tmp_path):
+    path = tmp_path / "deep.frck"
+    _write_raw_checkpoint(path, b"[" * 100_000)
+    with pytest.raises(CheckpointMismatch, match="bad metadata") as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and "not valid JSON" in str(err.value)

@@ -197,26 +197,23 @@ def test_boundary_metrics_with_one_empty_boundary():
 def test_summarize_means():
     rec = lambda m, v, st: MetricRecord("s", 1, m, v, st)
     records = [rec("DSC", 0.8, RecordStatus.SCORED)]
-    assert summarize(records, "x").means["DSC"] == 0.8
+    assert summarize(records, "x")["DSC"] == 0.8
 
     records = [rec("DSC", 1.0, RecordStatus.SCORED),
                rec("DSC", 0.0, RecordStatus.FN_DEFAULTED)]
-    assert summarize(records, "x").means["DSC"] == 0.5
+    assert summarize(records, "x")["DSC"] == 0.5
 
     with_fp = records + [rec("DSC", float("nan"), RecordStatus.FP_SKIPPED)]
-    assert summarize(with_fp, "x").means["DSC"] == 0.5
+    assert summarize(with_fp, "x")["DSC"] == 0.5
 
 
 def test_summarize_counts():
+    """Each metric's mean counts every included (sample, class) record once."""
     records = []
-    for sid in ("a", "b"):
-        for c in (1, 2):
-            for m in METRICS:
-                records.append(MetricRecord(sid, c, m, 0.5, RecordStatus.SCORED))
-    summary = summarize(records, "site")
-    assert summary.n_test == 2
-    assert summary.n_classes == 2
-    assert summary.included_count == 16
+    for k, (sid, c) in enumerate((s, c) for s in ("a", "b") for c in (1, 2)):
+        for i, m in enumerate(METRICS):
+            records.append(MetricRecord(sid, c, m, float(k + 10 * i), RecordStatus.SCORED))
+    assert summarize(records, "site") == {m: 1.5 + 10 * i for i, m in enumerate(METRICS)}
 
 
 def test_summarize_no_included_records():

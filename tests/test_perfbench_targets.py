@@ -1,9 +1,11 @@
-"""Every function the benchmark tracer wraps must still exist under its name.
+"""Every fedrad name the benchmark uses must still exist under its name.
 
 A renamed or moved target would otherwise show up only as a "missing"
-per-layer metric in a benchmark run.
+per-layer metric or a failed workload in a benchmark run.
 """
 
+import ast
+import dataclasses
 import importlib
 import importlib.util
 import subprocess
@@ -12,7 +14,10 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from fedrad.simnet import SimResult
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _tracer_functions():
@@ -44,3 +49,62 @@ def test_tracer_installs_every_hook():
                             timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def _perfbench_reads():
+    """Dotted fedrad names the perfbench scripts import or read, and the
+    attributes they read on a ``run_simulated`` result."""
+    names, sim_reads = set(), set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}  # local name -> dotted fedrad name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "fedrad":
+                for a in node.names:
+                    aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+            elif isinstance(node, ast.Import):
+                names.update(a.name for a in node.names if a.name.split(".")[0] == "fedrad")
+            elif (isinstance(node, ast.Call) and node.args
+                  and isinstance(node.args[0], ast.Constant)
+                  and str(node.args[0].value).startswith("fedrad.")
+                  and getattr(node.func, "attr", None) == "import_module"):
+                names.add(node.args[0].value)
+        names.update(aliases.values())
+        for fn in (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)):
+            results = {t.id for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                       and isinstance(n.value, ast.Call)
+                       and getattr(n.value.func, "id", None) == "run_simulated"
+                       for t in n.targets if isinstance(t, ast.Name)}
+            for n in ast.walk(fn):
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                    if n.value.id in aliases:
+                        names.add(f"{aliases[n.value.id]}.{n.attr}")
+                    if n.value.id in results:
+                        sim_reads.add(n.attr)
+    return sorted(names), sorted(sim_reads)
+
+
+PERFBENCH_NAMES, SIM_RESULT_READS = _perfbench_reads()
+
+
+def _resolve(dotted: str):
+    parts = dotted.split(".")
+    target = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        try:
+            target = getattr(target, part)
+        except AttributeError:  # a submodule not imported yet
+            target = importlib.import_module(".".join(parts[:i]))
+    return target
+
+
+@pytest.mark.parametrize("dotted", PERFBENCH_NAMES)
+def test_perfbench_name_resolves(dotted):
+    _resolve(dotted)
+
+
+def test_perfbench_sim_result_reads_are_fields():
+    # the walk itself must keep finding what perfbench/child.py reads
+    assert {"aborted", "abort_reason", "final_weights"} <= set(SIM_RESULT_READS)
+    fields = {f.name for f in dataclasses.fields(SimResult)}
+    assert set(SIM_RESULT_READS) <= fields

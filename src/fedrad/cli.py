@@ -105,7 +105,7 @@ def cmd_characterize(args) -> int:
     out = _out_dir(config)
     stats = []
     for sid, ds in exp.load_all(config, out).items():
-        stats.append(site_statistics(ds).to_dict())
+        stats.append(site_statistics(ds))
         cc = stats[-1]["class_cc_counts"]
         means = {c: round(v["mean"], 2) for c, v in cc.items() if v}
         print(f"{sid}: voxel volume {stats[-1]['voxel_volume_mm3']['mean']:.3f} mm3, "

@@ -132,32 +132,6 @@ class Component:
     volume_ml: float
 
 
-@dataclass
-class DataCharacteristics:
-    """Descriptive statistics of one site dataset (volumes + annotations)."""
-
-    site_id: str
-    n_samples: int
-    voxel_volume_mm3: dict[str, float]
-    intensity_histogram: list[float]
-    histogram_edges: list[float]
-    class_sample_counts: dict[int, int]
-    class_volume_ml: dict[int, dict[str, float]]
-    class_cc_counts: dict[int, dict[str, float]]
-
-    def to_dict(self) -> dict:
-        return {
-            "site_id": self.site_id,
-            "n_samples": self.n_samples,
-            "voxel_volume_mm3": self.voxel_volume_mm3,
-            "intensity_histogram": self.intensity_histogram,
-            "histogram_edges": self.histogram_edges,
-            "class_sample_counts": {str(k): v for k, v in self.class_sample_counts.items()},
-            "class_volume_ml": {str(k): v for k, v in self.class_volume_ml.items()},
-            "class_cc_counts": {str(k): v for k, v in self.class_cc_counts.items()},
-        }
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -332,9 +306,11 @@ def _summary(values: Sequence[float]) -> dict[str, float]:
     }
 
 
-def site_statistics(dataset: SiteDataset) -> DataCharacteristics:
-    """Descriptive statistics of one site: voxel volumes, intensity histogram,
-    per-class sample counts, annotated volumes (ml), and component counts."""
+def site_statistics(dataset: SiteDataset) -> dict:
+    """Descriptive statistics of one site, as its ``characteristics.json``
+    entry: voxel volumes, intensity histogram, and per class (keyed by the
+    class id as a string) sample counts, annotated volumes (ml) and
+    component counts."""
     samples = dataset.samples
     if not samples:
         raise ValueError("dataset is empty")
@@ -357,13 +333,13 @@ def site_statistics(dataset: SiteDataset) -> DataCharacteristics:
                 class_volumes[c].append(sum(comp.volume_ml for comp in comps))
                 class_ccs[c].append(len(comps))
 
-    return DataCharacteristics(
-        site_id=dataset.site_id,
-        n_samples=len(samples),
-        voxel_volume_mm3=_summary(voxel_volumes),
-        intensity_histogram=hist,
-        histogram_edges=HISTOGRAM_EDGES.tolist(),
-        class_sample_counts={c: class_sample_counts.get(c, 0) for c in LESION_CLASSES},
-        class_volume_ml={c: (_summary(v) if v else {}) for c, v in class_volumes.items()},
-        class_cc_counts={c: (_summary(v) if v else {}) for c, v in class_ccs.items()},
-    )
+    return {
+        "site_id": dataset.site_id,
+        "n_samples": len(samples),
+        "voxel_volume_mm3": _summary(voxel_volumes),
+        "intensity_histogram": hist,
+        "histogram_edges": HISTOGRAM_EDGES.tolist(),
+        "class_sample_counts": {str(c): class_sample_counts.get(c, 0) for c in LESION_CLASSES},
+        "class_volume_ml": {str(c): (_summary(v) if v else {}) for c, v in class_volumes.items()},
+        "class_cc_counts": {str(c): (_summary(v) if v else {}) for c, v in class_ccs.items()},
+    }

@@ -28,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -277,37 +277,19 @@ class Federation:
 
 
 class _Inbox:
-    """Tagged message stream from all connections to the coordinator."""
+    """Accepts every connection the listener offers and pumps all of them
+    into one stream of ``(conn, msg)`` pairs; ``msg`` is None once ``conn``
+    has closed or sent an undecodable frame."""
 
-    def __init__(self):
-        self.queue: queue.Queue = queue.Queue()
-
-    def attach(self, conn: tp.Connection) -> None:
-        threading.Thread(target=self._pump, args=(conn,), daemon=True).start()
-
-    def _pump(self, conn: tp.Connection) -> None:
-        while True:
-            try:
-                msg = conn.recv(timeout=None)
-            except (tp.TransportClosed, tp.RecvTimeout, wire.ProtocolError) as exc:
-                self.queue.put((conn, None, exc))
-                return
-            self.queue.put((conn, msg, None))
-
-    def get(self, timeout: float | None):
-        return self.queue.get(timeout=timeout)
-
-
-class _Acceptor:
-    def __init__(self, listener, inbox: _Inbox):
+    def __init__(self, listener):
         self._listener = listener
-        self._inbox = inbox
+        self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
         self._conns: list[tp.Connection] = []
         self._lock = threading.Lock()
-        threading.Thread(target=self._run, daemon=True).start()
+        threading.Thread(target=self._accept, daemon=True).start()
 
-    def _run(self) -> None:
+    def _accept(self) -> None:
         while not self._stop.is_set():
             try:
                 conn = self._listener.accept(timeout=0.2)
@@ -317,9 +299,32 @@ class _Acceptor:
                 return
             with self._lock:
                 self._conns.append(conn)
-            self._inbox.attach(conn)
+            threading.Thread(target=self._pump, args=(conn,), daemon=True).start()
 
-    def close_all(self) -> None:
+    def _pump(self, conn: tp.Connection) -> None:
+        while True:
+            try:
+                msg = conn.recv(timeout=None)
+            except (tp.TransportClosed, tp.RecvTimeout, wire.ProtocolError):
+                self._queue.put((conn, None))
+                return
+            self._queue.put((conn, msg))
+
+    def messages(self, timeout_s: float, wanted: Callable[[], object]
+                 ) -> Iterator[tuple[tp.Connection, wire.Message | None]]:
+        """Yield ``(conn, msg)`` pairs while ``wanted()`` is true, for at
+        most ``timeout_s`` seconds."""
+        deadline = time.monotonic() + timeout_s
+        while wanted():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return
+            try:
+                yield self._queue.get(timeout=remaining)
+            except queue.Empty:
+                pass
+
+    def close(self) -> None:
         self._stop.set()
         with self._lock:
             for conn in self._conns:
@@ -341,8 +346,7 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
     expected = set(params.expected_sites)
     resumed = load_resume(resume, params)
 
-    inbox = _Inbox()
-    acceptor = _Acceptor(listener, inbox)
+    inbox = _Inbox(listener)
     site_conn: dict[str, tp.Connection] = {}
     conn_site: dict[int, str] = {}
     dead_conns: set[int] = set()
@@ -377,16 +381,8 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
     try:
         # Phase 1: registration and fingerprint collection from every site.
         fingerprints: dict[str, DatasetFingerprint] = {}
-        deadline = time.monotonic() + params.setup_timeout_s
-        while set(fingerprints) != expected:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ExperimentAborted("setup timeout: missing fingerprints from "
-                                        f"{sorted(expected - set(fingerprints))}", 0)
-            try:
-                conn, msg, _exc = inbox.get(timeout=remaining)
-            except queue.Empty:
-                continue
+        for conn, msg in inbox.messages(params.setup_timeout_s,
+                                        lambda: set(fingerprints) != expected):
             if msg is None:
                 dead_conns.add(id(conn))
             elif isinstance(msg, wire.Register):
@@ -397,6 +393,9 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
                     fingerprints[site] = msg.fingerprint
             elif isinstance(msg, wire.Abort) and id(conn) in conn_site:
                 raise ExperimentAborted(f"client abort during setup: {msg.reason}", 0)
+        if set(fingerprints) != expected:
+            raise ExperimentAborted("setup timeout: missing fingerprints from "
+                                    f"{sorted(expected - set(fingerprints))}", 0)
 
         fed = Federation(params, fingerprints, resumed)
         broadcast(fed.config)
@@ -405,15 +404,8 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
         for t in fed.rounds():
             broadcast(wire.RoundStart(round_index=t, weights=fed.weights))
             received: dict[str, np.ndarray] = {}
-            deadline = time.monotonic() + params.round_timeout_s
-            while awaited(received):
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                try:
-                    conn, msg, _exc = inbox.get(timeout=remaining)
-                except queue.Empty:
-                    continue
+            for conn, msg in inbox.messages(params.round_timeout_s,
+                                            lambda: awaited(received)):
                 site = conn_site.get(id(conn))
                 if msg is None:
                     dead_conns.add(id(conn))
@@ -446,12 +438,7 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
         # to hang up so the broadcast is never cut off by our own close.
         broadcast(wire.FinalModel(weights=fed.weights))
         open_conns = {id(c) for c in site_conn.values()} - dead_conns
-        deadline = time.monotonic() + 5.0
-        while open_conns and time.monotonic() < deadline:
-            try:
-                conn, msg, _exc = inbox.get(timeout=deadline - time.monotonic())
-            except (queue.Empty, ValueError):
-                break
+        for conn, msg in inbox.messages(5.0, lambda: open_conns):
             if msg is None:
                 open_conns.discard(id(conn))
         return fed.weights
@@ -460,7 +447,7 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
         broadcast(wire.Abort(abort.reason))
         raise
     finally:
-        acceptor.close_all()
+        inbox.close()
 
 
 def _client_abort(conn: tp.Connection, reason: str) -> ExperimentAborted:
@@ -492,6 +479,7 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
         conn.send(wire.Register(site_id=site_id))
         conn.send(wire.FingerprintSubmit(fingerprint=compute_fingerprint(dataset.train)))
     except tp.TransportClosed as exc:
+        conn.close()
         raise ExperimentAborted(f"server connection lost: {exc}") from exc
 
     features = labels = None
@@ -501,6 +489,7 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
         try:
             msg = conn.recv(timeout=CLIENT_RECV_TIMEOUT_S)
         except (tp.TransportClosed, tp.RecvTimeout) as exc:
+            conn.close()
             raise ExperimentAborted(f"server connection lost: {exc}") from exc
         except wire.ProtocolError as exc:
             conn.close()
@@ -528,6 +517,7 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
                 conn.send(wire.DeltaUpload(round_index=msg.round_index, site_id=site_id,
                                            delta=trained - msg.weights))
             except tp.TransportClosed as exc:
+                conn.close()
                 raise ExperimentAborted(f"server connection lost: {exc}") from exc
         elif isinstance(msg, wire.CheckpointNotice):
             logger.debug("%s: round %d committed", site_id, msg.round_index)

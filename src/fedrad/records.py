@@ -75,18 +75,26 @@ def write_metrics_csv(path, records_by_model_site: dict[tuple[str, str], list[Me
 def read_metrics_csv(path) -> tuple[dict[tuple[str, str], list[MetricRecord]], str]:
     """Inverse of :func:`write_metrics_csv`; returns (records, digest).
 
-    A file that does not open with its stamp line is refused.
+    A file that does not open with its stamp line is refused, and so is a
+    row without seven fields, with a class or value that does not parse, an
+    unknown status, or a Scored or FNDefaulted value that is not finite; the
+    error names the file and the line.
     """
     digest, lines = read_stamped_csv(path)
     records: dict[tuple[str, str], list[MetricRecord]] = {}
-    for line in lines:
-        if line.startswith("model,"):
+    for lineno, line in enumerate(lines, start=2):
+        if not line or line.startswith("model,"):
             continue
-        model, site, sample, class_id, metric, value, status = line.split(",")
-        rec = MetricRecord(
-            sample_id=sample, class_id=int(class_id), metric=metric,
-            value=float(value) if value else float("nan"),
-            status=RecordStatus(status))
+        try:
+            model, site, sample, class_id, metric, value, status = line.split(",")
+            rec = MetricRecord(
+                sample_id=sample, class_id=int(class_id), metric=metric,
+                value=float(value) if value else float("nan"),
+                status=RecordStatus(status))
+            if rec.included and not math.isfinite(rec.value):
+                raise ValueError(f"{status} value {value!r} is not finite")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
         records.setdefault((model, site), []).append(rec)
     return records, digest
 

@@ -1,9 +1,10 @@
-"""Pluggable transports carrying wire frames between server and sites.
+"""Framed message connections carrying wire frames between server and sites.
 
-Two implementations: real TCP sockets, and an in-process pair of queues for
-single-process experiments and tests. Both expose blocking ``send``/``recv``
-of decoded messages; framing happens here so the protocol code never touches
-bytes.
+Every connection is a stream socket wrapped in :class:`TcpConnection`: a
+real TCP socket, or one end of a ``socket.socketpair`` handed out by
+:class:`InProcessHub` for single-process experiments and tests. Both go
+through the same framing and buffering, and expose blocking ``send``/``recv``
+of decoded messages, so the protocol code never touches bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ class Connection:
 
 
 class TcpConnection(Connection):
+    """Blocking ``send``/``recv`` of whole messages over a stream socket."""
+
     def __init__(self, sock: socket.socket):
         self._sock = sock
         self._buf = b""
@@ -66,12 +69,7 @@ class TcpConnection(Connection):
 
     def recv(self, timeout: float | None = None) -> wire.Message:
         header = self._read_exact(wire.FRAME_HEADER_SIZE, timeout)
-        magic, _version, _type, payload_len = wire._FRAME_HEADER.unpack(header)
-        if magic != wire.MAGIC:
-            raise wire.BadMagic(f"bad magic {magic!r}")
-        if payload_len > wire.MAX_PAYLOAD:
-            raise wire.Oversized(f"declared payload of {payload_len} bytes")
-        payload = self._read_exact(payload_len, timeout)
+        payload = self._read_exact(wire.frame_payload_length(header), timeout)
         return wire.decode_frame(header + payload)
 
     def close(self) -> None:
@@ -116,52 +114,19 @@ def connect_tcp(host: str, port: int, timeout: float = 10.0) -> TcpConnection:
     return TcpConnection(sock)
 
 
-class _QueueConnection(Connection):
-    """One half of an in-process connection; messages round-trip the codec
-    so the in-process transport exercises the same byte format as TCP."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue):
-        self._inbox = inbox
-        self._outbox = outbox
-        self._closed = threading.Event()
-
-    def send(self, msg: wire.Message) -> None:
-        if self._closed.is_set():
-            raise TransportClosed("connection closed")
-        self._outbox.put(wire.encode_frame(msg))
-
-    def recv(self, timeout: float | None = None) -> wire.Message:
-        if self._closed.is_set():
-            raise TransportClosed("connection closed")
-        try:
-            data = self._inbox.get(timeout=timeout)
-        except queue.Empty as exc:
-            raise RecvTimeout() from exc
-        if data is None:
-            raise TransportClosed("connection closed by peer")
-        return wire.decode_frame(data)
-
-    def close(self) -> None:
-        if not self._closed.is_set():
-            self._closed.set()
-            self._outbox.put(None)
-
-
 class InProcessHub:
-    """In-process 'network': clients connect, the server accepts pairs."""
+    """In-process 'network': each ``connect`` makes a socket pair, returns
+    the client end and queues the server end for ``accept``."""
 
     def __init__(self):
         self._pending: queue.Queue = queue.Queue()
 
-    def connect(self) -> _QueueConnection:
-        a_to_b: queue.Queue = queue.Queue()
-        b_to_a: queue.Queue = queue.Queue()
-        client = _QueueConnection(inbox=b_to_a, outbox=a_to_b)
-        server = _QueueConnection(inbox=a_to_b, outbox=b_to_a)
-        self._pending.put(server)
-        return client
+    def connect(self) -> TcpConnection:
+        client, server = socket.socketpair()
+        self._pending.put(TcpConnection(server))
+        return TcpConnection(client)
 
-    def accept(self, timeout: float | None = None) -> _QueueConnection:
+    def accept(self, timeout: float | None = None) -> TcpConnection:
         try:
             conn = self._pending.get(timeout=timeout)
         except queue.Empty as exc:

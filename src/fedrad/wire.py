@@ -231,17 +231,25 @@ def decode_frame(buf: bytes) -> Message:
     return msg
 
 
-def decode_frame_prefix(buf: bytes) -> tuple[Message, int]:
-    """Decode the frame at the start of ``buf``; returns (message, bytes consumed)."""
+def frame_payload_length(buf: bytes) -> int:
+    """Check the frame header at the start of ``buf``; returns the payload
+    length it declares."""
     if len(buf) < FRAME_HEADER_SIZE:
         raise Truncated(f"need {FRAME_HEADER_SIZE} header bytes, have {len(buf)}")
-    magic, version, type_code, payload_len = _FRAME_HEADER.unpack_from(buf)
+    magic, version, _type_code, payload_len = _FRAME_HEADER.unpack_from(buf)
     if magic != MAGIC:
         raise BadMagic(f"bad magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"unsupported version {version}")
     if payload_len > MAX_PAYLOAD:
         raise Oversized(f"declared payload of {payload_len} bytes exceeds {MAX_PAYLOAD}")
+    return payload_len
+
+
+def decode_frame_prefix(buf: bytes) -> tuple[Message, int]:
+    """Decode the frame at the start of ``buf``; returns (message, bytes consumed)."""
+    payload_len = frame_payload_length(buf)
+    type_code = buf[3]  # after the magic and the version
     try:
         msg_type = MsgType(type_code)
     except ValueError as exc:

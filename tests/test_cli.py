@@ -17,7 +17,7 @@ from test_validation import MALFORMED_IDS, MALFORMED_MANIFESTS
 
 from fedrad import experiment as exp
 from fedrad.cli import main
-from fedrad.seeding import to_dict
+from fedrad.seeding import stamped_csv, to_dict
 
 
 @pytest.fixture
@@ -387,3 +387,33 @@ def test_json_nested_too_deep_is_a_usage_error(config_file, capsys, artifact, st
     err = capsys.readouterr().err
     assert str(victim) in err and "not valid JSON" in err
     assert "Traceback" not in err
+
+
+_METRICS_HEADER = "model,site,sample,class,metric,value,status"
+_GOOD_METRICS_ROWS = [f"{model},s0,case0,1,{metric},0.5,Scored"
+                      for model in ("FL", "L") for metric in ("DSC", "NSD", "HSD", "NAVE")]
+
+
+@pytest.mark.parametrize("row,named", [
+    ("FL,s0,case0,1,DSC,0.5", "expected 7"),
+    ("FL,s0,case0,one,DSC,0.5,Scored", "'one'"),
+    ("FL,s0,case0,1,DSC,0.5,Bogus", "'Bogus'"),
+    ("FL,s0,case0,1,DSC,nan,Scored", "not finite"),
+], ids=["six-fields", "class-not-an-int", "unknown-status", "scored-nan"])
+def test_rank_refuses_malformed_metrics_row(tmp_path, capsys, row, named):
+    """A bad metrics.csv row ends `fedrad rank` with exit 1, the file and the
+    line named, and no ranks written."""
+    path = tmp_path / "metrics.csv"
+    argv = ["rank", "--in", str(path), "--scenario", "personalization"]
+    path.write_text(stamped_csv("e" * 64, [_METRICS_HEADER, *_GOOD_METRICS_ROWS]))
+    assert main(argv) == 0  # the file without the bad row ranks
+    (tmp_path / "ranks.csv").unlink()
+    capsys.readouterr()
+    # line 1 is the stamp, 2 the header, 3 and 4 good rows, 5 the bad one
+    path.write_text(stamped_csv("e" * 64, [_METRICS_HEADER, *_GOOD_METRICS_ROWS[:2], row,
+                                           *_GOOD_METRICS_ROWS[2:]]))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:5: " in err
+    assert named in err
+    assert not (tmp_path / "ranks.csv").exists()

@@ -208,29 +208,30 @@ def test_split_errors():
 
 def test_site_statistics(small_dataset):
     stats = site_statistics(small_dataset)
-    assert stats.n_samples == len(small_dataset.samples)
-    hist = np.asarray(stats.intensity_histogram)
+    assert stats["n_samples"] == len(small_dataset.samples)
+    hist = np.asarray(stats["intensity_histogram"])
     assert abs(hist.sum() - 1.0) <= 1e-9
     assert (hist >= 0).all()
     # 2.0 * 1.0 * 1.0 mm spacing everywhere in the test profile
-    assert stats.voxel_volume_mm3["mean"] == pytest.approx(2.0)
-    assert stats.voxel_volume_mm3["min"] == stats.voxel_volume_mm3["max"]
+    assert stats["voxel_volume_mm3"]["mean"] == pytest.approx(2.0)
+    assert stats["voxel_volume_mm3"]["min"] == stats["voxel_volume_mm3"]["max"]
+    assert set(stats["class_sample_counts"]) == {str(c) for c in LESION_CLASSES}
 
 
 def test_site_statistics_single_isotropic_sample():
     sample = make_sample(spacing=(1.0, 1.0, 1.0))
     from fedrad.dataset import SiteDataset
     stats = site_statistics(SiteDataset(site_id="x", train=[sample], test=[]))
-    assert stats.voxel_volume_mm3 == {"min": 1.0, "max": 1.0, "mean": 1.0, "median": 1.0}
+    assert stats["voxel_volume_mm3"] == {"min": 1.0, "max": 1.0, "mean": 1.0, "median": 1.0}
 
 
 def test_site_statistics_regime_cc_signature():
     common = dict(n_samples=10, prevalence=(1.0, 1.0, 1.0), dims=(20, 20, 20), seed=31)
     few = site_statistics(generate_site_dataset(make_profile(regime=CcRegime.FEW_LARGE, **common)))
     many = site_statistics(generate_site_dataset(make_profile(regime=CcRegime.MANY_SMALL, **common)))
-    for c in LESION_CLASSES:
-        if few.class_cc_counts[c] and many.class_cc_counts[c]:
-            assert many.class_cc_counts[c]["mean"] > few.class_cc_counts[c]["mean"]
+    for c in map(str, LESION_CLASSES):
+        if few["class_cc_counts"][c] and many["class_cc_counts"][c]:
+            assert many["class_cc_counts"][c]["mean"] > few["class_cc_counts"][c]["mean"]
 
 
 def test_site_statistics_empty_dataset():

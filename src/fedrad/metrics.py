@@ -15,11 +15,23 @@ Boundaries are class voxels 6-adjacent to a non-class voxel (the outside
 of the grid counts as non-class); distances are Euclidean in mm between
 boundary-voxel centers, without sub-voxel surface meshing.
 
+:func:`score_pair` builds each side's work once per reference: a side is
+one labels array and one class, and its work is the class set, its
+presence, its boundary and the distance transform of the boundary's
+complement. Every later pair that shares the reference, and every
+prediction byte-identical to one already scored against it, reuses that
+work. Entries are keyed by the labels' bytes, shape and dtype, the class
+and the spacing, and scoring against a reference of other content drops
+them all. The public ``dsc``/``nsd``/``hsd``/``nave`` compute everything
+afresh and are the reference that ``score_pair`` must equal bit for bit.
+
 The records and their CSV files are defined in :mod:`fedrad.records`.
 """
 
 from __future__ import annotations
 
+import threading
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,9 +56,13 @@ FN_DEFAULTS = {
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
 
 
-def _class_masks(pred: LabelMask, ref: LabelMask, class_id: int) -> tuple[np.ndarray, np.ndarray]:
+def _check_dims(pred: LabelMask, ref: LabelMask) -> None:
     if pred.labels.shape != ref.labels.shape:
         raise ValueError(f"mask dims differ: {pred.labels.shape} vs {ref.labels.shape}")
+
+
+def _class_masks(pred: LabelMask, ref: LabelMask, class_id: int) -> tuple[np.ndarray, np.ndarray]:
+    _check_dims(pred, ref)
     return pred.labels == class_id, ref.labels == class_id
 
 
@@ -122,24 +138,81 @@ def nave(pred: LabelMask, ref: LabelMask, class_id: int) -> float:
     return _nave(*_class_masks(pred, ref, class_id))
 
 
+class _ClassSet:
+    """One side of a pair: the voxels of one class in one labels array."""
+
+    def __init__(self, labels: np.ndarray, class_id: int, spacing: tuple[float, ...]):
+        self.mask = labels == class_id
+        self.present = bool(self.mask.any())
+        self.spacing = spacing
+
+    @cached_property
+    def boundary(self) -> np.ndarray:
+        return _boundary(self.mask)
+
+    @cached_property
+    def edt(self) -> np.ndarray:
+        """Distance in mm from every voxel to the nearest boundary voxel."""
+        return ndimage.distance_transform_edt(~self.boundary, sampling=self.spacing)
+
+
+# The class sets scored against the current reference, by content key. The
+# lock makes swapping the scope atomic; filling one needs none, because a set
+# is a function of its key and a race only builds it twice.
+_scope_lock = threading.Lock()
+_scope_ref: tuple = ()
+_scope_sets: dict[tuple, _ClassSet] = {}
+
+
+def _content(labels: np.ndarray) -> tuple:
+    return labels.tobytes(), labels.shape, labels.dtype.str
+
+
+def _scope(ref: np.ndarray) -> dict[tuple, _ClassSet]:
+    """The class sets kept for ``ref``; a reference of new content starts
+    an empty scope."""
+    global _scope_ref, _scope_sets
+    key = _content(ref)
+    with _scope_lock:
+        if _scope_ref != key:
+            _scope_ref, _scope_sets = key, {}
+        return _scope_sets
+
+
+def _class_set(sets: dict[tuple, _ClassSet], labels: np.ndarray, class_id: int,
+               spacing: tuple[float, ...]) -> _ClassSet:
+    key = _content(labels) + (class_id, spacing)
+    found = sets.get(key)
+    if found is None:
+        found = sets[key] = _ClassSet(labels, class_id, spacing)
+    return found
+
+
 def score_pair(pred: LabelMask, ref: LabelMask, class_id: int,
                spacing: Sequence[float]) -> list[MetricRecord]:
     """Score one (prediction, reference, class) pair into four records.
 
-    The class masks, boundaries and distance transforms are built once and
-    shared by the four metrics.
+    Each side's class set, boundary and distance transform is built once
+    per reference content (see the module docstring) and shared by the four
+    metrics. With both boundaries non-empty (a non-empty set always has a
+    boundary voxel), one side's distance transform read at the other's
+    boundary is the distance array the public functions compute.
     """
-    p, r = _class_masks(pred, ref, class_id)
-    in_pred, in_ref = bool(p.any()), bool(r.any())
+    _check_dims(pred, ref)
+    spacing = tuple(float(s) for s in spacing)
+    sets = _scope(ref.labels)
+    r = _class_set(sets, ref.labels, class_id, spacing)
+    p = _class_set(sets, pred.labels, class_id, spacing)
+    in_pred, in_ref = p.present, r.present
     sid = ref.id
 
     if in_ref and in_pred:
-        d_ref, d_pred = _boundary_distances(p, r, spacing)
+        d_ref, d_pred = p.edt[r.boundary], r.edt[p.boundary]
         values = {
-            METRIC_DSC: _dsc(p, r),
+            METRIC_DSC: _dsc(p.mask, r.mask),
             METRIC_NSD: _nsd(d_ref, d_pred),
             METRIC_HSD: _hsd(d_ref, d_pred),
-            METRIC_NAVE: _nave(p, r),
+            METRIC_NAVE: _nave(p.mask, r.mask),
         }
         status = RecordStatus.SCORED
     elif in_ref:

@@ -235,23 +235,28 @@ def reference_ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volum
     return LabelMask(id=volume.id, labels=np.argmax(acc, axis=-1).astype(np.uint8))
 
 
-def reference_scenario_records(scenario, datasets, registry):
-    """Scenario records by the original loop: one weights-based ensemble
-    prediction per (variant, sample), members recomputed every time."""
-    roster = sorted(registry.locals)
-    records = {}
-    for eval_site in roster:
+def reference_predictions(scenario, datasets, registry):
+    """The original loop: one weights-based ensemble prediction per
+    (variant, sample), members recomputed every time. Yields
+    ``(variant label, site, sample, prediction)``."""
+    for eval_site in sorted(registry.locals):
         test = datasets[eval_site].test
         for label, members in scenario_variants(scenario, registry, eval_site):
             weights = [m.weights for m, _ in members]
             configs = [m.feature_config for m, _ in members]
             mweights = [mw for _, mw in members]
-            recs = []
             for sample in sorted(test, key=lambda s: s.sample_id):
                 pred = reference_ensemble_predict(weights, sample.volume, configs[0],
                                                   configs=configs, member_weights=mweights)
-                for class_id in LESION_CLASSES:
-                    recs.extend(score_pair(pred, sample.mask, class_id,
-                                           sample.volume.spacing))
-            records[(label, eval_site)] = recs
+                yield label, eval_site, sample, pred
+
+
+def reference_scenario_records(scenario, datasets, registry):
+    """Scenario records of :func:`reference_predictions`, each prediction
+    scored per lesion class."""
+    records = {}
+    for label, eval_site, sample, pred in reference_predictions(scenario, datasets, registry):
+        recs = records.setdefault((label, eval_site), [])
+        for class_id in LESION_CLASSES:
+            recs.extend(score_pair(pred, sample.mask, class_id, sample.volume.spacing))
     return records

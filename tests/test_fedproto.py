@@ -564,7 +564,10 @@ def test_tcp_run_matches_in_process(tmp_path):
     hub_out, _ = run_experiment(params, datasets)
 
     listener = TcpServerTransport()
-    tcp_out, tcp_clients = run_experiment(params, datasets, listener=listener)
+    try:
+        tcp_out, tcp_clients = run_experiment(params, datasets, listener=listener)
+    finally:
+        listener.close()
     assert np.array_equal(tcp_out["w"], hub_out["w"])
     for got in tcp_clients.values():
         assert np.array_equal(got, hub_out["w"])
@@ -575,8 +578,11 @@ def test_tcp_client_persists_final_model(tmp_path):
     params = make_params(["s1"], rounds=1)
     listener = TcpServerTransport()
     model_path = tmp_path / "final.frwt"
-    out, clients = run_experiment(params, datasets, listener=listener,
-                                  client_kw={"s1": {"model_out": model_path}})
+    try:
+        out, clients = run_experiment(params, datasets, listener=listener,
+                                      client_kw={"s1": {"model_out": model_path}})
+    finally:
+        listener.close()
     from fedrad.learner import load_weights
     assert np.array_equal(load_weights(model_path), out["w"])
 

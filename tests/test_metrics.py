@@ -162,6 +162,12 @@ def test_score_pair_equals_public_metrics(rng):
                        "HSD": hsd(pred, ref, 1, spacing), "NAVE": nave(pred, ref, 1)}
 
 
+def _flush_scope():
+    """Score against a reference no test uses, so no earlier class set is kept."""
+    flush = lm(np.full((1, 2, 3), 255))
+    score_pair(flush, flush, 1, SP)
+
+
 def test_score_pair_one_distance_transform_per_direction(monkeypatch):
     from fedrad import metrics
     calls = []
@@ -172,14 +178,131 @@ def test_score_pair_one_distance_transform_per_direction(monkeypatch):
         return edt(*args, **kwargs)
 
     monkeypatch.setattr(metrics.ndimage, "distance_transform_edt", counted)
+    _flush_scope()
     ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
     pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
     score_pair(pred, ref, 1, SP)
     assert len(calls) == 2
+    score_pair(pred, ref, 1, SP)  # the same pair again
+    score_pair(cube((8, 8, 8), (1, 1, 1), (4, 4, 3)), ref, 1, SP)  # equal content
+    assert len(calls) == 2
+    score_pair(cube((8, 8, 8), (1, 1, 1), (4, 3, 4)), ref, 1, SP)  # new prediction
+    assert len(calls) == 3
     empty = lm(np.zeros((8, 8, 8)))
     score_pair(empty, ref, 1, SP)
     score_pair(pred, empty, 1, SP)
-    assert len(calls) == 2
+    assert len(calls) == 3
+    score_pair(pred, cube((8, 8, 8), (2, 1, 1), (5, 4, 4)), 1, SP)  # new reference
+    assert len(calls) == 5
+
+
+def _public_records(pred, ref, class_id, spacing):
+    """What score_pair must return, from the public metric functions."""
+    in_pred, in_ref = (pred.labels == class_id).any(), (ref.labels == class_id).any()
+    if in_pred and in_ref:
+        values = {"DSC": dsc(pred, ref, class_id), "NSD": nsd(pred, ref, class_id, spacing),
+                  "HSD": hsd(pred, ref, class_id, spacing), "NAVE": nave(pred, ref, class_id)}
+        status = RecordStatus.SCORED
+    elif in_ref:
+        values, status = FN_DEFAULTS, RecordStatus.FN_DEFAULTED
+    else:
+        values = dict.fromkeys(METRICS, float("nan"))
+        status = RecordStatus.FP_SKIPPED if in_pred else RecordStatus.TN_SKIPPED
+    return [(ref.id, class_id, m, values[m], status) for m in METRICS]
+
+
+def _as_tuples(records):
+    return [(r.sample_id, r.class_id, r.metric, r.value, r.status) for r in records]
+
+
+def _assert_same(got, want):
+    """Records equal bit for bit (NaN matches NaN)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g[:3] == w[:3] and g[4] is w[4], (g, w)
+        assert np.float64(g[3]).tobytes() == np.float64(w[3]).tobytes(), (g, w)
+
+
+def _labels(rng, dims, p=0.25):
+    """Random labels of classes 0-3, each lesion class with probability p."""
+    return rng.choice(4, size=dims, p=(1 - 3 * p, p, p, p)).astype(np.uint8)
+
+
+def test_score_pair_memo_repeated_prediction(rng):
+    _flush_scope()
+    sp = (2.0, 0.8, 1.3)
+    ref = LabelMask(id="r", labels=_labels(rng, (7, 9, 8)))
+    pred = LabelMask(id="p", labels=_labels(rng, (7, 9, 8), p=0.2))
+    pred.labels[pred.labels == 3] = 0  # class 3 is a false negative
+    want = {c: _public_records(pred, ref, c, sp) for c in (1, 2, 3)}
+    for _ in range(3):
+        for c in (1, 2, 3):
+            _assert_same(_as_tuples(score_pair(pred, ref, c, sp)), want[c])
+
+
+def test_score_pair_memo_interleaved_references(rng):
+    sp = (1.0, 1.7, 0.9)
+    refs = [LabelMask(id=k, labels=_labels(rng, (8, 6, 7))) for k in ("a", "b")]
+    preds = [LabelMask(id="p", labels=_labels(rng, (8, 6, 7), p)) for p in (0.1, 0.2, 0.3)]
+    preds.append(LabelMask(id="p", labels=refs[0].labels.copy()))  # a perfect prediction
+    for ref, sp in ((refs[0], sp), (refs[1], sp), (refs[0], sp), (refs[0], (1.0, 1.0, 2.0))):
+        for pred in preds:
+            for c in (1, 2, 3):
+                _assert_same(_as_tuples(score_pair(pred, ref, c, sp)),
+                             _public_records(pred, ref, c, sp))
+
+
+def test_score_pair_memo_sees_labels_mutated_in_place(rng):
+    sp = (1.5, 1.0, 1.0)
+    ref = LabelMask(id="r", labels=_labels(rng, (6, 7, 8)))
+    pred = LabelMask(id="p", labels=_labels(rng, (6, 7, 8)))
+    for mutate in (pred, ref, pred):
+        for c in (1, 2, 3):
+            _assert_same(_as_tuples(score_pair(pred, ref, c, sp)),
+                         _public_records(pred, ref, c, sp))
+        mutate.labels[1:4, 2:6, 3:7] = (mutate.labels[1:4, 2:6, 3:7] + 1) % 4
+
+
+def test_score_pair_memo_threads(rng):
+    """Threads scoring different references at once, more threads than
+    cores, get the records of a sequential run."""
+    import sys
+    import threading
+    sp = (2.0, 1.0, 1.0)
+    jobs = []
+    for k in ("a", "b", "c", "d"):
+        ref = LabelMask(id=k, labels=_labels(rng, (8, 8, 8)))
+        preds = [LabelMask(id="p", labels=_labels(rng, (8, 8, 8), p)) for p in (0.1, 0.2, 0.3)]
+        jobs.append([(pred, ref, c) for pred in preds for c in (1, 2, 3)])
+    want = [[_as_tuples(score_pair(p, r, c, sp)) for p, r, c in job] for job in jobs]
+    for job, recs in zip(jobs, want):
+        for (p, r, c), got in zip(job, recs):
+            _assert_same(got, _public_records(p, r, c, sp))
+
+    barrier = threading.Barrier(len(jobs))
+    got = [[] for _ in jobs]
+
+    def run(i):
+        barrier.wait()
+        for _ in range(100):
+            got[i].append([_as_tuples(score_pair(p, r, c, sp)) for p, r, c in jobs[i]])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, mid-call
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, runs in enumerate(got):
+        assert len(runs) == 100
+        for recs in runs:
+            for g, w in zip(recs, want[i]):
+                _assert_same(g, w)
 
 
 def test_boundary_metrics_with_one_empty_boundary():

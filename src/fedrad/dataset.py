@@ -42,9 +42,6 @@ CLASS_INTENSITY_OFFSET = {CLASS_CONS: 500.0, CLASS_GGO: 250.0, CLASS_PE: 700.0}
 # directly comparable.
 HISTOGRAM_EDGES = np.linspace(-1024.0, 1024.0, 65)
 
-# 26-connectivity structuring element for component analysis.
-_STRUCT_26 = np.ones((3, 3, 3), dtype=bool)
-
 MIN_GRID_DIM = 8
 
 
@@ -146,18 +143,24 @@ def _ellipsoid_voxels(dims, center, radii) -> np.ndarray:
     return d2 <= 1.0
 
 
-def _dilate_26(mask: np.ndarray) -> np.ndarray:
-    """Binary dilation of a boolean grid by the 3x3x3 cube; outside the grid
-    counts as False. The cube is separable, so each axis in turn ORs the
-    mask with its shifts by -1 and +1."""
-    out = mask
-    for axis in range(mask.ndim):
+def _cube_reduce(grid: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """``op`` (``np.maximum`` or ``np.minimum``) over each voxel's 3x3x3
+    cube, clipped at the grid's faces. The cube is separable, so each axis
+    in turn combines the grid with its shifts by -1 and +1."""
+    out = grid
+    for axis in range(grid.ndim):
         src, out = out, out.copy()
         lo = (slice(None),) * axis + (slice(None, -1),)
         hi = (slice(None),) * axis + (slice(1, None),)
-        out[hi] |= src[lo]
-        out[lo] |= src[hi]
+        op(out[hi], src[lo], out=out[hi])
+        op(out[lo], src[hi], out=out[lo])
     return out
+
+
+def _dilate_26(mask: np.ndarray) -> np.ndarray:
+    """Binary dilation of a boolean grid by the 3x3x3 cube; outside the grid
+    counts as False."""
+    return _cube_reduce(mask, np.maximum)
 
 
 def _place_lesions(rng: np.random.Generator, labels: np.ndarray, class_id: int,
@@ -280,20 +283,41 @@ def connected_components(mask: LabelMask, class_id: int,
                          spacing: tuple[float, float, float] | None = None) -> list[Component]:
     """26-connected components of one class, with voxel counts and volumes in ml.
 
-    ``spacing`` defaults to 1 mm isotropic when the mask is used standalone.
+    Components come in the order ``scipy.ndimage.label`` numbers them: by
+    their first voxel in raster order. The labelling is numpy's, so
+    characterization loads no scipy. ``spacing`` defaults to 1 mm isotropic
+    when the mask is used standalone.
     """
     if class_id not in LESION_CLASSES:
         raise ValueError(f"class_id must be one of {LESION_CLASSES}, got {class_id}")
     sp = spacing if spacing is not None else (1.0, 1.0, 1.0)
     voxel_ml = (sp[0] * sp[1] * sp[2]) / 1000.0
-    from scipy import ndimage  # on first use: only characterization labels components
+    return [Component(voxel_count=int(c), volume_ml=int(c) * voxel_ml)
+            for c in _component_sizes(mask.labels == class_id)]
 
-    labeled, n = ndimage.label(mask.labels == class_id, structure=_STRUCT_26)
-    out = []
-    if n:
-        counts = np.bincount(labeled.ravel())[1:]
-        out = [Component(voxel_count=int(c), volume_ml=int(c) * voxel_ml) for c in counts]
-    return out
+
+def _component_sizes(fg: np.ndarray) -> list[int]:
+    """Voxel counts of the 26-connected components of a boolean grid.
+
+    Each foreground voxel starts labelled with its raster index; every pass
+    takes the least label of its cube (background holds ``fg.size``, above
+    every index) and then the label its label's voxel holds (pointer
+    jumping), until no label changes. A component ends labelled with its
+    first voxel in raster order, so the counts come in ``ndimage.label``'s
+    order.
+    """
+    voxels = np.flatnonzero(fg)
+    if voxels.size == 0:
+        return []
+    labels = np.full(fg.shape, fg.size, dtype=np.intp)
+    flat = labels.reshape(-1)
+    flat[voxels] = current = voxels
+    while True:
+        flat[voxels] = _cube_reduce(labels, np.minimum).reshape(-1)[voxels]
+        flat[voxels] = jumped = flat[flat[voxels]]
+        if np.array_equal(jumped, current):
+            return np.unique(jumped, return_counts=True)[1].tolist()
+        current = jumped
 
 
 def _summary(values: Sequence[float]) -> dict[str, float]:

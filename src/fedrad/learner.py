@@ -65,30 +65,77 @@ def site_train_seed(train_seed: int, site_id: str) -> int:
     return derive_seed(train_seed, "site", site_id)
 
 
+def _along(axis: int, start: int, stop: int) -> tuple:
+    """Index of positions ``start:stop`` on ``axis`` of a grid, whole on every other axis."""
+    return (slice(None),) * axis + (slice(start, stop),)
+
+
+def _box_filter(x: np.ndarray) -> np.ndarray:
+    """Mean over each voxel's 3x3x3 cube with edge-clamped borders, byte for
+    byte ``scipy.ndimage.uniform_filter(x, 3, mode="nearest")``.
+
+    It repeats scipy's arithmetic. Axes 0, 1 and 2 are filtered in turn. On
+    each line the first window sums ``((0.0 + x[0]) + x[0]) + x[1]``; the
+    leading 0.0 turns a sum of -0.0 into +0.0, as scipy's does. Window k > 0
+    adds ``x[min(k + 1, n - 1)] - x[max(k - 2, 0)]`` to the one before, and
+    every running sum is divided by 3 before the next axis. The first sums
+    and the differences are written with slices, and one in-place
+    ``np.cumsum`` runs the sums.
+    """
+    out = x
+    for axis in range(3):
+        n = x.shape[axis]
+        src, out = out, np.empty_like(x)
+        first, second = _along(axis, 0, 1), _along(axis, min(1, n - 1), min(2, n))
+        out[first] = ((0.0 + src[first]) + src[first]) + src[second]
+        out[_along(axis, 1, n - 1)] = src[_along(axis, 2, n)]
+        if n > 1:
+            out[_along(axis, n - 1, n)] = src[_along(axis, n - 1, n)]
+            out[_along(axis, 1, 3)] -= src[first]
+            out[_along(axis, 3, n)] -= src[_along(axis, 1, n - 2)]
+        np.cumsum(out, axis=axis, out=out)
+        out /= 3.0
+    return out
+
+
 def _gradient_magnitude(x: np.ndarray) -> np.ndarray:
-    # Central differences with clamped (edge-replicated) borders.
-    padded = np.pad(x, 1, mode="edge")
-    gz = (padded[2:, 1:-1, 1:-1] - padded[:-2, 1:-1, 1:-1]) * 0.5
-    gy = (padded[1:-1, 2:, 1:-1] - padded[1:-1, :-2, 1:-1]) * 0.5
-    gx = (padded[1:-1, 1:-1, 2:] - padded[1:-1, 1:-1, :-2]) * 0.5
-    return np.sqrt(gz * gz + gy * gy + gx * gx)
+    """Length of the central-difference gradient, edge-clamped at the borders.
+
+    On each axis g[k] = (x[min(k + 1, n - 1)] - x[max(k - 1, 0)]) * 0.5, and
+    the squares add up as (gz² + gy²) + gx², as with an edge-padded copy.
+    """
+    acc = np.empty_like(x)
+    g = np.empty_like(x)
+    for axis in range(3):
+        n = x.shape[axis]
+        first, last = _along(axis, 0, 1), _along(axis, n - 1, n)
+        np.subtract(x[_along(axis, 2, n)], x[_along(axis, 0, n - 2)], out=g[_along(axis, 1, n - 1)])
+        np.subtract(x[_along(axis, min(1, n - 1), min(2, n))], x[first], out=g[first])
+        np.subtract(x[last], x[_along(axis, max(n - 2, 0), max(n - 1, 1))], out=g[last])
+        g *= 0.5
+        if axis == 0:
+            np.multiply(g, g, out=acc)
+        else:
+            g *= g
+            acc += g
+    return np.sqrt(acc, out=acc)
 
 
 def extract_features(volume: Volume, config: FeatureConfig) -> np.ndarray:
     """Per-voxel feature grid of shape (D, H, W, F + 1), float64.
 
     Features: normalized clipped intensity, normalized 3^3 box-smoothed
-    intensity, scaled gradient magnitude, constant bias 1.
+    intensity, scaled gradient magnitude, constant bias 1. The smoothing is
+    numpy's, byte-identical to ``scipy.ndimage.uniform_filter(size=3,
+    mode="nearest")``, so extracting features loads no scipy.
     """
-    from scipy import ndimage  # on first use: most fedrad stages extract no features
-
     if not (np.isfinite(config.shift) and np.isfinite(config.scale) and config.scale > 0):
         raise ValueError(f"invalid feature normalization: {config}")
     x = np.asarray(volume.intensities, dtype=np.float64)
     x = np.clip(x, config.clip_low, config.clip_high)
     feats = np.empty(x.shape + (N_FEATURES + 1,), dtype=np.float64)
     feats[..., 0] = (x - config.shift) / config.scale
-    feats[..., 1] = (ndimage.uniform_filter(x, size=3, mode="nearest") - config.shift) / config.scale
+    feats[..., 1] = (_box_filter(x) - config.shift) / config.scale
     feats[..., 2] = _gradient_magnitude(x) / config.scale
     feats[..., 3] = 1.0
     return feats

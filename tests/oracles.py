@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to verify production implementations.
 
 These deliberately avoid the library code paths they check: connected
-components by explicit flood fill, surface distances by all-pairs
+components by explicit flood fill and by ``scipy.ndimage.label``, feature
+smoothing by ``scipy.ndimage.uniform_filter``, surface distances by all-pairs
 comparison, gradients by central finite differences, the federated
 protocol by a plain in-process loop over sites, and the SGD step and
 softmax by the original straightforward implementation (one draw per
@@ -197,6 +198,37 @@ def reference_train_epochs(w, features, labels, config, start_epoch=1):
             _, grad = reference_loss_and_grad(w, features[idx], labels[idx])
             w = w - config.learning_rate * grad
     return w
+
+
+def padded_gradient_magnitude(x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient length over an edge-padded copy."""
+    padded = np.pad(x, 1, mode="edge")
+    gz = (padded[2:, 1:-1, 1:-1] - padded[:-2, 1:-1, 1:-1]) * 0.5
+    gy = (padded[1:-1, 2:, 1:-1] - padded[1:-1, :-2, 1:-1]) * 0.5
+    gx = (padded[1:-1, 1:-1, 2:] - padded[1:-1, 1:-1, :-2]) * 0.5
+    return np.sqrt(gz * gz + gy * gy + gx * gx)
+
+
+def scipy_extract_features(volume: Volume, config: FeatureConfig) -> np.ndarray:
+    """Per-voxel features with ``scipy.ndimage.uniform_filter`` smoothing."""
+    from scipy import ndimage
+
+    x = np.clip(np.asarray(volume.intensities, dtype=np.float64),
+                config.clip_low, config.clip_high)
+    feats = np.empty(x.shape + (N_FEATURES + 1,), dtype=np.float64)
+    feats[..., 0] = (x - config.shift) / config.scale
+    feats[..., 1] = (ndimage.uniform_filter(x, size=3, mode="nearest") - config.shift) / config.scale
+    feats[..., 2] = padded_gradient_magnitude(x) / config.scale
+    feats[..., 3] = 1.0
+    return feats
+
+
+def ndimage_component_sizes(mask: np.ndarray) -> list[int]:
+    """Voxel counts of the 26-connected components, in ``ndimage.label``'s order."""
+    from scipy import ndimage
+
+    labeled, n = ndimage.label(mask, structure=np.ones((3, 3, 3)))
+    return np.bincount(labeled.ravel(), minlength=n + 1)[1:].tolist()
 
 
 def reference_ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volume,

@@ -52,24 +52,43 @@ def criterion(number, name):
 # ---------------------------------------------------------------------------
 # 1. update-rule oracle equivalence across execution paths
 
-def _run_tcp(params, datasets):
+def _run_tcp(params, datasets, resume=None):
+    """``run_server`` and one ``run_client`` thread per site over loopback TCP.
+
+    Returns the server's final weights, or raises what the server raised. A
+    client the server aborts ends quietly. The listener is closed however
+    the run ends.
+    """
     listener = TcpServerTransport()
-    host, port = listener.address
     out = {}
 
     def serve():
-        out["w"] = run_server(params, listener)
+        try:
+            out["w"] = run_server(params, listener, resume=resume)
+        except Exception as exc:
+            out["error"] = exc
 
-    threads = [threading.Thread(target=serve, daemon=True)]
-    for sid in sorted(datasets):
-        conn = connect_tcp(host, port)
-        threads.append(threading.Thread(
-            target=run_client, args=(datasets[sid], conn), daemon=True))
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive(), "tcp experiment hung"
+    def client(ds, conn):
+        try:
+            run_client(ds, conn)
+        except ExperimentAborted:
+            pass  # the server's outcome is the run's
+
+    try:
+        threads = [threading.Thread(target=serve, daemon=True)]
+        for sid in sorted(datasets):
+            threads.append(threading.Thread(
+                target=client, args=(datasets[sid], connect_tcp(*listener.address)),
+                daemon=True))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive(), "tcp experiment hung"
+    finally:
+        listener.close()
+    if "error" in out:
+        raise out["error"]
     return out["w"]
 
 
@@ -234,62 +253,11 @@ def test_criterion_6_crash_restart(tmp_path, monkeypatch):
 
         # tcp transport
         tcp_dir = tmp_path / f"tcp{k}"
-        ckpt = _tcp_run_until_crash(params(tcp_dir), datasets)
-        final = _tcp_run_resumed(params(tcp_dir), datasets, resume=ckpt)
+        with pytest.raises(ServerCrash) as crash:
+            _run_tcp(params(tcp_dir), datasets)
+        final = _run_tcp(params(tcp_dir), datasets, resume=crash.value.checkpoint)
         assert np.array_equal(final, full.final_weights), \
             f"tcp resume after round {k} diverged"
-
-
-def _tcp_run_until_crash(params, datasets):
-    listener = TcpServerTransport()
-    host, port = listener.address
-    out = {}
-
-    def serve():
-        try:
-            run_server(params, listener)
-        except ServerCrash as crash:
-            out["ckpt"] = crash.checkpoint
-
-    threads = [threading.Thread(target=serve, daemon=True)]
-    for sid in sorted(datasets):
-        conn = connect_tcp(host, port)
-
-        def client(ds=datasets[sid], c=conn):
-            try:
-                run_client(ds, c)
-            except ExperimentAborted:
-                pass
-
-        threads.append(threading.Thread(target=client, daemon=True))
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    assert out.get("ckpt") is not None
-    return out["ckpt"]
-
-
-def _tcp_run_resumed(params, datasets, resume):
-    listener = TcpServerTransport()
-    host, port = listener.address
-    out = {}
-
-    def serve():
-        out["w"] = run_server(params, listener, resume=resume)
-
-    threads = [threading.Thread(target=serve, daemon=True)]
-    for sid in sorted(datasets):
-        conn = connect_tcp(host, port)
-        threads.append(threading.Thread(
-            target=run_client, args=(datasets[sid], conn), daemon=True))
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    return out["w"]
 
 
 # ---------------------------------------------------------------------------

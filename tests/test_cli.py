@@ -333,6 +333,41 @@ def test_rank_and_report_leave_out_scipy_ndimage(config_file, capsys):
     assert (out / "report.json").exists()
 
 
+def _run_stage(argv: list[str]) -> tuple[int, list[str]]:
+    """``fedrad.cli.main(argv)`` in a fresh interpreter: its exit code and the
+    scipy modules loaded when it returned."""
+    code = ("import json, sys\nfrom fedrad.cli import main\n"
+            f"try:\n    rc = main({argv!r})\nexcept SystemExit as stop:\n    rc = stop.code\n"
+            "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    rc, modules = json.loads(result.stdout.splitlines()[-1])
+    return rc, modules
+
+
+def test_only_evaluate_loads_scipy(config_file):
+    # importing scipy.ndimage costs tenths of a second and about 19 MB per
+    # process; only the distance transform of `evaluate` needs it, and a
+    # stray import in any other stage would bring that cost back
+    path, config = config_file
+    out = Path(config.output_dir)
+    cfg = ["--config", str(path)]
+    stages = [["--help"], ["gen", *cfg], ["validate", *cfg], ["train-sim", *cfg],
+              ["characterize", *cfg], ["evaluate", *cfg]]
+    stages += [["rank", "--in", str(out / "eval" / s / "metrics.csv"), "--scenario", s]
+               for s in config.scenarios]
+    stages += [["report", *cfg]]
+    loaded = []
+    for argv in stages:
+        rc, modules = _run_stage(argv)
+        assert rc == 0, argv
+        if modules:
+            loaded.append(argv[0])
+    assert loaded == ["evaluate"]
+    assert (out / "report.json").exists()
+
+
 def test_config_not_an_object_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     for text in ("[]", "5", '"exp"'):

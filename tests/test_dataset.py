@@ -1,11 +1,17 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import make_profile, make_sample
-from oracles import flood_fill_components
+from oracles import flood_fill_components, ndimage_component_sizes
 
+from fedrad.cli import main
 from fedrad.dataset import (CcRegime, LESION_CLASSES, CLASS_PE, LabelMask, connected_components,
                             generate_sample, generate_site_dataset, site_statistics, split)
+
+DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def _mask_has(sample, class_id):
@@ -94,6 +100,52 @@ def test_connected_components_against_flood_fill(rng):
         mask = LabelMask(id="m", labels=labels)
         got = sorted(c.voxel_count for c in connected_components(mask, 1))
         assert got == flood_fill_components(labels, 1)
+
+
+def _component_sizes_in_order(labels, class_id):
+    return [c.voxel_count for c in connected_components(LabelMask(id="m", labels=labels), class_id)]
+
+
+def test_connected_components_match_ndimage_label_random():
+    # same count and the same voxel counts in label order, from sparse to
+    # nearly full masks; every third one touches all six faces
+    rng = np.random.default_rng(326)
+    for i in range(600):
+        dims = tuple(int(d) for d in rng.integers(1, 19, size=3))
+        mask = rng.random(dims) < rng.uniform(0.0, 0.95)
+        if i % 3 == 0:
+            for axis in range(3):
+                for end in (0, dims[axis] - 1):
+                    voxel = [int(rng.integers(0, d)) for d in dims]
+                    voxel[axis] = end
+                    mask[tuple(voxel)] = True
+        labels = mask.astype(np.uint8)
+        assert _component_sizes_in_order(labels, 1) == ndimage_component_sizes(mask), (dims, i)
+
+
+@pytest.mark.parametrize("regime", list(CcRegime))
+def test_connected_components_match_ndimage_label_sites(regime):
+    ds = generate_site_dataset(make_profile(n_samples=12, seed=62, regime=regime,
+                                            prevalence=(0.9, 0.9, 0.9), dims=(16, 18, 14)))
+    for s in ds.samples:
+        for c in LESION_CLASSES:
+            want = ndimage_component_sizes(s.mask.labels == c)
+            assert _component_sizes_in_order(s.mask.labels, c) == want, (s.sample_id, c)
+
+
+# sha256 of characteristics.json from `fedrad gen` + `fedrad characterize` on
+# configs/default.json, as written when scipy's ndimage.label counted the
+# components; component order sets the float sums, so it sets these bytes
+DEFAULT_CHARACTERISTICS_SHA256 = "cdac1671890e98f2966ab2d243f41a49285904284c883592165a1448b17fd0dd"
+
+
+def test_default_characteristics_bytes_unchanged(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the shipped config writes under ./runs
+    for stage in ("gen", "characterize"):
+        assert main([stage, "--config", str(DEFAULT_CONFIG)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "runs" / "default-3site" / "characteristics.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_CHARACTERISTICS_SHA256
 
 
 def test_dilate_26_matches_scipy():

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from conftest import make_sample
-from oracles import (finite_diff_grad, reference_forward, reference_loss_and_grad,
-                     reference_train_epochs)
+from conftest import make_profile, make_sample
+from oracles import (finite_diff_grad, padded_gradient_magnitude, reference_forward,
+                     reference_loss_and_grad, reference_train_epochs, scipy_extract_features)
 
-from fedrad.dataset import Volume
-from fedrad.learner import (FeatureConfig, N_FEATURES, TrainConfig, WEIGHT_LEN,
-                            build_training_matrix, ensemble_predict, extract_features,
-                            forward, load_weights, loss_and_grad, predict, predict_proba,
-                            save_weights, train_epochs)
+from fedrad.dataset import Volume, generate_site_dataset
+from fedrad.fingerprint import compute_fingerprint, derive_config
+from fedrad.learner import (FeatureConfig, N_FEATURES, TrainConfig, WEIGHT_LEN, _box_filter,
+                            _gradient_magnitude, build_training_matrix, ensemble_predict,
+                            extract_features, forward, load_weights, loss_and_grad, predict,
+                            predict_proba, save_weights, train_epochs)
 from fedrad.seeding import from_dict
 
 FC = FeatureConfig(shift=0.0, scale=1.0, clip_low=-1e6, clip_high=1e6)
@@ -44,6 +45,47 @@ def test_extract_features_invalid_config():
     vol = Volume(id="v", intensities=np.zeros((8, 8, 8), np.float32), spacing=(1, 1, 1))
     with pytest.raises(ValueError):
         extract_features(vol, FeatureConfig(shift=0.0, scale=0.0, clip_low=0, clip_high=1))
+
+
+def _filter_grids():
+    """Seeded grids with each dim in 1..24: all -0.0, whose sums scipy turns
+    into +0.0, then every shape with dims in {1, 2, 3}, then random shapes.
+    Values are normals, normals clipped into plateaus, or drawn from
+    {+-0.0, +-1, 0.1, -0.3}, where the sign of a zero sum shows."""
+    yield np.full((2, 3, 4), -0.0)
+    rng = np.random.default_rng(2024)
+    shapes = [(a, b, c) for a in (1, 2, 3) for b in (1, 2, 3) for c in (1, 2, 3)]
+    shapes += [tuple(int(d) for d in rng.integers(1, 25, size=3)) for _ in range(400)]
+    for i, dims in enumerate(shapes):
+        kind = i % 3
+        if kind == 0:
+            yield rng.normal(size=dims)
+        elif kind == 1:
+            yield np.clip(rng.normal(size=dims) * 3.0, -1.0, 1.0)
+        else:
+            yield rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, -0.3], size=dims)
+
+
+def test_box_filter_matches_scipy_bytes():
+    from scipy import ndimage
+
+    for x in _filter_grids():
+        want = ndimage.uniform_filter(x, 3, mode="nearest")
+        # tobytes, not array_equal: a -0.0 where scipy has +0.0 is a mismatch
+        assert _box_filter(x).tobytes() == want.tobytes(), x.shape
+
+
+def test_gradient_magnitude_matches_padded_formula():
+    for x in _filter_grids():
+        assert _gradient_magnitude(x).tobytes() == padded_gradient_magnitude(x).tobytes(), x.shape
+
+
+def test_extract_features_matches_scipy_oracle():
+    ds = generate_site_dataset(make_profile(n_samples=8, seed=41, dims=(9, 14, 11)))
+    fc = derive_config(compute_fingerprint(ds.train), 5).feature_config
+    for s in ds.samples:
+        got = extract_features(s.volume, fc)
+        assert got.tobytes() == scipy_extract_features(s.volume, fc).tobytes(), s.sample_id
 
 
 def test_forward_uniform_at_zero_weights(rng):

@@ -11,7 +11,8 @@
     fedrad report --config exp.json       join all artifacts into one bundle
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
-failures, 3 experiment aborted (resumable; the checkpoint path is printed).
+failures, 3 experiment aborted (a main run prints the checkpoint to resume
+from; a leave-out run restarts from round 0).
 Set FEDRAD_LOG=error|warn|info|debug to control logging.
 """
 
@@ -122,9 +123,13 @@ def cmd_train_sim(args) -> int:
         print(f"fedrad train-sim: config transport is {config.transport!r}; "
               "use 'fedrad serve'/'fedrad join' for tcp", file=sys.stderr)
         return EXIT_USAGE
+    needed = exp.needed_model_kinds(config)
+    if args.resume and "fed" not in needed:
+        print("fedrad train-sim: --resume continues the main federated run, and no "
+              "configured scenario has one", file=sys.stderr)
+        return EXIT_USAGE
     out = _out_dir(config)
     datasets = exp.load_all(config, out)
-    needed = exp.needed_model_kinds(config)
 
     registry = ModelRegistry()
     registry.locals = exp.train_local_models(config, datasets)
@@ -153,8 +158,8 @@ def cmd_train_sim(args) -> int:
             result = run_simulated(sub_params, sub_data, sub_links,
                                    per_batch_seconds=sub.per_batch_seconds)
             if result.aborted:
+                # no resume hint: --resume continues the main run only
                 print(f"leave-out run ({held_out}) aborted: {result.abort_reason}")
-                print(f"resume from checkpoint: {result.checkpoint_file}")
                 return EXIT_ABORTED
             registry.fed_leave_out[held_out] = exp.TrainedModel(
                 weights=result.final_weights,

@@ -13,9 +13,10 @@ the round deadline, tolerant mode aggregates over the responders with
 n = responder count. A closing exchange pushes the finished model to every
 site, which persists it locally so evaluation never needs the server.
 
-:class:`Federation` owns every server-side protocol decision; ``run_server``
-drives it over a transport and ``simnet.run_simulated`` drives it on a
-virtual clock, so the two cannot drift apart.
+:class:`Federation` owns every server-side protocol decision and
+:class:`Site` the local epoch a site trains each round. ``run_server`` and
+``run_client`` drive them over a transport and ``simnet.run_simulated``
+drives both on a virtual clock, so the two cannot drift apart.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import transport as tp
 from . import wire
-from .dataset import SiteDataset
+from .dataset import Sample, SiteDataset
 from .fingerprint import DatasetFingerprint, average_fingerprints, compute_fingerprint, derive_config
 from .learner import (TrainConfig, WEIGHT_LEN, build_training_matrix, save_weights,
                       site_train_seed, train_epochs)
@@ -134,6 +135,8 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
         raise CheckpointMismatch(f"{path}: expected {8 * WEIGHT_LEN} weight bytes, "
                                  f"got {n_weight_bytes}")
     weights = np.frombuffer(raw[body_end:], dtype="<f8").copy()
+    if not np.isfinite(weights).all():
+        raise CheckpointMismatch(f"{path}: non-finite weights")
     try:
         meta = parse_json(raw[_CKPT_HEADER.size:body_end], "metadata")
         return Checkpoint(
@@ -285,7 +288,7 @@ class _Inbox:
         self._listener = listener
         self._queue: queue.Queue = queue.Queue()
         self._stop = threading.Event()
-        self._conns: list[tp.Connection] = []
+        self._conns: list[tp.TcpConnection] = []
         self._lock = threading.Lock()
         threading.Thread(target=self._accept, daemon=True).start()
 
@@ -301,7 +304,7 @@ class _Inbox:
                 self._conns.append(conn)
             threading.Thread(target=self._pump, args=(conn,), daemon=True).start()
 
-    def _pump(self, conn: tp.Connection) -> None:
+    def _pump(self, conn: tp.TcpConnection) -> None:
         while True:
             try:
                 msg = conn.recv(timeout=None)
@@ -311,7 +314,7 @@ class _Inbox:
             self._queue.put((conn, msg))
 
     def messages(self, timeout_s: float, wanted: Callable[[], object]
-                 ) -> Iterator[tuple[tp.Connection, wire.Message | None]]:
+                 ) -> Iterator[tuple[tp.TcpConnection, wire.Message | None]]:
         """Yield ``(conn, msg)`` pairs while ``wanted()`` is true, for at
         most ``timeout_s`` seconds."""
         deadline = time.monotonic() + timeout_s
@@ -347,11 +350,11 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
     resumed = load_resume(resume, params)
 
     inbox = _Inbox(listener)
-    site_conn: dict[str, tp.Connection] = {}
+    site_conn: dict[str, tp.TcpConnection] = {}
     conn_site: dict[int, str] = {}
     dead_conns: set[int] = set()
 
-    def bind(conn: tp.Connection, site_id: str) -> bool:
+    def bind(conn: tp.TcpConnection, site_id: str) -> bool:
         if site_id not in expected:
             try:
                 conn.send(wire.Abort(f"unexpected site {site_id!r}"))
@@ -450,17 +453,35 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
         inbox.close()
 
 
-def _client_abort(conn: tp.Connection, reason: str) -> ExperimentAborted:
-    """Tell the server why this site gives up, hang up, and build the abort."""
+class Site:
+    """A site's half of the round protocol, configured by the server's
+    ``ConfigBroadcast``; ``run_client`` and ``simnet.run_simulated`` both
+    train through it."""
+
+    def __init__(self, site_id: str, train_samples: Sequence[Sample],
+                 config: wire.ConfigBroadcast):
+        derived = derive_config(config.fp_avg, config.experiment_seed)
+        self.features, self.labels = build_training_matrix(train_samples,
+                                                           derived.feature_config)
+        self.train = replace(config.train, epochs=1,
+                             seed=site_train_seed(config.train.seed, site_id))
+
+    def delta(self, w: np.ndarray, t: int) -> np.ndarray:
+        """Round ``t``'s delta from global weights ``w``: one local epoch,
+        minus ``w``. Raises ``ValueError`` when the epoch fails."""
+        return train_epochs(w, self.features, self.labels, self.train, start_epoch=t) - w
+
+
+def _client_abort(conn: tp.TcpConnection, reason: str) -> ExperimentAborted:
+    """Tell the server why this site gives up, and build the abort."""
     try:
         conn.send(wire.Abort(reason))
     except tp.TransportClosed:
         pass
-    conn.close()
     return ExperimentAborted(reason)
 
 
-def run_client(dataset: SiteDataset, conn: tp.Connection, *,
+def run_client(dataset: SiteDataset, conn: tp.TcpConnection, *,
                expected_digest: str | None = None,
                model_out: Path | None = None) -> np.ndarray:
     """Join an experiment as one site; returns the final global weights.
@@ -469,65 +490,51 @@ def run_client(dataset: SiteDataset, conn: tp.Connection, *,
     every round trains exactly one local epoch on the received weights and
     uploads the delta. The received final model is persisted to
     ``model_out`` so evaluation needs no server afterwards. Every failure,
-    of the connection or of the server's messages, ends as
-    :class:`ExperimentAborted`.
+    of the connection, of the server's messages or of a local epoch, ends
+    as :class:`ExperimentAborted`.
     """
     site_id = dataset.site_id
     if not dataset.train:
         raise ValueError(f"site {site_id} has no training samples")
+    site: Site | None = None
     try:
         conn.send(wire.Register(site_id=site_id))
         conn.send(wire.FingerprintSubmit(fingerprint=compute_fingerprint(dataset.train)))
-    except tp.TransportClosed as exc:
-        conn.close()
-        raise ExperimentAborted(f"server connection lost: {exc}") from exc
-
-    features = labels = None
-    local_cfg: TrainConfig | None = None
-
-    while True:
-        try:
+        while True:
             msg = conn.recv(timeout=CLIENT_RECV_TIMEOUT_S)
-        except (tp.TransportClosed, tp.RecvTimeout) as exc:
-            conn.close()
-            raise ExperimentAborted(f"server connection lost: {exc}") from exc
-        except wire.ProtocolError as exc:
-            conn.close()
-            raise ExperimentAborted(f"undecodable message from server: {exc}") from exc
-
-        if (isinstance(msg, (wire.RoundStart, wire.FinalModel))
-                and msg.weights.shape != (WEIGHT_LEN,)):
-            raise _client_abort(conn, f"server sent {msg.weights.shape[0]} weights in "
-                                      f"{type(msg).__name__}, expected {WEIGHT_LEN}")
-        if isinstance(msg, wire.ConfigBroadcast):
-            if expected_digest is not None and msg.experiment_digest != expected_digest:
-                raise _client_abort(conn, f"config digest mismatch: server has "
-                                          f"{msg.experiment_digest[:12]}..., site expects "
-                                          f"{expected_digest[:12]}...")
-            derived = derive_config(msg.fp_avg, msg.experiment_seed)
-            features, labels = build_training_matrix(dataset.train, derived.feature_config)
-            local_cfg = replace(msg.train, epochs=1,
-                                seed=site_train_seed(msg.train.seed, site_id))
-        elif isinstance(msg, wire.RoundStart):
-            if features is None or local_cfg is None:
-                raise _client_abort(conn, "round started before configuration was received")
-            trained = train_epochs(msg.weights, features, labels, local_cfg,
-                                   start_epoch=msg.round_index)
-            try:
+            if (isinstance(msg, (wire.RoundStart, wire.FinalModel))
+                    and not (msg.weights.shape == (WEIGHT_LEN,)
+                             and np.isfinite(msg.weights).all())):
+                raise _client_abort(conn, f"server sent {type(msg).__name__} weights that "
+                                          f"are not {WEIGHT_LEN} finite numbers")
+            if isinstance(msg, wire.ConfigBroadcast):
+                if expected_digest is not None and msg.experiment_digest != expected_digest:
+                    raise _client_abort(conn, f"config digest mismatch: server has "
+                                              f"{msg.experiment_digest[:12]}..., site expects "
+                                              f"{expected_digest[:12]}...")
+                site = Site(site_id, dataset.train, msg)
+            elif isinstance(msg, wire.RoundStart):
+                if site is None:
+                    raise _client_abort(conn, "round started before configuration was received")
+                try:
+                    delta = site.delta(msg.weights, msg.round_index)
+                except ValueError as exc:
+                    raise _client_abort(conn, f"local training failed: {exc}") from exc
                 conn.send(wire.DeltaUpload(round_index=msg.round_index, site_id=site_id,
-                                           delta=trained - msg.weights))
-            except tp.TransportClosed as exc:
-                conn.close()
-                raise ExperimentAborted(f"server connection lost: {exc}") from exc
-        elif isinstance(msg, wire.CheckpointNotice):
-            logger.debug("%s: round %d committed", site_id, msg.round_index)
-        elif isinstance(msg, wire.FinalModel):
-            if model_out is not None:
-                save_weights(model_out, msg.weights)
-            conn.close()
-            return msg.weights
-        elif isinstance(msg, wire.Abort):
-            conn.close()
-            raise ExperimentAborted(f"server aborted: {msg.reason}")
-        else:
-            logger.debug("%s: ignoring unexpected %s", site_id, type(msg).__name__)
+                                           delta=delta))
+            elif isinstance(msg, wire.CheckpointNotice):
+                logger.debug("%s: round %d committed", site_id, msg.round_index)
+            elif isinstance(msg, wire.FinalModel):
+                if model_out is not None:
+                    save_weights(model_out, msg.weights)
+                return msg.weights
+            elif isinstance(msg, wire.Abort):
+                raise ExperimentAborted(f"server aborted: {msg.reason}")
+            else:
+                logger.debug("%s: ignoring unexpected %s", site_id, type(msg).__name__)
+    except (tp.TransportClosed, tp.RecvTimeout) as exc:
+        raise ExperimentAborted(f"server connection lost: {exc}") from exc
+    except wire.ProtocolError as exc:
+        raise ExperimentAborted(f"undecodable message from server: {exc}") from exc
+    finally:
+        conn.close()

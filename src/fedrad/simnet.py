@@ -1,13 +1,13 @@
 """Deterministic simulated-network execution of federated experiments.
 
 A virtual clock (integer nanoseconds, no real sleeping) drives the same
-round core as the live server (:class:`fedproto.Federation`): broadcast,
-local epoch, delta upload, aggregate, checkpoint. Per-site links model
-latency, relative compute speed (local-epoch duration multiplier),
-scheduled per-round outages, and permanent crashes. The timing report
-accounts for stragglers: a round's wall time is the slowest site's busy
-time (train + both message latencies), and every faster site idles for the
-difference.
+round core as the live server and clients (:class:`fedproto.Federation` and
+:class:`fedproto.Site`): broadcast, local epoch, delta upload, aggregate,
+checkpoint. Per-site links model latency, relative compute speed
+(local-epoch duration multiplier), scheduled per-round outages, and
+permanent crashes. The timing report accounts for stragglers: a round's
+wall time is the slowest site's busy time (train + both message
+latencies), and every faster site idles for the difference.
 
 With zero faults the simulated run is bit-identical to the live transports
 and to the sequential reference, because every round decision and all
@@ -17,16 +17,15 @@ weight arithmetic go through the same core; the simulator only adds time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dataset import SiteDataset
-from .fedproto import ExperimentAborted, Federation, ServerParams, load_resume
+from .fedproto import ExperimentAborted, Federation, ServerParams, Site, load_resume
 from .fingerprint import DerivedConfig, compute_fingerprint
-from .learner import build_training_matrix, site_train_seed, train_epochs
 from .seeding import stamped_csv
 
 logger = logging.getLogger(__name__)
@@ -146,46 +145,43 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     # Configuration-sync phase (instantaneous on the virtual clock).
     fed = Federation(params, {s: compute_fingerprint(datasets[s].train) for s in expected},
                      resumed)
-    derived = fed.derived
-
-    matrices = {s: build_training_matrix(datasets[s].train, derived.feature_config)
-                for s in expected}
-    site_cfg = {s: replace(params.train, epochs=1,
-                           seed=site_train_seed(params.train.seed, s))
-                for s in expected}
+    sites = {s: Site(s, datasets[s].train, fed.config) for s in expected}
     timing = TimingReport()
 
     lat_ns = {s: round(link_by_site[s].latency_ms * 1_000_000) for s in expected}
     train_ns = {s: _epoch_ns(link_by_site[s], params, per_batch_seconds) for s in expected}
-    # A delta arrives after the RoundStart hop, one local epoch and the upload hop.
+    # A site's delta, or its abort, arrives after the RoundStart hop, one
+    # local epoch and the upload hop.
     arrive_ns = {s: 2 * lat_ns[s] + train_ns[s] for s in expected}
     timeout_ns = round(params.round_timeout_s * NS_PER_S)
 
     for t in fed.rounds():
         unavailable = apply_fault_schedule(links, t)
-        w = fed.weights
-        # The server stops waiting at the deadline; later deltas are missing.
-        received = {s: train_epochs(w, *matrices[s], site_cfg[s], start_epoch=t) - w
-                    for s in expected
-                    if s not in unavailable and arrive_ns[s] <= timeout_ns}
-
-        complete = set(received) == set(expected)
-        wall_ns = max(arrive_ns[s] for s in received) if complete else timeout_ns
+        # The server stops waiting at the deadline; later sites are missing.
+        on_time = [s for s in expected if s not in unavailable and arrive_ns[s] <= timeout_ns]
+        wall_ns = max(arrive_ns[s] for s in on_time) if on_time == expected else timeout_ns
         for s in expected:
-            busy = arrive_ns[s] if s in received else 0
+            ran = s in on_time
             timing.rows.append(RoundSiteTiming(
                 round_index=t, site_id=s,
-                train_ns=train_ns[s] if s in received else 0,
-                latency_ns=2 * lat_ns[s] if s in received else 0,
-                idle_ns=wall_ns - busy, wall_ns=wall_ns))
+                train_ns=train_ns[s] if ran else 0,
+                latency_ns=2 * lat_ns[s] if ran else 0,
+                idle_ns=wall_ns - (arrive_ns[s] if ran else 0), wall_ns=wall_ns))
 
+        received = {}
         try:
+            for s in on_time:
+                try:
+                    received[s] = sites[s].delta(fed.weights, t)
+                except ValueError as exc:
+                    # what the live server does with this site's Abort
+                    fed.exclude(t, [s], f"site aborted: local training failed: {exc}")
             fed.close_round(t, received)
         except ExperimentAborted as abort:
             logger.error("simulated experiment aborted: %s", abort.reason)
-            return SimResult(final_weights=None, timing=timing, derived=derived,
+            return SimResult(final_weights=None, timing=timing, derived=fed.derived,
                              aborted=True, abort_reason=abort.reason,
                              abort_round=abort.round_index, checkpoint_file=abort.checkpoint_path)
 
-    return SimResult(final_weights=fed.weights, timing=timing, derived=derived,
+    return SimResult(final_weights=fed.weights, timing=timing, derived=fed.derived,
                      checkpoint_file=fed.last_checkpoint)

@@ -24,18 +24,7 @@ class RecvTimeout(Exception):
     """No message arrived within the requested timeout."""
 
 
-class Connection:
-    def send(self, msg: wire.Message) -> None:
-        raise NotImplementedError
-
-    def recv(self, timeout: float | None = None) -> wire.Message:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        raise NotImplementedError
-
-
-class TcpConnection(Connection):
+class TcpConnection:
     """Blocking ``send``/``recv`` of whole messages over a stream socket."""
 
     def __init__(self, sock: socket.socket):

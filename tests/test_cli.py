@@ -115,6 +115,28 @@ def test_train_sim_rerun_byte_identical(config_file, capsys):
     capsys.readouterr()
 
 
+def test_train_sim_resumes_only_a_main_run(tmp_path, capsys):
+    # with only leave-out runs configured, s2 crashing at round 2 aborts the
+    # first of them; train-sim offers no checkpoint to resume, and refuses
+    # --resume, which continues the main run only
+    config = small_config(tmp_path, n_sites=3, rounds=3,
+                          scenarios=("generalization_without_local",))
+    config = replace(config, links=tuple(replace(l, crash_at_round=2) if l.site_id == "s2"
+                                         else l for l in config.links))
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["train-sim", "--config", str(path)]) == 3
+    out = capsys.readouterr().out
+    assert "leave-out run (s0) aborted" in out
+    assert "resume" not in out
+    ckpt = exp.checkpoints_dir(Path(config.output_dir), "loo-s0") / "checkpoint-0001.frck"
+    assert ckpt.exists()
+    assert main(["train-sim", "--config", str(path), "--resume", str(ckpt)]) == 1
+    assert "--resume continues the main federated run" in capsys.readouterr().err
+
+
 def test_characterize_refuses_another_experiments_data(config_file, tmp_path, capsys):
     path, config = config_file
     assert main(["gen", "--config", str(path)]) == 0

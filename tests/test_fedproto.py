@@ -12,7 +12,7 @@ from oracles import sequential_federated_reference
 from fedrad.dataset import generate_site_dataset
 from fedrad.fingerprint import DatasetFingerprint
 from fedrad.fedproto import (AGG_TOLERANT, Checkpoint, CheckpointMismatch, ExperimentAborted,
-                             ServerParams, aggregate, checkpoint_path, load_checkpoint,
+                             ServerParams, Site, aggregate, checkpoint_path, load_checkpoint,
                              run_client, run_server)
 from fedrad.learner import TrainConfig, WEIGHT_LEN
 from fedrad.seeding import to_dict
@@ -162,6 +162,15 @@ def test_checkpoint_corruption_refused(tmp_path, rng):
         load_checkpoint(path)
 
 
+def test_non_finite_checkpoint_refused(tmp_path, rng):
+    path = tmp_path / "c.frck"
+    _ckpt(rng).save(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + struct.pack("<d", float("nan")))
+    with pytest.raises(CheckpointMismatch, match="non-finite"):
+        load_checkpoint(path)
+
+
 def test_version_2_checkpoint_refused(tmp_path):
     # format 2 stored only the fingerprint digest, from which no feature
     # config can be derived
@@ -265,25 +274,21 @@ def test_single_site_equals_local_training():
 
 
 def test_client_delta_is_definitional(tmp_path):
-    # the uploaded delta equals train_epochs(w) - w; verified indirectly by
-    # single-round equality with a by-hand computation
+    # the server's round-1 model is the average of the sites' Site deltas from
+    # the initial weights that every site derives from the broadcast config
     datasets = make_datasets(["s1", "s2"])
     params = make_params(["s1", "s2"], rounds=1)
     server_out, _ = run_experiment(params, datasets)
 
-    from dataclasses import replace
-    from fedrad.fedproto import aggregate as agg
+    from fedrad import wire
     from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
-    from fedrad.learner import build_training_matrix, site_train_seed, train_epochs
     fps = [compute_fingerprint(datasets[s].train) for s in ("s1", "s2")]
-    derived = derive_config(average_fingerprints(fps), params.experiment_seed)
-    w0 = derived.init_weights
-    deltas = {}
-    for sid in ("s1", "s2"):
-        X, y = build_training_matrix(datasets[sid].train, derived.feature_config)
-        cfg = replace(TRAIN, epochs=1, seed=site_train_seed(TRAIN.seed, sid))
-        deltas[sid] = train_epochs(w0, X, y, cfg, start_epoch=1) - w0
-    assert np.array_equal(server_out["w"], agg(w0, deltas))
+    config = wire.ConfigBroadcast(fp_avg=average_fingerprints(fps),
+                                  experiment_seed=params.experiment_seed, rounds=1,
+                                  train=TRAIN, experiment_digest=params.experiment_digest)
+    w0 = derive_config(config.fp_avg, config.experiment_seed).init_weights
+    deltas = {sid: Site(sid, datasets[sid].train, config).delta(w0, 1) for sid in ("s1", "s2")}
+    assert np.array_equal(server_out["w"], aggregate(w0, deltas))
 
 
 def test_checkpoints_written_every_round(tmp_path):
@@ -300,27 +305,20 @@ def test_checkpoints_written_every_round(tmp_path):
 def _partial_client(datasets, sid, hub, last_round):
     """A hand-rolled client that participates through ``last_round`` uploads
     and then drops off the network."""
-    from dataclasses import replace
     from fedrad import wire
-    from fedrad.fingerprint import compute_fingerprint, derive_config
-    from fedrad.learner import build_training_matrix, site_train_seed, train_epochs
+    from fedrad.fingerprint import compute_fingerprint
 
     conn = hub.connect()
     conn.send(wire.Register(site_id=sid))
     conn.send(wire.FingerprintSubmit(fingerprint=compute_fingerprint(datasets[sid].train)))
-    cfg = derived = matrix = local = None
+    site = None
     while True:
         msg = conn.recv(timeout=30)
         if isinstance(msg, wire.ConfigBroadcast):
-            cfg = msg
-            derived = derive_config(cfg.fp_avg, cfg.experiment_seed)
-            matrix = build_training_matrix(datasets[sid].train, derived.feature_config)
-            local = replace(cfg.train, epochs=1, seed=site_train_seed(cfg.train.seed, sid))
+            site = Site(sid, datasets[sid].train, msg)
         elif isinstance(msg, wire.RoundStart):
-            trained = train_epochs(msg.weights, matrix[0], matrix[1], local,
-                                   start_epoch=msg.round_index)
             conn.send(wire.DeltaUpload(round_index=msg.round_index, site_id=sid,
-                                       delta=trained - msg.weights))
+                                       delta=site.delta(msg.weights, msg.round_index)))
             if msg.round_index >= last_round:
                 conn.close()
                 return
@@ -479,6 +477,42 @@ def test_client_digest_mismatch_aborts():
     assert isinstance(client_out["s2"], ExperimentAborted)
     assert "digest mismatch" in str(client_out["s2"])
     assert isinstance(server_out.get("exc"), ExperimentAborted)
+
+
+@pytest.mark.parametrize("kind", ["RoundStart", "FinalModel"])
+def test_client_refuses_non_finite_weights(tmp_path, kind):
+    # a server that sends NaN weights gets the site's Abort, and the site
+    # ends resumably without training on them or saving them
+    from fedrad import wire
+    datasets = make_datasets(["s1"])
+    model_path = tmp_path / "final.frwt"
+    hub = InProcessHub()
+    out = {}
+
+    def join():
+        try:
+            out["s1"] = run_client(datasets["s1"], hub.connect(), model_out=model_path)
+        except Exception as exc:  # noqa: BLE001
+            out["s1"] = exc
+
+    client = threading.Thread(target=join, daemon=True)
+    client.start()
+    server = hub.accept(timeout=30)
+    assert isinstance(server.recv(timeout=30), wire.Register)
+    fp = server.recv(timeout=30).fingerprint
+    nan = np.full(WEIGHT_LEN, np.nan)
+    server.send(wire.ConfigBroadcast(fp_avg=fp, experiment_seed=1, rounds=1, train=TRAIN,
+                                     experiment_digest="0" * 64))
+    server.send(wire.RoundStart(round_index=1, weights=nan) if kind == "RoundStart"
+                else wire.FinalModel(weights=nan))
+    reply = server.recv(timeout=30)
+    client.join(timeout=30)
+    server.close()
+    assert not client.is_alive()
+    assert isinstance(reply, wire.Abort)
+    assert f"{kind} weights that are not {WEIGHT_LEN} finite numbers" in reply.reason
+    assert isinstance(out["s1"], ExperimentAborted)
+    assert not model_path.exists()
 
 
 def test_server_crash_after_round_then_resume(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import ServerCrash, crash_after_round
 from oracles import sequential_federated_reference
 from test_fedproto import TRAIN, make_datasets, make_params, run_experiment
 
-from fedrad.fedproto import checkpoint_path, load_checkpoint
+from fedrad.fedproto import ExperimentAborted, checkpoint_path, load_checkpoint
 from fedrad.simnet import (NS_PER_S, SiteLink, apply_fault_schedule, run_simulated)
 
 
@@ -239,3 +241,33 @@ def test_missing_datasets_rejected():
     params = make_params(["a", "b"], rounds=1)
     with pytest.raises(ValueError, match="datasets missing"):
         run_simulated(params, datasets, links_for(["a", "b"]))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("sites, aggregation", [(["s1"], "strict"),
+                                                (["s1", "s2"], "tolerant")])
+def test_failed_local_epoch_aborts_alike_in_sim_and_live(tmp_path, sites, aggregation):
+    # a learning rate that overflows the first local epoch: every site's
+    # training fails, and the simulator ends the run where the live server does
+    datasets = make_datasets(sites)
+
+    def params(run):
+        return replace(make_params(sites, rounds=2, ckpt_dir=tmp_path / run,
+                                   aggregation=aggregation),
+                       train=replace(TRAIN, learning_rate=1.7e308))
+
+    sim = run_simulated(params("sim"), datasets, links_for(sites))
+    live_out, client_out = run_experiment(params("live"), datasets)
+    live = live_out.get("exc")
+    assert sim.aborted and isinstance(live, ExperimentAborted)
+    assert (sim.abort_round, sim.abort_reason) == (live.round_index, live.reason)
+    assert sim.checkpoint_file.name == live.checkpoint_path.name
+    sim_files = {f.name: f.read_bytes() for f in (tmp_path / "sim").iterdir()}
+    live_files = {f.name: f.read_bytes() for f in (tmp_path / "live").iterdir()}
+    assert sim_files == live_files
+    for exc in client_out.values():
+        assert isinstance(exc, ExperimentAborted)
+        assert exc.reason.startswith("local training failed")
+    if aggregation == "strict":
+        assert "site aborted: local training failed" in sim.abort_reason

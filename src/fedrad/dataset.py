@@ -10,9 +10,7 @@ Generation is fully deterministic: every sample derives its own RNG from
 ``(profile.seed, sample index)``, so datasets are bit-identical across
 processes and machines and generation can be parallelized per sample.
 
-Voxel classes: 0 = background, 1 = consolidation, 2 = ground-glass opacity,
-3 = pleural effusion. Class 3 plays the rare-class role in stratified
-splitting.
+The profile record and the voxel class ids live in :mod:`fedrad.config`.
 """
 
 from __future__ import annotations
@@ -24,14 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import CLASS_CONS, CLASS_GGO, CLASS_PE, LESION_CLASSES, CcRegime, SiteProfile
 from .seeding import derive_seed, rng_from
-
-CLASS_BACKGROUND = 0
-CLASS_CONS = 1
-CLASS_GGO = 2
-CLASS_PE = 3
-LESION_CLASSES = (CLASS_CONS, CLASS_GGO, CLASS_PE)
-N_CLASSES = 4
 
 # Additive intensity of each lesion class over the site background level
 # (HU-like units). Shared across sites so a pooled model can exploit a
@@ -43,13 +35,6 @@ CLASS_INTENSITY_OFFSET = {CLASS_CONS: 500.0, CLASS_GGO: 250.0, CLASS_PE: 700.0}
 HISTOGRAM_EDGES = np.linspace(-1024.0, 1024.0, 65)
 
 MIN_GRID_DIM = 8
-
-
-class CcRegime(str, enum.Enum):
-    """Annotation fragmentation regime of a site."""
-
-    FEW_LARGE = "few_large"
-    MANY_SMALL = "many_small"
 
 
 class Provenance(str, enum.Enum):
@@ -92,22 +77,6 @@ class Sample:
     mask: LabelMask
     site_id: str
     annotation_provenance: Provenance
-
-
-@dataclass(frozen=True)
-class SiteProfile:
-    """Generator parameters for one synthetic site."""
-
-    site_id: str
-    n_samples: int
-    grid_dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    intensity_mean: float
-    intensity_std: float
-    class_prevalence: tuple[float, float, float]  # classes 1, 2, 3
-    lesion_volume_scale: float
-    cc_count_regime: CcRegime
-    seed: int
 
 
 @dataclass

@@ -16,27 +16,26 @@ averaging its probabilities half-and-half with the site's local model.
 Ranking: per (site, metric) all compared models are ranked (ties get the
 average of the positions they cover); a model's overall score r is the
 mean of its ranks over all sites and metrics, lower is better.
+
+Ranking reads and writes small CSV and JSON files, so this module loads
+numpy and the models only inside :func:`run_scenario`, for scoring.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
-import numpy as np
-
-from .dataset import LESION_CLASSES, SiteDataset
-from .learner import FeatureConfig, ensemble_predict, predict_proba
+from .config import LESION_CLASSES, Scenario
 from .records import METRIC_DIRECTIONS, METRICS, MetricRecord, summarize
 from .seeding import stamped_csv
 
+if TYPE_CHECKING:
+    import numpy as np
 
-class Scenario(str, enum.Enum):
-    PERSONALIZATION = "personalization"
-    GEN_WITHOUT_LOCAL = "generalization_without_local"
-    GEN_WITH_LOCAL = "generalization_with_local"
+    from .dataset import SiteDataset
+    from .learner import FeatureConfig
 
 
 @dataclass(eq=False)
@@ -110,7 +109,8 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
     are held at a time. Each (scenario, variant, sample) is still predicted
     and scored on its own.
     """
-    # imported here: scoring loads scipy.ndimage, which ranking never needs
+    # imported here: scoring needs numpy and scipy.ndimage, which ranking never does
+    from .learner import ensemble_predict, predict_proba
     from .metrics import score_pair
 
     roster = sorted(registry.locals)
@@ -169,22 +169,26 @@ class RankTable:
         return sorted(self.overall, key=lambda m: (self.overall[m], m))
 
 
-def average_ranks(x: np.ndarray) -> np.ndarray:
+def average_ranks(x: Sequence[float]) -> list[float]:
     """1-based ranks of ``x``; tied values share the mean of the positions
     they span (``scipy.stats.rankdata(x, method="average")``, NaN included:
     any NaN makes every rank NaN).
 
     The ranks are exact halves, so they match scipy's bit for bit.
     """
-    x = np.asarray(x, dtype=float)
-    if np.isnan(x).any():
-        return np.full(x.shape, np.nan)
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    ends = np.r_[starts[1:], len(x)]
-    ranks = np.empty(len(x))
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    x = [float(v) for v in x]
+    if any(math.isnan(v) for v in x):
+        return [math.nan] * len(x)
+    order = sorted(range(len(x)), key=x.__getitem__)
+    ranks = [0.0] * len(x)
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and x[order[end]] == x[order[start]]:
+            end += 1
+        for i in order[start:end]:
+            ranks[i] = (start + 1 + end) / 2
+        start = end
     return ranks
 
 
@@ -217,11 +221,11 @@ def rank(values: Mapping[tuple[str, str, str], float],
             present = [m for m in models if (m, site, metric) in values]
             if not present:
                 continue
-            vals = np.array([values[(m, site, metric)] for m in present], dtype=float)
+            vals = [float(values[(m, site, metric)]) for m in present]
             ascending = METRIC_DIRECTIONS.get(metric, "desc") == "asc"
-            ranks = average_ranks(vals if ascending else -vals)
+            ranks = average_ranks(vals if ascending else [-v for v in vals])
             for m, r in zip(present, ranks):
-                cell_ranks[(m, site, metric)] = float(r)
+                cell_ranks[(m, site, metric)] = r
 
     overall = {}
     for m in models:

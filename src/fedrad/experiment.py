@@ -1,98 +1,27 @@
-"""Experiment configuration, artifact layout, and training orchestration.
+"""Experiment orchestration: generation, local training and model persistence.
 
-An experiment is one canonical-JSON config file; its sha256 digest
-identifies the experiment and is embedded in every artifact so stages can
-refuse to join outputs of different runs. All orchestration helpers here
-are deterministic functions of the config, which is what makes re-running
-any stage reproduce byte-identical artifacts.
-
-Output directory layout (all stages):
-
-    sites/<site_id>/            generated datasets (manifest + frvd grids)
-    checkpoints/main/           round checkpoints of the federated run
-    checkpoints/loo-<site>/     checkpoints of each leave-one-out run
-    models/                     models.json + frwt weight files
-    timing.csv                  straggler/idle accounting of the sim run
-    eval/<scenario>/            metrics.csv, ranks.csv, summary.json
-    report.json                 joined bundle
+The config records and the artifact layout live in :mod:`fedrad.config`.
+All orchestration helpers here are deterministic functions of the config,
+which is what makes re-running any stage reproduce byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import siteio
-from .dataset import CLASS_PE, CcRegime, SiteDataset, SiteProfile, generate_site_dataset
-from .evalrank import ModelRegistry, Scenario, TrainedModel
-from .fedproto import AGG_STRICT, AGG_TOLERANT, ServerParams
+from .config import (CcRegime, ExperimentConfig, Scenario, ServerParams, SiteLink, SiteProfile,
+                     TrainConfig, models_dir, site_dir)
+from .dataset import SiteDataset, generate_site_dataset
+from .evalrank import ModelRegistry, TrainedModel
 from .fingerprint import compute_fingerprint, derive_config
-from .learner import (FeatureConfig, TrainConfig, build_training_matrix, load_weights,
-                      save_weights, site_train_seed, train_epochs)
-from .seeding import (check_stamp, digest_of, from_dict, parse_json, read_stamped_json, to_dict,
-                      write_json)
-from .simnet import DEFAULT_PER_BATCH_SECONDS, SiteLink
+from .learner import (FeatureConfig, build_training_matrix, load_weights, save_weights,
+                      site_train_seed, train_epochs)
+from .seeding import check_stamp, from_dict, read_stamped_json, to_dict, write_json
 
 logger = logging.getLogger(__name__)
-
-TRANSPORT_SIM = "sim"
-TRANSPORT_TCP = "tcp"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    name: str
-    seed: int
-    rounds: int
-    sites: tuple[SiteProfile, ...]
-    train: TrainConfig
-    links: tuple[SiteLink, ...] = ()
-    scenarios: tuple[str, ...] = ()
-    aggregation: str = AGG_STRICT
-    transport: str = TRANSPORT_SIM
-    round_timeout_s: float = 60.0
-    setup_timeout_s: float = 120.0
-    per_batch_seconds: float = DEFAULT_PER_BATCH_SECONDS
-    test_fraction: float = 0.2
-    stratify_class: int = CLASS_PE
-    output_dir: str = "runs/default"
-
-    def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.aggregation not in (AGG_STRICT, AGG_TOLERANT):
-            raise ValueError(f"unknown aggregation mode {self.aggregation!r}")
-        if self.transport not in (TRANSPORT_SIM, TRANSPORT_TCP):
-            raise ValueError(f"unknown transport {self.transport!r}")
-        ids = [p.site_id for p in self.sites]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate site ids")
-        for sid in ids:
-            # the CSV artifacts join their fields with bare commas, one record a line
-            if any(c in sid for c in ",\r\n"):
-                raise ValueError(f"site id {sid!r} contains a comma or a line break")
-        for s in self.scenarios:
-            Scenario(s)  # raises on unknown names
-        if len(set(self.scenarios)) != len(self.scenarios):
-            # evaluate writes one metrics.csv per scenario name
-            raise ValueError(f"duplicate scenarios in {list(self.scenarios)}")
-
-    @property
-    def site_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(p.site_id for p in self.sites))
-
-    @property
-    def digest(self) -> str:
-        return digest_of(to_dict(self))
-
-
-def load_config(path: Path) -> ExperimentConfig:
-    """Read a config file; ``train.seed`` defaults to the experiment seed."""
-    doc = parse_json(Path(path).read_bytes(), path)
-    if isinstance(doc, dict) and isinstance(doc.get("train"), dict) and "seed" in doc:
-        doc["train"].setdefault("seed", doc["seed"])
-    return from_dict(ExperimentConfig, doc)
 
 
 def save_config(config: ExperimentConfig, path: Path) -> None:
@@ -132,29 +61,6 @@ def zero_fault_links(config: ExperimentConfig) -> tuple[SiteLink, ...]:
     have = {l.site_id for l in config.links}
     pad = tuple(SiteLink(site_id=s) for s in config.site_ids if s not in have)
     return config.links + pad
-
-
-# ---------------------------------------------------------------------------
-# Artifact layout helpers
-
-def sites_dir(out: Path) -> Path:
-    return Path(out) / "sites"
-
-
-def site_dir(out: Path, site_id: str) -> Path:
-    return sites_dir(out) / site_id
-
-
-def checkpoints_dir(out: Path, run: str = "main") -> Path:
-    return Path(out) / "checkpoints" / run
-
-
-def models_dir(out: Path) -> Path:
-    return Path(out) / "models"
-
-
-def eval_dir(out: Path, scenario: str) -> Path:
-    return Path(out) / "eval" / scenario
 
 
 # ---------------------------------------------------------------------------

@@ -35,16 +35,14 @@ import numpy as np
 
 from . import transport as tp
 from . import wire
+from .config import AGG_STRICT, AGG_TOLERANT, ServerParams
 from .dataset import Sample, SiteDataset
 from .fingerprint import DatasetFingerprint, average_fingerprints, compute_fingerprint, derive_config
-from .learner import (TrainConfig, WEIGHT_LEN, build_training_matrix, save_weights,
-                      site_train_seed, train_epochs)
+from .learner import WEIGHT_LEN, build_training_matrix, save_weights, site_train_seed, train_epochs
 from .seeding import from_dict, parse_json, to_dict
 
 logger = logging.getLogger(__name__)
 
-AGG_STRICT = "strict"
-AGG_TOLERANT = "tolerant"
 
 # how long a site waits for the server's next message before giving up
 CLIENT_RECV_TIMEOUT_S = 600.0
@@ -150,30 +148,6 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
         raise CheckpointMismatch(f"{path}: bad metadata: {exc!r}") from exc
 
 
-@dataclass
-class ServerParams:
-    """Everything the server side of an experiment needs."""
-
-    expected_sites: tuple[str, ...]
-    rounds: int
-    train: TrainConfig
-    experiment_seed: int
-    experiment_digest: str
-    aggregation: str = AGG_STRICT
-    round_timeout_s: float = 60.0
-    setup_timeout_s: float = 120.0
-    checkpoint_dir: Path | None = None
-
-    def __post_init__(self):
-        if not self.expected_sites:
-            raise ValueError("at least one expected site is required")
-        if self.aggregation not in (AGG_STRICT, AGG_TOLERANT):
-            raise ValueError(f"unknown aggregation mode {self.aggregation!r}")
-        if len(self.experiment_digest) != 64 or bytes.fromhex(self.experiment_digest) is None:
-            raise ValueError("experiment_digest must be 64 hex characters")
-        self.expected_sites = tuple(sorted(self.expected_sites))
-
-
 def checkpoint_path(checkpoint_dir: Path, round_index: int) -> Path:
     return Path(checkpoint_dir) / f"checkpoint-{round_index:04d}.frck"
 
@@ -221,6 +195,7 @@ class Federation:
         else:
             self.weights = self.derived.init_weights.copy()
             self.round_index = 0
+        self._excluded: dict[int, set[str]] = {}  # round -> sites already left out of it
         self.last_checkpoint = self._commit()
         self.config = wire.ConfigBroadcast(
             fp_avg=self.fp_avg, experiment_seed=params.experiment_seed,
@@ -247,18 +222,20 @@ class Federation:
     def exclude(self, t: int, sites: Iterable[str], why: str) -> None:
         """Leave ``sites`` out of round ``t``: an abort in strict mode, a
         logged exclusion in tolerant mode."""
+        sites = sorted(sites)
         if self.params.aggregation == AGG_STRICT:
-            raise self._abort(t, f"round {t}: {why} from {sorted(sites)}")
-        logger.warning("round %d: excluding %s (%s, tolerant mode)", t, sorted(sites), why)
+            raise self._abort(t, f"round {t}: {why} from {sites}")
+        logger.warning("round %d: excluding %s (%s, tolerant mode)", t, sites, why)
+        self._excluded.setdefault(t, set()).update(sites)
 
     def close_round(self, t: int, received: Mapping[str, np.ndarray]) -> None:
         """Aggregate the deltas received for round ``t`` and commit it.
 
         A site that sent nothing, or a delta that is not ``WEIGHT_LEN``
-        finite numbers, is excluded; with no usable delta at all the round
-        aborts in either mode.
+        finite numbers, is excluded, unless it already was in round ``t``;
+        with no usable delta at all the round aborts in either mode.
         """
-        missing = set(self.params.expected_sites) - set(received)
+        missing = set(self.params.expected_sites) - set(received) - self._excluded.get(t, set())
         if missing:
             self.exclude(t, missing, "no delta")
         usable = {}

@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import N_CLASSES, Sample
+from .config import N_CLASSES
+from .dataset import Sample
 from .learner import FeatureConfig, WEIGHT_LEN
 from .seeding import digest_of, rng_from, to_dict
 

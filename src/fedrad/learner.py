@@ -15,7 +15,6 @@ to epoch t of an uninterrupted local run.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import LabelMask, N_CLASSES, Sample, Volume
+from .config import N_CLASSES, TrainConfig
+from .dataset import LabelMask, Sample, Volume
 from .seeding import derive_seed, rng_from
 
 N_FEATURES = 3
@@ -43,21 +43,6 @@ class FeatureConfig:
     scale: float
     clip_low: float
     clip_high: float
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int
-    batches_per_epoch: int
-    batch_size: int
-    learning_rate: float
-    seed: int
-
-    def __post_init__(self):
-        if self.epochs <= 0 or self.batches_per_epoch <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs, batches_per_epoch, batch_size must be positive")
-        if not 0.0 <= self.learning_rate < math.inf:
-            raise ValueError(f"learning_rate is negative or non-finite: {self.learning_rate!r}")
 
 
 def site_train_seed(train_seed: int, site_id: str) -> int:

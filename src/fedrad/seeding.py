@@ -22,12 +22,14 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import types
 import typing
 from pathlib import Path
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def canonical_json(obj: Any) -> str:
@@ -48,7 +50,8 @@ def derive_seed(*parts: int | str | bytes) -> int:
     """Derive a 64-bit unsigned seed from a tuple of ints/strings/bytes.
 
     The mapping is injective on the part tuple (each part is tagged and
-    terminated) and stable across platforms and processes.
+    terminated) and stable across platforms and processes. An integer part
+    may be any ``numbers.Integral``, numpy's integer scalars included.
     """
     h = hashlib.sha256()
     for part in parts:
@@ -56,7 +59,7 @@ def derive_seed(*parts: int | str | bytes) -> int:
             h.update(b"b" + part)
         elif isinstance(part, str):
             h.update(b"s" + part.encode("utf-8"))
-        elif isinstance(part, (int, np.integer)):
+        elif isinstance(part, numbers.Integral):
             h.update(b"i" + str(int(part)).encode("ascii"))
         else:
             raise TypeError(f"unsupported seed part type: {type(part)!r}")
@@ -66,6 +69,8 @@ def derive_seed(*parts: int | str | bytes) -> int:
 
 def rng_from(*parts: int | str | bytes) -> np.random.Generator:
     """PCG64 generator seeded with :func:`derive_seed` of ``parts``."""
+    import numpy as np  # here, so that the records and stamps load without numpy
+
     return np.random.Generator(np.random.PCG64(derive_seed(*parts)))
 
 

@@ -23,39 +23,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import DEFAULT_PER_BATCH_SECONDS, ServerParams, SiteLink
 from .dataset import SiteDataset
-from .fedproto import ExperimentAborted, Federation, ServerParams, Site, load_resume
+from .fedproto import ExperimentAborted, Federation, Site, load_resume
 from .fingerprint import DerivedConfig, compute_fingerprint
 from .seeding import stamped_csv
 
 logger = logging.getLogger(__name__)
 
 NS_PER_S = 1_000_000_000
-
-DEFAULT_PER_BATCH_SECONDS = 0.02
-
-
-@dataclass(frozen=True)
-class SiteLink:
-    """Network/compute characteristics and fault schedule of one site."""
-
-    site_id: str
-    latency_ms: float = 0.0
-    speed_factor: float = 1.0
-    offline_rounds: frozenset[int] = frozenset()
-    crash_at_round: int | None = None
-
-    def __post_init__(self):
-        if self.speed_factor <= 0:
-            raise ValueError(f"{self.site_id}: speed_factor must be positive")
-        if self.latency_ms < 0:
-            raise ValueError(f"{self.site_id}: latency_ms must be non-negative")
-        if any(r < 1 for r in self.offline_rounds):
-            raise ValueError(f"{self.site_id}: offline rounds start at 1")
-        if self.crash_at_round is not None and self.crash_at_round < 1:
-            raise ValueError(f"{self.site_id}: crash_at_round must be >= 1 "
-                             "(cannot crash before joining)")
-        object.__setattr__(self, "offline_rounds", frozenset(self.offline_rounds))
 
 
 def apply_fault_schedule(links: Sequence[SiteLink], round_index: int) -> set[str]:

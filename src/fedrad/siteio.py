@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import LabelMask, Provenance, Sample, SiteDataset, SiteProfile, Volume
+from .config import SiteProfile
+from .dataset import LabelMask, Provenance, Sample, SiteDataset, Volume
 from .seeding import parse_json, write_json
 
 GRID_MAGIC = b"FRVD"

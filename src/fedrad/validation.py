@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import N_CLASSES, Sample
+from .config import N_CLASSES
+from .dataset import Sample
 from .seeding import to_dict
 from . import siteio
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TrainConfig
 from .fingerprint import DatasetFingerprint
-from .learner import TrainConfig
 from .seeding import canonical_json, from_dict, parse_json, to_dict
 
 MAGIC = b"FR"

@@ -6,7 +6,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fedrad.dataset import CcRegime, LabelMask, Sample, SiteProfile, Volume, generate_site_dataset
+from fedrad.config import CcRegime, SiteProfile
+from fedrad.dataset import LabelMask, Sample, Volume, generate_site_dataset
 from fedrad.fedproto import Federation
 
 _close_round = Federation.close_round

@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from fedrad.dataset import LabelMask, N_CLASSES, Sample, Volume
+from fedrad.config import N_CLASSES
+from fedrad.dataset import LabelMask, Sample, Volume
 from fedrad.seeding import rng_from
 from fedrad.validation import FindingCode
 

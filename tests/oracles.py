@@ -9,7 +9,7 @@ softmax by the original straightforward implementation (one draw per
 batch, fancy-index gathers, ``max``/``sum(axis=-1)`` reductions), which the
 optimized learner must match bit for bit, and scenario evaluation by the
 original loop that re-extracts features and re-runs every member model for
-every ensemble prediction.
+every ensemble prediction, and tie-averaged ranks by a numpy stable argsort.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from fedrad.dataset import LESION_CLASSES, LabelMask, Volume
+from fedrad.config import LESION_CLASSES, N_CLASSES
+from fedrad.dataset import LabelMask, Volume
 from fedrad.evalrank import scenario_variants
 from fedrad.fedproto import aggregate
 from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
-from fedrad.learner import (N_CLASSES, N_FEATURES, FeatureConfig, _check_weights,
+from fedrad.learner import (N_FEATURES, FeatureConfig, _check_weights,
                             build_training_matrix, extract_features, forward, loss_and_grad,
                             site_train_seed, train_epochs)
 from fedrad.metrics import score_pair
@@ -292,3 +293,19 @@ def reference_scenario_records(scenario, datasets, registry):
         for class_id in LESION_CLASSES:
             recs.extend(score_pair(pred, sample.mask, class_id, sample.volume.spacing))
     return records
+
+
+def reference_average_ranks(x) -> np.ndarray:
+    """Tie-averaged 1-based ranks by numpy: a stable argsort, tie groups where
+    adjacent sorted values differ, each group's mean position repeated over
+    it. Any NaN makes every rank NaN, as in ``scipy.stats.rankdata``."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks

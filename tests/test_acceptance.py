@@ -23,13 +23,14 @@ from oracles import (brute_dsc, brute_hsd, brute_nave, brute_nsd, finite_diff_gr
 from fedrad import experiment as exp
 from fedrad import wire
 from fedrad.cli import main as cli_main
+from fedrad.config import ServerParams, SiteLink
 from fedrad.dataset import LabelMask, generate_sample, generate_site_dataset
 from fedrad.evalrank import rank
 from fedrad.fedproto import ExperimentAborted, run_client, run_server
 from fedrad.learner import N_FEATURES, WEIGHT_LEN, loss_and_grad
 from fedrad.metrics import FN_DEFAULTS, dsc, hsd, nave, nsd, score_pair
 from fedrad.records import RecordStatus, summarize
-from fedrad.simnet import NS_PER_S, SiteLink, run_simulated
+from fedrad.simnet import NS_PER_S, run_simulated
 from fedrad.siteio import save_site_dataset
 from fedrad.transport import TcpServerTransport, connect_tcp
 from fedrad.validation import FindingCode, validate_sample, validate_site_dir
@@ -104,7 +105,7 @@ def test_criterion_1_oracle_equivalence():
         datasets = {s: datasets_all[s] for s in roster}
         for rounds in (1, 3, 10):
             train = replace(base.train, epochs=rounds)
-            params = exp.ServerParams(
+            params = ServerParams(
                 expected_sites=tuple(roster), rounds=rounds, train=train,
                 experiment_seed=base.seed,
                 experiment_digest=f"{n_sites:02d}{rounds:02d}".ljust(64, "0"),
@@ -229,7 +230,7 @@ def test_criterion_6_crash_restart(tmp_path, monkeypatch):
     rounds = 5
 
     def params(ckpt_dir):
-        return exp.ServerParams(
+        return ServerParams(
             expected_sites=tuple(sorted(datasets)), rounds=rounds, train=train,
             experiment_seed=606, experiment_digest="6" * 64,
             checkpoint_dir=ckpt_dir, round_timeout_s=30.0)
@@ -269,7 +270,7 @@ def test_criterion_7_straggler_accounting():
                 for i, s in enumerate(("fast", "slow"))]
     datasets = {p.site_id: generate_site_dataset(p) for p in profiles}
     train = replace(exp.default_config(3).train, epochs=1)
-    params = exp.ServerParams(
+    params = ServerParams(
         expected_sites=("fast", "slow"), rounds=4, train=train,
         experiment_seed=7, experiment_digest="7" * 64, round_timeout_s=1e6)
     base_epoch_s = 10.0

@@ -17,6 +17,7 @@ from test_validation import MALFORMED_IDS, MALFORMED_MANIFESTS
 
 from fedrad import experiment as exp
 from fedrad.cli import main
+from fedrad.config import checkpoints_dir, eval_dir, site_dir, sites_dir
 from fedrad.seeding import stamped_csv, to_dict
 
 
@@ -131,7 +132,7 @@ def test_train_sim_resumes_only_a_main_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "leave-out run (s0) aborted" in out
     assert "resume" not in out
-    ckpt = exp.checkpoints_dir(Path(config.output_dir), "loo-s0") / "checkpoint-0001.frck"
+    ckpt = checkpoints_dir(Path(config.output_dir), "loo-s0") / "checkpoint-0001.frck"
     assert ckpt.exists()
     assert main(["train-sim", "--config", str(path), "--resume", str(ckpt)]) == 1
     assert "--resume continues the main federated run" in capsys.readouterr().err
@@ -235,13 +236,13 @@ def test_serve_needs_no_site_data(tmp_path, capsys):
     assert main(["gen", "--config", str(path)]) == 0
     out = Path(config.output_dir)
     at_sites = tmp_path / "at-the-sites"
-    exp.sites_dir(out).rename(at_sites)
+    sites_dir(out).rename(at_sites)
     site_dirs = [at_sites / s for s in config.site_ids]
 
     server_rc, join_rcs = _serve_and_join(path, site_dirs)
     assert join_rcs == [0, 0]
     assert server_rc == 0
-    assert not exp.sites_dir(out).exists()
+    assert not sites_dir(out).exists()
 
     datasets = {s: siteio.load_site_dataset(at_sites / s) for s in config.site_ids}
     sim = run_simulated(exp.server_params(config, None), datasets,
@@ -267,7 +268,7 @@ def test_console_entry_point():
 
 def _frame_round_start_3_weights(conn):
     from fedrad import wire
-    from fedrad.learner import TrainConfig
+    from fedrad.config import TrainConfig
     conn.recv(timeout=10)  # Register
     fp = conn.recv(timeout=10).fingerprint
     train = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4,
@@ -355,12 +356,13 @@ def test_rank_and_report_leave_out_scipy_ndimage(config_file, capsys):
     assert (out / "report.json").exists()
 
 
-def _run_stage(argv: list[str]) -> tuple[int, list[str]]:
+def _run_stage(argv: list[str], packages: tuple[str, ...] = ("scipy",)) -> tuple[int, list[str]]:
     """``fedrad.cli.main(argv)`` in a fresh interpreter: its exit code and the
-    scipy modules loaded when it returned."""
+    modules of ``packages`` (scipy, or numpy too) loaded when it returned."""
     code = ("import json, sys\nfrom fedrad.cli import main\n"
             f"try:\n    rc = main({argv!r})\nexcept SystemExit as stop:\n    rc = stop.code\n"
-            "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            f"if m.split('.')[0] in {packages!r})]))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=120)
     assert result.returncode == 0, result.stderr
@@ -387,6 +389,24 @@ def test_only_evaluate_loads_scipy(config_file):
         if modules:
             loaded.append(argv[0])
     assert loaded == ["evaluate"]
+    assert (out / "report.json").exists()
+
+
+def test_help_rank_and_report_load_no_numpy(config_file):
+    # these stages read and write small CSV and JSON files; loading numpy
+    # would cost each of them more than the rest of its start-up
+    path, config = config_file
+    out = Path(config.output_dir)
+    cfg = ["--config", str(path)]
+    for argv in (["gen", *cfg], ["train-sim", *cfg], ["evaluate", *cfg]):
+        assert main(argv) == 0, argv
+    stages = [["--help"]]
+    stages += [["rank", "--in", str(out / "eval" / s / "metrics.csv"), "--scenario", s]
+               for s in config.scenarios]
+    stages += [["report", *cfg]]
+    for argv in stages:
+        rc, modules = _run_stage(argv, packages=("numpy", "scipy"))
+        assert (rc, modules) == (0, []), argv
     assert (out / "report.json").exists()
 
 
@@ -431,9 +451,9 @@ def test_json_nested_too_deep_is_a_usage_error(config_file, capsys, artifact, st
         victim = config_path = config_path.parent / artifact
     elif artifact == "manifest.json":
         assert main(["gen", "--config", str(config_path)]) == 0
-        victim = exp.site_dir(out, "s0") / artifact
+        victim = site_dir(out, "s0") / artifact
     else:
-        victim = exp.eval_dir(out, config.scenarios[0]) / artifact
+        victim = eval_dir(out, config.scenarios[0]) / artifact
         victim.parent.mkdir(parents=True)
         (victim.parent / "metrics.csv").write_text("")
     victim.write_text("[" * 100_000)

@@ -8,8 +8,9 @@ from conftest import make_profile, make_sample
 from oracles import flood_fill_components, ndimage_component_sizes
 
 from fedrad.cli import main
-from fedrad.dataset import (CcRegime, LESION_CLASSES, CLASS_PE, LabelMask, connected_components,
-                            generate_sample, generate_site_dataset, site_statistics, split)
+from fedrad.config import CLASS_PE, LESION_CLASSES, CcRegime
+from fedrad.dataset import (LabelMask, connected_components, generate_sample,
+                            generate_site_dataset, site_statistics, split)
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 

@@ -5,7 +5,8 @@ import pytest
 
 import rank_fixtures as rf
 
-from fedrad.evalrank import (ModelRegistry, Scenario, TrainedModel, average_ranks, rank,
+from fedrad.config import Scenario
+from fedrad.evalrank import (ModelRegistry, TrainedModel, average_ranks, rank,
                              rank_records, run_scenario, scenario_variants)
 from fedrad.learner import FeatureConfig, WEIGHT_LEN
 from fedrad.records import METRIC_DIRECTIONS, METRICS, RecordStatus
@@ -77,6 +78,48 @@ def test_average_ranks_matches_scipy_rankdata():
             x[rng.integers(0, n)] = np.nan  # propagates: every rank NaN
         assert np.array_equal(average_ranks(x), rankdata(x, method="average"),
                               equal_nan=True), x
+
+
+def test_rank_matches_numpy_oracle_on_random_tables():
+    # small integer values give ties; ±0.0 tie with each other, ±inf rank
+    # last or first, and a NaN makes its whole (site, metric) cell NaN
+    from oracles import reference_average_ranks
+    rng = np.random.default_rng(20240117)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for k in range(400):
+        models = [f"m{i}" for i in range(int(rng.integers(1, 7)))]
+        sites = [f"s{i}" for i in range(int(rng.integers(1, 4)))]
+        metric_names = list(METRICS[:int(rng.integers(1, len(METRICS) + 1))])
+        values = {}
+        for m in models:
+            for s in sites:
+                for met in metric_names:
+                    v = float(rng.integers(-2, 3)) * 0.5
+                    if rng.random() < 0.15:
+                        v = specials[int(rng.integers(0, len(specials)))]
+                    values[(m, s, met)] = v
+        allow_missing = k % 4 == 0
+        if allow_missing:  # drop cells, but keep every model in some cell
+            for key in list(values):
+                if rng.random() < 0.3 and sum(kk[0] == key[0] for kk in values) > 1:
+                    del values[key]
+        table = rank(values, allow_missing=allow_missing)
+        want = {}
+        for s in sites:
+            for met in metric_names:
+                present = [m for m in models if (m, s, met) in values]
+                if not present:
+                    continue
+                vals = np.array([values[(m, s, met)] for m in present])
+                asc = METRIC_DIRECTIONS[met] == "asc"
+                for m, r in zip(present, reference_average_ranks(vals if asc else -vals)):
+                    want[(m, s, met)] = float(r)
+        assert table.cell_ranks.keys() == want.keys()
+        got = [table.cell_ranks[c] for c in want]
+        assert np.array_equal(got, list(want.values()), equal_nan=True), values
+        for m in models:
+            own = [r for (mm, _s, _met), r in want.items() if mm == m]
+            assert np.array_equal(table.overall[m], math.fsum(own) / len(own), equal_nan=True)
 
 
 def test_rank_missing_cell_error():
@@ -293,7 +336,6 @@ def _three_site_datasets(small_dataset):
 
 
 def _count_calls(monkeypatch):
-    import fedrad.evalrank as evalrank
     import fedrad.learner as learner
     import fedrad.metrics as metrics
     calls = {"extract_features": 0, "forward": 0, "ensemble_predict": 0, "score_pair": 0}
@@ -308,7 +350,7 @@ def _count_calls(monkeypatch):
 
     counting(learner, "extract_features")
     counting(learner, "forward")
-    counting(evalrank, "ensemble_predict")
+    counting(learner, "ensemble_predict")
     counting(metrics, "score_pair")
     return calls
 
@@ -354,7 +396,7 @@ def _want_edt_calls(scenarios, datasets, registry):
     the distinct (labels bytes, class) of the references and of the oracle
     loop's predictions."""
     from oracles import reference_predictions
-    from fedrad.dataset import LESION_CLASSES
+    from fedrad.config import LESION_CLASSES
     scope_of, scope, last = {}, -1, None
     for site in sorted(registry.locals):
         for sample in sorted(datasets[site].test, key=lambda s: s.sample_id):

@@ -8,18 +8,18 @@ import pytest
 from conftest import make_profile
 
 from fedrad import experiment as exp
-from fedrad.dataset import SiteProfile
-from fedrad.evalrank import ModelRegistry, Scenario, TrainedModel
+from fedrad.config import (ExperimentConfig, Scenario, SiteLink, SiteProfile, TrainConfig,
+                           load_config)
+from fedrad.evalrank import ModelRegistry, TrainedModel
 from fedrad.fingerprint import DatasetFingerprint
-from fedrad.learner import FeatureConfig, TrainConfig, WEIGHT_LEN
+from fedrad.learner import FeatureConfig, WEIGHT_LEN
 from fedrad.seeding import from_dict, to_dict, write_json
-from fedrad.simnet import SiteLink
 
 
 def small_config(tmp_path, n_sites=2, rounds=2, scenarios=("personalization",)):
     profiles = tuple(make_profile(site_id=f"s{i}", n_samples=6, seed=500 + i)
                      for i in range(n_sites))
-    return exp.ExperimentConfig(
+    return ExperimentConfig(
         name="small", seed=321, rounds=rounds, sites=profiles,
         train=TrainConfig(epochs=rounds, batches_per_epoch=4, batch_size=16,
                           learning_rate=0.3, seed=321),
@@ -30,14 +30,14 @@ def small_config(tmp_path, n_sites=2, rounds=2, scenarios=("personalization",)):
 
 def test_config_roundtrip_and_digest(tmp_path):
     config = small_config(tmp_path)
-    again = from_dict(exp.ExperimentConfig, to_dict(config))
+    again = from_dict(ExperimentConfig, to_dict(config))
     assert again == config
     assert again.digest == config.digest
     assert len(config.digest) == 64
 
     path = tmp_path / "exp.json"
     exp.save_config(config, path)
-    assert exp.load_config(path).digest == config.digest
+    assert load_config(path).digest == config.digest
 
 
 def test_digest_sensitive_to_fields(tmp_path):
@@ -84,7 +84,7 @@ def _replace_in(config, record, name):
 
 @pytest.mark.parametrize("record,name", [
     (cls.__name__, f.name)
-    for cls in (exp.ExperimentConfig, SiteProfile, SiteLink, TrainConfig) for f in fields(cls)
+    for cls in (ExperimentConfig, SiteProfile, SiteLink, TrainConfig) for f in fields(cls)
 ])
 def test_digest_covers_every_field(tmp_path, record, name):
     config = small_config(tmp_path)
@@ -120,7 +120,7 @@ def test_config_keys_that_may_be_left_out(tmp_path):
     del doc["train"]["seed"]  # defaults to the experiment seed
     path = tmp_path / "short.json"
     write_json(path, dict(doc, seed=77))
-    assert exp.load_config(path) == exp.ExperimentConfig(
+    assert load_config(path) == ExperimentConfig(
         name=config.name, seed=77, rounds=config.rounds, sites=config.sites,
         train=replace(config.train, seed=77))
     assert from_dict(SiteLink, {"site_id": "s0"}) == SiteLink(site_id="s0")
@@ -128,16 +128,16 @@ def test_config_keys_that_may_be_left_out(tmp_path):
     for key in ("name", "seed", "rounds", "sites", "train"):
         write_json(path, {k: v for k, v in to_dict(config).items() if k != key})
         with pytest.raises(ValueError, match=f"^{key}: missing"):
-            exp.load_config(path)
+            load_config(path)
     doc = to_dict(config)
     del doc["train"]["epochs"]
     write_json(path, doc)
     with pytest.raises(ValueError, match=r"^train\.epochs: missing"):
-        exp.load_config(path)
+        load_config(path)
     del doc["sites"][0]["seed"]
     write_json(path, doc)
     with pytest.raises(ValueError, match=r"^sites\[0\]\.seed: missing"):
-        exp.load_config(path)
+        load_config(path)
 
 
 def test_config_validation(tmp_path):

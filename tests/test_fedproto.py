@@ -9,12 +9,12 @@ import pytest
 from conftest import ServerCrash, crash_after_round, make_profile
 from oracles import sequential_federated_reference
 
+from fedrad.config import AGG_TOLERANT, ServerParams, TrainConfig
 from fedrad.dataset import generate_site_dataset
 from fedrad.fingerprint import DatasetFingerprint
-from fedrad.fedproto import (AGG_TOLERANT, Checkpoint, CheckpointMismatch, ExperimentAborted,
-                             ServerParams, Site, aggregate, checkpoint_path, load_checkpoint,
-                             run_client, run_server)
-from fedrad.learner import TrainConfig, WEIGHT_LEN
+from fedrad.fedproto import (Checkpoint, CheckpointMismatch, ExperimentAborted, Site, aggregate,
+                             checkpoint_path, load_checkpoint, run_client, run_server)
+from fedrad.learner import WEIGHT_LEN
 from fedrad.seeding import to_dict
 from fedrad.transport import InProcessHub, TcpServerTransport, connect_tcp
 

@@ -7,7 +7,8 @@ from oracles import (finite_diff_grad, padded_gradient_magnitude, reference_forw
 
 from fedrad.dataset import Volume, generate_site_dataset
 from fedrad.fingerprint import compute_fingerprint, derive_config
-from fedrad.learner import (FeatureConfig, N_FEATURES, TrainConfig, WEIGHT_LEN, _box_filter,
+from fedrad.config import TrainConfig
+from fedrad.learner import (FeatureConfig, N_FEATURES, WEIGHT_LEN, _box_filter,
                             _gradient_magnitude, build_training_matrix, ensemble_predict,
                             extract_features, forward, load_weights, loss_and_grad, predict,
                             predict_proba, save_weights, train_epochs)

@@ -1,11 +1,14 @@
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedrad
-from fedrad.experiment import ExperimentConfig, default_config
+from fedrad.config import ExperimentConfig
+from fedrad.experiment import default_config
 from fedrad.seeding import (canonical_json, derive_seed, digest_of, from_dict,
                             read_stamped_csv, read_stamped_json, rng_from, stamped_csv,
                             to_dict, write_json)
@@ -49,6 +52,42 @@ def test_rng_from_streams_independent():
 def test_derive_seed_rejects_unknown_types():
     with pytest.raises(TypeError):
         derive_seed(1.5)
+
+
+@pytest.mark.parametrize("part, seed", [
+    (7, 17612318922122710373),
+    (True, 3548066528658401635),
+    (np.int64(5), 18089270421508405016),
+    (np.uint64(2 ** 64 - 1), 14647534021071871120),
+])
+def test_derive_seed_integer_parts_keep_their_seeds(part, seed):
+    # any numbers.Integral is an integer part; the values are those of the
+    # (int, np.integer) check this replaced
+    assert derive_seed(part) == seed
+
+
+@pytest.mark.parametrize("part", [1.0, np.float64(1), np.bool_(True)])
+def test_derive_seed_refuses_non_integral_numbers(part):
+    with pytest.raises(TypeError, match="unsupported seed part type"):
+        derive_seed(part)
+
+
+def test_rng_from_first_draws_unchanged():
+    assert (rng_from(20240117, "epoch", 1).random(4).tobytes().hex()
+            == "6360fef40de9e73fda42af4225c2dc3fd4da6347253ae93fa03ba1441ff3a63f")
+
+
+def test_seeding_imports_without_numpy():
+    # the config records and artifact stamps rest on seeding; rng_from
+    # imports numpy when it is first called
+    code = ("import sys, fedrad.seeding as s\n"
+            "before = 'numpy' in sys.modules\n"
+            "s.rng_from(1)\n"
+            "print(before, 'numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_stamped_artifacts_roundtrip_and_refuse_foreign(tmp_path):

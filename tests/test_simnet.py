@@ -7,8 +7,9 @@ from conftest import ServerCrash, crash_after_round
 from oracles import sequential_federated_reference
 from test_fedproto import TRAIN, make_datasets, make_params, run_experiment
 
+from fedrad.config import SiteLink
 from fedrad.fedproto import ExperimentAborted, checkpoint_path, load_checkpoint
-from fedrad.simnet import (NS_PER_S, SiteLink, apply_fault_schedule, run_simulated)
+from fedrad.simnet import NS_PER_S, apply_fault_schedule, run_simulated
 
 
 def links_for(site_ids, **overrides):
@@ -271,3 +272,36 @@ def test_failed_local_epoch_aborts_alike_in_sim_and_live(tmp_path, sites, aggreg
         assert exc.reason.startswith("local training failed")
     if aggregation == "strict":
         assert "site aborted: local training failed" in sim.abort_reason
+
+
+@pytest.mark.parametrize("network", ["sim", "live"])
+def test_failing_site_is_excluded_once_per_round(monkeypatch, caplog, network):
+    # s2's local epoch fails every round: its Abort excludes it on arrival,
+    # and closing the round must not exclude it a second time as "no delta"
+    import fedrad.fedproto as fedproto
+    from fedrad.learner import site_train_seed
+
+    sites = ["s1", "s2", "s3"]
+    datasets = make_datasets(sites)
+    params = make_params(sites, rounds=2, aggregation="tolerant")
+    failing_seed = site_train_seed(TRAIN.seed, "s2")
+    real_train_epochs = fedproto.train_epochs
+
+    def train_epochs(w, features, labels, config, **kw):
+        if config.seed == failing_seed:
+            raise ValueError("weight vector contains non-finite entries")
+        return real_train_epochs(w, features, labels, config, **kw)
+
+    monkeypatch.setattr(fedproto, "train_epochs", train_epochs)
+    caplog.set_level("WARNING", logger="fedrad.fedproto")
+    if network == "sim":
+        result = run_simulated(params, datasets, links_for(sites))
+        assert not result.aborted
+    else:
+        server_out, client_out = run_experiment(params, datasets)
+        assert "w" in server_out, server_out.get("exc")
+        assert isinstance(client_out["s2"], ExperimentAborted)
+    exclusions = [r.args for r in caplog.records if r.getMessage().startswith("round ")
+                  and "excluding" in r.getMessage()]
+    assert [(t, sites) for t, sites, _why in exclusions] == [(1, ["s2"]), (2, ["s2"])]
+    assert exclusions[0][2].startswith("site aborted: local training failed")

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from fedrad import wire
+from fedrad.config import TrainConfig
 from fedrad.fingerprint import DatasetFingerprint
-from fedrad.learner import TrainConfig
 from fedrad.seeding import canonical_json, to_dict
 
 

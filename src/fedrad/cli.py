@@ -254,7 +254,8 @@ def cmd_evaluate(args) -> int:
 
     config = _load_config(args.config)
     out = _out_dir(config)
-    datasets = load_all(config, out)
+    # scoring reads only the test grids; the training grids stay on disk
+    datasets = load_all(config, out, splits=("test",))
     try:
         registry = load_registry(out, config.digest)
     except (FileNotFoundError, ValueError) as err:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import replace
 from pathlib import Path
+from typing import Collection
 
 from . import siteio
 from .config import (CcRegime, ExperimentConfig, Scenario, ServerParams, SiteLink, SiteProfile,
@@ -79,13 +80,16 @@ def generate_all(config: ExperimentConfig, out: Path) -> dict[str, SiteDataset]:
     return datasets
 
 
-def load_all(config: ExperimentConfig, out: Path) -> dict[str, SiteDataset]:
+def load_all(config: ExperimentConfig, out: Path,
+             splits: Collection[str] = siteio.SPLITS) -> dict[str, SiteDataset]:
+    """Every site's dataset, each stamped with ``config``'s digest; only the
+    grids of ``splits`` are read."""
     datasets = {}
     for sid in config.site_ids:
         manifest = siteio.read_manifest(site_dir(out, sid))
         check_stamp(f"site {sid}: dataset", manifest.get("experiment"), config.digest,
                     hint="; run 'fedrad gen' for this config")
-        datasets[sid] = siteio.load_site_dataset(site_dir(out, sid))
+        datasets[sid] = siteio.load_site_dataset(site_dir(out, sid), splits)
     return datasets
 
 

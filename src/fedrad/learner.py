@@ -237,10 +237,13 @@ def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[floa
                      mask_id: str) -> LabelMask:
     """Argmax of the weighted average of member probability fields (each as
     :func:`predict_proba` returns it), with the same tie-break as
-    :func:`predict`. ``member_weights`` are normalized by their sum.
+    :func:`predict`. ``member_weights`` are normalized by their sum; each
+    must be finite and non-negative, and their sum positive.
     """
     mw = np.asarray(member_weights, dtype=np.float64)
-    if len(fields) == 0 or mw.shape != (len(fields),) or mw.min() < 0 or mw.sum() <= 0:
+    # a NaN weight fails no comparison, so finiteness is checked on its own
+    if (len(fields) == 0 or mw.shape != (len(fields),) or not np.isfinite(mw).all()
+            or mw.min() < 0 or mw.sum() <= 0):
         raise ValueError("ensemble needs at least one member and one valid weight each")
     mw = mw / mw.sum()
     acc = None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import struct
 from pathlib import Path
+from typing import Collection
 
 import numpy as np
 
@@ -33,6 +34,7 @@ _CODE_TO_DTYPE = {DTYPE_F32: np.dtype("<f4"), DTYPE_U8: np.dtype("u1")}
 _DTYPE_TO_CODE = {np.dtype("float32"): DTYPE_F32, np.dtype("uint8"): DTYPE_U8}
 
 MANIFEST_NAME = "manifest.json"
+SPLITS = ("train", "test")
 # the fields of a manifest sample entry that readers index as strings
 _ENTRY_STRINGS = ("sample_id", "volume_file", "mask_file", "provenance")
 _PROVENANCES = {p.value for p in Provenance}
@@ -134,7 +136,7 @@ def read_manifest(site_dir: Path) -> dict:
         for key in _ENTRY_STRINGS:
             if not isinstance(entry.get(key), str):
                 raise GridFormatError(f"{path}: samples[{i}].{key} is not a string")
-        if entry.get("split") not in ("train", "test"):
+        if entry.get("split") not in SPLITS:
             raise GridFormatError(f'{path}: samples[{i}].split is not "train" or "test"')
         if entry["provenance"] not in _PROVENANCES:
             raise GridFormatError(f"{path}: samples[{i}].provenance is not one of "
@@ -156,10 +158,14 @@ def load_sample(site_dir: Path, entry: dict, site_id: str) -> Sample:
     )
 
 
-def load_site_dataset(site_dir: Path) -> SiteDataset:
+def load_site_dataset(site_dir: Path, splits: Collection[str] = SPLITS) -> SiteDataset:
+    """The site's dataset, with the grids of the samples in ``splits`` read;
+    the splits left out stay empty. The manifest is checked in full either
+    way."""
     manifest = read_manifest(site_dir)
     ds = SiteDataset(site_id=manifest["site_id"])
     for entry in manifest["samples"]:
-        sample = load_sample(site_dir, entry, manifest["site_id"])
-        (ds.train if entry["split"] == "train" else ds.test).append(sample)
+        if entry["split"] in splits:
+            sample = load_sample(site_dir, entry, manifest["site_id"])
+            (ds.train if entry["split"] == "train" else ds.test).append(sample)
     return ds

@@ -3,11 +3,12 @@
 These deliberately avoid the library code paths they check: connected
 components by explicit flood fill and by ``scipy.ndimage.label``, feature
 smoothing by ``scipy.ndimage.uniform_filter``, surface distances by all-pairs
-comparison, gradients by central finite differences, the federated
-protocol by a plain in-process loop over sites, and the SGD step and
-softmax by the original straightforward implementation (one draw per
-batch, fancy-index gathers, ``max``/``sum(axis=-1)`` reductions), which the
-optimized learner must match bit for bit, and scenario evaluation by the
+comparison and by ``scipy.ndimage.distance_transform_edt``, gradients by
+central finite differences, the federated protocol by a plain in-process
+loop over sites, and the SGD step and softmax by the original
+straightforward implementation (one draw per batch, fancy-index gathers,
+``max``/``sum(axis=-1)`` reductions), which the optimized learner must
+match bit for bit, and scenario evaluation by the
 original loop that re-extracts features and re-runs every member model for
 every ensemble prediction, and tie-averaged ranks by a numpy stable argsort.
 """
@@ -85,6 +86,19 @@ def all_pairs_min_dists(src: np.ndarray, dst: np.ndarray, spacing) -> np.ndarray
     sp = np.asarray(spacing, dtype=float)
     diffs = (src[:, None, :] - dst[None, :, :]) * sp[None, None, :]
     return np.sqrt((diffs ** 2).sum(axis=2)).min(axis=1)
+
+
+def edt_surface_distances(b_ref: np.ndarray, b_pred: np.ndarray,
+                          spacing) -> tuple[np.ndarray, np.ndarray]:
+    """Distances in mm from each reference boundary voxel to the nearest
+    prediction boundary voxel and back, read off scipy's Euclidean distance
+    transform of each boundary's complement; infinite when the other
+    boundary is empty."""
+    from scipy import ndimage
+    if b_ref.any() and b_pred.any():
+        return (ndimage.distance_transform_edt(~b_pred, sampling=spacing)[b_ref],
+                ndimage.distance_transform_edt(~b_ref, sampling=spacing)[b_pred])
+    return np.full(int(b_ref.sum()), np.inf), np.full(int(b_pred.sum()), np.inf)
 
 
 def brute_dsc(pred: np.ndarray, ref: np.ndarray, class_id: int) -> float:

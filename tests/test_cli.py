@@ -253,6 +253,34 @@ def test_serve_needs_no_site_data(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_evaluate_reads_only_test_grids(config_file, capsys):
+    # scoring needs the test samples alone; a missing training grid changes
+    # nothing, and a corrupt test grid is still refused, naming the file
+    path, config = config_file
+    out = Path(config.output_dir)
+    for stage in ("gen", "train-sim", "evaluate"):
+        assert main([stage, "--config", str(path)]) == 0
+    outputs = [eval_dir(out, s) / "metrics.csv" for s in config.scenarios]
+    want = [p.read_bytes() for p in outputs]
+    s0 = site_dir(out, "s0")
+    split = {e["sample_id"]: e["split"]
+             for e in json.loads((s0 / "manifest.json").read_text())["samples"]}
+    train_id = min(k for k, v in split.items() if v == "train")
+    (s0 / f"{train_id}.vol.frvd").unlink()
+    for p in outputs:
+        p.unlink()
+    assert main(["evaluate", "--config", str(path)]) == 0
+    assert [p.read_bytes() for p in outputs] == want
+
+    test_id = min(k for k, v in split.items() if v == "test")
+    corrupted = corrupt_grid_file(s0, test_id, seed=3)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert str(corrupted) in err
+    assert "Traceback" not in err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["gen", "--config", str(tmp_path / "missing.json")]) == 1
     assert main(["validate"]) == 1
@@ -329,8 +357,8 @@ def _scipy_modules_after(code: str) -> list[str]:
 
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats and scipy.ndimage cost hundreds of modules of start-up in
-    # every fedrad process; only the stages that filter, label or take a
-    # distance transform load scipy.ndimage
+    # every fedrad process; only `evaluate`, for the erosion that finds the
+    # boundaries it scores, loads scipy.ndimage
     assert _scipy_modules_after("import fedrad.cli") == []
 
 
@@ -372,7 +400,7 @@ def _run_stage(argv: list[str], packages: tuple[str, ...] = ("scipy",)) -> tuple
 
 def test_only_evaluate_loads_scipy(config_file):
     # importing scipy.ndimage costs tenths of a second and about 19 MB per
-    # process; only the distance transform of `evaluate` needs it, and a
+    # process; only the boundary erosion of `evaluate` needs it, and a
     # stray import in any other stage would bring that cost back
     path, config = config_file
     out = Path(config.output_dir)

@@ -389,12 +389,12 @@ def test_run_all_scenarios_one_field_per_member_and_sample(small_dataset, monkey
     assert calls == _want_counts(list(Scenario), datasets, registry)
 
 
-def _want_edt_calls(scenarios, datasets, registry):
-    """Distance transforms one evaluation needs if each distinct class set
-    among "class in both" pairs gets one per reference: per run of samples
-    with equal reference labels in evaluation order (site, then sample id),
-    the distinct (labels bytes, class) of the references and of the oracle
-    loop's predictions."""
+def _want_distance_calls(scenarios, datasets, registry):
+    """Surface-distance computations one evaluation needs if each distinct
+    (reference, class, prediction) among "class in both" pairs gets one per
+    reference: per run of samples with equal reference labels in evaluation
+    order (site, then sample id), the distinct (prediction labels bytes,
+    class, spacing) of the oracle loop's predictions."""
     from oracles import reference_predictions
     from fedrad.config import LESION_CLASSES
     scope_of, scope, last = {}, -1, None
@@ -403,34 +403,28 @@ def _want_edt_calls(scenarios, datasets, registry):
             content = sample.mask.labels.tobytes()
             scope += content != last
             scope_of[(site, sample.sample_id)], last = scope, content
-    sets: dict[int, set] = {}
+    pairs: dict[int, set] = {}
     for scenario in scenarios:
         for _label, site, sample, pred in reference_predictions(scenario, datasets, registry):
             ref = sample.mask.labels
             for c in LESION_CLASSES:
                 if (ref == c).any() and (pred.labels == c).any():
-                    sets.setdefault(scope_of[(site, sample.sample_id)], set()).update(
-                        {(ref.tobytes(), c), (pred.labels.tobytes(), c)})
-    return sum(len(s) for s in sets.values())
+                    pairs.setdefault(scope_of[(site, sample.sample_id)], set()).add(
+                        (pred.labels.tobytes(), c, sample.volume.spacing))
+    return sum(len(s) for s in pairs.values())
 
 
-def test_run_scenario_one_distance_transform_per_class_set(small_dataset, monkeypatch):
-    """Evaluation transforms each distinct class set once per reference:
-    every reference and every distinct prediction of it that shares a class
-    with it."""
+def test_run_scenario_one_distance_computation_per_distinct_pair(small_dataset, monkeypatch):
+    """Evaluation computes the surface distances of each distinct
+    (reference, class, prediction) once, and never takes scipy's distance
+    transform."""
+    from test_metrics import count_distance_computations
     from fedrad import metrics
     from fedrad.dataset import LabelMask
     registry = _registry(sites=("s1", "s2", "s3"), rng_seed=11)
     datasets = _three_site_datasets(small_dataset)
-    want = _want_edt_calls(list(Scenario), datasets, registry)
-    calls = []
-    edt = metrics.ndimage.distance_transform_edt
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return edt(*args, **kwargs)
-
-    monkeypatch.setattr(metrics.ndimage, "distance_transform_edt", counted)
+    want = _want_distance_calls(list(Scenario), datasets, registry)
+    calls = count_distance_computations(monkeypatch)
     # start from a reference that no sample has
     flush = LabelMask(id="flush", labels=np.full((1, 1, 1), 255, dtype=np.uint8))
     metrics.score_pair(flush, flush, 1, (1.0, 1.0, 1.0))
@@ -438,7 +432,7 @@ def test_run_scenario_one_distance_transform_per_class_set(small_dataset, monkey
     assert len(calls) == want
     scored_pairs = sum(r.status is RecordStatus.SCORED for result in results
                        for recs in result.records.values() for r in recs) // len(METRICS)
-    assert want < 2 * scored_pairs  # fewer than one per side of each scored pair
+    assert want < scored_pairs  # byte-identical predictions share one computation
 
 
 def _same_value(a, b):

@@ -372,6 +372,17 @@ def test_ensemble_validation(rng):
         ensemble_predict([p], [1.0, 2.0], vol.id)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_ensemble_refuses_non_finite_member_weights(bad):
+    # a NaN weight used to pass both the sign and the sum check, and every
+    # voxel then came out as label 0
+    vol = Volume(id="v", intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
+    p = predict_proba(np.zeros(WEIGHT_LEN), vol, FC)
+    for weights in ([bad], [1.0, bad], [bad, 1.0]):
+        with pytest.raises(ValueError, match="valid weight"):
+            ensemble_predict([p] * len(weights), weights, vol.id)
+
+
 def test_spec_is_two_member_average(rng):
     # Spec(X) = 1/2 p_X + 1/2 p_local, expressed as a weighted member list
     vol = Volume(id="v", intensities=rng.normal(size=(5, 5, 5)).astype(np.float32),

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import brute_dsc, brute_hsd, brute_nave, brute_nsd
+from oracles import brute_dsc, brute_hsd, brute_nave, brute_nsd, edt_surface_distances
 
 from fedrad.dataset import LabelMask
-from fedrad.metrics import FN_DEFAULTS, dsc, hsd, nave, nsd, score_pair
+from fedrad.experiment import default_config, default_profiles
+from fedrad.metrics import (FN_DEFAULTS, _boundary, _boundary_points, _surface_distances, dsc,
+                            hsd, nave, nsd, score_pair)
 from fedrad.records import (METRICS, MetricRecord, RecordStatus, read_metrics_csv, summarize,
                             write_metrics_csv)
 
@@ -168,32 +170,157 @@ def _flush_scope():
     score_pair(flush, flush, 1, SP)
 
 
-def test_score_pair_one_distance_transform_per_direction(monkeypatch):
+def count_distance_computations(monkeypatch) -> list:
+    """Count the surface-distance computations of ``fedrad.metrics``; the
+    scipy distance transform, which it no longer needs, fails the test."""
     from fedrad import metrics
     calls = []
-    edt = metrics.ndimage.distance_transform_edt
+    surface = metrics._surface_distances
 
-    def counted(*args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return edt(*args, **kwargs)
+        return surface(*args)
 
-    monkeypatch.setattr(metrics.ndimage, "distance_transform_edt", counted)
+    def refused(*args, **kwargs):
+        raise AssertionError("scipy's distance transform was called")
+
+    monkeypatch.setattr(metrics, "_surface_distances", counted)
+    monkeypatch.setattr(metrics.ndimage, "distance_transform_edt", refused)
+    return calls
+
+
+def test_score_pair_one_distance_computation_per_pair(monkeypatch):
+    calls = count_distance_computations(monkeypatch)
     _flush_scope()
     ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
+    ref.labels[5:7, 5:7, 5:7] = 2
     pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
+    pred.labels[5:7, 5:7, 6:8] = 2
     score_pair(pred, ref, 1, SP)
-    assert len(calls) == 2
+    assert len(calls) == 1
     score_pair(pred, ref, 1, SP)  # the same pair again
-    score_pair(cube((8, 8, 8), (1, 1, 1), (4, 4, 3)), ref, 1, SP)  # equal content
+    score_pair(LabelMask(id="p", labels=pred.labels.copy()), ref, 1, SP)  # equal content
+    assert len(calls) == 1
+    score_pair(pred, ref, 2, SP)  # the same masks, another class
     assert len(calls) == 2
     score_pair(cube((8, 8, 8), (1, 1, 1), (4, 3, 4)), ref, 1, SP)  # new prediction
     assert len(calls) == 3
+    score_pair(pred, ref, 1, (2.0, 1.0, 1.0))  # new spacing
+    assert len(calls) == 4
     empty = lm(np.zeros((8, 8, 8)))
     score_pair(empty, ref, 1, SP)
     score_pair(pred, empty, 1, SP)
-    assert len(calls) == 3
+    assert len(calls) == 4
     score_pair(pred, cube((8, 8, 8), (2, 1, 1), (5, 4, 4)), 1, SP)  # new reference
     assert len(calls) == 5
+
+
+# Every spacing of the shipped site profiles, and one with the finest axis
+# in the middle.
+SPACINGS = tuple(p.spacing for p in default_profiles(6)) + ((0.7, 0.3, 1.1),)
+
+
+def assert_scipy_bytes(ref: np.ndarray, pred: np.ndarray, spacing) -> None:
+    """The surface distances of two masks equal, byte for byte, scipy's
+    distance transform read at the boundaries."""
+    got = _surface_distances(_boundary_points(ref), _boundary_points(pred),
+                             tuple(float(s) for s in spacing))
+    want = edt_surface_distances(_boundary(ref), _boundary(pred), spacing)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64
+        assert g.tobytes() == w.tobytes(), (ref.shape, spacing)
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_surface_distances_equal_scipy_on_random_masks(rng, spacing):
+    for _ in range(40):
+        dims = tuple(int(rng.integers(3, 15)) for _ in range(3))
+        ref = rng.random(dims) < rng.uniform(0.02, 0.6)
+        pred = rng.random(dims) < rng.uniform(0.02, 0.6)
+        assert_scipy_bytes(ref, pred, spacing)
+
+
+def test_surface_distances_equal_scipy_at_grid_faces(rng):
+    for spacing in SPACINGS:
+        dims = tuple(int(rng.integers(4, 13)) for _ in range(3))
+        full = np.ones(dims, dtype=bool)  # its boundary is the grid's surface
+        slabs = np.zeros(dims, dtype=bool)
+        for axis in range(3):  # one slab on each face, the interior left out
+            lo, hi = [slice(None)] * 3, [slice(None)] * 3
+            lo[axis], hi[axis] = slice(0, 1), slice(-1, None)
+            slabs[tuple(lo)] = slabs[tuple(hi)] = rng.random(dims)[tuple(lo)] < 0.7
+        dense = rng.random(dims) < 0.8
+        for mask in (slabs, dense):
+            b = _boundary(mask)
+            assert all(b.take(i, axis=a).any() for a in range(3) for i in (0, -1))
+        for ref, pred in ((full, slabs), (slabs, dense), (dense, full), (full, full)):
+            assert_scipy_bytes(ref, pred, spacing)
+
+
+def test_surface_distances_equal_scipy_for_single_voxels(rng):
+    dims = (7, 9, 8)
+    corners = [(z, y, x) for z in (0, 6) for y in (0, 8) for x in (0, 7)]
+    voxels = corners + [tuple(int(rng.integers(0, d)) for d in dims) for _ in range(8)]
+    for spacing in SPACINGS:
+        for i, a in enumerate(voxels):
+            ref = np.zeros(dims, dtype=bool)
+            ref[a] = True
+            for b in voxels[i:]:
+                pred = np.zeros(dims, dtype=bool)
+                pred[b] = True
+                assert_scipy_bytes(ref, pred, spacing)
+            assert_scipy_bytes(ref, rng.random(dims) < 0.1, spacing)
+
+
+def test_surface_distances_equal_scipy_on_evaluate_inputs(tmp_path, monkeypatch, capsys):
+    """Every scored (prediction, reference, class) of one evaluate of the
+    shipped three-site experiment, trained briefly."""
+    from dataclasses import replace
+
+    from fedrad import experiment, metrics
+    from fedrad.cli import main
+    config = default_config(3)
+    config = replace(config, rounds=2, output_dir=str(tmp_path / "run"),
+                     train=replace(config.train, epochs=2, batches_per_epoch=5))
+    path = tmp_path / "exp.json"
+    experiment.save_config(config, path)
+    for stage in ("gen", "train-sim"):
+        assert main([stage, "--config", str(path)]) == 0
+    inputs = []
+    score = metrics.score_pair
+
+    def captured(pred, ref, class_id, spacing):
+        inputs.append((pred.labels, ref.labels, class_id, spacing))
+        return score(pred, ref, class_id, spacing)
+
+    monkeypatch.setattr(metrics, "score_pair", captured)
+    assert main(["evaluate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    scored = {(p.tobytes(), r.tobytes(), c, tuple(sp)): (p == c, r == c, sp)
+              for p, r, c, sp in inputs if (p == c).any() and (r == c).any()}
+    assert len(scored) > 50
+    for pred, ref, spacing in scored.values():
+        assert_scipy_bytes(ref, pred, spacing)
+
+
+def test_surface_distances_memory_is_bounded_by_the_chunk():
+    import tracemalloc
+    z, y, x = np.indices((64, 64, 64))
+    ref = (z - 30) ** 2 + (y - 32) ** 2 + (x - 33) ** 2 < 26 ** 2
+    pred = (z - 34) ** 2 + (y - 31) ** 2 + (x - 30) ** 2 < 24 ** 2
+    points_ref, points_pred = _boundary_points(ref), _boundary_points(pred)
+    n, m = len(points_ref[0]), len(points_pred[0])
+    bound = 2 << 20  # bytes: a few chunks, the two results and allocator slack
+    assert n * m * 8 > 100 * bound  # far more than the whole matrix would take
+    tracemalloc.start()
+    try:
+        got = _surface_distances(points_ref, points_pred, SP)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, peak
+    want = edt_surface_distances(_boundary(ref), _boundary(pred), SP)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 def _public_records(pred, ref, class_id, spacing):

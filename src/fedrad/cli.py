@@ -125,6 +125,7 @@ def cmd_characterize(args) -> int:
 def cmd_train_sim(args) -> int:
     from . import experiment as exp
     from .evalrank import ModelRegistry, TrainedModel
+    from .fingerprint import site_fingerprint
     from .simnet import run_simulated
 
     config = _load_config(args.config)
@@ -139,14 +140,16 @@ def cmd_train_sim(args) -> int:
         return EXIT_USAGE
     out = _out_dir(config)
     datasets = exp.load_all(config, out)
+    # every run below, local or federated, uses these; each site once
+    fingerprints = {s: site_fingerprint(s, datasets[s].train) for s in config.site_ids}
 
     registry = ModelRegistry()
-    registry.locals = exp.train_local_models(config, datasets)
+    registry.locals = exp.train_local_models(config, datasets, fingerprints)
 
     links = exp.zero_fault_links(config)
     if "fed" in needed:
         params = exp.server_params(config, checkpoints_dir(out, "main"))
-        result = run_simulated(params, datasets, links,
+        result = run_simulated(params, datasets, links, fingerprints=fingerprints,
                                per_batch_seconds=config.per_batch_seconds,
                                resume=Path(args.resume) if args.resume else None)
         (out / "timing.csv").write_text(result.timing.to_csv(config.digest))
@@ -164,7 +167,7 @@ def cmd_train_sim(args) -> int:
             sub_data = {s: datasets[s] for s in sub.site_ids}
             sub_links = exp.zero_fault_links(sub)
             sub_params = exp.server_params(sub, checkpoints_dir(out, f"loo-{held_out}"))
-            result = run_simulated(sub_params, sub_data, sub_links,
+            result = run_simulated(sub_params, sub_data, sub_links, fingerprints=fingerprints,
                                    per_batch_seconds=sub.per_batch_seconds)
             if result.aborted:
                 # no resume hint: --resume continues the main run only

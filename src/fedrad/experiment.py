@@ -10,14 +10,14 @@ from __future__ import annotations
 import logging
 from dataclasses import replace
 from pathlib import Path
-from typing import Collection
+from typing import Collection, Mapping
 
 from . import siteio
 from .config import (CcRegime, ExperimentConfig, Scenario, ServerParams, SiteLink, SiteProfile,
                      TrainConfig, models_dir, site_dir)
 from .dataset import SiteDataset, generate_site_dataset
 from .evalrank import ModelRegistry, TrainedModel
-from .fingerprint import compute_fingerprint, derive_config
+from .fingerprint import DatasetFingerprint, derive_config
 from .learner import (FeatureConfig, build_training_matrix, load_weights, save_weights,
                       site_train_seed, train_epochs)
 from .seeding import check_stamp, from_dict, read_stamped_json, to_dict, write_json
@@ -86,31 +86,36 @@ def load_all(config: ExperimentConfig, out: Path,
     grids of ``splits`` are read."""
     datasets = {}
     for sid in config.site_ids:
-        manifest = siteio.read_manifest(site_dir(out, sid))
+        sdir = site_dir(out, sid)
+        manifest = siteio.read_manifest(sdir)
         check_stamp(f"site {sid}: dataset", manifest.get("experiment"), config.digest,
                     hint="; run 'fedrad gen' for this config")
-        datasets[sid] = siteio.load_site_dataset(site_dir(out, sid), splits)
+        datasets[sid] = siteio.load_site_dataset(sdir, splits, manifest)
     return datasets
 
 
 # ---------------------------------------------------------------------------
 # Local training
 
-def train_local_model(config: ExperimentConfig, dataset: SiteDataset) -> TrainedModel:
-    """Train one site's standalone model, self-configured from its own data."""
-    fp = compute_fingerprint(dataset.train)
-    derived = derive_config(fp, config.seed)
+def train_local_model(config: ExperimentConfig, dataset: SiteDataset,
+                      fingerprint: DatasetFingerprint) -> TrainedModel:
+    """Train one site's standalone model, self-configured from
+    ``fingerprint``, the fingerprint of its own training data."""
+    derived = derive_config(fingerprint, config.seed)
     features, labels = build_training_matrix(dataset.train, derived.feature_config)
     cfg = replace(config.train, seed=site_train_seed(config.train.seed, dataset.site_id))
     weights = train_epochs(derived.init_weights, features, labels, cfg)
     return TrainedModel(weights=weights, feature_config=derived.feature_config)
 
 
-def train_local_models(config: ExperimentConfig,
-                       datasets: dict[str, SiteDataset]) -> dict[str, TrainedModel]:
+def train_local_models(config: ExperimentConfig, datasets: Mapping[str, SiteDataset],
+                       fingerprints: Mapping[str, DatasetFingerprint]
+                       ) -> dict[str, TrainedModel]:
+    """Every site's standalone model; ``fingerprints`` maps site id to the
+    fingerprint of its training data."""
     out = {}
     for sid in config.site_ids:
-        out[sid] = train_local_model(config, datasets[sid])
+        out[sid] = train_local_model(config, datasets[sid], fingerprints[sid])
         logger.info("trained local model of %s", sid)
     return out
 

@@ -37,7 +37,7 @@ from . import transport as tp
 from . import wire
 from .config import AGG_STRICT, AGG_TOLERANT, ServerParams
 from .dataset import Sample, SiteDataset
-from .fingerprint import DatasetFingerprint, average_fingerprints, compute_fingerprint, derive_config
+from .fingerprint import DatasetFingerprint, average_fingerprints, derive_config, site_fingerprint
 from .learner import WEIGHT_LEN, build_training_matrix, save_weights, site_train_seed, train_epochs
 from .seeding import from_dict, parse_json, to_dict
 
@@ -471,12 +471,11 @@ def run_client(dataset: SiteDataset, conn: tp.TcpConnection, *,
     as :class:`ExperimentAborted`.
     """
     site_id = dataset.site_id
-    if not dataset.train:
-        raise ValueError(f"site {site_id} has no training samples")
+    fingerprint = site_fingerprint(site_id, dataset.train)
     site: Site | None = None
     try:
         conn.send(wire.Register(site_id=site_id))
-        conn.send(wire.FingerprintSubmit(fingerprint=compute_fingerprint(dataset.train)))
+        conn.send(wire.FingerprintSubmit(fingerprint=fingerprint))
         while True:
             msg = conn.recv(timeout=CLIENT_RECV_TIMEOUT_S)
             if (isinstance(msg, (wire.RoundStart, wire.FinalModel))

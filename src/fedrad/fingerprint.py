@@ -82,6 +82,14 @@ def compute_fingerprint(train: Sequence[Sample]) -> DatasetFingerprint:
     )
 
 
+def site_fingerprint(site_id: str, train: Sequence[Sample]) -> DatasetFingerprint:
+    """Site ``site_id``'s fingerprint; a site with no training samples is a
+    ``ValueError`` that names it."""
+    if not train:
+        raise ValueError(f"site {site_id} has no training samples")
+    return compute_fingerprint(train)
+
+
 def average_fingerprints(fps: Sequence[DatasetFingerprint]) -> DatasetFingerprint:
     """Unweighted field-by-field mean of fingerprints; sample counts are summed."""
     if not fps:

@@ -15,6 +15,7 @@ to epoch t of an uninterrupted local run.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,24 +52,27 @@ def site_train_seed(train_seed: int, site_id: str) -> int:
 
 
 def _along(axis: int, start: int, stop: int) -> tuple:
-    """Index of positions ``start:stop`` on ``axis`` of a grid, whole on every other axis."""
-    return (slice(None),) * axis + (slice(start, stop),)
+    """Index of positions ``start:stop`` on ``axis`` (-3, -2 or -1) of a
+    stack of grids, whole on every other axis."""
+    return (Ellipsis, slice(start, stop)) + (slice(None),) * (-1 - axis)
 
 
 def _box_filter(x: np.ndarray) -> np.ndarray:
     """Mean over each voxel's 3x3x3 cube with edge-clamped borders, byte for
-    byte ``scipy.ndimage.uniform_filter(x, 3, mode="nearest")``.
+    byte ``scipy.ndimage.uniform_filter(x, 3, mode="nearest")`` of each grid
+    in the last three axes of ``x``.
 
-    It repeats scipy's arithmetic. Axes 0, 1 and 2 are filtered in turn. On
-    each line the first window sums ``((0.0 + x[0]) + x[0]) + x[1]``; the
+    It repeats scipy's arithmetic. The last three axes are filtered in turn.
+    On each line the first window sums ``((0.0 + x[0]) + x[0]) + x[1]``; the
     leading 0.0 turns a sum of -0.0 into +0.0, as scipy's does. Window k > 0
     adds ``x[min(k + 1, n - 1)] - x[max(k - 2, 0)]`` to the one before, and
     every running sum is divided by 3 before the next axis. The first sums
     and the differences are written with slices, and one in-place
-    ``np.cumsum`` runs the sums.
+    ``np.cumsum`` runs the sums. Leading axes only stack grids: each grid's
+    result is the same as when it is filtered alone.
     """
     out = x
-    for axis in range(3):
+    for axis in (-3, -2, -1):
         n = x.shape[axis]
         src, out = out, np.empty_like(x)
         first, second = _along(axis, 0, 1), _along(axis, min(1, n - 1), min(2, n))
@@ -84,26 +88,40 @@ def _box_filter(x: np.ndarray) -> np.ndarray:
 
 
 def _gradient_magnitude(x: np.ndarray) -> np.ndarray:
-    """Length of the central-difference gradient, edge-clamped at the borders.
+    """Length of the central-difference gradient over the last three axes of
+    ``x``, edge-clamped at the borders.
 
     On each axis g[k] = (x[min(k + 1, n - 1)] - x[max(k - 1, 0)]) * 0.5, and
     the squares add up as (gz² + gy²) + gx², as with an edge-padded copy.
+    Leading axes only stack grids, as in :func:`_box_filter`.
     """
     acc = np.empty_like(x)
     g = np.empty_like(x)
-    for axis in range(3):
+    for axis in (-3, -2, -1):
         n = x.shape[axis]
         first, last = _along(axis, 0, 1), _along(axis, n - 1, n)
         np.subtract(x[_along(axis, 2, n)], x[_along(axis, 0, n - 2)], out=g[_along(axis, 1, n - 1)])
         np.subtract(x[_along(axis, min(1, n - 1), min(2, n))], x[first], out=g[first])
         np.subtract(x[last], x[_along(axis, max(n - 2, 0), max(n - 1, 1))], out=g[last])
         g *= 0.5
-        if axis == 0:
+        if axis == -3:
             np.multiply(g, g, out=acc)
         else:
             g *= g
             acc += g
     return np.sqrt(acc, out=acc)
+
+
+def _write_features(x: np.ndarray, config: FeatureConfig, feats: np.ndarray) -> None:
+    """Fill ``feats`` (``x.shape + (F + 1,)``) with the features of the grids
+    stacked in ``x``, float64; ``x`` is clipped in place."""
+    if not (np.isfinite(config.shift) and np.isfinite(config.scale) and config.scale > 0):
+        raise ValueError(f"invalid feature normalization: {config}")
+    np.clip(x, config.clip_low, config.clip_high, out=x)
+    feats[..., 0] = (x - config.shift) / config.scale
+    feats[..., 1] = (_box_filter(x) - config.shift) / config.scale
+    feats[..., 2] = _gradient_magnitude(x) / config.scale
+    feats[..., 3] = 1.0
 
 
 def extract_features(volume: Volume, config: FeatureConfig) -> np.ndarray:
@@ -114,15 +132,9 @@ def extract_features(volume: Volume, config: FeatureConfig) -> np.ndarray:
     numpy's, byte-identical to ``scipy.ndimage.uniform_filter(size=3,
     mode="nearest")``, so extracting features loads no scipy.
     """
-    if not (np.isfinite(config.shift) and np.isfinite(config.scale) and config.scale > 0):
-        raise ValueError(f"invalid feature normalization: {config}")
-    x = np.asarray(volume.intensities, dtype=np.float64)
-    x = np.clip(x, config.clip_low, config.clip_high)
+    x = np.array(volume.intensities, dtype=np.float64)
     feats = np.empty(x.shape + (N_FEATURES + 1,), dtype=np.float64)
-    feats[..., 0] = (x - config.shift) / config.scale
-    feats[..., 1] = (_box_filter(x) - config.shift) / config.scale
-    feats[..., 2] = _gradient_magnitude(x) / config.scale
-    feats[..., 3] = 1.0
+    _write_features(x, config, feats)
     return feats
 
 
@@ -213,14 +225,26 @@ def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
 
 def build_training_matrix(samples: Sequence[Sample],
                           config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack per-voxel features and labels over samples (sorted by id)."""
+    """Per-voxel features and labels of all samples (sorted by id), as an
+    (N, F + 1) matrix and an (N,) vector.
+
+    Each run of consecutive same-shape samples is extracted in one stacked
+    pass over the last three axes, straight into its rows of the matrix. The
+    rows equal those of :func:`extract_features` per sample, byte for byte.
+    """
     ordered = sorted(samples, key=lambda s: s.sample_id)
     if not ordered:
         raise ValueError("no samples")
-    feats = [extract_features(s.volume, config).reshape(-1, N_FEATURES + 1)
-             for s in ordered]
-    labs = [s.mask.labels.reshape(-1).astype(np.int64) for s in ordered]
-    return np.concatenate(feats, axis=0), np.concatenate(labs, axis=0)
+    n_rows = sum(s.volume.intensities.size for s in ordered)
+    features = np.empty((n_rows, N_FEATURES + 1), dtype=np.float64)
+    row = 0
+    for _, run in itertools.groupby(ordered, key=lambda s: s.volume.intensities.shape):
+        x = np.stack([s.volume.intensities for s in run], dtype=np.float64)
+        stop = row + x.size
+        _write_features(x, config, features[row:stop].reshape(x.shape + (N_FEATURES + 1,)))
+        row = stop
+    labels = np.concatenate([s.mask.labels.reshape(-1) for s in ordered], dtype=np.int64)
+    return features, labels
 
 
 def predict_proba(w: np.ndarray, volume: Volume, config: FeatureConfig) -> np.ndarray:

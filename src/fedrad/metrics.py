@@ -223,20 +223,20 @@ def _content(labels: np.ndarray) -> tuple:
     return labels.tobytes(), labels.shape, labels.dtype.str
 
 
-def _scope(ref: np.ndarray) -> dict[tuple, _ClassSet]:
-    """The class sets kept for ``ref``; a reference of new content starts
-    an empty scope."""
+def _scope(key: tuple) -> dict[tuple, _ClassSet]:
+    """The class sets kept for the reference of content ``key``; a
+    reference of new content starts an empty scope."""
     global _scope_ref, _scope_sets
-    key = _content(ref)
     with _scope_lock:
         if _scope_ref != key:
             _scope_ref, _scope_sets = key, {}
         return _scope_sets
 
 
-def _class_set(sets: dict[tuple, _ClassSet], labels: np.ndarray, class_id: int,
-               spacing: tuple[float, ...]) -> _ClassSet:
-    key = _content(labels) + (class_id, spacing)
+def _class_set(sets: dict[tuple, _ClassSet], content: tuple, labels: np.ndarray,
+               class_id: int, spacing: tuple[float, ...]) -> _ClassSet:
+    """The class set of ``labels``, of content key ``content``."""
+    key = content + (class_id, spacing)
     found = sets.get(key)
     if found is None:
         found = sets[key] = _ClassSet(labels, class_id, spacing)
@@ -252,9 +252,10 @@ def score_pair(pred: LabelMask, ref: LabelMask, class_id: int,
     """
     _check_dims(pred, ref)
     spacing = tuple(float(s) for s in spacing)
-    sets = _scope(ref.labels)
-    r = _class_set(sets, ref.labels, class_id, spacing)
-    p = _class_set(sets, pred.labels, class_id, spacing)
+    ref_key = _content(ref.labels)
+    sets = _scope(ref_key)
+    r = _class_set(sets, ref_key, ref.labels, class_id, spacing)
+    p = _class_set(sets, _content(pred.labels), pred.labels, class_id, spacing)
     in_pred, in_ref = p.present, r.present
     sid = ref.id
 

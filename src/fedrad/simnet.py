@@ -26,7 +26,7 @@ import numpy as np
 from .config import DEFAULT_PER_BATCH_SECONDS, ServerParams, SiteLink
 from .dataset import SiteDataset
 from .fedproto import ExperimentAborted, Federation, Site, load_resume
-from .fingerprint import DerivedConfig, compute_fingerprint
+from .fingerprint import DatasetFingerprint, DerivedConfig, site_fingerprint
 from .seeding import stamped_csv
 
 logger = logging.getLogger(__name__)
@@ -95,14 +95,18 @@ def _epoch_ns(link: SiteLink, params: ServerParams, per_batch_seconds: float) ->
 
 def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
                   links: Sequence[SiteLink], *,
+                  fingerprints: Mapping[str, DatasetFingerprint] | None = None,
                   per_batch_seconds: float = DEFAULT_PER_BATCH_SECONDS,
                   resume: Path | None = None) -> SimResult:
     """Run a whole federated experiment on the virtual clock.
 
     ``datasets`` maps site id to its loaded dataset; ``links`` must cover
-    every expected site. Checkpoints are written to
-    ``params.checkpoint_dir`` exactly as the live server does, and
-    ``resume`` behaves identically.
+    every expected site. ``fingerprints`` maps site id to the fingerprint of
+    its training data, as the site would submit it; a caller that runs
+    several federations over the same sites computes each once and passes
+    them all. Without it, every expected site is fingerprinted here.
+    Checkpoints are written to ``params.checkpoint_dir`` exactly as the live
+    server does, and ``resume`` behaves identically.
     """
     expected = sorted(params.expected_sites)
     link_by_site = {l.site_id: l for l in links}
@@ -112,6 +116,11 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     missing_data = [s for s in expected if s not in datasets]
     if missing_data:
         raise ValueError(f"datasets missing for sites: {missing_data}")
+    if fingerprints is None:
+        fingerprints = {s: site_fingerprint(s, datasets[s].train) for s in expected}
+    missing_fps = [s for s in expected if s not in fingerprints]
+    if missing_fps:
+        raise ValueError(f"fingerprints missing for sites: {missing_fps}")
     for link in links:
         if link.crash_at_round is not None and link.crash_at_round > params.rounds:
             logger.warning("%s crashes at round %d, after the experiment ends",
@@ -119,8 +128,7 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
 
     resumed = load_resume(resume, params)
     # Configuration-sync phase (instantaneous on the virtual clock).
-    fed = Federation(params, {s: compute_fingerprint(datasets[s].train) for s in expected},
-                     resumed)
+    fed = Federation(params, fingerprints, resumed)
     sites = {s: Site(s, datasets[s].train, fed.config) for s in expected}
     timing = TimingReport()
 

@@ -158,11 +158,14 @@ def load_sample(site_dir: Path, entry: dict, site_id: str) -> Sample:
     )
 
 
-def load_site_dataset(site_dir: Path, splits: Collection[str] = SPLITS) -> SiteDataset:
+def load_site_dataset(site_dir: Path, splits: Collection[str] = SPLITS,
+                      manifest: dict | None = None) -> SiteDataset:
     """The site's dataset, with the grids of the samples in ``splits`` read;
     the splits left out stay empty. The manifest is checked in full either
-    way."""
-    manifest = read_manifest(site_dir)
+    way: ``manifest`` is one that :func:`read_manifest` already returned for
+    ``site_dir``, and without it the manifest is read here."""
+    if manifest is None:
+        manifest = read_manifest(site_dir)
     ds = SiteDataset(site_id=manifest["site_id"])
     for entry in manifest["samples"]:
         if entry["split"] in splits:

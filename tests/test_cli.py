@@ -17,7 +17,7 @@ from test_validation import MALFORMED_IDS, MALFORMED_MANIFESTS
 
 from fedrad import experiment as exp
 from fedrad.cli import main
-from fedrad.config import checkpoints_dir, eval_dir, site_dir, sites_dir
+from fedrad.config import Scenario, checkpoints_dir, eval_dir, site_dir, sites_dir
 from fedrad.seeding import stamped_csv, to_dict
 
 
@@ -136,6 +136,49 @@ def test_train_sim_resumes_only_a_main_run(tmp_path, capsys):
     assert ckpt.exists()
     assert main(["train-sim", "--config", str(path), "--resume", str(ckpt)]) == 1
     assert "--resume continues the main federated run" in capsys.readouterr().err
+
+
+def count_fingerprints(monkeypatch) -> list:
+    """Count ``compute_fingerprint`` calls under every fedrad name bound to it."""
+    from fedrad import fingerprint
+    original, calls = fingerprint.compute_fingerprint, []
+
+    def counted(train):
+        calls.append(1)
+        return original(train)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fedrad") and getattr(module, "compute_fingerprint", None) is original:
+            monkeypatch.setattr(module, "compute_fingerprint", counted)
+    return calls
+
+
+def test_train_sim_fingerprints_each_site_once(tmp_path, monkeypatch, capsys):
+    # the local models, the main run and the three leave-out runs share them
+    config = small_config(tmp_path, n_sites=3, rounds=2,
+                          scenarios=[s.value for s in Scenario])
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    calls = count_fingerprints(monkeypatch)
+    assert main(["train-sim", "--config", str(path)]) == 0
+    assert len(calls) == 3
+    capsys.readouterr()
+
+
+def test_train_sim_names_a_site_without_training_samples(tmp_path, capsys):
+    # two samples at test_fraction 0.9 all go to the test split; the data
+    # pass validation, and train-sim names the site it cannot train
+    config = small_config(tmp_path)
+    config = replace(config, test_fraction=0.9,
+                     sites=tuple(replace(p, n_samples=2) for p in config.sites))
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["train-sim", "--config", str(path)]) == 1
+    assert "fedrad: site s0 has no training samples" in capsys.readouterr().err
 
 
 def test_characterize_refuses_another_experiments_data(config_file, tmp_path, capsys):

@@ -11,7 +11,8 @@ from fedrad import experiment as exp
 from fedrad.config import (ExperimentConfig, Scenario, SiteLink, SiteProfile, TrainConfig,
                            load_config)
 from fedrad.evalrank import ModelRegistry, TrainedModel
-from fedrad.fingerprint import DatasetFingerprint
+from fedrad import siteio
+from fedrad.fingerprint import DatasetFingerprint, compute_fingerprint
 from fedrad.learner import FeatureConfig, WEIGHT_LEN
 from fedrad.seeding import from_dict, to_dict, write_json
 
@@ -208,6 +209,32 @@ def test_load_all_guards_digest(tmp_path):
         exp.load_all(other, out)
 
 
+def test_load_all_reads_each_manifest_once(tmp_path, monkeypatch):
+    config = small_config(tmp_path, n_sites=3)
+    out = Path(config.output_dir)
+    exp.generate_all(config, out)
+    reads, loads = [], []
+    read_manifest, load_site_dataset = siteio.read_manifest, siteio.load_site_dataset
+
+    def counted_read(site_dir):
+        reads.append(Path(site_dir).name)
+        return read_manifest(site_dir)
+
+    def counted_load(*args, **kwargs):
+        loads.append(1)
+        return load_site_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(siteio, "read_manifest", counted_read)
+    monkeypatch.setattr(siteio, "load_site_dataset", counted_load)
+    loaded = exp.load_all(config, out)
+    assert reads == list(config.site_ids)
+    assert len(loads) == len(config.site_ids)
+    assert all(ds.train and ds.test for ds in loaded.values())
+    reads.clear()
+    exp.load_all(config, out, splits=("test",))
+    assert reads == list(config.site_ids)
+
+
 def test_registry_roundtrip(tmp_path, rng):
     fc = FeatureConfig(shift=-500.0, scale=60.0, clip_low=-900.0, clip_high=100.0)
     registry = ModelRegistry()
@@ -240,7 +267,8 @@ def test_needed_model_kinds(tmp_path):
 def test_local_training_self_configures(tmp_path):
     config = small_config(tmp_path)
     datasets = exp.generate_all(config, Path(config.output_dir))
-    models = exp.train_local_models(config, datasets)
+    fingerprints = {s: compute_fingerprint(ds.train) for s, ds in datasets.items()}
+    models = exp.train_local_models(config, datasets, fingerprints)
     assert set(models) == set(config.site_ids)
     # locals are configured from their own data, so different sites get
     # different normalization

@@ -6,6 +6,7 @@ from oracles import (finite_diff_grad, padded_gradient_magnitude, reference_forw
                      reference_loss_and_grad, reference_train_epochs, scipy_extract_features)
 
 from fedrad.dataset import Volume, generate_site_dataset
+from fedrad.experiment import default_profiles
 from fedrad.fingerprint import compute_fingerprint, derive_config
 from fedrad.config import TrainConfig
 from fedrad.learner import (FeatureConfig, N_FEATURES, WEIGHT_LEN, _box_filter,
@@ -44,8 +45,11 @@ def test_extract_features_normalization_and_clip():
 
 def test_extract_features_invalid_config():
     vol = Volume(id="v", intensities=np.zeros((8, 8, 8), np.float32), spacing=(1, 1, 1))
+    invalid = FeatureConfig(shift=0.0, scale=0.0, clip_low=0, clip_high=1)
     with pytest.raises(ValueError):
-        extract_features(vol, FeatureConfig(shift=0.0, scale=0.0, clip_low=0, clip_high=1))
+        extract_features(vol, invalid)
+    with pytest.raises(ValueError, match="invalid feature normalization"):
+        build_training_matrix([make_sample(dims=(8, 8, 8))], invalid)
 
 
 def _filter_grids():
@@ -402,6 +406,60 @@ def test_build_training_matrix_orders_by_sample_id(rng):
     assert np.array_equal(x12, x21)
     assert np.array_equal(y12, y21)
     assert x12.shape == (2 * 8 ** 3, 4)
+
+
+def _per_sample_matrix(samples, config):
+    """The training matrix as one :func:`extract_features` per sample builds it."""
+    ordered = sorted(samples, key=lambda s: s.sample_id)
+    features = np.concatenate([extract_features(s.volume, config).reshape(-1, N_FEATURES + 1)
+                               for s in ordered])
+    labels = np.concatenate([s.mask.labels.reshape(-1).astype(np.int64) for s in ordered])
+    return features, labels
+
+
+def _assert_stacked_equals_per_sample(samples, config):
+    got, want = build_training_matrix(samples, config), _per_sample_matrix(samples, config)
+    for g, w in zip(got, want):
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def _random_sample(rng, sample_id, dims, signed_zeros=False):
+    if signed_zeros:  # values whose zero sums show their sign
+        intensities = rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, -0.3], size=dims)
+    else:
+        intensities = rng.normal(-500.0, 300.0, size=dims)
+    return make_sample(sample_id=sample_id, dims=dims,
+                       intensities=intensities.astype(np.float32),
+                       labels=rng.integers(0, 4, size=dims).astype(np.uint8))
+
+
+CLIPPING_FC = FeatureConfig(shift=-480.0, scale=250.0, clip_low=-900.0, clip_high=-150.0)
+
+
+def test_build_training_matrix_mixed_shapes_equal_per_sample(rng):
+    a, b = (6, 7, 5), (5, 6, 7)
+    # in sample_id order the shapes run A, B, A, A: three stacked passes
+    samples = [_random_sample(rng, sid, dims)
+               for sid, dims in (("d", a), ("b", b), ("a", a), ("c", a))]
+    _assert_stacked_equals_per_sample(samples, CLIPPING_FC)
+    _assert_stacked_equals_per_sample(samples, FC)
+
+
+def test_build_training_matrix_thin_grids_equal_per_sample(rng):
+    shapes = [(1, 5, 4), (1, 5, 4), (2, 1, 3), (2, 1, 3), (3, 2, 1), (2, 2, 2), (2, 2, 2),
+              (1, 1, 1), (1, 1, 1), (4, 1, 2)]
+    for signed_zeros in (False, True):
+        samples = [_random_sample(rng, f"s{i:02d}", dims, signed_zeros)
+                   for i, dims in enumerate(shapes)]
+        _assert_stacked_equals_per_sample(samples, FC)
+        _assert_stacked_equals_per_sample(samples, CLIPPING_FC)
+
+
+def test_build_training_matrix_default_shapes_equal_per_sample(rng):
+    shapes = [p.grid_dims for p in default_profiles(6)]
+    samples = [_random_sample(rng, f"s{i:02d}", shapes[i // 2]) for i in range(2 * len(shapes))]
+    _assert_stacked_equals_per_sample(samples, CLIPPING_FC)
 
 
 def test_weight_file_roundtrip(tmp_path, rng):

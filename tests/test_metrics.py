@@ -189,6 +189,26 @@ def count_distance_computations(monkeypatch) -> list:
     return calls
 
 
+def test_score_pair_builds_two_content_keys(monkeypatch):
+    # one key for the reference, which both its scope and its class set
+    # use, and one for the prediction
+    from fedrad import metrics
+    calls = []
+    content = metrics._content
+
+    def counted(labels):
+        calls.append(1)
+        return content(labels)
+
+    monkeypatch.setattr(metrics, "_content", counted)
+    ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
+    pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
+    for class_id in (1, 2):
+        score_pair(pred, ref, class_id, SP)
+    score_pair(ref, pred, 1, SP)
+    assert len(calls) == 6
+
+
 def test_score_pair_one_distance_computation_per_pair(monkeypatch):
     calls = count_distance_computations(monkeypatch)
     _flush_scope()

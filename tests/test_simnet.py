@@ -9,6 +9,7 @@ from test_fedproto import TRAIN, make_datasets, make_params, run_experiment
 
 from fedrad.config import SiteLink
 from fedrad.fedproto import ExperimentAborted, checkpoint_path, load_checkpoint
+from fedrad.fingerprint import compute_fingerprint
 from fedrad.simnet import NS_PER_S, apply_fault_schedule, run_simulated
 
 
@@ -242,6 +243,20 @@ def test_missing_datasets_rejected():
     params = make_params(["a", "b"], rounds=1)
     with pytest.raises(ValueError, match="datasets missing"):
         run_simulated(params, datasets, links_for(["a", "b"]))
+
+
+def test_fingerprints_input(tmp_path):
+    # a mapping that lacks a site is refused by name; one with more sites
+    # than expected, as a leave-out run gets, trains as the sites' own would
+    datasets = make_datasets(["a", "b", "c"])
+    fps = {s: compute_fingerprint(ds.train) for s, ds in datasets.items()}
+    params = make_params(["a", "b"], rounds=2)
+    with pytest.raises(ValueError, match=r"fingerprints missing for sites: \['b'\]"):
+        run_simulated(params, datasets, links_for(["a", "b"]), fingerprints={"a": fps["a"]})
+    given = run_simulated(params, datasets, links_for(["a", "b"]), fingerprints=fps)
+    computed = run_simulated(params, datasets, links_for(["a", "b"]))
+    assert given.final_weights.tobytes() == computed.final_weights.tobytes()
+    assert given.derived.feature_config == computed.derived.feature_config
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",

@@ -11,7 +11,7 @@
     fedrad report --config exp.json       join all artifacts into one bundle
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
-failures, 3 experiment aborted (a main run prints the checkpoint to resume
+failures, 3 experiment aborted (a main run prints the checkpoint log to resume
 from; a leave-out run restarts from round 0).
 Set FEDRAD_LOG=error|warn|info|debug to control logging.
 
@@ -156,7 +156,7 @@ def cmd_train_sim(args) -> int:
         if result.aborted:
             print(f"experiment aborted at round {result.abort_round}: "
                   f"{result.abort_reason}")
-            print(f"resume from checkpoint: {result.checkpoint_file}")
+            print(f"resume from checkpoint log: {result.checkpoint_file}")
             return EXIT_ABORTED
         registry.fed = TrainedModel(weights=result.final_weights,
                                     feature_config=result.derived.feature_config)
@@ -188,7 +188,7 @@ def cmd_train_sim(args) -> int:
 def cmd_serve(args) -> int:
     from . import experiment as exp
     from .evalrank import ModelRegistry, TrainedModel
-    from .fedproto import ExperimentAborted, checkpoint_path, load_checkpoint, run_server
+    from .fedproto import ExperimentAborted, checkpoint_log, load_checkpoint, run_server
     from .fingerprint import derive_config
     from .transport import TcpServerTransport
 
@@ -205,7 +205,7 @@ def cmd_serve(args) -> int:
     except ExperimentAborted as abort:
         print(f"experiment aborted at round {abort.round_index}: {abort.reason}")
         if abort.checkpoint_path:
-            print(f"resume from checkpoint: {abort.checkpoint_path}")
+            print(f"resume from checkpoint log: {abort.checkpoint_path}")
         return EXIT_ABORTED
     finally:
         listener.close()
@@ -215,12 +215,16 @@ def cmd_serve(args) -> int:
         registry = ModelRegistry()
     # The final checkpoint holds the averaged fingerprint the sites sent; the
     # fed model's feature config derives from it, so the server needs no site data.
-    final = load_checkpoint(checkpoint_path(ckpt_dir, config.rounds),
-                            expected_digest=config.digest)
+    log = checkpoint_log(ckpt_dir)
+    final = load_checkpoint(log, expected_digest=config.digest)
+    if final.round_index != config.rounds:
+        print(f"fedrad serve: the last record of {log} is round {final.round_index}, "
+              f"not the final round {config.rounds}", file=sys.stderr)
+        return EXIT_USAGE
     derived = derive_config(final.fp_avg, config.seed)
     registry.fed = TrainedModel(weights=weights, feature_config=derived.feature_config)
     exp.save_registry(registry, out, config.digest)
-    print(f"federated training complete; checkpoints in {ckpt_dir}")
+    print(f"federated training complete; checkpoint log {log}")
     return EXIT_OK
 
 
@@ -349,13 +353,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-sim", help="run federated training on the simulated network")
     p.add_argument("--config", required=True)
-    p.add_argument("--resume", help="checkpoint file to resume the main run from")
+    p.add_argument("--resume", metavar="LOG", help="checkpoint log to continue the main "
+                                                   "run from, at its last committed round")
     p.set_defaults(func=cmd_train_sim)
 
     p = sub.add_parser("serve", help="run the federated server over TCP")
     p.add_argument("--config", required=True)
     p.add_argument("--bind", default="127.0.0.1:7713", metavar="HOST:PORT")
-    p.add_argument("--resume", help="checkpoint file to resume from")
+    p.add_argument("--resume", metavar="LOG",
+                   help="checkpoint log to continue from, at its last committed round")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("join", help="join a federated experiment as one site")

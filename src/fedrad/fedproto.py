@@ -7,11 +7,17 @@ applies the non-weighted update
     w(t+1) = w(t) + sum_i delta_i(t) / n_sites
 
 with deltas summed in ascending site-id order so the result is bit-identical
-regardless of arrival order. A checkpoint is written after every
+regardless of arrival order. A checkpoint is committed after every
 aggregation; strict mode aborts (resumably) when any expected site misses
 the round deadline, tolerant mode aggregates over the responders with
 n = responder count. A closing exchange pushes the finished model to every
 site, which persists it locally so evaluation never needs the server.
+
+A run keeps its checkpoints in one append-only log, ``checkpoints.frck``:
+one FRCK version 4 record per commit (header, JSON metadata, weights, then
+the sha256 of those bytes). A crash mid-append tears only the last record,
+which reading skips, so a resumed run continues from the last committed
+round.
 
 :class:`Federation` owns every server-side protocol decision and
 :class:`Site` the local epoch a site trains each round. ``run_server`` and
@@ -21,8 +27,10 @@ drives both on a virtual clock, so the two cannot drift apart.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
 import queue
 import struct
 import threading
@@ -48,8 +56,11 @@ logger = logging.getLogger(__name__)
 CLIENT_RECV_TIMEOUT_S = 600.0
 
 CHECKPOINT_MAGIC = b"FRCK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
+CHECKPOINT_LOG = "checkpoints.frck"
 _CKPT_HEADER = struct.Struct("<4sH32sI")
+_WEIGHT_BYTES = 8 * WEIGHT_LEN
+_SHA_BYTES = 32
 
 
 class CheckpointMismatch(ValueError):
@@ -96,48 +107,54 @@ class Checkpoint:
     experiment_digest: str
 
     def save(self, path: Path) -> Path:
+        """Append this checkpoint as one record to the log at ``path``,
+        creating the file when it is missing."""
         meta = {
             "round_index": self.round_index,
             "fp_avg": to_dict(self.fp_avg),
             "experiment_seed": self.experiment_seed,
         }
         body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
-        digest_raw = bytes.fromhex(self.experiment_digest)
-        with open(path, "wb") as f:
-            f.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                      digest_raw, len(body)))
-            f.write(body)
-            f.write(np.asarray(self.weights, dtype="<f8").tobytes())
+        record = b"".join((
+            _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                              bytes.fromhex(self.experiment_digest), len(body)),
+            body, np.asarray(self.weights, dtype="<f8").tobytes()))
+        # one write per record, so a crash can tear only the record being appended
+        with open(path, "ab") as f:
+            f.write(record + hashlib.sha256(record).digest())
         return Path(path)
 
 
-def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoint:
-    raw = Path(path).read_bytes()
-    if len(raw) < _CKPT_HEADER.size:
-        raise CheckpointMismatch(f"{path}: truncated header")
-    magic, version, digest_raw, body_len = _CKPT_HEADER.unpack_from(raw)
+def _read_record(raw: bytes, start: int, where: str,
+                 expected_digest: str | None) -> tuple[Checkpoint, int] | None:
+    """The record at ``raw[start:]`` and the offset after it; ``None`` when
+    the bytes end inside the record."""
+    head_end = start + _CKPT_HEADER.size
+    if len(raw) < head_end:
+        return None
+    magic, version, digest_raw, body_len = _CKPT_HEADER.unpack_from(raw, start)
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointMismatch(f"{path}: bad magic {magic!r}")
+        raise CheckpointMismatch(f"{where}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointMismatch(f"{path}: unsupported version {version}")
+        raise CheckpointMismatch(f"{where}: unsupported version {version}")
     digest = digest_raw.hex()
     if expected_digest is not None and digest != expected_digest:
         raise CheckpointMismatch(
-            f"{path}: checkpoint belongs to experiment {digest[:12]}..., "
+            f"{where}: checkpoint belongs to experiment {digest[:12]}..., "
             f"expected {expected_digest[:12]}...")
-    body_end = _CKPT_HEADER.size + body_len
-    if len(raw) < body_end:
-        raise CheckpointMismatch(f"{path}: truncated metadata")
-    n_weight_bytes = len(raw) - body_end
-    if n_weight_bytes != 8 * WEIGHT_LEN:
-        raise CheckpointMismatch(f"{path}: expected {8 * WEIGHT_LEN} weight bytes, "
-                                 f"got {n_weight_bytes}")
-    weights = np.frombuffer(raw[body_end:], dtype="<f8").copy()
+    body_end = head_end + body_len
+    weights_end = body_end + _WEIGHT_BYTES
+    end = weights_end + _SHA_BYTES
+    if len(raw) < end:
+        return None
+    if hashlib.sha256(raw[start:weights_end]).digest() != raw[weights_end:end]:
+        raise CheckpointMismatch(f"{where}: sha256 mismatch")
+    weights = np.frombuffer(raw, dtype="<f8", count=WEIGHT_LEN, offset=body_end).copy()
     if not np.isfinite(weights).all():
-        raise CheckpointMismatch(f"{path}: non-finite weights")
+        raise CheckpointMismatch(f"{where}: non-finite weights")
     try:
-        meta = parse_json(raw[_CKPT_HEADER.size:body_end], "metadata")
-        return Checkpoint(
+        meta = parse_json(raw[head_end:body_end], "metadata")
+        ckpt = Checkpoint(
             round_index=from_dict(int, meta["round_index"], "round_index"),
             weights=weights,
             fp_avg=from_dict(DatasetFingerprint, meta["fp_avg"], "fp_avg"),
@@ -145,15 +162,48 @@ def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoin
             experiment_digest=digest,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointMismatch(f"{path}: bad metadata: {exc!r}") from exc
+        raise CheckpointMismatch(f"{where}: bad metadata: {exc!r}") from exc
+    return ckpt, end
 
 
-def checkpoint_path(checkpoint_dir: Path, round_index: int) -> Path:
-    return Path(checkpoint_dir) / f"checkpoint-{round_index:04d}.frck"
+def read_checkpoints(path: Path, expected_digest: str | None = None) -> list[Checkpoint]:
+    """Every complete record of the checkpoint log at ``path``, in order.
+
+    Each record must be an FRCK version 4 record of one experiment
+    (``expected_digest`` when given) whose sha256 trailer matches it. A
+    final record the file ends inside is the append of a process that died
+    mid-write: it is skipped with a warning. A log without a complete
+    record is refused.
+    """
+    raw = Path(path).read_bytes()
+    records: list[Checkpoint] = []
+    start = 0
+    while start < len(raw):
+        read = _read_record(raw, start, f"{path}: record {len(records)}", expected_digest)
+        if read is None:
+            logger.warning("%s: skipping an incomplete final record (%d bytes)",
+                           path, len(raw) - start)
+            break
+        ckpt, start = read
+        records.append(ckpt)
+        expected_digest = ckpt.experiment_digest
+    if not records:
+        raise CheckpointMismatch(f"{path}: no complete checkpoint record")
+    return records
+
+
+def load_checkpoint(path: Path, expected_digest: str | None = None) -> Checkpoint:
+    """The last complete record of the checkpoint log at ``path``."""
+    return read_checkpoints(path, expected_digest)[-1]
+
+
+def checkpoint_log(checkpoint_dir: Path) -> Path:
+    return Path(checkpoint_dir) / CHECKPOINT_LOG
 
 
 def load_resume(path: Path | None, params: ServerParams) -> Checkpoint | None:
-    """Load the checkpoint to resume from, refusing one of another experiment.
+    """Load the last committed checkpoint of the log to resume from,
+    refusing one of another experiment.
 
     Called before any site is contacted; the fingerprint digest is checked
     later, by :class:`Federation`, once the fingerprints are known.
@@ -173,8 +223,13 @@ class Federation:
     commits a checkpoint at the start and after every round, and decides
     each round: which deltas are usable, whether a missing or failed site
     aborts the run (strict) or is excluded (tolerant), and the aggregate.
-    Every abort is an :class:`ExperimentAborted` that points at the last
-    committed checkpoint.
+    Every abort is an :class:`ExperimentAborted` that points at the
+    checkpoint log, whose last record is the last committed round.
+
+    The log is ``checkpoints.frck`` in ``params.checkpoint_dir``. The start
+    record replaces any earlier log whole, through a temp file, so a run
+    never appends after another run's torn tail; each round then appends
+    one record.
     """
 
     def __init__(self, params: ServerParams, fingerprints: Mapping[str, DatasetFingerprint],
@@ -182,9 +237,10 @@ class Federation:
         self.params = params
         self.fp_avg = average_fingerprints([fingerprints[s] for s in params.expected_sites])
         self.derived = derive_config(self.fp_avg, params.experiment_seed)
-        self._ckpt_dir = Path(params.checkpoint_dir) if params.checkpoint_dir else None
-        if self._ckpt_dir:
-            self._ckpt_dir.mkdir(parents=True, exist_ok=True)
+        self.checkpoint_log = None
+        if params.checkpoint_dir:
+            Path(params.checkpoint_dir).mkdir(parents=True, exist_ok=True)
+            self.checkpoint_log = checkpoint_log(params.checkpoint_dir)
         if resumed is not None:
             if resumed.fp_avg.digest != self.fp_avg.digest:
                 raise CheckpointMismatch(
@@ -196,7 +252,11 @@ class Federation:
             self.weights = self.derived.init_weights.copy()
             self.round_index = 0
         self._excluded: dict[int, set[str]] = {}  # round -> sites already left out of it
-        self.last_checkpoint = self._commit()
+        if self.checkpoint_log is not None:
+            tmp = self.checkpoint_log.with_name(CHECKPOINT_LOG + ".tmp")
+            tmp.unlink(missing_ok=True)
+            self._commit(tmp)
+            os.replace(tmp, self.checkpoint_log)
         self.config = wire.ConfigBroadcast(
             fp_avg=self.fp_avg, experiment_seed=params.experiment_seed,
             rounds=params.rounds, train=params.train,
@@ -206,18 +266,13 @@ class Federation:
         """The rounds still to run."""
         return range(self.round_index + 1, self.params.rounds + 1)
 
-    def _commit(self) -> Path | None:
-        if self._ckpt_dir is None:
-            return None
-        ckpt = Checkpoint(
-            round_index=self.round_index, weights=self.weights,
-            fp_avg=self.fp_avg,
-            experiment_seed=self.params.experiment_seed,
-            experiment_digest=self.params.experiment_digest)
-        return ckpt.save(checkpoint_path(self._ckpt_dir, self.round_index))
+    def _commit(self, path: Path) -> None:
+        Checkpoint(round_index=self.round_index, weights=self.weights, fp_avg=self.fp_avg,
+                   experiment_seed=self.params.experiment_seed,
+                   experiment_digest=self.params.experiment_digest).save(path)
 
     def _abort(self, t: int, reason: str) -> ExperimentAborted:
-        return ExperimentAborted(reason, round_index=t, checkpoint_path=self.last_checkpoint)
+        return ExperimentAborted(reason, round_index=t, checkpoint_path=self.checkpoint_log)
 
     def exclude(self, t: int, sites: Iterable[str], why: str) -> None:
         """Leave ``sites`` out of round ``t``: an abort in strict mode, a
@@ -251,7 +306,8 @@ class Federation:
         # excluded some.
         self.weights = aggregate(self.weights, usable)
         self.round_index = t
-        self.last_checkpoint = self._commit()
+        if self.checkpoint_log is not None:
+            self._commit(self.checkpoint_log)
         logger.info("round %d/%d aggregated over %d sites", t, self.params.rounds,
                     len(usable))
 
@@ -315,8 +371,9 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
     """Drive a federated experiment to its final model over a transport.
 
     ``listener`` is anything with ``accept(timeout)`` (TcpServerTransport or
-    InProcessHub). ``resume`` continues from a checkpoint written by an
-    earlier, interrupted run of the same experiment.
+    InProcessHub). ``resume`` is the checkpoint log of an earlier,
+    interrupted run of the same experiment; the run continues from its last
+    committed round.
 
     An upload counts for the site registered on its connection; one that
     names another site is dropped. An ``Abort`` from a connection that never
@@ -488,7 +545,10 @@ def run_client(dataset: SiteDataset, conn: tp.TcpConnection, *,
                     raise _client_abort(conn, f"config digest mismatch: server has "
                                               f"{msg.experiment_digest[:12]}..., site expects "
                                               f"{expected_digest[:12]}...")
-                site = Site(site_id, dataset.train, msg)
+                try:
+                    site = Site(site_id, dataset.train, msg)
+                except ValueError as exc:
+                    raise _client_abort(conn, f"local training data unusable: {exc}") from exc
             elif isinstance(msg, wire.RoundStart):
                 if site is None:
                     raise _client_abort(conn, "round started before configuration was received")

@@ -226,7 +226,8 @@ def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
 def build_training_matrix(samples: Sequence[Sample],
                           config: FeatureConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-voxel features and labels of all samples (sorted by id), as an
-    (N, F + 1) matrix and an (N,) vector.
+    (N, F + 1) matrix and an (N,) vector. Raises ``ValueError`` when a
+    sample's mask has another shape than its volume.
 
     Each run of consecutive same-shape samples is extracted in one stacked
     pass over the last three axes, straight into its rows of the matrix. The
@@ -235,6 +236,10 @@ def build_training_matrix(samples: Sequence[Sample],
     ordered = sorted(samples, key=lambda s: s.sample_id)
     if not ordered:
         raise ValueError("no samples")
+    for s in ordered:
+        if s.mask.labels.shape != s.volume.intensities.shape:
+            raise ValueError(f"sample {s.sample_id}: mask shape {s.mask.labels.shape} "
+                             f"differs from volume shape {s.volume.intensities.shape}")
     n_rows = sum(s.volume.intensities.size for s in ordered)
     features = np.empty((n_rows, N_FEATURES + 1), dtype=np.float64)
     row = 0

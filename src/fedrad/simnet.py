@@ -105,8 +105,8 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     its training data, as the site would submit it; a caller that runs
     several federations over the same sites computes each once and passes
     them all. Without it, every expected site is fingerprinted here.
-    Checkpoints are written to ``params.checkpoint_dir`` exactly as the live
-    server does, and ``resume`` behaves identically.
+    The checkpoint log is written to ``params.checkpoint_dir`` exactly as
+    the live server writes it, and ``resume`` behaves identically.
     """
     expected = sorted(params.expected_sites)
     link_by_site = {l.site_id: l for l in links}
@@ -168,4 +168,4 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
                              abort_round=abort.round_index, checkpoint_file=abort.checkpoint_path)
 
     return SimResult(final_weights=fed.weights, timing=timing, derived=fed.derived,
-                     checkpoint_file=fed.last_checkpoint)
+                     checkpoint_file=fed.checkpoint_log)

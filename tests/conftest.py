@@ -14,10 +14,10 @@ _close_round = Federation.close_round
 
 
 class ServerCrash(Exception):
-    """Stands in for a killed server process; carries its last checkpoint."""
+    """Stands in for a killed server process; carries its checkpoint log."""
 
     def __init__(self, checkpoint):
-        super().__init__(f"server crashed after committing {checkpoint}")
+        super().__init__(f"server crashed after committing to {checkpoint}")
         self.checkpoint = checkpoint
 
 
@@ -28,7 +28,7 @@ def crash_after_round(monkeypatch, k):
     def close_round(self, t, received):
         _close_round(self, t, received)
         if t == k:
-            raise ServerCrash(self.last_checkpoint)
+            raise ServerCrash(self.checkpoint_log)
 
     monkeypatch.setattr(Federation, "close_round", close_round)
 

@@ -18,6 +18,7 @@ from test_validation import MALFORMED_IDS, MALFORMED_MANIFESTS
 from fedrad import experiment as exp
 from fedrad.cli import main
 from fedrad.config import Scenario, checkpoints_dir, eval_dir, site_dir, sites_dir
+from fedrad.fedproto import checkpoint_log, load_checkpoint
 from fedrad.seeding import stamped_csv, to_dict
 
 
@@ -132,8 +133,8 @@ def test_train_sim_resumes_only_a_main_run(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "leave-out run (s0) aborted" in out
     assert "resume" not in out
-    ckpt = checkpoints_dir(Path(config.output_dir), "loo-s0") / "checkpoint-0001.frck"
-    assert ckpt.exists()
+    ckpt = checkpoint_log(checkpoints_dir(Path(config.output_dir), "loo-s0"))
+    assert load_checkpoint(ckpt).round_index == 1
     assert main(["train-sim", "--config", str(path), "--resume", str(ckpt)]) == 1
     assert "--resume continues the main federated run" in capsys.readouterr().err
 
@@ -179,6 +180,23 @@ def test_train_sim_names_a_site_without_training_samples(tmp_path, capsys):
     capsys.readouterr()
     assert main(["train-sim", "--config", str(path)]) == 1
     assert "fedrad: site s0 has no training samples" in capsys.readouterr().err
+
+
+def test_train_sim_refuses_a_mask_of_another_shape(config_file, capsys):
+    # a training mask one slice short of its volume: train-sim exits 1 naming
+    # the sample instead of training on labels of other voxels
+    from fedrad.siteio import read_grid, write_grid
+    path, config = config_file
+    assert main(["gen", "--config", str(path)]) == 0
+    sdir = site_dir(Path(config.output_dir), "s0")
+    manifest = json.loads((sdir / "manifest.json").read_text())
+    entry = next(e for e in manifest["samples"] if e["split"] == "train")
+    labels, spacing = read_grid(sdir / entry["mask_file"])
+    write_grid(sdir / entry["mask_file"], labels[:-1], spacing)
+    capsys.readouterr()
+    assert main(["train-sim", "--config", str(path)]) == 1
+    assert (f"fedrad: sample {entry['sample_id']}: mask shape {labels[:-1].shape} "
+            f"differs from volume shape {labels.shape}") in capsys.readouterr().err
 
 
 def test_characterize_refuses_another_experiments_data(config_file, tmp_path, capsys):
@@ -294,6 +312,34 @@ def test_serve_needs_no_site_data(tmp_path, capsys):
     assert np.array_equal(fed.weights, sim.final_weights)
     assert to_dict(fed.feature_config) == to_dict(sim.derived.feature_config)
     capsys.readouterr()
+
+
+def test_serve_refuses_a_log_short_of_the_final_round(config_file, monkeypatch, capsys):
+    # the fed model's feature config comes from the final round's record; a
+    # log that ends earlier stores no model and exits 1, naming the log
+    import fedrad.fedproto as fedproto
+    from fedrad.fedproto import Checkpoint
+    from fedrad.fingerprint import average_fingerprints, compute_fingerprint
+    from fedrad.learner import WEIGHT_LEN
+    from test_fedproto import make_datasets
+    path, config = config_file
+    fp = average_fingerprints([compute_fingerprint(ds.train)
+                               for ds in make_datasets(["s1"]).values()])
+
+    def stops_short(params, listener, resume=None):
+        Path(params.checkpoint_dir).mkdir(parents=True)
+        Checkpoint(round_index=config.rounds - 1, weights=np.zeros(WEIGHT_LEN), fp_avg=fp,
+                   experiment_seed=config.seed, experiment_digest=config.digest,
+                   ).save(checkpoint_log(params.checkpoint_dir))
+        return np.zeros(WEIGHT_LEN)
+
+    monkeypatch.setattr(fedproto, "run_server", stops_short)
+    assert main(["serve", "--config", str(path), "--bind", "127.0.0.1:0"]) == 1
+    err = capsys.readouterr().err
+    log = checkpoints_dir(Path(config.output_dir), "main") / "checkpoints.frck"
+    assert f"the last record of {log} is round {config.rounds - 1}" in err
+    with pytest.raises(FileNotFoundError):
+        exp.load_registry(Path(config.output_dir), config.digest)
 
 
 def test_evaluate_reads_only_test_grids(config_file, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 import threading
@@ -9,13 +10,15 @@ import pytest
 from conftest import ServerCrash, crash_after_round, make_profile
 from oracles import sequential_federated_reference
 
-from fedrad.config import AGG_TOLERANT, ServerParams, TrainConfig
+from fedrad.config import AGG_TOLERANT, ServerParams, SiteLink, TrainConfig
 from fedrad.dataset import generate_site_dataset
 from fedrad.fingerprint import DatasetFingerprint
 from fedrad.fedproto import (Checkpoint, CheckpointMismatch, ExperimentAborted, Site, aggregate,
-                             checkpoint_path, load_checkpoint, run_client, run_server)
+                             checkpoint_log, load_checkpoint, read_checkpoints, run_client,
+                             run_server)
 from fedrad.learner import WEIGHT_LEN
 from fedrad.seeding import to_dict
+from fedrad.simnet import run_simulated
 from fedrad.transport import InProcessHub, TcpServerTransport, connect_tcp
 
 TRAIN = TrainConfig(epochs=1, batches_per_epoch=5, batch_size=32, learning_rate=0.3, seed=77)
@@ -124,17 +127,19 @@ def _ckpt(rng, t=4):
         fp_avg=FP, experiment_seed=42, experiment_digest="a" * 64)
 
 
-def _write_raw_checkpoint(path, meta: bytes, version=3):
-    """An FRCK file with the given version and metadata bytes, zero weights."""
+def _write_raw_checkpoint(path, meta: bytes, version=4):
+    """An FRCK file with the given version and metadata bytes, zero weights,
+    and from version 4 on the sha256 trailer."""
     header = struct.pack("<4sH32sI", b"FRCK", version, bytes.fromhex("a" * 64), len(meta))
-    path.write_bytes(header + meta + np.zeros(WEIGHT_LEN, dtype="<f8").tobytes())
+    record = header + meta + np.zeros(WEIGHT_LEN, dtype="<f8").tobytes()
+    path.write_bytes(record + (hashlib.sha256(record).digest() if version >= 4 else b""))
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
     ckpt = _ckpt(rng)
     path = tmp_path / "c.frck"
     ckpt.save(path)
-    assert struct.unpack_from("<4sH", path.read_bytes()) == (b"FRCK", 3)
+    assert struct.unpack_from("<4sH", path.read_bytes()) == (b"FRCK", 4)
     back = load_checkpoint(path)
     assert back.round_index == ckpt.round_index
     assert np.array_equal(back.weights, ckpt.weights)
@@ -164,9 +169,9 @@ def test_checkpoint_corruption_refused(tmp_path, rng):
 
 def test_non_finite_checkpoint_refused(tmp_path, rng):
     path = tmp_path / "c.frck"
-    _ckpt(rng).save(path)
-    raw = path.read_bytes()
-    path.write_bytes(raw[:-8] + struct.pack("<d", float("nan")))
+    ckpt = _ckpt(rng)
+    ckpt.weights[-1] = np.nan
+    ckpt.save(path)  # a well-formed record, sha256 included
     with pytest.raises(CheckpointMismatch, match="non-finite"):
         load_checkpoint(path)
 
@@ -178,6 +183,14 @@ def test_version_2_checkpoint_refused(tmp_path):
     meta = {"round_index": 1, "fp_avg_digest": FP.digest, "experiment_seed": 42}
     _write_raw_checkpoint(path, json.dumps(meta).encode("ascii"), version=2)
     with pytest.raises(CheckpointMismatch, match="version 2"):
+        load_checkpoint(path)
+
+
+def test_version_3_checkpoint_refused(tmp_path):
+    # format 3 had no sha256 trailer, so a torn or flipped file could load
+    path = tmp_path / "v3.frck"
+    _write_raw_checkpoint(path, _meta(), version=3)
+    with pytest.raises(CheckpointMismatch, match="unsupported version 3"):
         load_checkpoint(path)
 
 
@@ -245,6 +258,95 @@ def test_mutated_checkpoints_raise_only_mismatch(tmp_path, rng):
 
 
 # ---------------------------------------------------------------------------
+# the checkpoint log
+
+HEADER_LEN = 42  # magic, version u16, experiment digest, metadata length u32
+
+
+def _record_bounds(raw):
+    """Start offsets of each record of a checkpoint log, then its end."""
+    bounds = [0]
+    while bounds[-1] < len(raw):
+        (meta_len,) = struct.unpack_from("<I", raw, bounds[-1] + HEADER_LEN - 4)
+        bounds.append(bounds[-1] + HEADER_LEN + meta_len + 8 * WEIGHT_LEN + 32)
+    assert bounds[-1] == len(raw)
+    return bounds
+
+
+def test_log_cut_inside_its_last_record_resumes_from_the_round_before(tmp_path, caplog):
+    # a crash mid-append leaves a prefix of the last record: every such cut
+    # reads as the log without that record, and a run resumed from it ends
+    # as the uninterrupted run, on the simulator and over the in-process hub
+    sites = ["s1", "s2"]
+    datasets = make_datasets(sites)
+    links = [SiteLink(site_id=s) for s in sites]
+    full = run_simulated(make_params(sites, rounds=3, ckpt_dir=tmp_path / "full"),
+                         datasets, links)
+    raw = full.checkpoint_file.read_bytes()
+    bounds = _record_bounds(raw)
+    assert len(bounds) == 5  # rounds 0 to 3, then the end
+    last = bounds[-2]
+    before = read_checkpoints(full.checkpoint_file)[-2]
+    torn = tmp_path / "torn.frck"
+    caplog.set_level("WARNING", logger="fedrad.fedproto")
+    for cut in range(last, len(raw)):
+        torn.write_bytes(raw[:cut])
+        caplog.clear()
+        got = load_checkpoint(torn, expected_digest="0" * 64)
+        assert (got.round_index, got.weights.tobytes()) == (2, before.weights.tobytes()), cut
+        assert ("incomplete final record" in caplog.text) == (cut > last), cut
+
+    (meta_len,) = struct.unpack_from("<I", raw, last + HEADER_LEN - 4)
+    weights_at = last + HEADER_LEN + meta_len
+    cuts = {"header": last + 7, "metadata": last + HEADER_LEN + 1,
+            "weights": weights_at + 5, "trailer": len(raw) - 1}
+    for field, cut in cuts.items():
+        torn.write_bytes(raw[:cut])
+        sim = run_simulated(make_params(sites, rounds=3, ckpt_dir=tmp_path / f"sim-{field}"),
+                            datasets, links, resume=torn)
+        live_dir = tmp_path / f"live-{field}"
+        live_out, clients = run_experiment(make_params(sites, rounds=3, ckpt_dir=live_dir),
+                                           datasets, server_kw={"resume": torn})
+        assert sim.final_weights.tobytes() == full.final_weights.tobytes(), field
+        assert live_out["w"].tobytes() == full.final_weights.tobytes(), field
+        assert all(w.tobytes() == full.final_weights.tobytes() for w in clients.values())
+        assert checkpoint_log(live_dir).read_bytes() == sim.checkpoint_file.read_bytes()
+        assert [r.round_index for r in read_checkpoints(sim.checkpoint_file)] == [2, 3]
+
+
+@pytest.mark.parametrize("cut", [0, 1, HEADER_LEN, -1])
+def test_log_without_a_complete_record_refused(tmp_path, rng, cut):
+    path = tmp_path / "c.frck"
+    _ckpt(rng).save(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:cut])
+    with pytest.raises(CheckpointMismatch, match="no complete checkpoint record"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["magic", "version", "digest", "metadata", "weights",
+                                   "trailer"])
+def test_flipped_byte_is_a_mismatch_naming_its_record(tmp_path, rng, field):
+    path = tmp_path / "log.frck"
+    for t in range(3):
+        _ckpt(rng, t).save(path)
+    good = path.read_bytes()
+    bounds = _record_bounds(good)
+    for i in range(3):
+        start, end = bounds[i], bounds[i + 1]
+        offset = {"magic": start, "version": start + 4, "digest": start + 6,
+                  "metadata": start + HEADER_LEN + 2, "weights": end - 32 - 8 * 5,
+                  "trailer": end - 1}[field]
+        bad = bytearray(good)
+        bad[offset] ^= 0x10
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointMismatch, match=f"record {i}: "):
+            read_checkpoints(path)
+    path.write_bytes(good)
+    assert [c.round_index for c in read_checkpoints(path)] == [0, 1, 2]
+
+
+# ---------------------------------------------------------------------------
 # full runs over the in-process transport
 
 def test_run_matches_sequential_reference():
@@ -295,11 +397,12 @@ def test_checkpoints_written_every_round(tmp_path):
     datasets = make_datasets(["s1", "s2"])
     ckpt_dir = tmp_path / "ck"
     params = make_params(["s1", "s2"], rounds=3, ckpt_dir=ckpt_dir)
-    run_experiment(params, datasets)
-    for t in range(0, 4):
-        assert checkpoint_path(ckpt_dir, t).exists()
-    final = load_checkpoint(checkpoint_path(ckpt_dir, 3))
-    assert final.round_index == 3
+    server_out, _ = run_experiment(params, datasets)
+    assert [p.name for p in ckpt_dir.iterdir()] == ["checkpoints.frck"]
+    records = read_checkpoints(checkpoint_log(ckpt_dir), params.experiment_digest)
+    assert [r.round_index for r in records] == [0, 1, 2, 3]
+    assert records[-1].weights.tobytes() == server_out["w"].tobytes()
+    assert load_checkpoint(checkpoint_log(ckpt_dir)).round_index == 3
 
 
 def _partial_client(datasets, sid, hub, last_round):
@@ -477,6 +580,28 @@ def test_client_digest_mismatch_aborts():
     assert isinstance(client_out["s2"], ExperimentAborted)
     assert "digest mismatch" in str(client_out["s2"])
     assert isinstance(server_out.get("exc"), ExperimentAborted)
+
+
+def test_client_with_a_mask_of_another_shape_aborts():
+    # s2's first training mask is one slice short of its volume: the site
+    # sends its Abort on the configuration, and the strict server aborts
+    from dataclasses import replace
+    from fedrad.dataset import LabelMask
+    datasets = make_datasets(["s1", "s2"])
+    sample = datasets["s2"].train[0]
+    datasets["s2"].train[0] = replace(
+        sample, mask=LabelMask(id=sample.mask.id, labels=sample.mask.labels[:-1]))
+    params = make_params(["s1", "s2"], rounds=2)
+    server_out, client_out = run_experiment(params, datasets)
+    site_abort = client_out["s2"]
+    assert isinstance(site_abort, ExperimentAborted)
+    assert site_abort.reason.startswith(
+        f"local training data unusable: sample {sample.sample_id}: mask shape")
+    server_abort = server_out.get("exc")
+    assert isinstance(server_abort, ExperimentAborted)
+    assert server_abort.round_index == 1
+    assert f"site aborted: {site_abort.reason} from ['s2']" in server_abort.reason
+    assert isinstance(client_out["s1"], ExperimentAborted)
 
 
 @pytest.mark.parametrize("kind", ["RoundStart", "FinalModel"])
@@ -676,8 +801,8 @@ def test_upload_counts_for_the_registered_site():
     assert np.array_equal(final, server_out["w"])
 
 
-def _nan_site(hub, datasets, sid):
-    """A site that answers every round with a NaN delta."""
+def _bad_delta_site(hub, datasets, sid, delta):
+    """A site that answers every round with ``delta``."""
     from fedrad import wire
     from fedrad.transport import TransportClosed
     conn = _scripted_site(hub, datasets, sid)
@@ -686,7 +811,7 @@ def _nan_site(hub, datasets, sid):
             msg = conn.recv(timeout=30)
             if isinstance(msg, wire.RoundStart):
                 conn.send(wire.DeltaUpload(round_index=msg.round_index, site_id=sid,
-                                           delta=np.full(WEIGHT_LEN, np.nan)))
+                                           delta=delta))
             elif isinstance(msg, (wire.FinalModel, wire.Abort)):
                 break
     except TransportClosed:
@@ -694,8 +819,17 @@ def _nan_site(hub, datasets, sid):
     conn.close()
 
 
-@pytest.mark.parametrize("aggregation", ["strict", AGG_TOLERANT])
-def test_non_finite_delta_never_checkpointed(tmp_path, aggregation):
+NAN_DELTA = np.full(WEIGHT_LEN, np.nan)
+SHORT_DELTA = np.full(WEIGHT_LEN - 1, 0.25)
+
+
+@pytest.mark.parametrize("aggregation, delta", [
+    ("strict", NAN_DELTA), (AGG_TOLERANT, NAN_DELTA),
+    ("strict", SHORT_DELTA), (AGG_TOLERANT, SHORT_DELTA),
+], ids=["strict", "tolerant", "strict-short", "tolerant-short"])
+def test_non_finite_delta_never_checkpointed(tmp_path, aggregation, delta):
+    # a NaN delta or one of WEIGHT_LEN - 1 finite values is unusable: strict
+    # mode aborts round 1, tolerant mode excludes the site
     datasets = make_datasets(["s1", "s2"])
     ckpt_dir = tmp_path / "ck"
     params = make_params(["s1", "s2"], rounds=2, ckpt_dir=ckpt_dir,
@@ -717,26 +851,28 @@ def test_non_finite_delta_never_checkpointed(tmp_path, aggregation):
 
     threads = [threading.Thread(target=serve, daemon=True),
                threading.Thread(target=honest, daemon=True),
-               threading.Thread(target=_nan_site, args=(hub, datasets, "s2"), daemon=True)]
+               threading.Thread(target=_bad_delta_site, args=(hub, datasets, "s2", delta),
+                                daemon=True)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(timeout=60)
         assert not t.is_alive()
 
-    written = sorted(ckpt_dir.glob("*.frck"))
-    assert written
-    for path in written:
-        assert np.isfinite(load_checkpoint(path).weights).all(), path.name
+    assert [p.name for p in ckpt_dir.iterdir()] == ["checkpoints.frck"]
+    records = read_checkpoints(checkpoint_log(ckpt_dir))
+    for ckpt in records:
+        assert np.isfinite(ckpt.weights).all(), ckpt.round_index
     if aggregation == "strict":
         exc = server_out.get("exc")
         assert isinstance(exc, ExperimentAborted)
         assert exc.round_index == 1
-        assert load_checkpoint(exc.checkpoint_path).round_index == 0
+        assert exc.checkpoint_path == checkpoint_log(ckpt_dir)
+        assert [r.round_index for r in records] == [0]
         assert isinstance(client_out["s1"], ExperimentAborted)
     else:
         assert "w" in server_out, server_out.get("exc")
-        assert len(written) == 3
+        assert [r.round_index for r in records] == [0, 1, 2]
         assert np.array_equal(client_out["s1"], server_out["w"])
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -399,13 +401,27 @@ def test_spec_is_two_member_average(rng):
 
 
 def test_build_training_matrix_orders_by_sample_id(rng):
-    s1 = make_sample(sample_id="b", intensities=rng.normal(size=(8, 8, 8)).astype(np.float32))
-    s2 = make_sample(sample_id="a", intensities=rng.normal(size=(8, 8, 8)).astype(np.float32))
+    s1 = make_sample(sample_id="b", dims=(8, 8, 8),
+                     intensities=rng.normal(size=(8, 8, 8)).astype(np.float32))
+    s2 = make_sample(sample_id="a", dims=(8, 8, 8),
+                     intensities=rng.normal(size=(8, 8, 8)).astype(np.float32))
     x12, y12 = build_training_matrix([s1, s2], FC)
     x21, y21 = build_training_matrix([s2, s1], FC)
     assert np.array_equal(x12, x21)
     assert np.array_equal(y12, y21)
     assert x12.shape == (2 * 8 ** 3, 4)
+
+
+@pytest.mark.parametrize("volume_dims, mask_dims", [((8, 8, 8), (10, 10, 10)),
+                                                    ((10, 10, 10), (10, 10, 9))],
+                         ids=["volume-smaller", "mask-smaller"])
+def test_build_training_matrix_refuses_a_mask_of_another_shape(rng, volume_dims, mask_dims):
+    good = make_sample(sample_id="a", dims=volume_dims)
+    bad = make_sample(sample_id="b", labels=np.zeros(mask_dims, dtype=np.uint8),
+                      intensities=rng.normal(size=volume_dims).astype(np.float32))
+    with pytest.raises(ValueError, match=re.escape(
+            f"sample b: mask shape {mask_dims} differs from volume shape {volume_dims}")):
+        build_training_matrix([good, bad], FC)
 
 
 def _per_sample_matrix(samples, config):

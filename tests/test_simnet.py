@@ -8,7 +8,7 @@ from oracles import sequential_federated_reference
 from test_fedproto import TRAIN, make_datasets, make_params, run_experiment
 
 from fedrad.config import SiteLink
-from fedrad.fedproto import ExperimentAborted, checkpoint_path, load_checkpoint
+from fedrad.fedproto import ExperimentAborted, checkpoint_log, load_checkpoint, read_checkpoints
 from fedrad.fingerprint import compute_fingerprint
 from fedrad.simnet import NS_PER_S, apply_fault_schedule, run_simulated
 
@@ -206,17 +206,31 @@ def test_sim_stop_and_resume_bitidentical(tmp_path, monkeypatch):
 
 
 def test_sim_checkpoints_match_live_server(tmp_path):
-    # the simulator and the live server must write identical checkpoint bytes
+    # the simulator and the live server must write identical checkpoint logs
     datasets = make_datasets(["a", "b"])
     sim_dir, live_dir = tmp_path / "sim", tmp_path / "live"
     sim_params = make_params(["a", "b"], rounds=2, ckpt_dir=sim_dir)
     run_simulated(sim_params, datasets, links_for(sim_params.expected_sites))
     live_params = make_params(["a", "b"], rounds=2, ckpt_dir=live_dir)
     run_experiment(live_params, datasets)
-    for t in range(0, 3):
-        sim_bytes = checkpoint_path(sim_dir, t).read_bytes()
-        live_bytes = checkpoint_path(live_dir, t).read_bytes()
-        assert sim_bytes == live_bytes, f"round {t} checkpoints differ"
+    sim_bytes = checkpoint_log(sim_dir).read_bytes()
+    assert sim_bytes == checkpoint_log(live_dir).read_bytes()
+    assert [r.round_index for r in read_checkpoints(checkpoint_log(sim_dir))] == [0, 1, 2]
+
+
+def test_new_run_replaces_the_old_log(tmp_path):
+    # a run starts its log afresh, over an earlier run's log and a temp file
+    # left by a crash while starting one
+    datasets = make_datasets(["a", "b"])
+    ckpt_dir = tmp_path / "ck"
+    ckpt_dir.mkdir()
+    (ckpt_dir / "checkpoints.frck").write_bytes(b"FRCK torn tail of an earlier run")
+    (ckpt_dir / "checkpoints.frck.tmp").write_bytes(b"FRCK")
+    params = make_params(["a", "b"], rounds=2, ckpt_dir=ckpt_dir)
+    sim = run_simulated(params, datasets, links_for(params.expected_sites))
+    assert sorted(p.name for p in ckpt_dir.iterdir()) == ["checkpoints.frck"]
+    assert sim.checkpoint_file == checkpoint_log(ckpt_dir)
+    assert [r.round_index for r in read_checkpoints(sim.checkpoint_file)] == [0, 1, 2]
 
 
 def test_timing_report_deterministic_bytes():

@@ -11,6 +11,15 @@ Training is plain mini-batch SGD with a constant learning rate. Every epoch
 draws its batches from an RNG seeded by (train seed, site, epoch index),
 which makes one federated round of local training at epoch t bit-identical
 to epoch t of an uninterrupted local run.
+
+How a step runs: an epoch gathers the rows of all its batches in one
+``take``, then calls :func:`loss_and_grad` once per batch. The logits are
+the reference's BLAS product ``features @ W.T``; the softmax runs on a
+class-major copy of them, shape (C, n), so its reductions over the classes
+are single calls over contiguous rows. The true-class cells are read and
+written through one flat index, and the gradient is the reference's
+product with its operands swapped. Every result is bit-identical to the
+straightforward row-major implementation kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -147,32 +156,33 @@ def _check_weights(w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last (class) axis of ``logits``, in place.
+def _class_probs(w: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """Softmax class probabilities of every row of ``features`` (shape
+    ``(..., F + 1)``), class-major: shape (C, N), one contiguous row per
+    class for the N rows.
 
-    The row max and row sum are built column by column. For a few classes,
-    elementwise operations cost far less than an ``axis=-1`` reduction. The
-    columns are added left to right, the order in which numpy sums a row
-    this short, so the result is bit-identical to ``max``/``sum(axis=-1)``
-    (pinned against that reference in the tests).
+    The logits are ``features @ W.T``, the product and shapes of the
+    reference, so the BLAS call is the same. They are copied class-major,
+    and each reduction over the classes runs along axis 0: numpy adds (or
+    compares) the class rows left to right, as ``max``/``sum(axis=-1)``
+    does over a row this short, so the result is bit-identical to the
+    row-major reference (pinned in the tests).
     """
-    row = np.maximum(logits[..., 0], logits[..., 1])
-    for k in range(2, N_CLASSES):
-        np.maximum(row, logits[..., k], out=row)
-    logits -= row[..., None]
-    np.exp(logits, out=logits)
-    np.add(logits[..., 0], logits[..., 1], out=row)
-    for k in range(2, N_CLASSES):
-        row += logits[..., k]
-    logits /= row[..., None]
-    return logits
+    w = _check_weights(w)
+    logits = features @ w.reshape(N_CLASSES, N_FEATURES + 1).T
+    probs = np.ascontiguousarray(logits.reshape(-1, N_CLASSES).T)
+    probs -= probs.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
+    return probs
 
 
 def forward(w: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities; output shape = features.shape[:-1] + (C,)."""
-    w = _check_weights(w)
-    wm = w.reshape(N_CLASSES, N_FEATURES + 1)
-    return _softmax(features @ wm.T)
+    """Softmax class probabilities; output shape = features.shape[:-1] + (C,).
+
+    The result is a transposed view of the class-major probabilities.
+    """
+    return _class_probs(w, features).T.reshape(features.shape[:-1] + (N_CLASSES,))
 
 
 def loss_and_grad(w: np.ndarray, features: np.ndarray,
@@ -183,17 +193,25 @@ def loss_and_grad(w: np.ndarray, features: np.ndarray,
     """
     if features.ndim != 2 or features.shape[0] == 0:
         raise ValueError("batch must be a non-empty (n, F+1) matrix")
+    n = features.shape[0]
     labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= N_CLASSES:
         raise ValueError("labels out of range")
-    n = features.shape[0]
-    probs = forward(w, features)
-    rows = np.arange(n)
-    p_true = probs[rows, labels]
+    probs = _class_probs(w, features)
+    # the true-class cell of row i is flat cell labels[i] * n + i; intp,
+    # because a narrow label dtype would wrap
+    cells = np.multiply(labels, n, dtype=np.intp)
+    cells += np.arange(n)
+    flat = probs.reshape(-1)
+    p_true = flat.take(cells)
     # the sum over n is np.mean's own arithmetic, without its dispatch cost
     loss = float(-(np.log(p_true + _TINY).sum() / n))
-    probs[rows, labels] = p_true - 1.0
-    grad = (probs.T @ features) / n
+    flat[cells] = p_true - 1.0
+    # the reference's (probs.T @ features) with the operands swapped, the
+    # form that matches it on every BLAS kernel tried
+    grad = (features.T @ probs.T).T / n
     return loss, grad.reshape(WEIGHT_LEN)
 
 
@@ -207,8 +225,10 @@ def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
     round's delta equals one epoch of the equivalent local run.
 
     An epoch's batch indices come from one draw of shape (batches, batch
-    size); the generator yields the same stream as one draw per batch.
-    Weights that become non-finite raise ``ValueError``.
+    size); the generator yields the same stream as one draw per batch. The
+    epoch's rows are gathered in one ``take``, and each step is one call of
+    :func:`loss_and_grad` by its module name. Weights that become
+    non-finite raise ``ValueError``.
     """
     w = _check_weights(w)
     if features.shape[0] == 0:
@@ -217,8 +237,8 @@ def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
     for e in range(start_epoch, start_epoch + config.epochs):
         rng = rng_from(config.seed, "epoch", e)
         batches = rng.integers(0, n, size=(config.batches_per_epoch, config.batch_size))
-        for idx in batches:
-            _, grad = loss_and_grad(w, features.take(idx, axis=0), labels.take(idx))
+        for xb, yb in zip(features.take(batches, axis=0), labels.take(batches)):
+            _, grad = loss_and_grad(w, xb, yb)
             w = w - config.learning_rate * grad
     return _check_weights(w)
 

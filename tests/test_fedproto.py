@@ -346,6 +346,27 @@ def test_flipped_byte_is_a_mismatch_naming_its_record(tmp_path, rng, field):
     assert [c.round_index for c in read_checkpoints(path)] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("offset,bit", [(HEADER_LEN - 1, 0), (HEADER_LEN - 1, 7),
+                                        (HEADER_LEN - 2, 4)])
+def test_length_corrupted_upward_is_a_mismatch_not_a_torn_tail(tmp_path, rng, offset, bit):
+    # a high bit of a metadata-length field sends the record's end past the
+    # file, as a torn append does; the record's bytes are still whole, so it
+    # is refused instead of skipped, which would resume a round early
+    path = tmp_path / "log.frck"
+    for t in range(3):
+        _ckpt(rng, t).save(path)
+    good = path.read_bytes()
+    bounds = _record_bounds(good)
+    for i in range(3):
+        (meta_len,) = struct.unpack_from("<I", good, bounds[i] + HEADER_LEN - 4)
+        bad = bytearray(good)
+        bad[bounds[i] + offset] ^= 1 << bit
+        path.write_bytes(bytes(bad))
+        with pytest.raises(CheckpointMismatch,
+                           match=f"record {i}: .* whole with length {meta_len}$"):
+            read_checkpoints(path)
+
+
 # ---------------------------------------------------------------------------
 # full runs over the in-process transport
 

@@ -262,26 +262,63 @@ def test_train_epochs_chaining_matches_reference_bitwise(rng):
         assert np.array_equal(w_new, w_ref), t
 
 
-def test_loss_and_grad_matches_reference_bitwise(rng):
-    for n in (1, 2, 31, 256):
+def _reference_cases(rng):
+    """(weights, features, labels) batches for the bitwise oracles: site-like
+    batches of every size, saturated ones whose true-class probability
+    underflows to 0 (so ``_TINY`` decides the loss), and one-class batches."""
+    for n in (1, 2, 3, 7, 31, 256, 300):
         features, labels = _site_like_matrix(rng, n=n)
-        w = rng.normal(scale=2.0, size=WEIGHT_LEN)
+        yield rng.normal(scale=2.0, size=WEIGHT_LEN), features, labels
+        features[:, :N_FEATURES] *= 50.0
+        yield rng.normal(scale=2.0, size=WEIGHT_LEN) * 1e3, features, labels
+        yield rng.normal(scale=2.0, size=WEIGHT_LEN), features, np.full(n, n % 4)
+
+
+def test_loss_and_grad_matches_reference_bitwise(rng):
+    saturated = 0
+    for w, features, labels in _reference_cases(rng):
         loss, grad = loss_and_grad(w, features, labels)
         ref_loss, ref_grad = reference_loss_and_grad(w, features, labels)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
+        saturated += (reference_forward(w, features)[np.arange(len(labels)), labels] == 0).any()
+    assert saturated > 0  # some true-class probability did underflow
 
 
 @pytest.mark.parametrize("dims", [(16, 16, 16), (18, 16, 16), (16, 20, 20),
-                                  (16, 18, 18), (18, 16, 18)])
+                                  (16, 18, 18), (18, 16, 18), (), (1,), (300,), (7, 9)])
 def test_forward_matches_reference_bitwise(rng, dims):
-    # the grid shapes of the shipped site profiles
+    # the grid shapes of the shipped site profiles, one voxel, and 1-D and
+    # 2-D stacks of voxels
     for _ in range(10):
         features = np.concatenate([rng.normal(scale=rng.uniform(0.5, 20.0),
                                               size=dims + (N_FEATURES,)),
                                    np.ones(dims + (1,))], axis=-1)
         w = rng.normal(scale=rng.uniform(0.1, 5.0), size=WEIGHT_LEN)
-        assert np.array_equal(forward(w, features), reference_forward(w, features))
+        got = forward(w, features)
+        assert got.shape == dims + (4,)
+        assert np.array_equal(got, reference_forward(w, features))
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("batches_per_epoch", [1, 4])
+def test_one_loss_and_grad_call_per_sgd_step(rng, monkeypatch, epochs, batches_per_epoch):
+    # the benchmark counts SGD steps as calls of learner.loss_and_grad, by name
+    import fedrad.learner as learner
+
+    calls = []
+    inner = learner.loss_and_grad
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(learner, "loss_and_grad", counted)
+    features, labels = random_batch(rng, n=64)
+    cfg = TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch, batch_size=8,
+                      learning_rate=0.3, seed=5)
+    train_epochs(rng.normal(size=WEIGHT_LEN), features, labels, cfg)
+    assert len(calls) == epochs * batches_per_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +333,13 @@ def test_labels_out_of_range_rejected(rng, bad):
     cfg = TrainConfig(epochs=1, batches_per_epoch=4, batch_size=16, learning_rate=0.5, seed=0)
     with pytest.raises(ValueError, match="labels out of range"):
         train_epochs(np.zeros(WEIGHT_LEN), features, np.full(16, bad), cfg)
+
+
+@pytest.mark.parametrize("n_labels", [1, 15, 17])
+def test_labels_of_another_length_rejected(rng, n_labels):
+    features, labels = random_batch(rng, n=16)
+    with pytest.raises(ValueError, match=r"labels must have shape \(16,\)"):
+        loss_and_grad(np.zeros(WEIGHT_LEN), features, labels[:1].repeat(n_labels))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -335,6 +379,22 @@ def test_predict_zero_weights_tie_breaks_to_background():
     mask = predict(np.zeros(WEIGHT_LEN), vol, FC)
     assert not mask.labels.any()
     assert mask.id == "v"
+
+
+@pytest.mark.parametrize("biases,want", [((0.0, 0.0, 0.0, 0.0), 0),
+                                         ((0.0, 1.0, 1.0, 0.0), 1),
+                                         ((-1.0, 0.0, 2.0, 2.0), 2)])
+def test_predict_and_ensemble_break_ties_toward_the_lower_class(rng, biases, want):
+    # predict_proba returns a transposed view of class-major probabilities;
+    # the argmax over its class axis must still pick the first of equal ones
+    vol = Volume(id="v", intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
+                 spacing=(1, 1, 1))
+    w = np.zeros((4, N_FEATURES + 1))
+    w[:, N_FEATURES] = biases
+    w = w.reshape(WEIGHT_LEN)
+    assert (predict(w, vol, FC).labels == want).all()
+    p = predict_proba(w, vol, FC)
+    assert (ensemble_predict([p, p], [1.0, 3.0], vol.id).labels == want).all()
 
 
 def test_predict_scale_invariance(rng):

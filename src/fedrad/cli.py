@@ -55,7 +55,7 @@ def _load_config(path: str) -> ExperimentConfig:
     try:
         return load_config(Path(path))
     except (OSError, ValueError) as err:
-        raise SystemExit(f"fedrad: cannot load config {path}: {err}")
+        raise ValueError(f"cannot load config {path}: {err}") from err
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -393,11 +393,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as err:
-        if isinstance(err.code, str):
-            print(err.code, file=sys.stderr)
-            return EXIT_USAGE
-        raise
     except (ValueError, KeyError, FileNotFoundError) as err:
         print(f"fedrad: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -32,7 +32,6 @@ from pathlib import Path
 
 from .seeding import digest_of, from_dict, parse_json, to_dict
 
-CLASS_BACKGROUND = 0
 CLASS_CONS = 1
 CLASS_GGO = 2
 CLASS_PE = 3

@@ -17,8 +17,10 @@ A run keeps its checkpoints in one append-only log, ``checkpoints.frck``:
 one FRCK version 4 record per commit (header, JSON metadata, weights, then
 the sha256 of those bytes). A crash mid-append tears only the last record,
 which reading skips, so a resumed run continues from the last committed
-round. A record the log ends inside only because its length field was
-corrupted upward is refused, not skipped as torn.
+round. The reader tells the two apart by the record's own metadata: a torn
+append's metadata is incomplete or has the declared length, so a record the
+log ends inside whose metadata is whole with another length had its length
+field corrupted, and is refused.
 
 :class:`Federation` owns every server-side protocol decision and
 :class:`Site` the local epoch a site trains each round. ``run_server`` and
@@ -126,33 +128,6 @@ class Checkpoint:
         return Path(path)
 
 
-def _length_if_whole(raw: bytes, start: int) -> int | None:
-    """The metadata length with which ``raw[start:]`` begins a whole record,
-    for a record whose length field alone is wrong; ``None`` when there is
-    none.
-
-    Each candidate end of the record is the next record magic or the end of
-    the bytes. The record ends there when, with its length field set to the
-    length that end implies, its sha256 trailer matches. A record whose
-    length field was corrupted upward passes; a torn append, a prefix of its
-    record, cannot.
-    """
-    length_at = start + _CKPT_HEADER.size - 4
-    end = start
-    while end < len(raw):
-        end = raw.find(CHECKPOINT_MAGIC, end + 1)
-        if end < 0:
-            end = len(raw)
-        body_len = end - start - _CKPT_HEADER.size - _WEIGHT_BYTES - _SHA_BYTES
-        if body_len < 0:
-            continue
-        record = b"".join((raw[start:length_at], struct.pack("<I", body_len),
-                           raw[length_at + 4:end - _SHA_BYTES]))
-        if hashlib.sha256(record).digest() == raw[end - _SHA_BYTES:end]:
-            return body_len
-    return None
-
-
 def _read_record(raw: bytes, start: int, where: str,
                  expected_digest: str | None) -> tuple[Checkpoint, int] | None:
     """The record at ``raw[start:]`` and the offset after it; ``None`` when
@@ -174,12 +149,17 @@ def _read_record(raw: bytes, start: int, where: str,
     weights_end = body_end + _WEIGHT_BYTES
     end = weights_end + _SHA_BYTES
     if len(raw) < end:
-        whole_len = _length_if_whole(raw, start)
-        if whole_len is not None:
-            raise CheckpointMismatch(
-                f"{where}: metadata length {body_len} runs past the end of the log, "
-                f"but the record is whole with length {whole_len}")
-        return None
+        # a torn append is a prefix of its record: its metadata is either
+        # incomplete or whole with the declared length
+        try:
+            _, meta_len = json.JSONDecoder().raw_decode(raw[head_end:].decode("latin-1"))
+        except (ValueError, RecursionError):  # deep nesting raises RecursionError
+            return None
+        if meta_len == body_len:
+            return None
+        raise CheckpointMismatch(
+            f"{where}: metadata length {body_len} runs past the end of the log, "
+            f"but the metadata is whole with length {meta_len}")
     if hashlib.sha256(raw[start:weights_end]).digest() != raw[weights_end:end]:
         raise CheckpointMismatch(f"{where}: sha256 mismatch")
     weights = np.frombuffer(raw, dtype="<f8", count=WEIGHT_LEN, offset=body_end).copy()
@@ -205,9 +185,10 @@ def read_checkpoints(path: Path, expected_digest: str | None = None) -> list[Che
     Each record must be an FRCK version 4 record of one experiment
     (``expected_digest`` when given) whose sha256 trailer matches it. A
     final record the file ends inside is the append of a process that died
-    mid-write: it is skipped with a warning. A record that ends past the
-    file only because its metadata-length field is wrong is a mismatch, not
-    a torn append. A log without a complete record is refused.
+    mid-write: it is skipped with a warning, unless its JSON metadata is
+    whole with another length than the header declares; then the length
+    field is wrong and the record is a mismatch, not a torn append. A log
+    without a complete record is refused.
     """
     raw = Path(path).read_bytes()
     records: list[Checkpoint] = []

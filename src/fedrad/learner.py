@@ -276,18 +276,12 @@ def predict_proba(w: np.ndarray, volume: Volume, config: FeatureConfig) -> np.nd
     return forward(w, extract_features(volume, config))
 
 
-def predict(w: np.ndarray, volume: Volume, config: FeatureConfig) -> LabelMask:
-    """Argmax segmentation; ties break toward the lower class index."""
-    probs = predict_proba(w, volume, config)
-    return LabelMask(id=volume.id, labels=np.argmax(probs, axis=-1).astype(np.uint8))
-
-
 def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[float],
                      mask_id: str) -> LabelMask:
     """Argmax of the weighted average of member probability fields (each as
-    :func:`predict_proba` returns it), with the same tie-break as
-    :func:`predict`. ``member_weights`` are normalized by their sum; each
-    must be finite and non-negative, and their sum positive.
+    :func:`predict_proba` returns it); ties break toward the lower class
+    index. ``member_weights`` are normalized by their sum; each must be
+    finite and non-negative, and their sum positive.
     """
     mw = np.asarray(member_weights, dtype=np.float64)
     # a NaN weight fails no comparison, so finiteness is checked on its own
@@ -322,4 +316,7 @@ def load_weights(path: Path) -> np.ndarray:
     body = raw[_WEIGHT_HEADER.size:]
     if len(body) != WEIGHT_LEN * 8:
         raise ValueError(f"{path}: expected {WEIGHT_LEN} float64 entries")
-    return np.frombuffer(body, dtype="<f8").copy()
+    w = np.frombuffer(body, dtype="<f8").copy()
+    if not np.isfinite(w).all():
+        raise ValueError(f"{path}: non-finite weights")
+    return w

@@ -57,10 +57,6 @@ class RoundSiteTiming:
     idle_ns: int
     wall_ns: int
 
-    @property
-    def busy_ns(self) -> int:
-        return self.train_ns + self.latency_ns
-
 
 @dataclass
 class TimingReport:

@@ -223,14 +223,6 @@ def encode_frame(msg: Message) -> bytes:
     return _FRAME_HEADER.pack(MAGIC, VERSION, int(_TYPE_OF[type(msg)]), len(payload)) + payload
 
 
-def decode_frame(buf: bytes) -> Message:
-    """Decode one complete frame; trailing bytes are a Truncated-style error."""
-    msg, consumed = decode_frame_prefix(buf)
-    if consumed != len(buf):
-        raise MalformedPayload(f"{len(buf) - consumed} trailing bytes after frame")
-    return msg
-
-
 def frame_payload_length(buf: bytes) -> int:
     """Check the frame header at the start of ``buf``; returns the payload
     length it declares."""
@@ -246,8 +238,8 @@ def frame_payload_length(buf: bytes) -> int:
     return payload_len
 
 
-def decode_frame_prefix(buf: bytes) -> tuple[Message, int]:
-    """Decode the frame at the start of ``buf``; returns (message, bytes consumed)."""
+def decode_frame(buf: bytes) -> Message:
+    """Decode one complete frame; trailing bytes are a MalformedPayload error."""
     payload_len = frame_payload_length(buf)
     type_code = buf[3]  # after the magic and the version
     try:
@@ -257,4 +249,6 @@ def decode_frame_prefix(buf: bytes) -> tuple[Message, int]:
     end = FRAME_HEADER_SIZE + payload_len
     if len(buf) < end:
         raise Truncated(f"payload needs {payload_len} bytes, have {len(buf) - FRAME_HEADER_SIZE}")
-    return _decode_payload(msg_type, bytes(buf[FRAME_HEADER_SIZE:end])), end
+    if len(buf) > end:
+        raise MalformedPayload(f"{len(buf) - end} trailing bytes after frame")
+    return _decode_payload(msg_type, bytes(buf[FRAME_HEADER_SIZE:end]))

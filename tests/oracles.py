@@ -250,8 +250,8 @@ def reference_ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volum
                                config: FeatureConfig,
                                configs: Sequence[FeatureConfig] | None = None,
                                member_weights: Sequence[float] | None = None) -> LabelMask:
-    """Argmax of the weighted average of member probability fields, with the
-    same tie-break as :func:`predict`.
+    """Argmax of the weighted average of member probability fields; ties
+    break toward the lower class index.
 
     ``configs`` optionally gives each member its own feature normalization
     (models trained in different federations); by default all members share

@@ -291,7 +291,8 @@ def test_criterion_7_straggler_accounting():
         assert slow.idle_ns == 0
         assert fast.wall_ns == slow.wall_ns == 2 * base_ns
         # busy + idle conservation over the round
-        assert sum(r.busy_ns + r.idle_ns for r in rows) == len(rows) * rows[0].wall_ns
+        assert (sum(r.train_ns + r.latency_ns + r.idle_ns for r in rows)
+                == len(rows) * rows[0].wall_ns)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from test_validation import MALFORMED_IDS, MALFORMED_MANIFESTS
 
 from fedrad import experiment as exp
 from fedrad.cli import main
-from fedrad.config import Scenario, checkpoints_dir, eval_dir, site_dir, sites_dir
+from fedrad.config import (Scenario, checkpoints_dir, eval_dir, models_dir, site_dir,
+                           sites_dir)
 from fedrad.fedproto import checkpoint_log, load_checkpoint
 from fedrad.seeding import stamped_csv, to_dict
 
@@ -344,7 +345,8 @@ def test_serve_refuses_a_log_short_of_the_final_round(config_file, monkeypatch, 
 
 def test_evaluate_reads_only_test_grids(config_file, capsys):
     # scoring needs the test samples alone; a missing training grid changes
-    # nothing, and a corrupt test grid is still refused, naming the file
+    # nothing, and a corrupt test grid or model file is still refused,
+    # naming the file
     path, config = config_file
     out = Path(config.output_dir)
     for stage in ("gen", "train-sim", "evaluate"):
@@ -360,6 +362,19 @@ def test_evaluate_reads_only_test_grids(config_file, capsys):
         p.unlink()
     assert main(["evaluate", "--config", str(path)]) == 0
     assert [p.read_bytes() for p in outputs] == want
+
+    model = min(models_dir(out).glob("*.frwt"))
+    good = model.read_bytes()
+    raw = bytearray(good)
+    raw[-2] |= 0xF0  # every exponent bit of the last weight: an infinity or a NaN
+    raw[-1] |= 0x7F
+    model.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{model}: non-finite weights" in err
+    assert "Traceback" not in err
+    model.write_bytes(good)
 
     test_id = min(k for k, v in split.items() if v == "test")
     corrupted = corrupt_grid_file(s0, test_id, seed=3)

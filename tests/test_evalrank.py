@@ -284,7 +284,7 @@ def test_scenario_variants_missing_model_named():
 
 def test_spec_ensemble_single_site_degenerates_to_local(rng):
     from fedrad.dataset import Volume
-    from fedrad.learner import ensemble_predict, predict, predict_proba
+    from fedrad.learner import ensemble_predict, predict_proba
     registry = _registry(sites=("only",), with_loo=False)
     members = dict(scenario_variants(Scenario.PERSONALIZATION, registry, "only"))["Spec(E)"]
     vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
@@ -292,7 +292,8 @@ def test_spec_ensemble_single_site_degenerates_to_local(rng):
     spec_mask = ensemble_predict(
         [predict_proba(m.weights, vol, m.feature_config) for m, _ in members],
         [mw for _, mw in members], vol.id)
-    local_mask = predict(registry.locals["only"].weights, vol, FC)
+    local_mask = ensemble_predict([predict_proba(registry.locals["only"].weights, vol, FC)],
+                                  [1.0], vol.id)
     assert np.array_equal(spec_mask.labels, local_mask.labels)
 
 

@@ -314,11 +314,15 @@ def test_log_cut_inside_its_last_record_resumes_from_the_round_before(tmp_path, 
         assert [r.round_index for r in read_checkpoints(sim.checkpoint_file)] == [2, 3]
 
 
-@pytest.mark.parametrize("cut", [0, 1, HEADER_LEN, -1])
+@pytest.mark.parametrize("cut", [0, 1, HEADER_LEN, -1, "nested"])
 def test_log_without_a_complete_record_refused(tmp_path, rng, cut):
     path = tmp_path / "c.frck"
     _ckpt(rng).save(path)
     raw = path.read_bytes()
+    if cut == "nested":
+        # a torn tail whose metadata nests deeper than the JSON decoder recurses
+        raw = raw[:HEADER_LEN - 4] + struct.pack("<I", 200_000) + b"[" * 100_000
+        cut = len(raw)
     path.write_bytes(raw[:cut])
     with pytest.raises(CheckpointMismatch, match="no complete checkpoint record"):
         load_checkpoint(path)
@@ -350,16 +354,18 @@ def test_flipped_byte_is_a_mismatch_naming_its_record(tmp_path, rng, field):
                                         (HEADER_LEN - 2, 4)])
 def test_length_corrupted_upward_is_a_mismatch_not_a_torn_tail(tmp_path, rng, offset, bit):
     # a high bit of a metadata-length field sends the record's end past the
-    # file, as a torn append does; the record's bytes are still whole, so it
-    # is refused instead of skipped, which would resume a round early
+    # file, as a torn append does; the record's metadata is still whole, so it
+    # is refused instead of skipped, which would resume a round early. The
+    # last case also tears the final record inside its weights.
     path = tmp_path / "log.frck"
     for t in range(3):
         _ckpt(rng, t).save(path)
     good = path.read_bytes()
     bounds = _record_bounds(good)
-    for i in range(3):
+    for i, end in [(0, len(good)), (1, len(good)), (2, len(good)),
+                   (2, len(good) - 32 - 8 * 5)]:
         (meta_len,) = struct.unpack_from("<I", good, bounds[i] + HEADER_LEN - 4)
-        bad = bytearray(good)
+        bad = bytearray(good[:end])
         bad[bounds[i] + offset] ^= 1 << bit
         path.write_bytes(bytes(bad))
         with pytest.raises(CheckpointMismatch,

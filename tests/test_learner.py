@@ -13,7 +13,7 @@ from fedrad.fingerprint import compute_fingerprint, derive_config
 from fedrad.config import TrainConfig
 from fedrad.learner import (FeatureConfig, N_FEATURES, WEIGHT_LEN, _box_filter,
                             _gradient_magnitude, build_training_matrix, ensemble_predict,
-                            extract_features, forward, load_weights, loss_and_grad, predict,
+                            extract_features, forward, load_weights, loss_and_grad,
                             predict_proba, save_weights, train_epochs)
 from fedrad.seeding import from_dict
 
@@ -374,9 +374,14 @@ def test_diverging_run_raises_instead_of_returning_non_finite(rng, epochs, batch
         train_epochs(rng.normal(size=WEIGHT_LEN), features, labels, cfg)
 
 
+def _predict(w, vol):
+    """The argmax segmentation of one model: a one-member ensemble."""
+    return ensemble_predict([predict_proba(w, vol, FC)], [1.0], vol.id)
+
+
 def test_predict_zero_weights_tie_breaks_to_background():
     vol = Volume(id="v", intensities=np.zeros((6, 6, 6), np.float32), spacing=(1, 1, 1))
-    mask = predict(np.zeros(WEIGHT_LEN), vol, FC)
+    mask = _predict(np.zeros(WEIGHT_LEN), vol)
     assert not mask.labels.any()
     assert mask.id == "v"
 
@@ -392,7 +397,7 @@ def test_predict_and_ensemble_break_ties_toward_the_lower_class(rng, biases, wan
     w = np.zeros((4, N_FEATURES + 1))
     w[:, N_FEATURES] = biases
     w = w.reshape(WEIGHT_LEN)
-    assert (predict(w, vol, FC).labels == want).all()
+    assert (_predict(w, vol).labels == want).all()
     p = predict_proba(w, vol, FC)
     assert (ensemble_predict([p, p], [1.0, 3.0], vol.id).labels == want).all()
 
@@ -401,19 +406,19 @@ def test_predict_scale_invariance(rng):
     vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
     w = rng.normal(size=WEIGHT_LEN)
-    assert np.array_equal(predict(w, vol, FC).labels, predict(3.0 * w, vol, FC).labels)
+    assert np.array_equal(_predict(w, vol).labels, _predict(3.0 * w, vol).labels)
 
 
 def test_ensemble_single_and_identical_members(rng):
     vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
     w = rng.normal(size=WEIGHT_LEN)
-    single = predict(w, vol, FC)
     p = predict_proba(w, vol, FC)
+    single = np.argmax(p, axis=-1)
     one = ensemble_predict([p], [1.0], vol.id)
     three = ensemble_predict([p, p, p], [1.0, 1.0, 1.0], vol.id)
-    assert np.array_equal(one.labels, single.labels)
-    assert np.array_equal(three.labels, single.labels)
+    assert np.array_equal(one.labels, single)
+    assert np.array_equal(three.labels, single)
     assert one.id == three.id == "v"
 
 
@@ -549,8 +554,16 @@ def test_weight_file_roundtrip(tmp_path, rng):
 def test_weight_file_corruption(tmp_path, rng):
     path = tmp_path / "w.frwt"
     save_weights(path, rng.normal(size=WEIGHT_LEN))
-    raw = bytearray(path.read_bytes())
+    good = path.read_bytes()
+    raw = bytearray(good)
     raw[0] = 0x58
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
+        load_weights(path)
+    # every exponent bit of the last weight set: an infinity or a NaN
+    raw = bytearray(good)
+    raw[-2] |= 0xF0
+    raw[-1] |= 0x7F
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: non-finite weights$"):
         load_weights(path)

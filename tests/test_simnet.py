@@ -101,8 +101,8 @@ def test_timing_conservation_every_round():
         wall = rows[0].wall_ns
         assert all(r.wall_ns == wall for r in rows)
         assert all(r.idle_ns >= 0 for r in rows)
-        assert sum(r.busy_ns + r.idle_ns for r in rows) == 3 * wall
-        assert wall == max(r.busy_ns for r in rows)
+        assert sum(r.train_ns + r.latency_ns + r.idle_ns for r in rows) == 3 * wall
+        assert wall == max(r.train_ns + r.latency_ns for r in rows)
 
 
 def test_offline_round_strict_aborts(tmp_path):

@@ -181,15 +181,3 @@ def test_mutation_fuzz_never_crashes(rng):
             wire.decode_frame(bytes(base))
         except wire.ProtocolError:
             pass
-
-
-def test_decode_frame_prefix_consumes_exactly_one_frame(rng):
-    msgs = all_message_variants(rng)[:3]
-    stream = b"".join(wire.encode_frame(m) for m in msgs)
-    out = []
-    while stream:
-        msg, used = wire.decode_frame_prefix(stream)
-        out.append(msg)
-        stream = stream[used:]
-    assert len(out) == 3
-    assert all(messages_equal(a, b) for a, b in zip(msgs, out))

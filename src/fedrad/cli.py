@@ -124,7 +124,7 @@ def cmd_characterize(args) -> int:
 
 def cmd_train_sim(args) -> int:
     from . import experiment as exp
-    from .evalrank import ModelRegistry, TrainedModel
+    from .evalrank import TrainedModel, scenario_variants
     from .fingerprint import site_fingerprint
     from .simnet import run_simulated
 
@@ -133,7 +133,10 @@ def cmd_train_sim(args) -> int:
         print(f"fedrad train-sim: config transport is {config.transport!r}; "
               "use 'fedrad serve'/'fedrad join' for tcp", file=sys.stderr)
         return EXIT_USAGE
-    needed = exp.needed_model_kinds(config)
+    roster = config.site_ids
+    # the names of the models the configured scenarios compare
+    needed = {name for scenario in config.scenarios for site in roster
+              for _, members in scenario_variants(scenario, roster, site) for name, _ in members}
     if args.resume and "fed" not in needed:
         print("fedrad train-sim: --resume continues the main federated run, and no "
               "configured scenario has one", file=sys.stderr)
@@ -143,8 +146,10 @@ def cmd_train_sim(args) -> int:
     # every run below, local or federated, uses these; each site once
     fingerprints = {s: site_fingerprint(s, datasets[s].train) for s in config.site_ids}
 
-    registry = ModelRegistry()
-    registry.locals = exp.train_local_models(config, datasets, fingerprints)
+    registry = {}
+    if needed:  # every scenario compares every site's local model
+        registry = {f"local:{s}": model for s, model
+                    in exp.train_local_models(config, datasets, fingerprints).items()}
 
     links = exp.zero_fault_links(config)
     if "fed" in needed:
@@ -158,36 +163,34 @@ def cmd_train_sim(args) -> int:
                   f"{result.abort_reason}")
             print(f"resume from checkpoint log: {result.checkpoint_file}")
             return EXIT_ABORTED
-        registry.fed = TrainedModel(weights=result.final_weights,
-                                    feature_config=result.derived.feature_config)
+        registry["fed"] = TrainedModel(weights=result.final_weights,
+                                       feature_config=result.derived.feature_config)
 
-    if "fed_leave_out" in needed:
-        for held_out in config.site_ids:
-            sub = exp.leave_out_config(config, held_out)
-            sub_data = {s: datasets[s] for s in sub.site_ids}
-            sub_links = exp.zero_fault_links(sub)
-            sub_params = exp.server_params(sub, checkpoints_dir(out, f"loo-{held_out}"))
-            result = run_simulated(sub_params, sub_data, sub_links, fingerprints=fingerprints,
-                                   per_batch_seconds=sub.per_batch_seconds)
-            if result.aborted:
-                # no resume hint: --resume continues the main run only
-                print(f"leave-out run ({held_out}) aborted: {result.abort_reason}")
-                return EXIT_ABORTED
-            registry.fed_leave_out[held_out] = TrainedModel(
-                weights=result.final_weights,
-                feature_config=result.derived.feature_config)
+    for held_out in [s for s in roster if f"fed_loo:{s}" in needed]:
+        sub = exp.leave_out_config(config, held_out)
+        sub_data = {s: datasets[s] for s in sub.site_ids}
+        sub_links = exp.zero_fault_links(sub)
+        sub_params = exp.server_params(sub, checkpoints_dir(out, f"loo-{held_out}"))
+        result = run_simulated(sub_params, sub_data, sub_links, fingerprints=fingerprints,
+                               per_batch_seconds=sub.per_batch_seconds)
+        if result.aborted:
+            # no resume hint: --resume continues the main run only
+            print(f"leave-out run ({held_out}) aborted: {result.abort_reason}")
+            return EXIT_ABORTED
+        registry[f"fed_loo:{held_out}"] = TrainedModel(
+            weights=result.final_weights, feature_config=result.derived.feature_config)
 
     path = exp.save_registry(registry, out, config.digest)
-    print(f"trained models: {sorted(registry.locals)} local"
-          + (", fed" if registry.fed else "")
-          + (f", {len(registry.fed_leave_out)} leave-out" if registry.fed_leave_out else "")
-          + f" -> {path}")
+    local_sites = [s for s in roster if f"local:{s}" in registry]
+    n_loo = sum(f"fed_loo:{s}" in registry for s in roster)
+    print(f"trained models: {local_sites} local" + (", fed" if "fed" in registry else "")
+          + (f", {n_loo} leave-out" if n_loo else "") + f" -> {path}")
     return EXIT_OK
 
 
 def cmd_serve(args) -> int:
     from . import experiment as exp
-    from .evalrank import ModelRegistry, TrainedModel
+    from .evalrank import TrainedModel
     from .fedproto import ExperimentAborted, checkpoint_log, load_checkpoint, run_server
     from .fingerprint import derive_config
     from .transport import TcpServerTransport
@@ -212,7 +215,7 @@ def cmd_serve(args) -> int:
     try:
         registry = exp.load_registry(out, config.digest)
     except (FileNotFoundError, ValueError):
-        registry = ModelRegistry()
+        registry = {}
     # The final checkpoint holds the averaged fingerprint the sites sent; the
     # fed model's feature config derives from it, so the server needs no site data.
     log = checkpoint_log(ckpt_dir)
@@ -222,7 +225,7 @@ def cmd_serve(args) -> int:
               f"not the final round {config.rounds}", file=sys.stderr)
         return EXIT_USAGE
     derived = derive_config(final.fp_avg, config.seed)
-    registry.fed = TrainedModel(weights=weights, feature_config=derived.feature_config)
+    registry["fed"] = TrainedModel(weights=weights, feature_config=derived.feature_config)
     exp.save_registry(registry, out, config.digest)
     print(f"federated training complete; checkpoint log {log}")
     return EXIT_OK
@@ -289,6 +292,8 @@ def cmd_rank(args) -> int:
 
     in_path = Path(args.input)
     records, digest = read_metrics_csv(in_path)
+    if not records:
+        raise ValueError(f"{in_path}: no metric records to rank")
     table = rank_records(records, Scenario(args.scenario))
     ranks_path = in_path.parent / "ranks.csv"
     write_ranks_csv(ranks_path, table, digest)

@@ -24,7 +24,7 @@ numpy and the models only inside :func:`run_scenario`, for scoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .config import LESION_CLASSES, Scenario
@@ -38,53 +38,42 @@ if TYPE_CHECKING:
     from .learner import FeatureConfig
 
 
-@dataclass(eq=False)
+@dataclass
 class TrainedModel:
-    """Weights plus the feature normalization they were trained with; equal
-    only to itself, so a model can key its probability fields."""
+    """Weights plus the feature normalization they were trained with."""
 
     weights: np.ndarray
     feature_config: FeatureConfig
 
 
-@dataclass
-class ModelRegistry:
-    locals: dict[str, TrainedModel] = field(default_factory=dict)
-    fed: TrainedModel | None = None
-    fed_leave_out: dict[str, TrainedModel] = field(default_factory=dict)
-
-
-def scenario_variants(scenario: Scenario, registry: ModelRegistry, eval_site: str
-                      ) -> list[tuple[str, list[tuple[TrainedModel, float]]]]:
+def scenario_variants(scenario: Scenario, roster: Sequence[str], eval_site: str
+                      ) -> list[tuple[str, list[tuple[str, float]]]]:
     """The variants compared on ``eval_site`` in a scenario, in checklist
-    order: each variant's label and its member models with their
-    probability-average weights.
+    order: each variant's label and the names of its member models with
+    their probability-average weights. A model is named ``local:<site>``,
+    ``fed`` or ``fed_loo:<site>``, as in ``models.json``.
 
     Spec(X) is the two-member average of X's probability field and the
     local model's: X's members at half their weight, then the local model
     at 1/2. For an ensemble of N members that is 1/(2N) per member.
     """
     scenario = Scenario(scenario)
-    roster = sorted(registry.locals)
+    roster = sorted(roster)
     others = [s for s in roster if s != eval_site]
     if scenario is Scenario.GEN_WITHOUT_LOCAL and not others:
         raise ValueError("leave-out ensemble needs at least two sites")
     if scenario is Scenario.PERSONALIZATION:
-        fl, fed, what = "FL", registry.fed, "federated model"
+        fl, federated = "FL", [("fed", 1.0)]
     else:
-        fl, fed = "FL-loo", registry.fed_leave_out.get(eval_site)
-        what = f"federated model excluding {eval_site}"
-    if fed is None:
-        raise KeyError(f"missing trained model: {what}")
+        fl, federated = "FL-loo", [(f"fed_loo:{eval_site}", 1.0)]
 
-    federated = [(fed, 1.0)]
     if scenario is Scenario.GEN_WITHOUT_LOCAL:
-        return ([(f"L[{j}]", [(registry.locals[j], 1.0)]) for j in others]
-                + [("E-loo", [(registry.locals[j], 1.0 / len(others)) for j in others]),
+        return ([(f"L[{j}]", [(f"local:{j}", 1.0)]) for j in others]
+                + [("E-loo", [(f"local:{j}", 1.0 / len(others)) for j in others]),
                    ("FL-loo", federated)])
 
-    local = registry.locals[eval_site]
-    ensemble = [(registry.locals[s], 1.0 / len(roster)) for s in roster]
+    local = f"local:{eval_site}"
+    ensemble = [(f"local:{s}", 1.0 / len(roster)) for s in roster]
 
     def spec(members):
         return [(m, w / 2) for m, w in members] + [(local, 0.5)]
@@ -100,9 +89,11 @@ class ScenarioResult:
 
 
 def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDataset],
-                 registry: ModelRegistry) -> list[ScenarioResult]:
+                 registry: Mapping[str, TrainedModel]) -> list[ScenarioResult]:
     """Evaluate every checked variant of each scenario on every site's test
-    set; the results come back in the order of ``scenarios``.
+    set; the results come back in the order of ``scenarios``. The sites are
+    those of ``datasets``; ``registry`` maps model names to trained models,
+    and a member it lacks raises ``KeyError`` before any scoring.
 
     Per test sample, each member model's probability field is computed once
     and shared by every variant of every scenario; only one sample's fields
@@ -113,29 +104,30 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
     from .learner import ensemble_predict, predict_proba
     from .metrics import score_pair
 
-    roster = sorted(registry.locals)
-    missing = [s for s in roster if s not in datasets]
-    if missing:
-        raise ValueError(f"datasets missing for sites: {missing}")
-
+    roster = sorted(datasets)
     records: list[dict[tuple[str, str], list[MetricRecord]]] = [{} for _ in scenarios]
+    checklists = {}  # site -> [(records of one variant on the site, its members)]
     for eval_site in roster:
-        test = datasets[eval_site].test
-        if not test:
+        if not datasets[eval_site].test:
             raise ValueError(f"site {eval_site} has no test samples")
-        checklist = []  # (records of one variant on this site, its members)
+        checklist = checklists[eval_site] = []
         for scenario, scenario_records in zip(scenarios, records):
-            for label, members in scenario_variants(scenario, registry, eval_site):
+            for label, members in scenario_variants(scenario, roster, eval_site):
+                for name, _ in members:
+                    if name not in registry:
+                        raise KeyError(f"missing trained model: {name}")
                 out = scenario_records[(label, eval_site)] = []
                 checklist.append((out, members))
-        for sample in sorted(test, key=lambda s: s.sample_id):
-            fields: dict[TrainedModel, np.ndarray] = {}
-            for out, members in checklist:
-                for model, _ in members:
-                    if model not in fields:
-                        fields[model] = predict_proba(model.weights, sample.volume,
-                                                      model.feature_config)
-                pred = ensemble_predict([fields[m] for m, _ in members],
+    for eval_site in roster:
+        for sample in sorted(datasets[eval_site].test, key=lambda s: s.sample_id):
+            fields: dict[str, np.ndarray] = {}
+            for out, members in checklists[eval_site]:
+                for name, _ in members:
+                    if name not in fields:
+                        model = registry[name]
+                        fields[name] = predict_proba(model.weights, sample.volume,
+                                                     model.feature_config)
+                pred = ensemble_predict([fields[n] for n, _ in members],
                                         [mw for _, mw in members], sample.volume.id)
                 for class_id in LESION_CLASSES:
                     out.extend(score_pair(pred, sample.mask, class_id, sample.volume.spacing))

@@ -8,6 +8,7 @@ which is what makes re-running any stage reproduce byte-identical artifacts.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import replace
 from pathlib import Path
 from typing import Collection, Mapping
@@ -16,7 +17,7 @@ from . import siteio
 from .config import (CcRegime, ExperimentConfig, Scenario, ServerParams, SiteLink, SiteProfile,
                      TrainConfig, models_dir, site_dir)
 from .dataset import SiteDataset, generate_site_dataset
-from .evalrank import ModelRegistry, TrainedModel
+from .evalrank import TrainedModel
 from .fingerprint import DatasetFingerprint, derive_config
 from .learner import (FeatureConfig, build_training_matrix, load_weights, save_weights,
                       site_train_seed, train_epochs)
@@ -97,89 +98,54 @@ def load_all(config: ExperimentConfig, out: Path,
 # ---------------------------------------------------------------------------
 # Local training
 
-def train_local_model(config: ExperimentConfig, dataset: SiteDataset,
-                      fingerprint: DatasetFingerprint) -> TrainedModel:
-    """Train one site's standalone model, self-configured from
-    ``fingerprint``, the fingerprint of its own training data."""
-    derived = derive_config(fingerprint, config.seed)
-    features, labels = build_training_matrix(dataset.train, derived.feature_config)
-    cfg = replace(config.train, seed=site_train_seed(config.train.seed, dataset.site_id))
-    weights = train_epochs(derived.init_weights, features, labels, cfg)
-    return TrainedModel(weights=weights, feature_config=derived.feature_config)
-
-
 def train_local_models(config: ExperimentConfig, datasets: Mapping[str, SiteDataset],
                        fingerprints: Mapping[str, DatasetFingerprint]
                        ) -> dict[str, TrainedModel]:
-    """Every site's standalone model; ``fingerprints`` maps site id to the
-    fingerprint of its training data."""
+    """Every site's standalone model, keyed by site id, each self-configured
+    from ``fingerprints[site]``, the fingerprint of its own training data."""
     out = {}
     for sid in config.site_ids:
-        out[sid] = train_local_model(config, datasets[sid], fingerprints[sid])
+        ds = datasets[sid]
+        derived = derive_config(fingerprints[sid], config.seed)
+        features, labels = build_training_matrix(ds.train, derived.feature_config)
+        cfg = replace(config.train, seed=site_train_seed(config.train.seed, ds.site_id))
+        weights = train_epochs(derived.init_weights, features, labels, cfg)
+        out[sid] = TrainedModel(weights=weights, feature_config=derived.feature_config)
         logger.info("trained local model of %s", sid)
     return out
 
 
-def needed_model_kinds(config: ExperimentConfig) -> set[str]:
-    """Which trained-model families the configured scenarios require."""
-    needed = {"local"}
-    scenarios = {Scenario(s) for s in config.scenarios}
-    if Scenario.PERSONALIZATION in scenarios:
-        needed.add("fed")
-    if scenarios & {Scenario.GEN_WITHOUT_LOCAL, Scenario.GEN_WITH_LOCAL}:
-        needed.add("fed_leave_out")
-    return needed
-
-
 # ---------------------------------------------------------------------------
-# Model registry persistence
+# Model registry persistence: model name -> trained model
 
-def _model_entry_name(kind: str, site: str | None) -> str:
-    return kind if site is None else f"{kind}:{site}"
-
-
-def save_registry(registry: ModelRegistry, out: Path, experiment_digest: str) -> Path:
+def save_registry(registry: Mapping[str, TrainedModel], out: Path,
+                  experiment_digest: str) -> Path:
     mdir = models_dir(out)
     mdir.mkdir(parents=True, exist_ok=True)
     entries = {}
-
-    def put(name: str, model: TrainedModel) -> None:
+    for name, model in registry.items():
         fname = name.replace(":", "_") + ".frwt"
         save_weights(mdir / fname, model.weights)
         entries[name] = {"file": fname, "feature_config": to_dict(model.feature_config)}
-
-    for sid, model in sorted(registry.locals.items()):
-        put(_model_entry_name("local", sid), model)
-    if registry.fed is not None:
-        put("fed", registry.fed)
-    for sid, model in sorted(registry.fed_leave_out.items()):
-        put(_model_entry_name("fed_loo", sid), model)
-
     path = mdir / "models.json"
     write_json(path, {"experiment": experiment_digest, "models": entries})
     return path
 
 
-def load_registry(out: Path, experiment_digest: str) -> ModelRegistry:
+def load_registry(out: Path, experiment_digest: str) -> dict[str, TrainedModel]:
     mdir = models_dir(out)
     path = mdir / "models.json"
     if not path.exists():
         raise FileNotFoundError(f"{path}: no trained models (run training first)")
     doc = read_stamped_json(path, experiment_digest)
-    registry = ModelRegistry()
+    registry = {}
     for name, entry in doc["models"].items():
-        model = TrainedModel(
+        if not re.fullmatch(r"fed|(local|fed_loo):.+", name):
+            raise ValueError(f"{path}: unknown model entry {name!r}")
+        registry[name] = TrainedModel(
             weights=load_weights(mdir / entry["file"]),
             feature_config=from_dict(FeatureConfig, entry["feature_config"]),
         )
-        if name.startswith("local:"):
-            registry.locals[name.split(":", 1)[1]] = model
-        elif name == "fed":
-            registry.fed = model
-        elif name.startswith("fed_loo:"):
-            registry.fed_leave_out[name.split(":", 1)[1]] = model
-        else:
-            raise ValueError(f"{path}: unknown model entry {name!r}")
     return registry
 
 

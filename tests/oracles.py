@@ -286,11 +286,13 @@ def reference_predictions(scenario, datasets, registry):
     """The original loop: one weights-based ensemble prediction per
     (variant, sample), members recomputed every time. Yields
     ``(variant label, site, sample, prediction)``."""
-    for eval_site in sorted(registry.locals):
+    roster = sorted(datasets)
+    for eval_site in roster:
         test = datasets[eval_site].test
-        for label, members in scenario_variants(scenario, registry, eval_site):
-            weights = [m.weights for m, _ in members]
-            configs = [m.feature_config for m, _ in members]
+        for label, members in scenario_variants(scenario, roster, eval_site):
+            models = [registry[name] for name, _ in members]
+            weights = [m.weights for m in models]
+            configs = [m.feature_config for m in models]
             mweights = [mw for _, mw in members]
             for sample in sorted(test, key=lambda s: s.sample_id):
                 pred = reference_ensemble_predict(weights, sample.volume, configs[0],

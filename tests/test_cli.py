@@ -278,11 +278,12 @@ def test_tcp_serve_join_roundtrip(tmp_path, capsys):
     assert join_rcs == [0]
     assert server_rc == 0
     assert (site_dir / "final_model.frwt").exists()
-    # the server also stored the fed model in the registry
+    # the server stored the fed model, the only one it trains, in the registry
     registry = exp.load_registry(Path(config.output_dir), config.digest)
     from fedrad.learner import load_weights
+    assert list(registry) == ["fed"]
     assert np.array_equal(load_weights(site_dir / "final_model.frwt"),
-                          registry.fed.weights)
+                          registry["fed"].weights)
     capsys.readouterr()
 
 
@@ -309,7 +310,7 @@ def test_serve_needs_no_site_data(tmp_path, capsys):
     datasets = {s: siteio.load_site_dataset(at_sites / s) for s in config.site_ids}
     sim = run_simulated(exp.server_params(config, None), datasets,
                         exp.zero_fault_links(config))
-    fed = exp.load_registry(out, config.digest).fed
+    fed = exp.load_registry(out, config.digest)["fed"]
     assert np.array_equal(fed.weights, sim.final_weights)
     assert to_dict(fed.feature_config) == to_dict(sim.derived.feature_config)
     capsys.readouterr()
@@ -383,6 +384,23 @@ def test_evaluate_reads_only_test_grids(config_file, capsys):
     err = capsys.readouterr().err
     assert str(corrupted) in err
     assert "Traceback" not in err
+
+
+def test_evaluate_after_serve_names_a_missing_local_model(tmp_path, capsys):
+    # serve leaves a registry with the fed model alone, and only train-sim
+    # trains local models: evaluate exits 1 naming the first one it lacks,
+    # and writes no metrics
+    config = replace(small_config(tmp_path, n_sites=2, rounds=2), transport="tcp")
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    out = Path(config.output_dir)
+    server_rc, join_rcs = _serve_and_join(path, [site_dir(out, s) for s in config.site_ids])
+    assert (server_rc, join_rcs) == (0, [0, 0])
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path)]) == 1
+    assert "missing trained model: local:s0" in capsys.readouterr().err
+    assert not list(out.glob("eval/*/metrics.csv"))
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -601,6 +619,16 @@ def test_json_nested_too_deep_is_a_usage_error(config_file, capsys, artifact, st
 _METRICS_HEADER = "model,site,sample,class,metric,value,status"
 _GOOD_METRICS_ROWS = [f"{model},s0,case0,1,{metric},0.5,Scored"
                       for model in ("FL", "L") for metric in ("DSC", "NSD", "HSD", "NAVE")]
+
+
+def test_rank_refuses_a_metrics_file_without_records(tmp_path, capsys):
+    path = tmp_path / "metrics.csv"
+    path.write_text(stamped_csv("e" * 64, [_METRICS_HEADER]))
+    assert main(["rank", "--in", str(path), "--scenario", "personalization"]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: no metric records" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "ranks.csv").exists()
 
 
 @pytest.mark.parametrize("row,named", [

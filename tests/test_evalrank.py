@@ -6,8 +6,8 @@ import pytest
 import rank_fixtures as rf
 
 from fedrad.config import Scenario
-from fedrad.evalrank import (ModelRegistry, TrainedModel, average_ranks, rank,
-                             rank_records, run_scenario, scenario_variants)
+from fedrad.evalrank import (TrainedModel, average_ranks, rank, rank_records, run_scenario,
+                             scenario_variants)
 from fedrad.learner import FeatureConfig, WEIGHT_LEN
 from fedrad.records import METRIC_DIRECTIONS, METRICS, RecordStatus
 
@@ -190,32 +190,26 @@ def test_gen_with_grid_best_model():
 # Variant roster
 
 def _registry(sites=("sa", "sb", "sc"), with_fed=True, with_loo=True, rng_seed=0):
+    """Random models under the names the scenarios on ``sites`` compare."""
     rng = np.random.default_rng(rng_seed)
-    registry = ModelRegistry()
-    for s in sites:
-        registry.locals[s] = TrainedModel(rng.normal(size=WEIGHT_LEN), FC)
-    if with_fed:
-        registry.fed = TrainedModel(rng.normal(size=WEIGHT_LEN), FC)
-    if with_loo:
-        for s in sites:
-            registry.fed_leave_out[s] = TrainedModel(rng.normal(size=WEIGHT_LEN), FC)
-    return registry
+    names = ([f"local:{s}" for s in sites] + ["fed"] * with_fed
+             + [f"fed_loo:{s}" for s in sites] * with_loo)
+    return {name: TrainedModel(rng.normal(size=WEIGHT_LEN), FC) for name in names}
 
 
-def _labels(scenario, registry, site):
-    return [label for label, _ in scenario_variants(scenario, registry, site)]
+def _labels(scenario, site, roster=("sa", "sb", "sc")):
+    return [label for label, _ in scenario_variants(scenario, roster, site)]
 
 
 def test_scenario_checklists_match_matrix():
-    registry = _registry()
-    pers = _labels(Scenario.PERSONALIZATION, registry, "sa")
+    pers = _labels(Scenario.PERSONALIZATION, "sa")
     assert pers == ["L", "E", "FL", "Spec(E)", "Spec(FL)"]
 
-    gwo = _labels(Scenario.GEN_WITHOUT_LOCAL, registry, "sb")
+    gwo = _labels(Scenario.GEN_WITHOUT_LOCAL, "sb")
     assert gwo == ["L[sa]", "L[sc]", "E-loo", "FL-loo"]
     assert "L" not in gwo  # the own local model is never evaluated here
 
-    gwl = _labels(Scenario.GEN_WITH_LOCAL, registry, "sc")
+    gwl = _labels(Scenario.GEN_WITH_LOCAL, "sc")
     assert gwl == ["L", "E", "FL-loo", "Spec(E)", "Spec(FL-loo)"]
 
 
@@ -228,19 +222,18 @@ README_CHECKLISTS = {
 }
 
 
-def _readme_members(label, registry, site):
-    roster = sorted(registry.locals)
+def _readme_members(label, roster, site):
     others = [s for s in roster if s != site]
     if label.startswith("Spec("):  # ½ · X's probabilities + ½ · L's
-        x = _readme_members(label[len("Spec("):-1], registry, site)
-        return [(m, 0.5 / len(x)) for m, _ in x] + [(registry.locals[site], 0.5)]
+        x = _readme_members(label[len("Spec("):-1], roster, site)
+        return [(m, 0.5 / len(x)) for m, _ in x] + [(f"local:{site}", 0.5)]
     return {
-        "L": [(registry.locals[site], 1.0)],
-        "E": [(registry.locals[s], 1.0 / len(roster)) for s in roster],
-        "E-loo": [(registry.locals[s], 1.0 / len(others)) for s in others],
-        "FL": [(registry.fed, 1.0)],
-        "FL-loo": [(registry.fed_leave_out.get(site), 1.0)],
-        **{f"L[{j}]": [(registry.locals[j], 1.0)] for j in others},
+        "L": [(f"local:{site}", 1.0)],
+        "E": [(f"local:{s}", 1.0 / len(roster)) for s in roster],
+        "E-loo": [(f"local:{s}", 1.0 / len(others)) for s in others],
+        "FL": [("fed", 1.0)],
+        "FL-loo": [(f"fed_loo:{site}", 1.0)],
+        **{f"L[{j}]": [(f"local:{j}", 1.0)] for j in others},
     }[label]
 
 
@@ -248,51 +241,32 @@ def _readme_members(label, registry, site):
 @pytest.mark.parametrize("n_sites", range(1, 7))
 def test_scenario_variants_match_readme_table(n_sites, scenario):
     """Every site's variants: the README labels in checklist order, each with
-    the very member models, in order, at the exact README weights."""
+    the names of its member models, in order, at the exact README weights."""
     roster = [f"site{k}" for k in range(n_sites)]
-    registry = _registry(sites=tuple(reversed(roster)), rng_seed=n_sites)  # sorted by name
     for site in roster:
         others = [s for s in roster if s != site]
         if scenario is Scenario.GEN_WITHOUT_LOCAL and not others:
             with pytest.raises(ValueError) as err:
-                scenario_variants(scenario, registry, site)
+                scenario_variants(scenario, roster, site)
             assert err.value.args == ("leave-out ensemble needs at least two sites",)
             continue
-        got = scenario_variants(scenario, registry, site)
+        got = scenario_variants(scenario, tuple(reversed(roster)), site)  # sorted by name
         assert [label for label, _ in got] == README_CHECKLISTS[scenario](others)
         for label, members in got:
-            want = _readme_members(label, registry, site)
-            assert [(id(m), w) for m, w in members] == [(id(m), w) for m, w in want], label
-
-
-def test_scenario_variants_missing_model_named():
-    """A scenario needs only its own federated model, and names the one missing."""
-    without_fed = _registry(with_fed=False)
-    with pytest.raises(KeyError) as err:
-        scenario_variants(Scenario.PERSONALIZATION, without_fed, "sa")
-    assert err.value.args == ("missing trained model: federated model",)
-    for scenario in (Scenario.GEN_WITHOUT_LOCAL, Scenario.GEN_WITH_LOCAL):
-        assert scenario_variants(scenario, without_fed, "sa")
-
-    without_loo = _registry(with_loo=False)
-    assert scenario_variants(Scenario.PERSONALIZATION, without_loo, "sb")
-    for scenario in (Scenario.GEN_WITHOUT_LOCAL, Scenario.GEN_WITH_LOCAL):
-        with pytest.raises(KeyError) as err:
-            scenario_variants(scenario, without_loo, "sb")
-        assert err.value.args == ("missing trained model: federated model excluding sb",)
+            assert members == _readme_members(label, roster, site), label
 
 
 def test_spec_ensemble_single_site_degenerates_to_local(rng):
     from fedrad.dataset import Volume
     from fedrad.learner import ensemble_predict, predict_proba
     registry = _registry(sites=("only",), with_loo=False)
-    members = dict(scenario_variants(Scenario.PERSONALIZATION, registry, "only"))["Spec(E)"]
+    members = dict(scenario_variants(Scenario.PERSONALIZATION, ["only"], "only"))["Spec(E)"]
     vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
     spec_mask = ensemble_predict(
-        [predict_proba(m.weights, vol, m.feature_config) for m, _ in members],
+        [predict_proba(registry[n].weights, vol, FC) for n, _ in members],
         [mw for _, mw in members], vol.id)
-    local_mask = ensemble_predict([predict_proba(registry.locals["only"].weights, vol, FC)],
+    local_mask = ensemble_predict([predict_proba(registry["local:only"].weights, vol, FC)],
                                   [1.0], vol.id)
     assert np.array_equal(spec_mask.labels, local_mask.labels)
 
@@ -356,16 +330,45 @@ def _count_calls(monkeypatch):
     return calls
 
 
-def _want_counts(scenarios, datasets, registry):
+def _want_counts(scenarios, datasets):
     want_fields = want_preds = 0
-    for site in sorted(registry.locals):
+    roster = sorted(datasets)
+    for site in roster:
         variants = [members for scenario in scenarios
-                    for _, members in scenario_variants(scenario, registry, site)]
-        distinct = {id(m) for members in variants for m, _ in members}
+                    for _, members in scenario_variants(scenario, roster, site)]
+        distinct = {name for members in variants for name, _ in members}
         want_fields += len(distinct) * len(datasets[site].test)
         want_preds += len(variants) * len(datasets[site].test)
     return {"extract_features": want_fields, "forward": want_fields,
             "ensemble_predict": want_preds, "score_pair": 3 * want_preds}
+
+
+def test_run_scenario_missing_model_named(small_dataset, monkeypatch):
+    """A scenario needs only the models it compares, and names the first one
+    the registry lacks before anything is predicted."""
+    datasets = _three_site_datasets(small_dataset)
+    without_fed = _registry(sites=("s1", "s2", "s3"), with_fed=False)
+    with pytest.raises(KeyError) as err:
+        run_scenario([Scenario.PERSONALIZATION], datasets, without_fed)
+    assert err.value.args == ("missing trained model: fed",)
+    for scenario in (Scenario.GEN_WITHOUT_LOCAL, Scenario.GEN_WITH_LOCAL):
+        assert run_scenario([scenario], datasets, without_fed)
+
+    without_loo = _registry(sites=("s1", "s2", "s3"), with_loo=False)
+    assert run_scenario([Scenario.PERSONALIZATION], datasets, without_loo)
+    for scenario in (Scenario.GEN_WITHOUT_LOCAL, Scenario.GEN_WITH_LOCAL):
+        with pytest.raises(KeyError) as err:
+            run_scenario([scenario], datasets, without_loo)
+        assert err.value.args == ("missing trained model: fed_loo:s1",)
+
+    # the last site's model is missing: the first sites are not scored either
+    registry = _registry(sites=("s1", "s2", "s3"))
+    del registry["fed_loo:s3"]
+    calls = _count_calls(monkeypatch)
+    with pytest.raises(KeyError) as err:
+        run_scenario(list(Scenario), datasets, registry)
+    assert err.value.args == ("missing trained model: fed_loo:s3",)
+    assert not any(calls.values())
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
@@ -376,7 +379,7 @@ def test_run_scenario_one_field_per_member_and_sample(small_dataset, monkeypatch
     datasets = _three_site_datasets(small_dataset)
     calls = _count_calls(monkeypatch)
     run_scenario([scenario], datasets, registry)
-    assert calls == _want_counts([scenario], datasets, registry)
+    assert calls == _want_counts([scenario], datasets)
 
 
 def test_run_all_scenarios_one_field_per_member_and_sample(small_dataset, monkeypatch):
@@ -387,7 +390,7 @@ def test_run_all_scenarios_one_field_per_member_and_sample(small_dataset, monkey
     datasets = _three_site_datasets(small_dataset)
     calls = _count_calls(monkeypatch)
     run_scenario(list(Scenario), datasets, registry)
-    assert calls == _want_counts(list(Scenario), datasets, registry)
+    assert calls == _want_counts(list(Scenario), datasets)
 
 
 def _want_distance_calls(scenarios, datasets, registry):
@@ -399,7 +402,7 @@ def _want_distance_calls(scenarios, datasets, registry):
     from oracles import reference_predictions
     from fedrad.config import LESION_CLASSES
     scope_of, scope, last = {}, -1, None
-    for site in sorted(registry.locals):
+    for site in sorted(datasets):
         for sample in sorted(datasets[site].test, key=lambda s: s.sample_id):
             content = sample.mask.labels.tobytes()
             scope += content != last
@@ -447,10 +450,10 @@ def test_run_scenario_matches_weights_based_reference(small_dataset, scenario):
     from oracles import reference_scenario_records
     registry = _registry(sites=("s1", "s2", "s3"), rng_seed=13)
     # the federated models carry their own feature normalizations
-    registry.fed.feature_config = FeatureConfig(shift=-500.0, scale=50.0,
-                                                clip_low=-900.0, clip_high=100.0)
+    registry["fed"].feature_config = FeatureConfig(shift=-500.0, scale=50.0,
+                                                   clip_low=-900.0, clip_high=100.0)
     for s in ("s1", "s2"):
-        registry.fed_leave_out[s].feature_config = FeatureConfig(
+        registry[f"fed_loo:{s}"].feature_config = FeatureConfig(
             shift=-450.0, scale=80.0, clip_low=-1000.0, clip_high=200.0)
     datasets = _three_site_datasets(small_dataset)
     want = reference_scenario_records(scenario, datasets, registry)

@@ -1,4 +1,6 @@
 import enum
+import itertools
+import json
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -10,7 +12,7 @@ from conftest import make_profile
 from fedrad import experiment as exp
 from fedrad.config import (ExperimentConfig, Scenario, SiteLink, SiteProfile, TrainConfig,
                            load_config)
-from fedrad.evalrank import ModelRegistry, TrainedModel
+from fedrad.evalrank import TrainedModel, scenario_variants
 from fedrad import siteio
 from fedrad.fingerprint import DatasetFingerprint, compute_fingerprint
 from fedrad.learner import FeatureConfig, WEIGHT_LEN
@@ -237,31 +239,64 @@ def test_load_all_reads_each_manifest_once(tmp_path, monkeypatch):
 
 def test_registry_roundtrip(tmp_path, rng):
     fc = FeatureConfig(shift=-500.0, scale=60.0, clip_low=-900.0, clip_high=100.0)
-    registry = ModelRegistry()
-    registry.locals = {"s0": TrainedModel(rng.normal(size=WEIGHT_LEN), fc),
-                       "s1": TrainedModel(rng.normal(size=WEIGHT_LEN), fc)}
-    registry.fed = TrainedModel(rng.normal(size=WEIGHT_LEN), fc)
-    registry.fed_leave_out = {"s0": TrainedModel(rng.normal(size=WEIGHT_LEN), fc)}
-    exp.save_registry(registry, tmp_path, "e" * 64)
+    registry = {name: TrainedModel(rng.normal(size=WEIGHT_LEN), fc)
+                for name in ("local:s0", "local:s1", "fed", "fed_loo:s0")}
+    path = exp.save_registry(registry, tmp_path, "e" * 64)
+    assert sorted(f.name for f in path.parent.glob("*.frwt")) == [
+        "fed.frwt", "fed_loo_s0.frwt", "local_s0.frwt", "local_s1.frwt"]
     back = exp.load_registry(tmp_path, "e" * 64)
-    assert set(back.locals) == {"s0", "s1"}
-    assert np.array_equal(back.locals["s0"].weights, registry.locals["s0"].weights)
-    assert back.locals["s0"].feature_config == fc
-    assert np.array_equal(back.fed.weights, registry.fed.weights)
-    assert set(back.fed_leave_out) == {"s0"}
+    assert set(back) == set(registry)
+    for name, model in registry.items():
+        assert np.array_equal(back[name].weights, model.weights)
+        assert back[name].feature_config == fc
 
     with pytest.raises(ValueError, match="different experiment"):
         exp.load_registry(tmp_path, "f" * 64)
 
+    doc = json.loads(path.read_text())
+    for name in ("ensemble", "local:", "fed_loo", "fed:s0"):
+        write_json(path, {**doc, "models": {**doc["models"], name: doc["models"]["fed"]}})
+        with pytest.raises(ValueError, match=f"unknown model entry {name!r}"):
+            exp.load_registry(tmp_path, "e" * 64)
 
-def test_needed_model_kinds(tmp_path):
-    pers = small_config(tmp_path, scenarios=("personalization",))
-    assert exp.needed_model_kinds(pers) == {"local", "fed"}
-    gwo = small_config(tmp_path, scenarios=("generalization_without_local",))
-    assert exp.needed_model_kinds(gwo) == {"local", "fed_leave_out"}
-    both = small_config(tmp_path, scenarios=("personalization",
-                                             "generalization_with_local"))
-    assert exp.needed_model_kinds(both) == {"local", "fed", "fed_leave_out"}
+
+def _train_sim(config, path):
+    from fedrad.cli import main
+    exp.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    return main(["train-sim", "--config", str(path)])
+
+
+@pytest.mark.parametrize("n_sites", [2, 3])
+def test_train_sim_trains_the_models_the_scenarios_name(tmp_path, capsys, n_sites):
+    """For every non-empty set of scenarios, models.json names exactly the
+    member models of the scenarios' variants on every site."""
+    names = [s.value for s in Scenario]
+    subsets = [c for k in range(1, len(names) + 1) for c in itertools.combinations(names, k)]
+    for i, scenarios in enumerate(subsets):
+        config = small_config(tmp_path / str(i), n_sites=n_sites, scenarios=scenarios)
+        assert _train_sim(config, tmp_path / f"{i}.json") == 0, scenarios
+        doc = json.loads((Path(config.output_dir) / "models" / "models.json").read_text())
+        want = {name for scenario in scenarios for site in config.site_ids
+                for _, members in scenario_variants(scenario, config.site_ids, site)
+                for name, _ in members}
+        assert set(doc["models"]) == want, scenarios
+    capsys.readouterr()
+
+
+def test_train_sim_refuses_a_one_site_leave_out_ensemble(tmp_path, monkeypatch, capsys):
+    """One site leaves no foreign models to ensemble: train-sim exits 1
+    before any SGD step."""
+    from fedrad import learner
+
+    def no_sgd(*args):
+        raise AssertionError("an SGD step ran")
+
+    monkeypatch.setattr(learner, "loss_and_grad", no_sgd)
+    config = small_config(tmp_path, n_sites=1, scenarios=("generalization_without_local",))
+    assert _train_sim(config, tmp_path / "exp.json") == 1
+    assert "leave-out ensemble needs at least two sites" in capsys.readouterr().err
+    assert not (Path(config.output_dir) / "models").exists()
 
 
 def test_local_training_self_configures(tmp_path):

@@ -12,7 +12,8 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
 failures, 3 experiment aborted (a main run prints the checkpoint log to resume
-from; a leave-out run restarts from round 0).
+from; a leave-out run restarts from round 0). A command aborts by raising
+:class:`fedrad.config.ExperimentAborted`, and :func:`main` alone reports it.
 Set FEDRAD_LOG=error|warn|info|debug to control logging.
 
 Each command imports the modules it runs when it runs, so ``--help``,
@@ -31,8 +32,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import (TRANSPORT_SIM, ExperimentConfig, Scenario, checkpoints_dir, eval_dir,
-                     load_config, site_dir, sites_dir)
+from .config import (TRANSPORT_SIM, ExperimentAborted, ExperimentConfig, Scenario,
+                     checkpoints_dir, eval_dir, load_config, site_dir, sites_dir)
 from .seeding import check_stamp, read_stamped_csv, read_stamped_json, to_dict, write_json
 
 logger = logging.getLogger(__name__)
@@ -124,9 +125,8 @@ def cmd_characterize(args) -> int:
 
 def cmd_train_sim(args) -> int:
     from . import experiment as exp
-    from .evalrank import TrainedModel, scenario_variants
+    from .evalrank import scenario_variants
     from .fingerprint import site_fingerprint
-    from .simnet import run_simulated
 
     config = _load_config(args.config)
     if config.transport != TRANSPORT_SIM:
@@ -134,51 +134,22 @@ def cmd_train_sim(args) -> int:
               "use 'fedrad serve'/'fedrad join' for tcp", file=sys.stderr)
         return EXIT_USAGE
     roster = config.site_ids
-    # the names of the models the configured scenarios compare
+    # the models the configured scenarios compare, in training order: the local
+    # models, the federation, then the leave-out federations, each in site order
     needed = {name for scenario in config.scenarios for site in roster
               for _, members in scenario_variants(scenario, roster, site) for name, _ in members}
-    if args.resume and "fed" not in needed:
+    plan = sorted(needed, key=lambda n: (("local", "fed", "fed_loo").index(n.partition(":")[0]), n))
+    if args.resume and "fed" not in plan:
         print("fedrad train-sim: --resume continues the main federated run, and no "
               "configured scenario has one", file=sys.stderr)
         return EXIT_USAGE
     out = _out_dir(config)
     datasets = exp.load_all(config, out)
-    # every run below, local or federated, uses these; each site once
-    fingerprints = {s: site_fingerprint(s, datasets[s].train) for s in config.site_ids}
-
-    registry = {}
-    if needed:  # every scenario compares every site's local model
-        registry = {f"local:{s}": model for s, model
-                    in exp.train_local_models(config, datasets, fingerprints).items()}
-
-    links = exp.zero_fault_links(config)
-    if "fed" in needed:
-        params = exp.server_params(config, checkpoints_dir(out, "main"))
-        result = run_simulated(params, datasets, links, fingerprints=fingerprints,
-                               per_batch_seconds=config.per_batch_seconds,
-                               resume=Path(args.resume) if args.resume else None)
-        (out / "timing.csv").write_text(result.timing.to_csv(config.digest))
-        if result.aborted:
-            print(f"experiment aborted at round {result.abort_round}: "
-                  f"{result.abort_reason}")
-            print(f"resume from checkpoint log: {result.checkpoint_file}")
-            return EXIT_ABORTED
-        registry["fed"] = TrainedModel(weights=result.final_weights,
-                                       feature_config=result.derived.feature_config)
-
-    for held_out in [s for s in roster if f"fed_loo:{s}" in needed]:
-        sub = exp.leave_out_config(config, held_out)
-        sub_data = {s: datasets[s] for s in sub.site_ids}
-        sub_links = exp.zero_fault_links(sub)
-        sub_params = exp.server_params(sub, checkpoints_dir(out, f"loo-{held_out}"))
-        result = run_simulated(sub_params, sub_data, sub_links, fingerprints=fingerprints,
-                               per_batch_seconds=sub.per_batch_seconds)
-        if result.aborted:
-            # no resume hint: --resume continues the main run only
-            print(f"leave-out run ({held_out}) aborted: {result.abort_reason}")
-            return EXIT_ABORTED
-        registry[f"fed_loo:{held_out}"] = TrainedModel(
-            weights=result.final_weights, feature_config=result.derived.feature_config)
+    # every plan entry, local or federated, uses these; each site once
+    fingerprints = {s: site_fingerprint(s, datasets[s].train) for s in roster}
+    resume = Path(args.resume) if args.resume else None
+    registry = {name: exp.train_model(name, config, datasets, fingerprints, out,
+                                      resume if name == "fed" else None) for name in plan}
 
     path = exp.save_registry(registry, out, config.digest)
     local_sites = [s for s in roster if f"local:{s}" in registry]
@@ -191,7 +162,7 @@ def cmd_train_sim(args) -> int:
 def cmd_serve(args) -> int:
     from . import experiment as exp
     from .evalrank import TrainedModel
-    from .fedproto import ExperimentAborted, checkpoint_log, load_checkpoint, run_server
+    from .fedproto import checkpoint_log, load_checkpoint, run_server
     from .fingerprint import derive_config
     from .transport import TcpServerTransport
 
@@ -205,11 +176,6 @@ def cmd_serve(args) -> int:
     try:
         weights = run_server(params, listener,
                              resume=Path(args.resume) if args.resume else None)
-    except ExperimentAborted as abort:
-        print(f"experiment aborted at round {abort.round_index}: {abort.reason}")
-        if abort.checkpoint_path:
-            print(f"resume from checkpoint log: {abort.checkpoint_path}")
-        return EXIT_ABORTED
     finally:
         listener.close()
     try:
@@ -232,7 +198,7 @@ def cmd_serve(args) -> int:
 
 
 def cmd_join(args) -> int:
-    from .fedproto import ExperimentAborted, run_client
+    from .fedproto import run_client
     from .siteio import load_site_dataset
     from .transport import connect_tcp
 
@@ -251,8 +217,7 @@ def cmd_join(args) -> int:
         run_client(dataset, conn, expected_digest=expected_digest,
                    model_out=site_path / "final_model.frwt")
     except ExperimentAborted as abort:
-        print(f"site {dataset.site_id}: aborted: {abort.reason}")
-        return EXIT_ABORTED
+        raise ExperimentAborted(f"site {dataset.site_id}: aborted: {abort.reason}") from abort
     print(f"site {dataset.site_id}: final model saved to {site_path / 'final_model.frwt'}")
     return EXIT_OK
 
@@ -398,6 +363,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ExperimentAborted as abort:
+        print(abort.reason if abort.round_index is None
+              else f"experiment aborted at round {abort.round_index}: {abort.reason}")
+        if abort.checkpoint_path:
+            print(f"resume from checkpoint log: {abort.checkpoint_path}")
+        return EXIT_ABORTED
     except (ValueError, KeyError, FileNotFoundError) as err:
         print(f"fedrad: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -6,7 +6,8 @@ refuse to join outputs of different runs.
 
 This module imports nothing but the standard library and ``seeding``, so
 the stages that only read and write small JSON and CSV files (``--help``,
-``rank`` and ``report``) start without numpy.
+``rank`` and ``report``) start without numpy. So :class:`ExperimentAborted`,
+which ``cli.main`` reports for every command, lives here.
 
 Voxel classes: 0 = background, 1 = consolidation, 2 = ground-glass opacity,
 3 = pleural effusion. Class 3 plays the rare-class role in stratified
@@ -45,6 +46,17 @@ TRANSPORT_SIM = "sim"
 TRANSPORT_TCP = "tcp"
 
 DEFAULT_PER_BATCH_SECONDS = 0.02
+
+
+class ExperimentAborted(RuntimeError):
+    """A run ended before the final model; carries resume information."""
+
+    def __init__(self, reason: str, round_index: int | None = None,
+                 checkpoint_path: Path | None = None):
+        super().__init__(reason)
+        self.reason = reason
+        self.round_index = round_index
+        self.checkpoint_path = checkpoint_path
 
 
 class CcRegime(str, enum.Enum):

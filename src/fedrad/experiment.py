@@ -1,4 +1,4 @@
-"""Experiment orchestration: generation, local training and model persistence.
+"""Experiment orchestration: generation, training and model persistence.
 
 The config records and the artifact layout live in :mod:`fedrad.config`.
 All orchestration helpers here are deterministic functions of the config,
@@ -14,8 +14,8 @@ from pathlib import Path
 from typing import Collection, Mapping
 
 from . import siteio
-from .config import (CcRegime, ExperimentConfig, Scenario, ServerParams, SiteLink, SiteProfile,
-                     TrainConfig, models_dir, site_dir)
+from .config import (CcRegime, ExperimentAborted, ExperimentConfig, Scenario, ServerParams,
+                     SiteLink, SiteProfile, TrainConfig, checkpoints_dir, models_dir, site_dir)
 from .dataset import SiteDataset, generate_site_dataset
 from .evalrank import TrainedModel
 from .fingerprint import DatasetFingerprint, derive_config
@@ -96,15 +96,41 @@ def load_all(config: ExperimentConfig, out: Path,
 
 
 # ---------------------------------------------------------------------------
-# Local training
+# Training: one plan of named models
+
+def train_model(name: str, config: ExperimentConfig, datasets: Mapping[str, SiteDataset],
+                fingerprints: Mapping[str, DatasetFingerprint], out: Path,
+                resume: Path | None = None) -> TrainedModel:
+    """Train the model ``name``, reading no other model's output: ``local:<s>``,
+    ``fed`` (which writes ``timing.csv`` and may ``resume``) or ``fed_loo:<s>``.
+    A failed federation raises :class:`ExperimentAborted`; a leave-out run's
+    names no round and no log, as it restarts from round 0."""
+    from . import simnet  # the round protocol, which evaluate does not load
+
+    kind, _, site = name.partition(":")
+    if kind == "local":
+        return train_local_models(config, {site: datasets[site]}, fingerprints)[site]
+    sub = leave_out_config(config, site) if site else config
+    result = simnet.run_simulated(
+        server_params(sub, checkpoints_dir(out, f"loo-{site}" if site else "main")),
+        {s: datasets[s] for s in sub.site_ids}, zero_fault_links(sub),
+        fingerprints=fingerprints, per_batch_seconds=sub.per_batch_seconds, resume=resume)
+    if not site:
+        (out / "timing.csv").write_text(result.timing.to_csv(config.digest))
+    if result.aborted and site:
+        raise ExperimentAborted(f"leave-out run ({site}) aborted: {result.abort_reason}")
+    if result.aborted:
+        raise ExperimentAborted(result.abort_reason, result.abort_round, result.checkpoint_file)
+    return TrainedModel(weights=result.final_weights, feature_config=result.derived.feature_config)
+
 
 def train_local_models(config: ExperimentConfig, datasets: Mapping[str, SiteDataset],
                        fingerprints: Mapping[str, DatasetFingerprint]
                        ) -> dict[str, TrainedModel]:
-    """Every site's standalone model, keyed by site id, each self-configured
-    from ``fingerprints[site]``, the fingerprint of its own training data."""
+    """The standalone model of each site in ``datasets``, keyed by site id,
+    self-configured from ``fingerprints[site]``, its training data's fingerprint."""
     out = {}
-    for sid in config.site_ids:
+    for sid in sorted(datasets):
         ds = datasets[sid]
         derived = derive_config(fingerprints[sid], config.seed)
         features, labels = build_training_matrix(ds.train, derived.feature_config)

@@ -25,7 +25,8 @@ field corrupted, and is refused.
 :class:`Federation` owns every server-side protocol decision and
 :class:`Site` the local epoch a site trains each round. ``run_server`` and
 ``run_client`` drive them over a transport and ``simnet.run_simulated``
-drives both on a virtual clock, so the two cannot drift apart.
+drives both on a virtual clock, so the two cannot drift apart. Every abort
+is a :class:`fedrad.config.ExperimentAborted`, which this module re-exports.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import transport as tp
 from . import wire
-from .config import AGG_STRICT, AGG_TOLERANT, ServerParams
+from .config import AGG_STRICT, AGG_TOLERANT, ExperimentAborted, ServerParams
 from .dataset import Sample, SiteDataset
 from .fingerprint import DatasetFingerprint, average_fingerprints, derive_config, site_fingerprint
 from .learner import WEIGHT_LEN, build_training_matrix, save_weights, site_train_seed, train_epochs
@@ -68,17 +69,6 @@ _SHA_BYTES = 32
 
 class CheckpointMismatch(ValueError):
     """Checkpoint does not belong to this experiment."""
-
-
-class ExperimentAborted(RuntimeError):
-    """A run ended before the final model; carries resume information."""
-
-    def __init__(self, reason: str, round_index: int | None = None,
-                 checkpoint_path: Path | None = None):
-        super().__init__(reason)
-        self.reason = reason
-        self.round_index = round_index
-        self.checkpoint_path = checkpoint_path
 
 
 def aggregate(w: np.ndarray, deltas: Mapping[str, np.ndarray]) -> np.ndarray:

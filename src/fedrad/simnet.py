@@ -102,21 +102,19 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     several federations over the same sites computes each once and passes
     them all. Without it, every expected site is fingerprinted here.
     The checkpoint log is written to ``params.checkpoint_dir`` exactly as
-    the live server writes it, and ``resume`` behaves identically.
+    the live server writes it, and ``resume`` behaves identically; a resumed
+    run's timing report covers every round.
     """
     expected = sorted(params.expected_sites)
     link_by_site = {l.site_id: l for l in links}
-    missing_links = [s for s in expected if s not in link_by_site]
-    if missing_links:
-        raise ValueError(f"links missing for sites: {missing_links}")
-    missing_data = [s for s in expected if s not in datasets]
-    if missing_data:
-        raise ValueError(f"datasets missing for sites: {missing_data}")
     if fingerprints is None:
-        fingerprints = {s: site_fingerprint(s, datasets[s].train) for s in expected}
-    missing_fps = [s for s in expected if s not in fingerprints]
-    if missing_fps:
-        raise ValueError(f"fingerprints missing for sites: {missing_fps}")
+        fingerprints = {s: site_fingerprint(s, datasets[s].train)
+                        for s in expected if s in datasets}
+    for what, have in (("links", link_by_site), ("datasets", datasets),
+                       ("fingerprints", fingerprints)):
+        missing = [s for s in expected if s not in have]
+        if missing:
+            raise ValueError(f"{what} missing for sites: {missing}")
     for link in links:
         if link.crash_at_round is not None and link.crash_at_round > params.rounds:
             logger.warning("%s crashes at round %d, after the experiment ends",
@@ -135,7 +133,8 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     arrive_ns = {s: 2 * lat_ns[s] + train_ns[s] for s in expected}
     timeout_ns = round(params.round_timeout_s * NS_PER_S)
 
-    for t in fed.rounds():
+    # timing depends only on links and params: rounds before a resume are timed, not rerun
+    for t in range(1, params.rounds + 1):
         unavailable = apply_fault_schedule(links, t)
         # The server stops waiting at the deadline; later sites are missing.
         on_time = [s for s in expected if s not in unavailable and arrive_ns[s] <= timeout_ns]
@@ -147,6 +146,8 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
                 train_ns=train_ns[s] if ran else 0,
                 latency_ns=2 * lat_ns[s] if ran else 0,
                 idle_ns=wall_ns - (arrive_ns[s] if ran else 0), wall_ns=wall_ns))
+        if t not in fed.rounds():
+            continue
 
         received = {}
         try:

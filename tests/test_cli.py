@@ -131,13 +131,59 @@ def test_train_sim_resumes_only_a_main_run(tmp_path, capsys):
     assert main(["gen", "--config", str(path)]) == 0
     capsys.readouterr()
     assert main(["train-sim", "--config", str(path)]) == 3
-    out = capsys.readouterr().out
-    assert "leave-out run (s0) aborted" in out
-    assert "resume" not in out
+    assert capsys.readouterr().out == "leave-out run (s0) aborted: round 2: no delta from ['s2']\n"
     ckpt = checkpoint_log(checkpoints_dir(Path(config.output_dir), "loo-s0"))
     assert load_checkpoint(ckpt).round_index == 1
     assert main(["train-sim", "--config", str(path), "--resume", str(ckpt)]) == 1
     assert "--resume continues the main federated run" in capsys.readouterr().err
+
+
+def test_train_sim_main_run_abort_names_round_and_log(tmp_path, capsys):
+    # s1 crashing at round 2 aborts the main run: exit 3, the round and the
+    # reason, then the log to resume from; timing.csv covers the rounds run
+    config = small_config(tmp_path, n_sites=2, rounds=3)
+    config = replace(config, links=tuple(replace(l, crash_at_round=2) if l.site_id == "s1"
+                                         else l for l in config.links))
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["train-sim", "--config", str(path)]) == 3
+    out = Path(config.output_dir)
+    log = checkpoint_log(checkpoints_dir(out, "main"))
+    assert capsys.readouterr().out == (
+        "experiment aborted at round 2: round 2: no delta from ['s1']\n"
+        f"resume from checkpoint log: {log}\n")
+    assert load_checkpoint(log).round_index == 1
+    assert len((out / "timing.csv").read_text().splitlines()) == 2 + 2 * 2  # stamp, header
+    assert not models_dir(out).exists()
+
+
+def test_train_sim_resume_reproduces_the_uninterrupted_run(tmp_path, monkeypatch, capsys):
+    # a main run killed after round 2 of 4 and resumed from its log writes
+    # the models and the timing of every round of the run that was not cut
+    from conftest import ServerCrash, crash_after_round
+    config = small_config(tmp_path, n_sites=2, rounds=4)
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    out = Path(config.output_dir)
+    assert main(["train-sim", "--config", str(path)]) == 0
+    outputs = sorted(models_dir(out).glob("*.frwt")) + [out / "timing.csv"]
+    want = {p: p.read_bytes() for p in outputs}
+    for p in outputs:
+        p.unlink()
+
+    with monkeypatch.context() as m:
+        crash_after_round(m, 2)
+        with pytest.raises(ServerCrash) as crash:
+            main(["train-sim", "--config", str(path)])
+    assert load_checkpoint(crash.value.checkpoint).round_index == 2
+    assert not any(p.exists() for p in outputs)
+    assert main(["train-sim", "--config", str(path), "--resume",
+                 str(crash.value.checkpoint)]) == 0
+    assert {p: p.read_bytes() for p in outputs} == want
+    capsys.readouterr()
 
 
 def count_fingerprints(monkeypatch) -> list:
@@ -263,6 +309,18 @@ def _serve_and_join(config_path, site_dirs):
         t.join(timeout=60)
         assert not t.is_alive(), "serve or join hung"
     return rcs.get("serve"), [rcs.get(d) for d in site_dirs]
+
+
+def test_serve_setup_timeout_aborts(tmp_path, capsys):
+    # no site joins: serve exits 3 at round 0, with no log to resume from
+    config = replace(small_config(tmp_path, n_sites=2), transport="tcp", setup_timeout_s=0.2)
+    path = tmp_path / "exp.json"
+    exp.save_config(config, path)
+    assert main(["serve", "--config", str(path), "--bind", "127.0.0.1:0"]) == 3
+    listening, aborted = capsys.readouterr().out.splitlines(keepends=True)
+    assert re.fullmatch(r"listening on 127\.0\.0\.1:\d+\n", listening)
+    assert aborted == ("experiment aborted at round 0: "
+                       "setup timeout: missing fingerprints from ['s0', 's1']\n")
 
 
 def test_tcp_serve_join_roundtrip(tmp_path, capsys):
@@ -433,8 +491,11 @@ def _frame_garbage(conn):
     return b"this is not a frame at all"
 
 
-@pytest.mark.parametrize("reply", [_frame_round_start_3_weights, _frame_garbage])
-def test_join_bad_server_message_aborts(tmp_path, capsys, reply):
+@pytest.mark.parametrize("reply,reason", [
+    (_frame_round_start_3_weights, "server sent RoundStart weights that are not 16 finite numbers"),
+    (_frame_garbage, "undecodable message from server: bad magic b'th'")],
+    ids=["_frame_round_start_3_weights", "_frame_garbage"])
+def test_join_bad_server_message_aborts(tmp_path, capsys, reply, reason):
     # a server that sends a wrong-length weight vector or an undecodable frame
     # ends the site's run as a resumable abort (exit 3)
     from fedrad.transport import TcpConnection
@@ -443,6 +504,7 @@ def test_join_bad_server_message_aborts(tmp_path, capsys, reply):
     exp.save_config(config, path)
     main(["gen", "--config", str(path)])
     site_dir = Path(config.output_dir) / "sites" / "s0"
+    capsys.readouterr()
 
     listener = socket.create_server(("127.0.0.1", 0))
     port = listener.getsockname()[1]
@@ -464,7 +526,7 @@ def test_join_bad_server_message_aborts(tmp_path, capsys, reply):
         listener.close()
     assert not server.is_alive()
     assert rc == 3
-    assert "aborted" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"site s0: aborted: {reason}\n"
 
 
 def _scipy_modules_after(code: str) -> list[str]:

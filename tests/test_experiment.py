@@ -1,6 +1,7 @@
 import enum
 import itertools
 import json
+import shutil
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from conftest import make_profile
 
 from fedrad import experiment as exp
 from fedrad.config import (ExperimentConfig, Scenario, SiteLink, SiteProfile, TrainConfig,
-                           load_config)
+                           load_config, models_dir)
 from fedrad.evalrank import TrainedModel, scenario_variants
 from fedrad import siteio
 from fedrad.fingerprint import DatasetFingerprint, compute_fingerprint
@@ -297,6 +298,32 @@ def test_train_sim_refuses_a_one_site_leave_out_ensemble(tmp_path, monkeypatch, 
     assert _train_sim(config, tmp_path / "exp.json") == 1
     assert "leave-out ensemble needs at least two sites" in capsys.readouterr().err
     assert not (Path(config.output_dir) / "models").exists()
+
+
+def test_plan_entries_train_independently(tmp_path, capsys):
+    """Every model of the plan trained in reverse order through train_model
+    writes the files train-sim writes, byte for byte: the models, timing.csv
+    and each checkpoint log. No entry reads another's output."""
+    from fedrad.fingerprint import site_fingerprint
+    config = small_config(tmp_path, n_sites=3, scenarios=[s.value for s in Scenario])
+    out = Path(config.output_dir)
+    assert _train_sim(config, tmp_path / "exp.json") == 0
+    want = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    trained = [p for p in want if p.relative_to(out).parts[0] in ("models", "checkpoints")]
+    assert len(trained) == 7 + 1 + 4  # the models, models.json and the logs
+    shutil.rmtree(models_dir(out))
+    shutil.rmtree(out / "checkpoints")
+    (out / "timing.csv").unlink()
+
+    datasets = exp.load_all(config, out)
+    fingerprints = {s: site_fingerprint(s, datasets[s].train) for s in config.site_ids}
+    plan = ([f"local:{s}" for s in config.site_ids] + ["fed"]
+            + [f"fed_loo:{s}" for s in config.site_ids])
+    registry = {name: exp.train_model(name, config, datasets, fingerprints, out)
+                for name in reversed(plan)}
+    exp.save_registry(registry, out, config.digest)
+    assert {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()} == want
+    capsys.readouterr()
 
 
 def test_local_training_self_configures(tmp_path):

@@ -108,3 +108,38 @@ def test_perfbench_sim_result_reads_are_fields():
     assert {"aborted", "abort_reason", "final_weights"} <= set(SIM_RESULT_READS)
     fields = {f.name for f in dataclasses.fields(SimResult)}
     assert set(SIM_RESULT_READS) <= fields
+
+
+def test_train_sim_calls_the_traced_layers_once_per_model(tmp_path, monkeypatch, capsys):
+    """The tracer times ``experiment.train_local_models`` and
+    ``simnet.run_simulated`` by rebinding those module attributes, so
+    train-sim must call them there: once per site's local model and once per
+    federation, over the sites of each. Their spans then measure all the
+    local training and every federation."""
+    from test_experiment import small_config
+
+    from fedrad import experiment, simnet
+    from fedrad.cli import main
+    from fedrad.config import Scenario
+
+    config = small_config(tmp_path, n_sites=3, scenarios=[s.value for s in Scenario])
+    path = tmp_path / "exp.json"
+    experiment.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    train_local_models, run_simulated = experiment.train_local_models, simnet.run_simulated
+    local_sites, federations = [], []
+
+    def traced_local(config, datasets, fingerprints):
+        local_sites.append(sorted(datasets))
+        return train_local_models(config, datasets, fingerprints)
+
+    def traced_federation(params, datasets, links, **kwargs):
+        federations.append(params.expected_sites)
+        return run_simulated(params, datasets, links, **kwargs)
+
+    monkeypatch.setattr(experiment, "train_local_models", traced_local)
+    monkeypatch.setattr(simnet, "run_simulated", traced_federation)
+    assert main(["train-sim", "--config", str(path)]) == 0
+    assert local_sites == [["s0"], ["s1"], ["s2"]]
+    assert federations == [("s0", "s1", "s2"), ("s1", "s2"), ("s0", "s2"), ("s0", "s1")]
+    capsys.readouterr()

@@ -203,6 +203,8 @@ def test_sim_stop_and_resume_bitidentical(tmp_path, monkeypatch):
         # the resumed run starts at round k + 1, past the crash
         resumed = run_simulated(params, datasets, links, resume=crash.value.checkpoint)
         assert np.array_equal(resumed.final_weights, full.final_weights)
+        # the rounds committed before the resume keep their timing rows
+        assert resumed.timing.to_csv("d" * 64) == full.timing.to_csv("d" * 64)
 
 
 def test_sim_checkpoints_match_live_server(tmp_path):

@@ -369,7 +369,7 @@ def main(argv=None) -> int:
         if abort.checkpoint_path:
             print(f"resume from checkpoint log: {abort.checkpoint_path}")
         return EXIT_ABORTED
-    except (ValueError, KeyError, FileNotFoundError) as err:
+    except (ValueError, KeyError, OSError) as err:
         print(f"fedrad: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -192,8 +192,9 @@ class ServerParams:
             raise ValueError("at least one expected site is required")
         if self.aggregation not in (AGG_STRICT, AGG_TOLERANT):
             raise ValueError(f"unknown aggregation mode {self.aggregation!r}")
-        if len(self.experiment_digest) != 64 or bytes.fromhex(self.experiment_digest) is None:
-            raise ValueError("experiment_digest must be 64 hex characters")
+        # the form of ExperimentConfig.digest, which a checkpoint log reads back as bytes
+        if len(self.experiment_digest) != 64 or self.experiment_digest.strip("0123456789abcdef"):
+            raise ValueError("experiment_digest must be 64 lowercase hex characters")
         self.expected_sites = tuple(sorted(self.expected_sites))
 
 

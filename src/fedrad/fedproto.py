@@ -14,13 +14,10 @@ n = responder count. A closing exchange pushes the finished model to every
 site, which persists it locally so evaluation never needs the server.
 
 A run keeps its checkpoints in one append-only log, ``checkpoints.frck``:
-one FRCK version 4 record per commit (header, JSON metadata, weights, then
-the sha256 of those bytes). A crash mid-append tears only the last record,
-which reading skips, so a resumed run continues from the last committed
-round. The reader tells the two apart by the record's own metadata: a torn
-append's metadata is incomplete or has the declared length, so a record the
-log ends inside whose metadata is whole with another length had its length
-field corrupted, and is refused.
+an FRCK version 5 header with the run's constant metadata, then one
+fixed-size record per commit (round index, weights, sha256). A crash
+mid-append tears only the last record, so the bytes after the last whole
+record are skipped and a resumed run continues from the last committed round.
 
 :class:`Federation` owns every server-side protocol decision and
 :class:`Site` the local epoch a site trains each round. ``run_server`` and
@@ -60,11 +57,11 @@ logger = logging.getLogger(__name__)
 CLIENT_RECV_TIMEOUT_S = 600.0
 
 CHECKPOINT_MAGIC = b"FRCK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 CHECKPOINT_LOG = "checkpoints.frck"
-_CKPT_HEADER = struct.Struct("<4sH32sI")
-_WEIGHT_BYTES = 8 * WEIGHT_LEN
+_LOG_HEADER = struct.Struct("<4sH32sI")  # magic, version, experiment digest, metadata length
 _SHA_BYTES = 32
+_RECORD_BYTES = 4 + 8 * WEIGHT_LEN + _SHA_BYTES  # round index, weights, sha256
 
 
 class CheckpointMismatch(ValueError):
@@ -100,100 +97,76 @@ class Checkpoint:
     experiment_digest: str
 
     def save(self, path: Path) -> Path:
-        """Append this checkpoint as one record to the log at ``path``,
-        creating the file when it is missing."""
-        meta = {
-            "round_index": self.round_index,
-            "fp_avg": to_dict(self.fp_avg),
-            "experiment_seed": self.experiment_seed,
-        }
-        body = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
-        record = b"".join((
-            _CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                              bytes.fromhex(self.experiment_digest), len(body)),
-            body, np.asarray(self.weights, dtype="<f8").tobytes()))
-        # one write per record, so a crash can tear only the record being appended
+        """Append this checkpoint as one round record to the log at ``path``,
+        writing the log's header first when the log is empty or missing."""
+        digest = bytes.fromhex(self.experiment_digest)
+        body = struct.pack("<I", self.round_index) + np.asarray(self.weights, "<f8").tobytes()
+        record = body + hashlib.sha256(digest + body).digest()
+        # one write per commit, so a crash can tear only the record being appended
         with open(path, "ab") as f:
-            f.write(record + hashlib.sha256(record).digest())
+            if f.tell() == 0:
+                meta = json.dumps({"experiment_seed": self.experiment_seed,
+                                   "fp_avg": to_dict(self.fp_avg)},
+                                  sort_keys=True, separators=(",", ":")).encode("ascii")
+                header = _LOG_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest,
+                                          len(meta)) + meta
+                record = header + hashlib.sha256(header).digest() + record
+            f.write(record)
         return Path(path)
 
 
-def _read_record(raw: bytes, start: int, where: str,
-                 expected_digest: str | None) -> tuple[Checkpoint, int] | None:
-    """The record at ``raw[start:]`` and the offset after it; ``None`` when
-    the bytes end inside the record."""
-    head_end = start + _CKPT_HEADER.size
-    if len(raw) < head_end:
-        return None
-    magic, version, digest_raw, body_len = _CKPT_HEADER.unpack_from(raw, start)
+def read_checkpoints(path: Path, expected_digest: str | None = None) -> list[Checkpoint]:
+    """Every round record of the checkpoint log at ``path``, in order.
+
+    The header must be FRCK version 5, of one experiment (``expected_digest``
+    when given), with its sha256 and metadata intact; a run writes it whole,
+    so any defect of it refuses the log. Only the bytes after the last whole
+    round record, the append of a process that died mid-write, are skipped,
+    with a warning. A record whose sha256 does not match or whose weights
+    are not finite is refused, as is a log without a complete record.
+    """
+    raw = Path(path).read_bytes()
+    where = f"{path}: header"
+    cut_short = CheckpointMismatch(f"{where}: the log ends inside it, "
+                                   "so it has no complete checkpoint record")
+    if len(raw) < _LOG_HEADER.size:
+        raise cut_short
+    magic, version, digest_raw, meta_len = _LOG_HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointMismatch(f"{where}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise CheckpointMismatch(f"{where}: unsupported version {version}")
     digest = digest_raw.hex()
     if expected_digest is not None and digest != expected_digest:
-        raise CheckpointMismatch(
-            f"{where}: checkpoint belongs to experiment {digest[:12]}..., "
-            f"expected {expected_digest[:12]}...")
-    body_end = head_end + body_len
-    weights_end = body_end + _WEIGHT_BYTES
-    end = weights_end + _SHA_BYTES
-    if len(raw) < end:
-        # a torn append is a prefix of its record: its metadata is either
-        # incomplete or whole with the declared length
-        try:
-            _, meta_len = json.JSONDecoder().raw_decode(raw[head_end:].decode("latin-1"))
-        except (ValueError, RecursionError):  # deep nesting raises RecursionError
-            return None
-        if meta_len == body_len:
-            return None
-        raise CheckpointMismatch(
-            f"{where}: metadata length {body_len} runs past the end of the log, "
-            f"but the metadata is whole with length {meta_len}")
-    if hashlib.sha256(raw[start:weights_end]).digest() != raw[weights_end:end]:
+        raise CheckpointMismatch(f"{where}: checkpoint belongs to experiment {digest[:12]}..., "
+                                 f"expected {expected_digest[:12]}...")
+    meta_end = _LOG_HEADER.size + meta_len
+    start = meta_end + _SHA_BYTES
+    if len(raw) < start:
+        raise cut_short
+    if hashlib.sha256(raw[:meta_end]).digest() != raw[meta_end:start]:
         raise CheckpointMismatch(f"{where}: sha256 mismatch")
-    weights = np.frombuffer(raw, dtype="<f8", count=WEIGHT_LEN, offset=body_end).copy()
-    if not np.isfinite(weights).all():
-        raise CheckpointMismatch(f"{where}: non-finite weights")
     try:
-        meta = parse_json(raw[head_end:body_end], "metadata")
-        ckpt = Checkpoint(
-            round_index=from_dict(int, meta["round_index"], "round_index"),
-            weights=weights,
-            fp_avg=from_dict(DatasetFingerprint, meta["fp_avg"], "fp_avg"),
-            experiment_seed=from_dict(int, meta["experiment_seed"], "experiment_seed"),
-            experiment_digest=digest,
-        )
+        meta = parse_json(raw[_LOG_HEADER.size:meta_end], "metadata")
+        fp_avg = from_dict(DatasetFingerprint, meta["fp_avg"], "fp_avg")
+        seed = from_dict(int, meta["experiment_seed"], "experiment_seed")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointMismatch(f"{where}: bad metadata: {exc!r}") from exc
-    return ckpt, end
-
-
-def read_checkpoints(path: Path, expected_digest: str | None = None) -> list[Checkpoint]:
-    """Every complete record of the checkpoint log at ``path``, in order.
-
-    Each record must be an FRCK version 4 record of one experiment
-    (``expected_digest`` when given) whose sha256 trailer matches it. A
-    final record the file ends inside is the append of a process that died
-    mid-write: it is skipped with a warning, unless its JSON metadata is
-    whole with another length than the header declares; then the length
-    field is wrong and the record is a mismatch, not a torn append. A log
-    without a complete record is refused.
-    """
-    raw = Path(path).read_bytes()
-    records: list[Checkpoint] = []
-    start = 0
-    while start < len(raw):
-        read = _read_record(raw, start, f"{path}: record {len(records)}", expected_digest)
-        if read is None:
-            logger.warning("%s: skipping an incomplete final record (%d bytes)",
-                           path, len(raw) - start)
-            break
-        ckpt, start = read
-        records.append(ckpt)
-        expected_digest = ckpt.experiment_digest
-    if not records:
+    n, torn = divmod(len(raw) - start, _RECORD_BYTES)
+    if torn:
+        logger.warning("%s: skipping an incomplete final record (%d bytes)", path, torn)
+    if not n:
         raise CheckpointMismatch(f"{path}: no complete checkpoint record")
+    records = []
+    for i, at in enumerate(range(start, start + n * _RECORD_BYTES, _RECORD_BYTES)):
+        sha_at = at + _RECORD_BYTES - _SHA_BYTES
+        if hashlib.sha256(digest_raw + raw[at:sha_at]).digest() != raw[sha_at:at + _RECORD_BYTES]:
+            raise CheckpointMismatch(f"{path}: record {i}: sha256 mismatch")
+        weights = np.frombuffer(raw, dtype="<f8", count=WEIGHT_LEN, offset=at + 4).copy()
+        if not np.isfinite(weights).all():
+            raise CheckpointMismatch(f"{path}: record {i}: non-finite weights")
+        (round_index,) = struct.unpack_from("<I", raw, at)
+        records.append(Checkpoint(round_index, weights, fp_avg, seed, digest))
     return records
 
 
@@ -231,10 +204,10 @@ class Federation:
     Every abort is an :class:`ExperimentAborted` that points at the
     checkpoint log, whose last record is the last committed round.
 
-    The log is ``checkpoints.frck`` in ``params.checkpoint_dir``. The start
-    record replaces any earlier log whole, through a temp file, so a run
-    never appends after another run's torn tail; each round then appends
-    one record.
+    The log is ``checkpoints.frck`` in ``params.checkpoint_dir``. The header
+    and start record replace any earlier log whole, through a temp file, so
+    the header is never torn and a run never appends after another run's
+    torn tail; each round then appends one record.
     """
 
     def __init__(self, params: ServerParams, fingerprints: Mapping[str, DatasetFingerprint],

@@ -73,10 +73,8 @@ class TcpServerTransport:
     """Listening socket accepting site connections."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._sock.bind((host, port))
-        self._sock.listen()
+        # SO_REUSEADDR on POSIX; a failed bind closes the socket and raises OSError
+        self._sock = socket.create_server((host, port))
 
     @property
     def address(self) -> tuple[str, int]:

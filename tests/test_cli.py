@@ -467,6 +467,23 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_json_into_a_directory_is_a_usage_error(config_file, tmp_path, capsys):
+    path, config = config_file
+    assert main(["gen", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--config", str(path), "--json", str(tmp_path)]) == 1
+    assert re.fullmatch(r"fedrad: \[Errno \d+\] Is a directory: .*\n", capsys.readouterr().err)
+
+
+def test_serve_on_a_port_in_use_is_a_usage_error(config_file, capsys):
+    path, _ = config_file
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        port = taken.getsockname()[1]
+        assert main(["serve", "--config", str(path), "--bind", f"127.0.0.1:{port}"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fedrad: ") and "Address already in use" in err
+
+
 def test_console_entry_point():
     result = subprocess.run([sys.executable, "-m", "fedrad.cli", "--help"],
                             capture_output=True, text=True, timeout=60)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import struct
@@ -119,6 +120,8 @@ FP = DatasetFingerprint(n_samples=12, intensity_mean=-512.25, intensity_std=61.5
                         intensity_p005=-701.0, intensity_p995=-330.125,
                         spacing_mean=(2.0, 0.9, 0.9),
                         class_voxel_freqs=(0.91, 0.05, 0.03, 0.01))
+HEADER_LEN = 42  # magic, version u16, experiment digest, metadata length u32
+RECORD_LEN = 164  # round index u32, 16 weights f64, sha256
 
 
 def _ckpt(rng, t=4):
@@ -127,19 +130,40 @@ def _ckpt(rng, t=4):
         fp_avg=FP, experiment_seed=42, experiment_digest="a" * 64)
 
 
-def _write_raw_checkpoint(path, meta: bytes, version=4):
-    """An FRCK file with the given version and metadata bytes, zero weights,
-    and from version 4 on the sha256 trailer."""
-    header = struct.pack("<4sH32sI", b"FRCK", version, bytes.fromhex("a" * 64), len(meta))
-    record = header + meta + np.zeros(WEIGHT_LEN, dtype="<f8").tobytes()
-    path.write_bytes(record + (hashlib.sha256(record).digest() if version >= 4 else b""))
+def _log(path, rng, n=3):
+    """Write a checkpoint log of rounds 0 to ``n - 1`` and return its bytes."""
+    for t in range(n):
+        _ckpt(rng, t).save(path)
+    return path.read_bytes()
+
+
+def _header_end(raw):
+    """The offset of a checkpoint log's first round record."""
+    (meta_len,) = struct.unpack_from("<I", raw, HEADER_LEN - 4)
+    return HEADER_LEN + meta_len + 32
+
+
+def _write_raw_checkpoint(path, meta: bytes, version=5):
+    """A log whose header has the given version and metadata bytes and a
+    matching sha256, then one record of round 1 with zero weights."""
+    digest = bytes.fromhex("a" * 64)
+    header = struct.pack("<4sH32sI", b"FRCK", version, digest, len(meta)) + meta
+    body = struct.pack("<I", 1) + np.zeros(WEIGHT_LEN, dtype="<f8").tobytes()
+    path.write_bytes(header + hashlib.sha256(header).digest()
+                     + body + hashlib.sha256(digest + body).digest())
+
+
+def _rounds(records):
+    return [(c.round_index, c.weights.tobytes()) for c in records]
 
 
 def test_checkpoint_roundtrip(tmp_path, rng):
     ckpt = _ckpt(rng)
     path = tmp_path / "c.frck"
     ckpt.save(path)
-    assert struct.unpack_from("<4sH", path.read_bytes()) == (b"FRCK", 4)
+    raw = path.read_bytes()
+    assert struct.unpack_from("<4sH", raw) == (b"FRCK", 5)
+    assert len(raw) == _header_end(raw) + RECORD_LEN
     back = load_checkpoint(path)
     assert back.round_index == ckpt.round_index
     assert np.array_equal(back.weights, ckpt.weights)
@@ -155,6 +179,10 @@ def test_checkpoint_digest_refusal(tmp_path, rng):
     with pytest.raises(CheckpointMismatch):
         load_checkpoint(path, expected_digest="b" * 64)
     load_checkpoint(path, expected_digest="a" * 64)  # matching digest loads
+    # each record's sha256 binds the digest, so another experiment's append is refused
+    dataclasses.replace(_ckpt(rng, 5), experiment_digest="b" * 64).save(path)
+    with pytest.raises(CheckpointMismatch, match="record 1: sha256 mismatch"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_corruption_refused(tmp_path, rng):
@@ -172,7 +200,7 @@ def test_non_finite_checkpoint_refused(tmp_path, rng):
     ckpt = _ckpt(rng)
     ckpt.weights[-1] = np.nan
     ckpt.save(path)  # a well-formed record, sha256 included
-    with pytest.raises(CheckpointMismatch, match="non-finite"):
+    with pytest.raises(CheckpointMismatch, match="record 0: non-finite"):
         load_checkpoint(path)
 
 
@@ -182,7 +210,7 @@ def test_version_2_checkpoint_refused(tmp_path):
     path = tmp_path / "v2.frck"
     meta = {"round_index": 1, "fp_avg_digest": FP.digest, "experiment_seed": 42}
     _write_raw_checkpoint(path, json.dumps(meta).encode("ascii"), version=2)
-    with pytest.raises(CheckpointMismatch, match="version 2"):
+    with pytest.raises(CheckpointMismatch, match="header: unsupported version 2"):
         load_checkpoint(path)
 
 
@@ -190,13 +218,30 @@ def test_version_3_checkpoint_refused(tmp_path):
     # format 3 had no sha256 trailer, so a torn or flipped file could load
     path = tmp_path / "v3.frck"
     _write_raw_checkpoint(path, _meta(), version=3)
-    with pytest.raises(CheckpointMismatch, match="unsupported version 3"):
+    with pytest.raises(CheckpointMismatch, match="header: unsupported version 3"):
         load_checkpoint(path)
 
 
+def test_version_4_checkpoint_refused(tmp_path):
+    # format 4 repeated the metadata in every record behind a length field,
+    # so a corrupted length could pass for a torn append
+    path = tmp_path / "v4.frck"
+    _write_raw_checkpoint(path, _meta(), version=4)
+    with pytest.raises(CheckpointMismatch, match="header: unsupported version 4"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("digest", ["A" * 64, "g" * 64, "a" * 63], ids=["upper", "non-hex", "short"])
+def test_server_params_take_only_the_digest_form_a_log_reads_back(digest):
+    # the log stores the digest as bytes and reads it back as lowercase hex,
+    # so a run of an uppercase digest would refuse its own log
+    with pytest.raises(ValueError, match="experiment_digest must be 64 lowercase hex characters"):
+        dataclasses.replace(make_params(["s1"]), experiment_digest=digest)
+
+
 def _meta(**fp_fields):
-    """Checkpoint metadata whose fingerprint has ``fp_fields`` replaced."""
-    return json.dumps({"round_index": 1, "experiment_seed": 42,
+    """Header metadata whose fingerprint has ``fp_fields`` replaced."""
+    return json.dumps({"experiment_seed": 42,
                        "fp_avg": dict(to_dict(FP), **fp_fields)}).encode("ascii")
 
 
@@ -204,35 +249,35 @@ def _meta(**fp_fields):
     b"{not json",
     b"\xff\xfe",
     b"[1, 2, 3]",
-    b'{"round_index": 1, "experiment_seed": 42}',
-    b'{"round_index": 1, "experiment_seed": 42, "fp_avg": "abc"}',
-    b'{"round_index": 1, "experiment_seed": 42, "fp_avg": {"n_samples": 3}}',
-    b'{"round_index": "x", "experiment_seed": 42, "fp_avg": null}',
+    b'{"experiment_seed": 42}',
+    b'{"experiment_seed": 42, "fp_avg": "abc"}',
+    b'{"experiment_seed": 42, "fp_avg": {"n_samples": 3}}',
     _meta(intensity_mean="abc"),
     _meta(spacing_mean=2.0),
     _meta(class_voxel_freqs=None),
     _meta(n_samples=[3]),
-    b'{"round_index": 1e999, "experiment_seed": 42, "fp_avg": null}',
     _meta(n_samples=float("inf")),
     _meta(spacing_mean=[2.0, 1.0]),
+    json.dumps({"experiment_seed": "x", "fp_avg": to_dict(FP)}).encode("ascii"),
 ], ids=["bad-json", "not-ascii", "not-an-object", "fp-avg-missing", "fp-avg-string",
-        "fp-avg-incomplete", "round-index-string", "mean-string", "spacing-scalar",
-        "freqs-null", "count-list", "round-index-overflow", "count-infinite", "spacing-short"])
+        "fp-avg-incomplete", "mean-string", "spacing-scalar", "freqs-null", "count-list",
+        "count-infinite", "spacing-short", "seed-string"])
 def test_bad_checkpoint_metadata_is_a_mismatch(tmp_path, meta):
     path = tmp_path / "bad.frck"
     _write_raw_checkpoint(path, _meta())
     assert load_checkpoint(path).fp_avg == FP
     _write_raw_checkpoint(path, meta)
-    with pytest.raises(CheckpointMismatch, match="bad metadata"):
+    with pytest.raises(CheckpointMismatch, match="header: bad metadata"):
         load_checkpoint(path)
 
 
 def test_mutated_checkpoints_raise_only_mismatch(tmp_path, rng):
     """Seeded truncations, bit flips, appends and deletions of a good
-    checkpoint either load or raise CheckpointMismatch, nothing else."""
+    three-record log either load a prefix of its records or raise
+    CheckpointMismatch, nothing else."""
     path = tmp_path / "c.frck"
-    _ckpt(rng).save(path)
-    good = path.read_bytes()
+    good = _log(path, rng)
+    want = _rounds(read_checkpoints(path))
     fuzz = np.random.default_rng(20240117)
     outcomes = {"loaded": 0, "refused": 0}
     for _ in range(10_000):
@@ -250,27 +295,38 @@ def test_mutated_checkpoints_raise_only_mismatch(tmp_path, rng):
             del raw[start:start + fuzz.integers(1, 17)]
         path.write_bytes(bytes(raw))
         try:
-            load_checkpoint(path)
-            outcomes["loaded"] += 1
+            got = _rounds(read_checkpoints(path))
         except CheckpointMismatch:
             outcomes["refused"] += 1
+            continue
+        assert got == want[:len(got)]
+        outcomes["loaded"] += 1
     assert outcomes["loaded"] > 0 and outcomes["refused"] > 0, outcomes
 
 
 # ---------------------------------------------------------------------------
 # the checkpoint log
 
-HEADER_LEN = 42  # magic, version u16, experiment digest, metadata length u32
-
-
-def _record_bounds(raw):
-    """Start offsets of each record of a checkpoint log, then its end."""
-    bounds = [0]
-    while bounds[-1] < len(raw):
-        (meta_len,) = struct.unpack_from("<I", raw, bounds[-1] + HEADER_LEN - 4)
-        bounds.append(bounds[-1] + HEADER_LEN + meta_len + 8 * WEIGHT_LEN + 32)
-    assert bounds[-1] == len(raw)
-    return bounds
+def test_every_prefix_loads_its_whole_records_or_is_refused(tmp_path, rng, caplog):
+    # a crash can tear only an append, so a prefix of a log loads the records
+    # that end by the cut, warning when bytes follow them, and a prefix that
+    # ends before its first record ends is refused
+    path = tmp_path / "log.frck"
+    good = _log(path, rng)
+    want = _rounds(read_checkpoints(path))
+    ends = [_header_end(good) + RECORD_LEN * (i + 1) for i in range(3)]
+    assert ends[-1] == len(good)
+    caplog.set_level("WARNING", logger="fedrad.fedproto")
+    for cut in range(len(good) + 1):
+        path.write_bytes(good[:cut])
+        whole = sum(end <= cut for end in ends)
+        caplog.clear()
+        if not whole:
+            with pytest.raises(CheckpointMismatch, match="no complete checkpoint record"):
+                read_checkpoints(path)
+            continue
+        assert _rounds(read_checkpoints(path)) == want[:whole], cut
+        assert ("incomplete final record" in caplog.text) == (cut > ends[whole - 1]), cut
 
 
 def test_log_cut_inside_its_last_record_resumes_from_the_round_before(tmp_path, caplog):
@@ -283,9 +339,8 @@ def test_log_cut_inside_its_last_record_resumes_from_the_round_before(tmp_path, 
     full = run_simulated(make_params(sites, rounds=3, ckpt_dir=tmp_path / "full"),
                          datasets, links)
     raw = full.checkpoint_file.read_bytes()
-    bounds = _record_bounds(raw)
-    assert len(bounds) == 5  # rounds 0 to 3, then the end
-    last = bounds[-2]
+    assert len(raw) == _header_end(raw) + 4 * RECORD_LEN  # rounds 0 to 3
+    last = len(raw) - RECORD_LEN
     before = read_checkpoints(full.checkpoint_file)[-2]
     torn = tmp_path / "torn.frck"
     caplog.set_level("WARNING", logger="fedrad.fedproto")
@@ -296,10 +351,7 @@ def test_log_cut_inside_its_last_record_resumes_from_the_round_before(tmp_path, 
         assert (got.round_index, got.weights.tobytes()) == (2, before.weights.tobytes()), cut
         assert ("incomplete final record" in caplog.text) == (cut > last), cut
 
-    (meta_len,) = struct.unpack_from("<I", raw, last + HEADER_LEN - 4)
-    weights_at = last + HEADER_LEN + meta_len
-    cuts = {"header": last + 7, "metadata": last + HEADER_LEN + 1,
-            "weights": weights_at + 5, "trailer": len(raw) - 1}
+    cuts = {"index": last + 2, "weights": last + 4 + 8 * 5, "trailer": len(raw) - 1}
     for field, cut in cuts.items():
         torn.write_bytes(raw[:cut])
         sim = run_simulated(make_params(sites, rounds=3, ckpt_dir=tmp_path / f"sim-{field}"),
@@ -320,7 +372,8 @@ def test_log_without_a_complete_record_refused(tmp_path, rng, cut):
     _ckpt(rng).save(path)
     raw = path.read_bytes()
     if cut == "nested":
-        # a torn tail whose metadata nests deeper than the JSON decoder recurses
+        # a header whose metadata runs past the log is refused unparsed, however
+        # deep its JSON nests
         raw = raw[:HEADER_LEN - 4] + struct.pack("<I", 200_000) + b"[" * 100_000
         cut = len(raw)
     path.write_bytes(raw[:cut])
@@ -328,49 +381,30 @@ def test_log_without_a_complete_record_refused(tmp_path, rng, cut):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("field", ["magic", "version", "digest", "metadata", "weights",
-                                   "trailer"])
+@pytest.mark.parametrize("field", ["magic", "version", "digest", "metadata-length", "metadata",
+                                   "header-sha", "index", "weights", "trailer"])
 def test_flipped_byte_is_a_mismatch_naming_its_record(tmp_path, rng, field):
+    # the header is written whole, so a flip anywhere in it refuses the log;
+    # a flip in a round record refuses that record instead of skipping it
     path = tmp_path / "log.frck"
-    for t in range(3):
-        _ckpt(rng, t).save(path)
-    good = path.read_bytes()
-    bounds = _record_bounds(good)
-    for i in range(3):
-        start, end = bounds[i], bounds[i + 1]
-        offset = {"magic": start, "version": start + 4, "digest": start + 6,
-                  "metadata": start + HEADER_LEN + 2, "weights": end - 32 - 8 * 5,
-                  "trailer": end - 1}[field]
-        bad = bytearray(good)
-        bad[offset] ^= 0x10
-        path.write_bytes(bytes(bad))
-        with pytest.raises(CheckpointMismatch, match=f"record {i}: "):
-            read_checkpoints(path)
+    good = _log(path, rng)
+    first = _header_end(good)
+    header = {"magic": [0], "version": [4], "digest": [6, 37],
+              "metadata-length": [HEADER_LEN - 4, HEADER_LEN - 1],
+              "metadata": [HEADER_LEN + 2], "header-sha": [first - 32, first - 1]}
+    record = {"index": [0, 3], "weights": [4, 4 + 8 * 5], "trailer": [RECORD_LEN - 1]}
+    targets = ([(offset, "header") for offset in header[field]] if field in header else
+               [(first + RECORD_LEN * i + offset, f"record {i}")
+                for i in range(3) for offset in record[field]])
+    for offset, name in targets:
+        for bit in range(8):
+            bad = bytearray(good)
+            bad[offset] ^= 1 << bit
+            path.write_bytes(bytes(bad))
+            with pytest.raises(CheckpointMismatch, match=f": {name}: "):
+                read_checkpoints(path)
     path.write_bytes(good)
     assert [c.round_index for c in read_checkpoints(path)] == [0, 1, 2]
-
-
-@pytest.mark.parametrize("offset,bit", [(HEADER_LEN - 1, 0), (HEADER_LEN - 1, 7),
-                                        (HEADER_LEN - 2, 4)])
-def test_length_corrupted_upward_is_a_mismatch_not_a_torn_tail(tmp_path, rng, offset, bit):
-    # a high bit of a metadata-length field sends the record's end past the
-    # file, as a torn append does; the record's metadata is still whole, so it
-    # is refused instead of skipped, which would resume a round early. The
-    # last case also tears the final record inside its weights.
-    path = tmp_path / "log.frck"
-    for t in range(3):
-        _ckpt(rng, t).save(path)
-    good = path.read_bytes()
-    bounds = _record_bounds(good)
-    for i, end in [(0, len(good)), (1, len(good)), (2, len(good)),
-                   (2, len(good) - 32 - 8 * 5)]:
-        (meta_len,) = struct.unpack_from("<I", good, bounds[i] + HEADER_LEN - 4)
-        bad = bytearray(good[:end])
-        bad[bounds[i] + offset] ^= 1 << bit
-        path.write_bytes(bytes(bad))
-        with pytest.raises(CheckpointMismatch,
-                           match=f"record {i}: .* whole with length {meta_len}$"):
-            read_checkpoints(path)
 
 
 # ---------------------------------------------------------------------------

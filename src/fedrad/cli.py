@@ -18,10 +18,8 @@ Set FEDRAD_LOG=error|warn|info|debug to control logging.
 
 Each command imports the modules it runs when it runs, so ``--help``,
 ``rank`` and ``report`` load neither numpy nor scipy, ``evaluate`` alone
-loads scipy, and every other command loads numpy. Started on a 2-vCPU x86
-machine, pinned to one CPU (Python 3.11.7, numpy 2.4.6, median of 11),
-``--help`` takes 0.14 s, ``rank`` 0.16 s and ``report`` 0.15 s, against
-0.074 s for a bare interpreter and 0.30 s for ``validate``.
+loads scipy, and every other command loads numpy. ``perfbench/`` measures
+what each command's start-up costs.
 """
 
 from __future__ import annotations

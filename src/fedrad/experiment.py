@@ -7,6 +7,7 @@ which is what makes re-running any stage reproduce byte-identical artifacts.
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import re
 from dataclasses import replace
@@ -144,21 +145,36 @@ def train_local_models(config: ExperimentConfig, datasets: Mapping[str, SiteData
 # ---------------------------------------------------------------------------
 # Model registry persistence: model name -> trained model
 
+def _weight_file(name: str) -> str:
+    return name.replace(":", "_") + ".frwt"
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 def save_registry(registry: Mapping[str, TrainedModel], out: Path,
                   experiment_digest: str) -> Path:
+    """Write each model's weights to its own ``.frwt`` file and ``models.json``,
+    which records each file's name, sha256 and feature config."""
     mdir = models_dir(out)
     mdir.mkdir(parents=True, exist_ok=True)
     entries = {}
     for name, model in registry.items():
-        fname = name.replace(":", "_") + ".frwt"
+        fname = _weight_file(name)
         save_weights(mdir / fname, model.weights)
-        entries[name] = {"file": fname, "feature_config": to_dict(model.feature_config)}
+        entries[name] = {"file": fname, "sha256": _sha256(mdir / fname),
+                         "feature_config": to_dict(model.feature_config)}
     path = mdir / "models.json"
     write_json(path, {"experiment": experiment_digest, "models": entries})
     return path
 
 
 def load_registry(out: Path, experiment_digest: str) -> dict[str, TrainedModel]:
+    """The models that :func:`save_registry` wrote. Raises ``ValueError``
+    naming the file when an entry names another file than its model's, or
+    when a weight file is not the one recorded (say, copied in from another
+    model or run)."""
     mdir = models_dir(out)
     path = mdir / "models.json"
     if not path.exists():
@@ -168,8 +184,16 @@ def load_registry(out: Path, experiment_digest: str) -> dict[str, TrainedModel]:
     for name, entry in doc["models"].items():
         if not re.fullmatch(r"fed|(local|fed_loo):.+", name):
             raise ValueError(f"{path}: unknown model entry {name!r}")
+        wpath = mdir / _weight_file(name)
+        if entry["file"] != wpath.name:
+            raise ValueError(f"{path}: model {name!r} names file {entry['file']!r}, "
+                             f"not {wpath.name!r}")
+        weights = load_weights(wpath)
+        if _sha256(wpath) != entry.get("sha256"):
+            raise ValueError(f"{wpath}: sha256 differs from the one {path} records "
+                             f"for model {name!r}")
         registry[name] = TrainedModel(
-            weights=load_weights(mdir / entry["file"]),
+            weights=weights,
             feature_config=from_dict(FeatureConfig, entry["feature_config"]),
         )
     return registry

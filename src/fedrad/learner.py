@@ -20,6 +20,13 @@ are single calls over contiguous rows. The true-class cells are read and
 written through one flat index, and the gradient is the reference's
 product with its operands swapped. Every result is bit-identical to the
 straightforward row-major implementation kept in the tests as the oracle.
+
+How a segmentation is made: :func:`forward` returns a transposed view of
+the class-major probabilities, and :func:`ensemble_predict` works on that
+storage as it is. It sums the weighted members class-major and picks each
+voxel's class with one strict comparison per further class, so no field is
+copied to bring its class axis last. The labels equal the oracle's
+``np.argmax`` of the row-major sum, ties going to the lower class.
 """
 
 from __future__ import annotations
@@ -281,18 +288,42 @@ def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[floa
     """Argmax of the weighted average of member probability fields (each as
     :func:`predict_proba` returns it); ties break toward the lower class
     index. ``member_weights`` are normalized by their sum; each must be
-    finite and non-negative, and their sum positive.
+    finite and non-negative, and their sum positive, and the fields must
+    share one shape. An average that is NaN at any voxel (a NaN, or an
+    infinity times a zero weight) raises ``ValueError``.
+
+    The average is summed class-major: each field's class axis is moved
+    first, which for a field from :func:`forward` is a contiguous view of
+    its storage, and member k adds ``mw[k] * field`` through one reused
+    buffer, the row-major sum's arithmetic in its order. The class is then
+    picked over the C contiguous rows: a strict ``>`` against the running
+    maximum moves a voxel to a later class only when that class is higher,
+    which keeps ties at the lower class as ``np.argmax`` does, and the
+    running ``np.maximum`` carries any NaN through to one check at the end.
     """
     mw = np.asarray(member_weights, dtype=np.float64)
     # a NaN weight fails no comparison, so finiteness is checked on its own
     if (len(fields) == 0 or mw.shape != (len(fields),) or not np.isfinite(mw).all()
             or mw.min() < 0 or mw.sum() <= 0):
         raise ValueError("ensemble needs at least one member and one valid weight each")
+    if any(f.shape != fields[0].shape for f in fields):
+        raise ValueError("ensemble members' fields differ in shape: "
+                         f"{sorted({f.shape for f in fields})}")
     mw = mw / mw.sum()
-    acc = None
-    for k, probs in enumerate(fields):
-        acc = mw[k] * probs if acc is None else acc + mw[k] * probs
-    return LabelMask(id=mask_id, labels=np.argmax(acc, axis=-1).astype(np.uint8))
+    acc = mw[0] * np.moveaxis(fields[0], -1, 0)
+    term = np.empty_like(acc)
+    for k in range(1, len(fields)):
+        np.multiply(mw[k], np.moveaxis(fields[k], -1, 0), out=term)
+        acc += term
+    best = acc[0]  # acc is this call's own array, so its first row is the running maximum
+    labels = np.zeros(best.shape, dtype=np.uint8)
+    for c in range(1, acc.shape[0]):
+        labels[acc[c] > best] = c
+        np.maximum(best, acc[c], out=best)
+    if np.isnan(best).any():
+        raise ValueError(f"{mask_id}: ensemble average is NaN at "
+                         f"{int(np.isnan(best).sum())} voxels")
+    return LabelMask(id=mask_id, labels=labels)
 
 
 def save_weights(path: Path, w: np.ndarray) -> None:

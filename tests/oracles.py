@@ -272,14 +272,22 @@ def reference_ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volum
         mw = mw / mw.sum()
 
     cache: dict[FeatureConfig, np.ndarray] = {}
-    acc = None
+    fields = []
     for k, w in enumerate(weights_list):
         fc = configs[k] if configs is not None else config
         if fc not in cache:
             cache[fc] = extract_features(volume, fc)
-        probs = forward(w, cache[fc])
+        fields.append(forward(w, cache[fc]))
+    return LabelMask(id=volume.id, labels=reference_ensemble_labels(fields, mw))
+
+
+def reference_ensemble_labels(fields: Sequence[np.ndarray], mw: np.ndarray) -> np.ndarray:
+    """``np.argmax`` over the last axis of the row-major sum of ``mw[k] *
+    fields[k]``, with ``mw`` already normalized."""
+    acc = None
+    for k, probs in enumerate(fields):
         acc = mw[k] * probs if acc is None else acc + mw[k] * probs
-    return LabelMask(id=volume.id, labels=np.argmax(acc, axis=-1).astype(np.uint8))
+    return np.argmax(acc, axis=-1).astype(np.uint8)
 
 
 def reference_predictions(scenario, datasets, registry):

@@ -404,8 +404,8 @@ def test_serve_refuses_a_log_short_of_the_final_round(config_file, monkeypatch, 
 
 def test_evaluate_reads_only_test_grids(config_file, capsys):
     # scoring needs the test samples alone; a missing training grid changes
-    # nothing, and a corrupt test grid or model file is still refused,
-    # naming the file
+    # nothing, and a corrupt test grid or model file, or a model file copied
+    # over another, is still refused, naming the file
     path, config = config_file
     out = Path(config.output_dir)
     for stage in ("gen", "train-sim", "evaluate"):
@@ -434,6 +434,21 @@ def test_evaluate_reads_only_test_grids(config_file, capsys):
     assert f"{model}: non-finite weights" in err
     assert "Traceback" not in err
     model.write_bytes(good)
+
+    # valid weights copied in from another model are refused as well, and no
+    # metrics are written from them
+    local = models_dir(out) / "local_s0.frwt"
+    good_local = local.read_bytes()
+    local.write_bytes(good)
+    for p in outputs:
+        p.unlink()
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{local}: sha256 differs" in err
+    assert "Traceback" not in err
+    assert not any(p.exists() for p in outputs)
+    local.write_bytes(good_local)
 
     test_id = min(k for k, v in split.items() if v == "test")
     corrupted = corrupt_grid_file(s0, test_id, seed=3)

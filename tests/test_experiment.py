@@ -1,6 +1,8 @@
 import enum
+import hashlib
 import itertools
 import json
+import re
 import shutil
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
@@ -259,6 +261,36 @@ def test_registry_roundtrip(tmp_path, rng):
         write_json(path, {**doc, "models": {**doc["models"], name: doc["models"]["fed"]}})
         with pytest.raises(ValueError, match=f"unknown model entry {name!r}"):
             exp.load_registry(tmp_path, "e" * 64)
+
+
+def test_registry_refuses_weight_files_it_did_not_write(tmp_path, rng):
+    # a .frwt copied in from another model (or run) holds valid weights, so
+    # only the sha256 that models.json records tells it apart
+    fc = FeatureConfig(shift=-500.0, scale=60.0, clip_low=-900.0, clip_high=100.0)
+    registry = {name: TrainedModel(rng.normal(size=WEIGHT_LEN), fc)
+                for name in ("local:s0", "fed")}
+    path = exp.save_registry(registry, tmp_path, "e" * 64)
+    doc = json.loads(path.read_text())
+    fed, local = path.parent / "fed.frwt", path.parent / "local_s0.frwt"
+    assert doc["models"]["fed"]["sha256"] == hashlib.sha256(fed.read_bytes()).hexdigest()
+
+    good = local.read_bytes()
+    local.write_bytes(fed.read_bytes())
+    with pytest.raises(ValueError, match=re.escape(
+            f"{local}: sha256 differs from the one {path} records for model 'local:s0'")):
+        exp.load_registry(tmp_path, "e" * 64)
+    local.write_bytes(good)
+
+    for entry, message in (
+            ({**doc["models"]["fed"], "file": "local_s0.frwt"},
+             "model 'fed' names file 'local_s0.frwt', not 'fed.frwt'"),
+            ({k: v for k, v in doc["models"]["fed"].items() if k != "sha256"},
+             f"{fed}: sha256 differs")):
+        write_json(path, {**doc, "models": {**doc["models"], "fed": entry}})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            exp.load_registry(tmp_path, "e" * 64)
+    write_json(path, doc)
+    assert set(exp.load_registry(tmp_path, "e" * 64)) == set(registry)
 
 
 def _train_sim(config, path):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, make_sample
-from oracles import (finite_diff_grad, padded_gradient_magnitude, reference_forward,
-                     reference_loss_and_grad, reference_train_epochs, scipy_extract_features)
+from oracles import (finite_diff_grad, padded_gradient_magnitude, reference_ensemble_labels,
+                     reference_forward, reference_loss_and_grad, reference_train_epochs,
+                     scipy_extract_features)
 
 from fedrad.dataset import Volume, generate_site_dataset
 from fedrad.experiment import default_profiles
@@ -262,6 +263,17 @@ def test_train_epochs_chaining_matches_reference_bitwise(rng):
         assert np.array_equal(w_new, w_ref), t
 
 
+def test_train_epochs_trains_on_a_single_row(rng):
+    # only an empty matrix is refused: one row is a matrix every batch draws from
+    features, labels = _site_like_matrix(rng)
+    features, labels = features[:1], labels[:1]
+    w0 = rng.normal(scale=0.3, size=WEIGHT_LEN)
+    cfg = TrainConfig(epochs=2, batches_per_epoch=3, batch_size=4, learning_rate=0.5, seed=7)
+    w = train_epochs(w0, features, labels, cfg)
+    assert not np.array_equal(w, w0)
+    assert np.array_equal(w, reference_train_epochs(w0, features, labels, cfg))
+
+
 def _reference_cases(rng):
     """(weights, features, labels) batches for the bitwise oracles: site-like
     batches of every size, saturated ones whose true-class probability
@@ -441,6 +453,10 @@ def test_ensemble_validation(rng):
     p = predict_proba(np.zeros(WEIGHT_LEN), vol, FC)
     with pytest.raises(ValueError):
         ensemble_predict([p], [1.0, 2.0], vol.id)
+    # a smaller field is refused in either order, not broadcast
+    for fields in ([p, p[:1]], [p[:1], p]):
+        with pytest.raises(ValueError, match="differ in shape"):
+            ensemble_predict(fields, [1.0, 1.0], vol.id)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -463,6 +479,84 @@ def test_spec_is_two_member_average(rng):
     direct = 0.5 * px + 0.5 * pl
     via_members = ensemble_predict([px, pl], [0.5, 0.5], vol.id)
     assert np.array_equal(via_members.labels, np.argmax(direct, axis=-1).astype(np.uint8))
+
+
+def test_ensemble_ignores_a_zero_weight_member(rng):
+    vol = Volume(id="v", intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
+                 spacing=(1, 1, 1))
+    p = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
+    q = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
+    alone = ensemble_predict([p], [1.0], vol.id).labels
+    assert not np.array_equal(alone, ensemble_predict([q], [1.0], vol.id).labels)
+    assert np.array_equal(ensemble_predict([p, q], [1.0, 0.0], vol.id).labels, alone)
+
+
+def test_ensemble_refuses_all_zero_weights():
+    vol = Volume(id="v", intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
+    p = predict_proba(np.zeros(WEIGHT_LEN), vol, FC)
+    for weights in ([0.0], [0.0, 0.0], [0.0, -0.0, 0.0]):
+        with pytest.raises(ValueError, match="valid weight"):
+            ensemble_predict([p] * len(weights), weights, vol.id)
+
+
+@pytest.mark.parametrize("class_id", range(4))
+def test_ensemble_refuses_a_nan_average(rng, class_id):
+    # one NaN cell, in any class, used to come out as that voxel's label
+    vol = Volume(id="v", intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
+                 spacing=(1, 1, 1))
+    p = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
+    nan = p.copy()
+    nan[1, 2, 3, class_id] = np.nan
+    for fields in ([nan], [p, nan], [nan, p, p]):
+        with pytest.raises(ValueError, match="v: ensemble average is NaN at 1 voxels"):
+            ensemble_predict(fields, [1.0] * len(fields), vol.id)
+    # an infinity times a zero member weight is NaN too
+    inf = p.copy()
+    inf[4, 5, 6, class_id] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN at 1 voxels"):
+        ensemble_predict([p, inf], [1.0, 0.0], vol.id)
+
+
+def _tied_fields(rng, n_members, layout, shape=(5, 6, 7)):
+    """Seeded probability-like fields of shape ``shape + (4,)`` with exact ties.
+
+    Each voxel gives its four classes levels from 0..2, shared by every
+    member, and member k maps the levels through its own increasing values;
+    so classes of equal level are equal in every member and in any weighted
+    sum, and four classes on three levels tie at every voxel. ``layout``
+    "class-major" gives each field as :func:`forward` does, a transposed view
+    of class-major storage; "contiguous" gives C-contiguous fields; "mixed"
+    alternates the two.
+    """
+    levels = rng.integers(0, 3, size=(4,) + shape)
+    fields = []
+    for k in range(n_members):
+        values = np.sort(rng.random(3))
+        class_major = np.moveaxis(values[levels], 0, -1)
+        contiguous = layout == "contiguous" or (layout == "mixed" and k % 2)
+        fields.append(np.ascontiguousarray(class_major) if contiguous else class_major)
+    return fields
+
+
+@pytest.mark.parametrize("layout", ["class-major", "contiguous", "mixed"])
+@pytest.mark.parametrize("n_members", range(1, 8))
+def test_ensemble_matches_row_major_argmax_oracle(n_members, layout):
+    rng = np.random.default_rng(1000 * n_members + len(layout))
+    fields = _tied_fields(rng, n_members, layout)
+    weights = rng.random(n_members) + 0.01
+    if n_members > 2:
+        weights[1] = 0.0
+    mw = weights / weights.sum()
+    want = reference_ensemble_labels(fields, mw)
+    got = ensemble_predict(fields, weights, "v")
+    assert got.labels.dtype == np.uint8
+    assert np.array_equal(got.labels, want)
+    # every pair of classes ties at the top of the average somewhere
+    avg = sum(mw[k] * f for k, f in enumerate(fields))
+    top = avg == avg.max(axis=-1, keepdims=True)
+    for a in range(4):
+        for b in range(a + 1, 4):
+            assert (top[..., a] & top[..., b]).any(), (a, b)
 
 
 def test_build_training_matrix_orders_by_sample_id(rng):

@@ -96,9 +96,9 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
     and a member it lacks raises ``KeyError`` before any scoring.
 
     Per test sample, each member model's probability field is computed once
-    and shared by every variant of every scenario; only one sample's fields
-    are held at a time. Each (scenario, variant, sample) is still predicted
-    and scored on its own.
+    and shared by every variant of every scenario, as is one ``score_pair``
+    memo; only one sample's fields and memo are held at a time. Each
+    (scenario, variant, sample) is still predicted and scored on its own.
     """
     # imported here: scoring needs numpy and scipy.ndimage, which ranking never does
     from .learner import ensemble_predict, predict_proba
@@ -121,6 +121,7 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
     for eval_site in roster:
         for sample in sorted(datasets[eval_site].test, key=lambda s: s.sample_id):
             fields: dict[str, np.ndarray] = {}
+            memo, spacing = {}, sample.volume.spacing
             for out, members in checklists[eval_site]:
                 for name, _ in members:
                     if name not in fields:
@@ -130,7 +131,7 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
                 pred = ensemble_predict([fields[n] for n, _ in members],
                                         [mw for _, mw in members], sample.volume.id)
                 for class_id in LESION_CLASSES:
-                    out.extend(score_pair(pred, sample.mask, class_id, sample.volume.spacing))
+                    out.extend(score_pair(pred, sample.mask, class_id, spacing, memo))
     return [ScenarioResult(scenario=scenario, records=scenario_records)
             for scenario, scenario_records in zip(scenarios, records)]
 

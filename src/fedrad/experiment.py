@@ -172,18 +172,28 @@ def save_registry(registry: Mapping[str, TrainedModel], out: Path,
 
 def load_registry(out: Path, experiment_digest: str) -> dict[str, TrainedModel]:
     """The models that :func:`save_registry` wrote. Raises ``ValueError``
-    naming the file when an entry names another file than its model's, or
-    when a weight file is not the one recorded (say, copied in from another
-    model or run)."""
+    naming the file and the field when an entry is malformed or names
+    another file than its model's, or when a weight file is not the one
+    recorded (say, copied in from another model or run)."""
     mdir = models_dir(out)
     path = mdir / "models.json"
     if not path.exists():
         raise FileNotFoundError(f"{path}: no trained models (run training first)")
     doc = read_stamped_json(path, experiment_digest)
+    if not isinstance(doc.get("models"), dict):
+        raise ValueError(f"{path}: models is not an object")
     registry = {}
     for name, entry in doc["models"].items():
         if not re.fullmatch(r"fed|(local|fed_loo):.+", name):
             raise ValueError(f"{path}: unknown model entry {name!r}")
+        field = f"{path}: models[{name!r}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{field} is not an object")
+        for key in ("file", "feature_config"):
+            if key not in entry:
+                raise ValueError(f"{field}.{key} is missing")
+        feature_config = from_dict(FeatureConfig, entry["feature_config"],
+                                   f"{field}.feature_config")
         wpath = mdir / _weight_file(name)
         if entry["file"] != wpath.name:
             raise ValueError(f"{path}: model {name!r} names file {entry['file']!r}, "
@@ -192,10 +202,7 @@ def load_registry(out: Path, experiment_digest: str) -> dict[str, TrainedModel]:
         if _sha256(wpath) != entry.get("sha256"):
             raise ValueError(f"{wpath}: sha256 differs from the one {path} records "
                              f"for model {name!r}")
-        registry[name] = TrainedModel(
-            weights=weights,
-            feature_config=from_dict(FeatureConfig, entry["feature_config"]),
-        )
+        registry[name] = TrainedModel(weights=weights, feature_config=feature_config)
     return registry
 
 

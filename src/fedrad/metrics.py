@@ -22,15 +22,12 @@ computes it (integer index differences as float64, times the spacing,
 squared and summed in axis order), so both give the same bytes; scipy is
 used only for the boundary's erosion.
 
-:func:`score_pair` builds each side's work once per reference: a side is
-one labels array and one class, and its work is the class set, its
-presence and its boundary voxels. The four values of one (reference,
-class, prediction) are computed once too, from one surface-distance
-computation. Every later pair that shares the
-reference, and every prediction byte-identical to one already scored
-against it, reuses that work. Entries are keyed by the labels' bytes, shape
-and dtype, the class and the spacing, and scoring against a reference of
-other content drops them all. The public ``dsc``/``nsd``/``hsd``/``nave``
+:func:`score_pair` reuses work through a memo that its caller keeps for one
+reference at one spacing (``evaluate`` keeps one per test sample): the
+reference's class set and boundary voxels are built once per class, and
+the four values once per (prediction content, class), from one
+surface-distance computation; a prediction byte-identical to one already
+scored is not scored again. The public ``dsc``/``nsd``/``hsd``/``nave``
 compute everything afresh and are the reference that ``score_pair`` must
 equal bit for bit.
 
@@ -39,7 +36,6 @@ The records and their CSV files are defined in :mod:`fedrad.records`.
 
 from __future__ import annotations
 
-import threading
 from functools import cached_property
 from typing import Sequence
 
@@ -185,89 +181,49 @@ def nave(pred: LabelMask, ref: LabelMask, class_id: int) -> float:
 class _ClassSet:
     """One side of a pair: the voxels of one class in one labels array."""
 
-    def __init__(self, labels: np.ndarray, class_id: int, spacing: tuple[float, ...]):
+    def __init__(self, labels: np.ndarray, class_id: int):
         self.mask = labels == class_id
         self.present = bool(self.mask.any())
-        self.spacing = spacing
-        self._scores: dict[_ClassSet, dict[str, float]] = {}
 
     @cached_property
     def points(self) -> tuple[np.ndarray, ...]:
         return _boundary_points(self.mask)
 
-    def scores(self, pred: _ClassSet) -> dict[str, float]:
-        """The four metric values with this set, present, as the reference
-        and ``pred``, present, as the prediction; computed once per
-        prediction."""
-        found = self._scores.get(pred)
-        if found is None:
-            d_ref, d_pred = _surface_distances(self.points, pred.points, self.spacing)
-            found = self._scores[pred] = {
-                METRIC_DSC: _dsc(pred.mask, self.mask),
-                METRIC_NSD: _nsd(d_ref, d_pred),
-                METRIC_HSD: _hsd(d_ref, d_pred),
-                METRIC_NAVE: _nave(pred.mask, self.mask),
-            }
-        return found
+
+def _score(p: _ClassSet, r: _ClassSet,
+           spacing: Sequence[float]) -> tuple[RecordStatus, dict[str, float]]:
+    """The status and four metric values of prediction ``p`` against
+    reference ``r``, routed by presence (see the module docstring)."""
+    if r.present and p.present:
+        d_ref, d_pred = _surface_distances(r.points, p.points, tuple(float(s) for s in spacing))
+        return RecordStatus.SCORED, {
+            METRIC_DSC: _dsc(p.mask, r.mask),
+            METRIC_NSD: _nsd(d_ref, d_pred),
+            METRIC_HSD: _hsd(d_ref, d_pred),
+            METRIC_NAVE: _nave(p.mask, r.mask),
+        }
+    if r.present:
+        return RecordStatus.FN_DEFAULTED, FN_DEFAULTS
+    status = RecordStatus.FP_SKIPPED if p.present else RecordStatus.TN_SKIPPED
+    return status, {m: float("nan") for m in METRICS}
 
 
-# The class sets scored against the current reference, by content key. The
-# lock makes swapping the scope atomic; filling one needs none, because a set
-# is a function of its key and a race only builds it twice.
-_scope_lock = threading.Lock()
-_scope_ref: tuple = ()
-_scope_sets: dict[tuple, _ClassSet] = {}
-
-
-def _content(labels: np.ndarray) -> tuple:
-    return labels.tobytes(), labels.shape, labels.dtype.str
-
-
-def _scope(key: tuple) -> dict[tuple, _ClassSet]:
-    """The class sets kept for the reference of content ``key``; a
-    reference of new content starts an empty scope."""
-    global _scope_ref, _scope_sets
-    with _scope_lock:
-        if _scope_ref != key:
-            _scope_ref, _scope_sets = key, {}
-        return _scope_sets
-
-
-def _class_set(sets: dict[tuple, _ClassSet], content: tuple, labels: np.ndarray,
-               class_id: int, spacing: tuple[float, ...]) -> _ClassSet:
-    """The class set of ``labels``, of content key ``content``."""
-    key = content + (class_id, spacing)
-    found = sets.get(key)
-    if found is None:
-        found = sets[key] = _ClassSet(labels, class_id, spacing)
-    return found
-
-
-def score_pair(pred: LabelMask, ref: LabelMask, class_id: int,
-               spacing: Sequence[float]) -> list[MetricRecord]:
+def score_pair(pred: LabelMask, ref: LabelMask, class_id: int, spacing: Sequence[float],
+               memo: dict | None = None) -> list[MetricRecord]:
     """Score one (prediction, reference, class) pair into four records.
 
-    Each side's class set and boundary, and the pair's four values, are
-    built once per reference content (see the module docstring).
+    ``memo`` is a dict the caller keeps for one reference at one spacing and
+    passes to every call for it; it holds the reference's class set under
+    the class id, and each prediction's status and values under (its bytes,
+    its dtype, the class id). Without one the pair is scored afresh.
     """
     _check_dims(pred, ref)
-    spacing = tuple(float(s) for s in spacing)
-    ref_key = _content(ref.labels)
-    sets = _scope(ref_key)
-    r = _class_set(sets, ref_key, ref.labels, class_id, spacing)
-    p = _class_set(sets, _content(pred.labels), pred.labels, class_id, spacing)
-    in_pred, in_ref = p.present, r.present
-    sid = ref.id
-
-    if in_ref and in_pred:
-        values = r.scores(p)
-        status = RecordStatus.SCORED
-    elif in_ref:
-        values = dict(FN_DEFAULTS)
-        status = RecordStatus.FN_DEFAULTED
-    else:
-        values = {m: float("nan") for m in METRICS}
-        status = RecordStatus.FP_SKIPPED if in_pred else RecordStatus.TN_SKIPPED
-
-    return [MetricRecord(sample_id=sid, class_id=class_id, metric=m,
+    memo = {} if memo is None else memo
+    key = (pred.labels.tobytes(), pred.labels.dtype.str, class_id)
+    if key not in memo:
+        if class_id not in memo:
+            memo[class_id] = _ClassSet(ref.labels, class_id)
+        memo[key] = _score(_ClassSet(pred.labels, class_id), memo[class_id], spacing)
+    status, values = memo[key]
+    return [MetricRecord(sample_id=ref.id, class_id=class_id, metric=m,
                          value=values[m], status=status) for m in METRICS]

@@ -130,12 +130,20 @@ def read_manifest(site_dir: Path) -> dict:
         raise GridFormatError(f"{path}: site_id is not a string")
     if not isinstance(manifest.get("samples"), list):
         raise GridFormatError(f"{path}: samples is not a list")
+    sample_ids = set()
     for i, entry in enumerate(manifest["samples"]):
         if not isinstance(entry, dict):
             raise GridFormatError(f"{path}: samples[{i}] is not an object")
         for key in _ENTRY_STRINGS:
             if not isinstance(entry.get(key), str):
                 raise GridFormatError(f"{path}: samples[{i}].{key} is not a string")
+        for key in ("volume_file", "mask_file"):
+            # a grid file lies in the site directory itself
+            if entry[key] in ("", ".", "..") or Path(entry[key]).name != entry[key]:
+                raise GridFormatError(f"{path}: samples[{i}].{key} is not a bare file name")
+        if entry["sample_id"] in sample_ids:
+            raise GridFormatError(f"{path}: samples[{i}].sample_id repeats an earlier entry's")
+        sample_ids.add(entry["sample_id"])
         if entry.get("split") not in SPLITS:
             raise GridFormatError(f'{path}: samples[{i}].split is not "train" or "test"')
         if entry["provenance"] not in _PROVENANCES:

@@ -402,6 +402,39 @@ def test_serve_refuses_a_log_short_of_the_final_round(config_file, monkeypatch, 
         exp.load_registry(Path(config.output_dir), config.digest)
 
 
+_FEATURES = {"shift": -500.0, "scale": 60.0, "clip_low": -900.0, "clip_high": 100.0}
+
+
+@pytest.mark.parametrize("models,named", [
+    (None, "models is not an object"),
+    ([], "models is not an object"),
+    ({"fed": "fed.frwt"}, r"models\['fed'\] is not an object"),
+    ({"fed": ["fed.frwt"]}, r"models\['fed'\] is not an object"),
+    ({"fed": {"feature_config": _FEATURES}}, r"models\['fed'\]\.file is missing"),
+    ({"fed": {"file": "fed.frwt"}}, r"models\['fed'\]\.feature_config is missing"),
+    ({"fed": {"file": "fed.frwt", "feature_config": []}},
+     r"models\['fed'\]\.feature_config: expected an object"),
+    ({"fed": {"file": "fed.frwt", "feature_config": {**_FEATURES, "scale": "x"}}},
+     r"models\['fed'\]\.feature_config\.scale"),
+], ids=["missing", "list", "entry-string", "entry-list", "file-missing",
+        "feature-config-missing", "feature-config-list", "feature-config-field"])
+def test_evaluate_malformed_models_json_is_a_usage_error(config_file, capsys, models, named):
+    from fedrad.seeding import write_json
+    path, config = config_file
+    assert main(["gen", "--config", str(path)]) == 0
+    mdir = models_dir(Path(config.output_dir))
+    mdir.mkdir(parents=True)
+    doc = {"experiment": config.digest}
+    if models is not None:
+        doc["models"] = models
+    write_json(mdir / "models.json", doc)
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "models.json" in err and "Traceback" not in err
+    assert re.search(named, err), err
+
+
 def test_evaluate_reads_only_test_grids(config_file, capsys):
     # scoring needs the test samples alone; a missing training grid changes
     # nothing, and a corrupt test grid or model file, or a model file copied

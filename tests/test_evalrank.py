@@ -394,44 +394,32 @@ def test_run_all_scenarios_one_field_per_member_and_sample(small_dataset, monkey
 
 
 def _want_distance_calls(scenarios, datasets, registry):
-    """Surface-distance computations one evaluation needs if each distinct
-    (reference, class, prediction) among "class in both" pairs gets one per
-    reference: per run of samples with equal reference labels in evaluation
-    order (site, then sample id), the distinct (prediction labels bytes,
-    class, spacing) of the oracle loop's predictions."""
+    """Surface-distance computations one evaluation needs if each test
+    sample computes each distinct (prediction, class) among its "class in
+    both" pairs once: per (site, sample), the distinct (prediction labels
+    bytes, class) of the oracle loop's predictions."""
     from oracles import reference_predictions
     from fedrad.config import LESION_CLASSES
-    scope_of, scope, last = {}, -1, None
-    for site in sorted(datasets):
-        for sample in sorted(datasets[site].test, key=lambda s: s.sample_id):
-            content = sample.mask.labels.tobytes()
-            scope += content != last
-            scope_of[(site, sample.sample_id)], last = scope, content
-    pairs: dict[int, set] = {}
+    pairs: dict[tuple[str, str], set] = {}
     for scenario in scenarios:
         for _label, site, sample, pred in reference_predictions(scenario, datasets, registry):
             ref = sample.mask.labels
             for c in LESION_CLASSES:
                 if (ref == c).any() and (pred.labels == c).any():
-                    pairs.setdefault(scope_of[(site, sample.sample_id)], set()).add(
-                        (pred.labels.tobytes(), c, sample.volume.spacing))
+                    pairs.setdefault((site, sample.sample_id), set()).add(
+                        (pred.labels.tobytes(), c))
     return sum(len(s) for s in pairs.values())
 
 
 def test_run_scenario_one_distance_computation_per_distinct_pair(small_dataset, monkeypatch):
     """Evaluation computes the surface distances of each distinct
-    (reference, class, prediction) once, and never takes scipy's distance
-    transform."""
+    (prediction, class) of a test sample once, and never takes scipy's
+    distance transform."""
     from test_metrics import count_distance_computations
-    from fedrad import metrics
-    from fedrad.dataset import LabelMask
     registry = _registry(sites=("s1", "s2", "s3"), rng_seed=11)
     datasets = _three_site_datasets(small_dataset)
     want = _want_distance_calls(list(Scenario), datasets, registry)
     calls = count_distance_computations(monkeypatch)
-    # start from a reference that no sample has
-    flush = LabelMask(id="flush", labels=np.full((1, 1, 1), 255, dtype=np.uint8))
-    metrics.score_pair(flush, flush, 1, (1.0, 1.0, 1.0))
     results = run_scenario(list(Scenario), datasets, registry)
     assert len(calls) == want
     scored_pairs = sum(r.status is RecordStatus.SCORED for result in results

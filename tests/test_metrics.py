@@ -164,12 +164,6 @@ def test_score_pair_equals_public_metrics(rng):
                        "HSD": hsd(pred, ref, 1, spacing), "NAVE": nave(pred, ref, 1)}
 
 
-def _flush_scope():
-    """Score against a reference no test uses, so no earlier class set is kept."""
-    flush = lm(np.full((1, 2, 3), 255))
-    score_pair(flush, flush, 1, SP)
-
-
 def count_distance_computations(monkeypatch) -> list:
     """Count the surface-distance computations of ``fedrad.metrics``; the
     scipy distance transform, which it no longer needs, fails the test."""
@@ -189,50 +183,32 @@ def count_distance_computations(monkeypatch) -> list:
     return calls
 
 
-def test_score_pair_builds_two_content_keys(monkeypatch):
-    # one key for the reference, which both its scope and its class set
-    # use, and one for the prediction
-    from fedrad import metrics
-    calls = []
-    content = metrics._content
-
-    def counted(labels):
-        calls.append(1)
-        return content(labels)
-
-    monkeypatch.setattr(metrics, "_content", counted)
-    ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
-    pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
-    for class_id in (1, 2):
-        score_pair(pred, ref, class_id, SP)
-    score_pair(ref, pred, 1, SP)
-    assert len(calls) == 6
-
-
 def test_score_pair_one_distance_computation_per_pair(monkeypatch):
     calls = count_distance_computations(monkeypatch)
-    _flush_scope()
     ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
     ref.labels[5:7, 5:7, 5:7] = 2
     pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
     pred.labels[5:7, 5:7, 6:8] = 2
-    score_pair(pred, ref, 1, SP)
+    memo = {}
+    score_pair(pred, ref, 1, SP, memo)
     assert len(calls) == 1
-    score_pair(pred, ref, 1, SP)  # the same pair again
-    score_pair(LabelMask(id="p", labels=pred.labels.copy()), ref, 1, SP)  # equal content
+    score_pair(pred, ref, 1, SP, memo)  # the same pair again
+    score_pair(LabelMask(id="p", labels=pred.labels.copy()), ref, 1, SP, memo)  # equal content
     assert len(calls) == 1
-    score_pair(pred, ref, 2, SP)  # the same masks, another class
+    score_pair(pred, ref, 2, SP, memo)  # the same masks, another class
     assert len(calls) == 2
-    score_pair(cube((8, 8, 8), (1, 1, 1), (4, 3, 4)), ref, 1, SP)  # new prediction
+    score_pair(cube((8, 8, 8), (1, 1, 1), (4, 3, 4)), ref, 1, SP, memo)  # new prediction
     assert len(calls) == 3
-    score_pair(pred, ref, 1, (2.0, 1.0, 1.0))  # new spacing
+    score_pair(pred, ref, 1, (2.0, 1.0, 1.0), {})  # new spacing, new memo
     assert len(calls) == 4
     empty = lm(np.zeros((8, 8, 8)))
-    score_pair(empty, ref, 1, SP)
-    score_pair(pred, empty, 1, SP)
+    score_pair(empty, ref, 1, SP, memo)
+    score_pair(pred, empty, 1, SP, {})
     assert len(calls) == 4
-    score_pair(pred, cube((8, 8, 8), (2, 1, 1), (5, 4, 4)), 1, SP)  # new reference
+    score_pair(pred, cube((8, 8, 8), (2, 1, 1), (5, 4, 4)), 1, SP, {})  # new reference
     assert len(calls) == 5
+    score_pair(pred, ref, 1, SP)  # no memo: scored afresh
+    assert len(calls) == 6
 
 
 # Every spacing of the shipped site profiles, and one with the finest axis
@@ -309,9 +285,9 @@ def test_surface_distances_equal_scipy_on_evaluate_inputs(tmp_path, monkeypatch,
     inputs = []
     score = metrics.score_pair
 
-    def captured(pred, ref, class_id, spacing):
+    def captured(pred, ref, class_id, spacing, memo):
         inputs.append((pred.labels, ref.labels, class_id, spacing))
-        return score(pred, ref, class_id, spacing)
+        return score(pred, ref, class_id, spacing, memo)
 
     monkeypatch.setattr(metrics, "score_pair", captured)
     assert main(["evaluate", "--config", str(path)]) == 0
@@ -376,15 +352,15 @@ def _labels(rng, dims, p=0.25):
 
 
 def test_score_pair_memo_repeated_prediction(rng):
-    _flush_scope()
     sp = (2.0, 0.8, 1.3)
     ref = LabelMask(id="r", labels=_labels(rng, (7, 9, 8)))
     pred = LabelMask(id="p", labels=_labels(rng, (7, 9, 8), p=0.2))
     pred.labels[pred.labels == 3] = 0  # class 3 is a false negative
     want = {c: _public_records(pred, ref, c, sp) for c in (1, 2, 3)}
+    memo = {}
     for _ in range(3):
         for c in (1, 2, 3):
-            _assert_same(_as_tuples(score_pair(pred, ref, c, sp)), want[c])
+            _assert_same(_as_tuples(score_pair(pred, ref, c, sp, memo)), want[c])
 
 
 def test_score_pair_memo_interleaved_references(rng):
@@ -392,10 +368,12 @@ def test_score_pair_memo_interleaved_references(rng):
     refs = [LabelMask(id=k, labels=_labels(rng, (8, 6, 7))) for k in ("a", "b")]
     preds = [LabelMask(id="p", labels=_labels(rng, (8, 6, 7), p)) for p in (0.1, 0.2, 0.3)]
     preds.append(LabelMask(id="p", labels=refs[0].labels.copy()))  # a perfect prediction
+    memos = {}  # one per (reference, spacing), kept across the interleaving
     for ref, sp in ((refs[0], sp), (refs[1], sp), (refs[0], sp), (refs[0], (1.0, 1.0, 2.0))):
+        memo = memos.setdefault((ref.id, sp), {})
         for pred in preds:
             for c in (1, 2, 3):
-                _assert_same(_as_tuples(score_pair(pred, ref, c, sp)),
+                _assert_same(_as_tuples(score_pair(pred, ref, c, sp, memo)),
                              _public_records(pred, ref, c, sp))
 
 
@@ -403,53 +381,14 @@ def test_score_pair_memo_sees_labels_mutated_in_place(rng):
     sp = (1.5, 1.0, 1.0)
     ref = LabelMask(id="r", labels=_labels(rng, (6, 7, 8)))
     pred = LabelMask(id="p", labels=_labels(rng, (6, 7, 8)))
+    memo = {}
     for mutate in (pred, ref, pred):
         for c in (1, 2, 3):
-            _assert_same(_as_tuples(score_pair(pred, ref, c, sp)),
+            _assert_same(_as_tuples(score_pair(pred, ref, c, sp, memo)),
                          _public_records(pred, ref, c, sp))
         mutate.labels[1:4, 2:6, 3:7] = (mutate.labels[1:4, 2:6, 3:7] + 1) % 4
-
-
-def test_score_pair_memo_threads(rng):
-    """Threads scoring different references at once, more threads than
-    cores, get the records of a sequential run."""
-    import sys
-    import threading
-    sp = (2.0, 1.0, 1.0)
-    jobs = []
-    for k in ("a", "b", "c", "d"):
-        ref = LabelMask(id=k, labels=_labels(rng, (8, 8, 8)))
-        preds = [LabelMask(id="p", labels=_labels(rng, (8, 8, 8), p)) for p in (0.1, 0.2, 0.3)]
-        jobs.append([(pred, ref, c) for pred in preds for c in (1, 2, 3)])
-    want = [[_as_tuples(score_pair(p, r, c, sp)) for p, r, c in job] for job in jobs]
-    for job, recs in zip(jobs, want):
-        for (p, r, c), got in zip(job, recs):
-            _assert_same(got, _public_records(p, r, c, sp))
-
-    barrier = threading.Barrier(len(jobs))
-    got = [[] for _ in jobs]
-
-    def run(i):
-        barrier.wait()
-        for _ in range(100):
-            got[i].append([_as_tuples(score_pair(p, r, c, sp)) for p, r, c in jobs[i]])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, mid-call
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for i, runs in enumerate(got):
-        assert len(runs) == 100
-        for recs in runs:
-            for g, w in zip(recs, want[i]):
-                _assert_same(g, w)
+        if mutate is ref:
+            memo = {}  # a memo holds the work of one reference
 
 
 def test_boundary_metrics_with_one_empty_boundary():

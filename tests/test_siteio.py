@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,26 @@ def test_save_is_byte_deterministic(tmp_path):
     save_site_dataset(ds, tmp_path / "b", profile)
     for f in sorted((tmp_path / "a").iterdir()):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
+
+
+@pytest.mark.parametrize("edit,named", [
+    # a grid file of another site, reached through its parent directory
+    (lambda samples: samples[0].update(volume_file="../site_b/site_b-0000.vol.frvd"),
+     r"samples\[0\]\.volume_file is not a bare file name"),
+    # the same sample listed twice would train (or be scored) twice
+    (lambda samples: samples.append(dict(samples[0])),
+     r"samples\[8\]\.sample_id repeats"),
+])
+def test_manifest_entries_stay_in_their_site(tmp_path, edit, named):
+    for site_id in ("site_a", "site_b"):
+        profile = make_profile(site_id=site_id, seed=15)
+        save_site_dataset(generate_site_dataset(profile), tmp_path / site_id, profile)
+    path = tmp_path / "site_a" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["samples"])
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(GridFormatError, match=named):
+        load_site_dataset(tmp_path / "site_a")
 
 
 def test_missing_manifest(tmp_path):

@@ -85,10 +85,24 @@ MALFORMED_MANIFESTS = [
      r"samples\[1\]\.split"),
     ({"site_id": "x", "samples": [dict(_ENTRY, provenance="bogus")]},
      r"samples\[0\]\.provenance"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, volume_file="../b/b-0000.vol.frvd")]},
+     r"samples\[0\]\.volume_file"),
+    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b", mask_file="b/a.mask.frvd")]},
+     r"samples\[1\]\.mask_file"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, volume_file="/tmp/a.vol.frvd")]},
+     r"samples\[0\]\.volume_file"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, mask_file="..")]}, r"samples\[0\]\.mask_file"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, mask_file=".")]}, r"samples\[0\]\.mask_file"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, volume_file="")]},
+     r"samples\[0\]\.volume_file"),
+    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, split="train")]},
+     r"samples\[1\]\.sample_id"),
 ]
 MALFORMED_IDS = ["site-id-missing", "site-id-int", "samples-missing", "samples-object",
                  "entry-int", "sample-id-null", "volume-file-list", "mask-file-missing",
-                 "provenance-int", "split-missing", "split-unknown", "provenance-unknown"]
+                 "provenance-int", "split-missing", "split-unknown", "provenance-unknown",
+                 "volume-file-parent", "mask-file-subdir", "volume-file-absolute",
+                 "mask-file-dotdot", "mask-file-dot", "volume-file-empty", "sample-id-repeated"]
 
 
 @pytest.mark.parametrize("fields,named", MALFORMED_MANIFESTS, ids=MALFORMED_IDS)

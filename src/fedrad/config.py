@@ -147,6 +147,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if not self.sites:
+            raise ValueError("at least one site is required")
         if self.aggregation not in (AGG_STRICT, AGG_TOLERANT):
             raise ValueError(f"unknown aggregation mode {self.aggregation!r}")
         if self.transport not in (TRANSPORT_SIM, TRANSPORT_TCP):
@@ -173,29 +175,12 @@ class ExperimentConfig:
         return digest_of(to_dict(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ServerParams:
-    """Everything the server side of an experiment needs."""
+    """The experiment a server runs, and where it commits its checkpoint log."""
 
-    expected_sites: tuple[str, ...]
-    rounds: int
-    train: TrainConfig
-    experiment_seed: int
-    experiment_digest: str
-    aggregation: str = AGG_STRICT
-    round_timeout_s: float = 60.0
-    setup_timeout_s: float = 120.0
+    config: ExperimentConfig
     checkpoint_dir: Path | None = None
-
-    def __post_init__(self):
-        if not self.expected_sites:
-            raise ValueError("at least one expected site is required")
-        if self.aggregation not in (AGG_STRICT, AGG_TOLERANT):
-            raise ValueError(f"unknown aggregation mode {self.aggregation!r}")
-        # the form of ExperimentConfig.digest, which a checkpoint log reads back as bytes
-        if len(self.experiment_digest) != 64 or self.experiment_digest.strip("0123456789abcdef"):
-            raise ValueError("experiment_digest must be 64 lowercase hex characters")
-        self.expected_sites = tuple(sorted(self.expected_sites))
 
 
 def load_config(path: Path) -> ExperimentConfig:

@@ -216,16 +216,10 @@ def split(samples: Sequence[Sample], test_fraction: float, stratify_class: int,
     has = [s for s in ordered if (s.mask.labels == stratify_class).any()]
     lacks = [s for s in ordered if not (s.mask.labels == stratify_class).any()]
 
-    k_total = _round_half_up(test_fraction * n)
+    # _round_half_up is monotone and test_fraction < 1, so
+    # 0 <= k_strat <= len(has) and 0 <= k_comp <= len(lacks)
     k_strat = _round_half_up(test_fraction * len(has))
-    k_comp = k_total - k_strat
-    if k_comp < 0:
-        k_strat += k_comp
-        k_comp = 0
-    if k_comp > len(lacks):
-        k_strat += k_comp - len(lacks)
-        k_comp = len(lacks)
-    k_strat = min(max(k_strat, 0), len(has))
+    k_comp = _round_half_up(test_fraction * n) - k_strat
 
     rng = rng_from(seed, "split")
     test_ids: set[str] = set()

@@ -190,17 +190,15 @@ def rank(values: Mapping[tuple[str, str, str], float],
     """Rank models per (site, metric) cell and average into the overall score.
 
     ``values`` maps (model, site, metric) to that model's mean metric value.
-    ``METRIC_DIRECTIONS`` says lower is better for "asc" metrics; higher is
-    better for the rest. Tied values share the average of the positions they
-    span. Every model must populate every cell unless ``allow_missing`` is
-    set (scenarios with per-site rosters, where a model's overall score
-    averages over the cells it appears in).
+    Only the metrics of ``METRICS`` are ranked, lower being better for the
+    "asc" ones of ``METRIC_DIRECTIONS``. Tied values share the average of
+    the positions they span. Every model must populate every cell unless
+    ``allow_missing`` is set (scenarios with per-site rosters, where a
+    model's overall score averages over the cells it appears in).
     """
     models = sorted({k[0] for k in values})
     sites = sorted({k[1] for k in values})
     metric_names = [m for m in METRICS if any(k[2] == m for k in values)]
-    extra = sorted({k[2] for k in values} - set(metric_names))
-    metric_names += extra
 
     if not allow_missing:
         missing = [(m, s, met) for m in models for s in sites for met in metric_names
@@ -215,7 +213,7 @@ def rank(values: Mapping[tuple[str, str, str], float],
             if not present:
                 continue
             vals = [float(values[(m, site, metric)]) for m in present]
-            ascending = METRIC_DIRECTIONS.get(metric, "desc") == "asc"
+            ascending = METRIC_DIRECTIONS[metric] == "asc"
             ranks = average_ranks(vals if ascending else [-v for v in vals])
             for m, r in zip(present, ranks):
                 cell_ranks[(m, site, metric)] = r

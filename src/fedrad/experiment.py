@@ -46,17 +46,7 @@ def leave_out_config(config: ExperimentConfig, held_out: str) -> ExperimentConfi
 
 
 def server_params(config: ExperimentConfig, checkpoint_dir: Path | None) -> ServerParams:
-    return ServerParams(
-        expected_sites=config.site_ids,
-        rounds=config.rounds,
-        train=config.train,
-        experiment_seed=config.seed,
-        experiment_digest=config.digest,
-        aggregation=config.aggregation,
-        round_timeout_s=config.round_timeout_s,
-        setup_timeout_s=config.setup_timeout_s,
-        checkpoint_dir=checkpoint_dir,
-    )
+    return ServerParams(config, checkpoint_dir)
 
 
 def zero_fault_links(config: ExperimentConfig) -> tuple[SiteLink, ...]:

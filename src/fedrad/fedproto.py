@@ -29,7 +29,6 @@ is a :class:`fedrad.config.ExperimentAborted`, which this module re-exports.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import queue
@@ -48,7 +47,7 @@ from .config import AGG_STRICT, AGG_TOLERANT, ExperimentAborted, ServerParams
 from .dataset import Sample, SiteDataset
 from .fingerprint import DatasetFingerprint, average_fingerprints, derive_config, site_fingerprint
 from .learner import WEIGHT_LEN, build_training_matrix, save_weights, site_train_seed, train_epochs
-from .seeding import from_dict, parse_json, to_dict
+from .seeding import canonical_json, from_dict, parse_json, to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -105,9 +104,8 @@ class Checkpoint:
         # one write per commit, so a crash can tear only the record being appended
         with open(path, "ab") as f:
             if f.tell() == 0:
-                meta = json.dumps({"experiment_seed": self.experiment_seed,
-                                   "fp_avg": to_dict(self.fp_avg)},
-                                  sort_keys=True, separators=(",", ":")).encode("ascii")
+                meta = canonical_json({"experiment_seed": self.experiment_seed,
+                                       "fp_avg": to_dict(self.fp_avg)}).encode("ascii")
                 header = _LOG_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest,
                                           len(meta)) + meta
                 record = header + hashlib.sha256(header).digest() + record
@@ -188,8 +186,8 @@ def load_resume(path: Path | None, params: ServerParams) -> Checkpoint | None:
     """
     if path is None:
         return None
-    ckpt = load_checkpoint(path, expected_digest=params.experiment_digest)
-    if ckpt.experiment_seed != params.experiment_seed:
+    ckpt = load_checkpoint(path, expected_digest=params.config.digest)
+    if ckpt.experiment_seed != params.config.seed:
         raise CheckpointMismatch("checkpoint was written with a different experiment seed")
     return ckpt
 
@@ -212,9 +210,13 @@ class Federation:
 
     def __init__(self, params: ServerParams, fingerprints: Mapping[str, DatasetFingerprint],
                  resumed: Checkpoint | None = None):
-        self.params = params
-        self.fp_avg = average_fingerprints([fingerprints[s] for s in params.expected_sites])
-        self.derived = derive_config(self.fp_avg, params.experiment_seed)
+        self.config = config = params.config
+        self.fp_avg = average_fingerprints([fingerprints[s] for s in config.site_ids])
+        self.derived = derive_config(self.fp_avg, config.seed)
+        # the digest re-hashes the config, so it is read here once, not at every commit
+        self.broadcast = wire.ConfigBroadcast(
+            fp_avg=self.fp_avg, experiment_seed=config.seed, rounds=config.rounds,
+            train=config.train, experiment_digest=config.digest)
         self.checkpoint_log = None
         if params.checkpoint_dir:
             Path(params.checkpoint_dir).mkdir(parents=True, exist_ok=True)
@@ -235,19 +237,15 @@ class Federation:
             tmp.unlink(missing_ok=True)
             self._commit(tmp)
             os.replace(tmp, self.checkpoint_log)
-        self.config = wire.ConfigBroadcast(
-            fp_avg=self.fp_avg, experiment_seed=params.experiment_seed,
-            rounds=params.rounds, train=params.train,
-            experiment_digest=params.experiment_digest)
 
     def rounds(self) -> range:
         """The rounds still to run."""
-        return range(self.round_index + 1, self.params.rounds + 1)
+        return range(self.round_index + 1, self.config.rounds + 1)
 
     def _commit(self, path: Path) -> None:
         Checkpoint(round_index=self.round_index, weights=self.weights, fp_avg=self.fp_avg,
-                   experiment_seed=self.params.experiment_seed,
-                   experiment_digest=self.params.experiment_digest).save(path)
+                   experiment_seed=self.broadcast.experiment_seed,
+                   experiment_digest=self.broadcast.experiment_digest).save(path)
 
     def _abort(self, t: int, reason: str) -> ExperimentAborted:
         return ExperimentAborted(reason, round_index=t, checkpoint_path=self.checkpoint_log)
@@ -256,7 +254,7 @@ class Federation:
         """Leave ``sites`` out of round ``t``: an abort in strict mode, a
         logged exclusion in tolerant mode."""
         sites = sorted(sites)
-        if self.params.aggregation == AGG_STRICT:
+        if self.config.aggregation == AGG_STRICT:
             raise self._abort(t, f"round {t}: {why} from {sites}")
         logger.warning("round %d: excluding %s (%s, tolerant mode)", t, sites, why)
         self._excluded.setdefault(t, set()).update(sites)
@@ -268,7 +266,7 @@ class Federation:
         finite numbers, is excluded, unless it already was in round ``t``;
         with no usable delta at all the round aborts in either mode.
         """
-        missing = set(self.params.expected_sites) - set(received) - self._excluded.get(t, set())
+        missing = set(self.config.site_ids) - set(received) - self._excluded.get(t, set())
         if missing:
             self.exclude(t, missing, "no delta")
         usable = {}
@@ -286,7 +284,7 @@ class Federation:
         self.round_index = t
         if self.checkpoint_log is not None:
             self._commit(self.checkpoint_log)
-        logger.info("round %d/%d aggregated over %d sites", t, self.params.rounds,
+        logger.info("round %d/%d aggregated over %d sites", t, self.config.rounds,
                     len(usable))
 
 
@@ -358,7 +356,8 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
     registered is ignored. In tolerant mode a round closes before its
     deadline once every site has uploaded or has no open connection.
     """
-    expected = set(params.expected_sites)
+    config = params.config
+    expected = set(config.site_ids)
     resumed = load_resume(resume, params)
 
     inbox = _Inbox(listener)
@@ -382,7 +381,7 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
         """Sites the round still waits for. Tolerant mode gives up on a site
         whose connection has closed; one that re-registers is waited for."""
         pending = expected - set(received)
-        if params.aggregation == AGG_TOLERANT:
+        if config.aggregation == AGG_TOLERANT:
             pending = {s for s in pending if id(site_conn[s]) not in dead_conns}
         return pending
 
@@ -396,7 +395,7 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
     try:
         # Phase 1: registration and fingerprint collection from every site.
         fingerprints: dict[str, DatasetFingerprint] = {}
-        for conn, msg in inbox.messages(params.setup_timeout_s,
+        for conn, msg in inbox.messages(config.setup_timeout_s,
                                         lambda: set(fingerprints) != expected):
             if msg is None:
                 dead_conns.add(id(conn))
@@ -413,13 +412,13 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
                                     f"{sorted(expected - set(fingerprints))}", 0)
 
         fed = Federation(params, fingerprints, resumed)
-        broadcast(fed.config)
+        broadcast(fed.broadcast)
 
         # Phase 2: the round loop.
         for t in fed.rounds():
             broadcast(wire.RoundStart(round_index=t, weights=fed.weights))
             received: dict[str, np.ndarray] = {}
-            for conn, msg in inbox.messages(params.round_timeout_s,
+            for conn, msg in inbox.messages(config.round_timeout_s,
                                             lambda: awaited(received)):
                 site = conn_site.get(id(conn))
                 if msg is None:
@@ -431,7 +430,7 @@ def run_server(params: ServerParams, listener, *, resume: Path | None = None) ->
                     # and replay the current configuration and round.
                     if bind(conn, msg.site_id):
                         try:
-                            conn.send(fed.config)
+                            conn.send(fed.broadcast)
                             conn.send(wire.RoundStart(round_index=t, weights=fed.weights))
                         except tp.TransportClosed:
                             logger.warning("round %d: replay to %s failed", t, msg.site_id)

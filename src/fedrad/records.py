@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .config import LESION_CLASSES
 from .seeding import read_stamped_csv, stamped_csv
 
 METRIC_DSC = "DSC"
@@ -76,9 +77,10 @@ def read_metrics_csv(path) -> tuple[dict[tuple[str, str], list[MetricRecord]], s
     """Inverse of :func:`write_metrics_csv`; returns (records, digest).
 
     A file that does not open with its stamp line is refused, and so is a
-    row without seven fields, with a class or value that does not parse, an
-    unknown status, or a Scored or FNDefaulted value that is not finite; the
-    error names the file and the line.
+    row without seven fields, with a class or value that does not parse, a
+    class not in ``LESION_CLASSES``, a metric not in ``METRICS``, an unknown
+    status, or a Scored or FNDefaulted value that is not finite; the error
+    names the file and the line.
     """
     digest, lines = read_stamped_csv(path)
     records: dict[tuple[str, str], list[MetricRecord]] = {}
@@ -91,6 +93,10 @@ def read_metrics_csv(path) -> tuple[dict[tuple[str, str], list[MetricRecord]], s
                 sample_id=sample, class_id=int(class_id), metric=metric,
                 value=float(value) if value else float("nan"),
                 status=RecordStatus(status))
+            if rec.class_id not in LESION_CLASSES:
+                raise ValueError(f"class {class_id!r} is not one of {list(LESION_CLASSES)}")
+            if metric not in METRICS:
+                raise ValueError(f"metric {metric!r} is not one of {list(METRICS)}")
             if rec.included and not math.isfinite(rec.value):
                 raise ValueError(f"{status} value {value!r} is not finite")
         except ValueError as exc:

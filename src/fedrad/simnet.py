@@ -85,7 +85,7 @@ class SimResult:
 
 
 def _epoch_ns(link: SiteLink, params: ServerParams, per_batch_seconds: float) -> int:
-    base = params.train.batches_per_epoch * round(per_batch_seconds * NS_PER_S)
+    base = params.config.train.batches_per_epoch * round(per_batch_seconds * NS_PER_S)
     return round(link.speed_factor * base)
 
 
@@ -105,7 +105,8 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     the live server writes it, and ``resume`` behaves identically; a resumed
     run's timing report covers every round.
     """
-    expected = sorted(params.expected_sites)
+    config = params.config
+    expected = list(config.site_ids)
     link_by_site = {l.site_id: l for l in links}
     if fingerprints is None:
         fingerprints = {s: site_fingerprint(s, datasets[s].train)
@@ -116,14 +117,14 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
         if missing:
             raise ValueError(f"{what} missing for sites: {missing}")
     for link in links:
-        if link.crash_at_round is not None and link.crash_at_round > params.rounds:
+        if link.crash_at_round is not None and link.crash_at_round > config.rounds:
             logger.warning("%s crashes at round %d, after the experiment ends",
                            link.site_id, link.crash_at_round)
 
     resumed = load_resume(resume, params)
     # Configuration-sync phase (instantaneous on the virtual clock).
     fed = Federation(params, fingerprints, resumed)
-    sites = {s: Site(s, datasets[s].train, fed.config) for s in expected}
+    sites = {s: Site(s, datasets[s].train, fed.broadcast) for s in expected}
     timing = TimingReport()
 
     lat_ns = {s: round(link_by_site[s].latency_ms * 1_000_000) for s in expected}
@@ -131,10 +132,10 @@ def run_simulated(params: ServerParams, datasets: Mapping[str, SiteDataset],
     # A site's delta, or its abort, arrives after the RoundStart hop, one
     # local epoch and the upload hop.
     arrive_ns = {s: 2 * lat_ns[s] + train_ns[s] for s in expected}
-    timeout_ns = round(params.round_timeout_s * NS_PER_S)
+    timeout_ns = round(config.round_timeout_s * NS_PER_S)
 
     # timing depends only on links and params: rounds before a resume are timed, not rerun
-    for t in range(1, params.rounds + 1):
+    for t in range(1, config.rounds + 1):
         unavailable = apply_fault_schedule(links, t)
         # The server stops waiting at the deadline; later sites are missing.
         on_time = [s for s in expected if s not in unavailable and arrive_ns[s] <= timeout_ns]

@@ -130,7 +130,7 @@ def read_manifest(site_dir: Path) -> dict:
         raise GridFormatError(f"{path}: site_id is not a string")
     if not isinstance(manifest.get("samples"), list):
         raise GridFormatError(f"{path}: samples is not a list")
-    sample_ids = set()
+    sample_ids, grid_files = set(), set()
     for i, entry in enumerate(manifest["samples"]):
         if not isinstance(entry, dict):
             raise GridFormatError(f"{path}: samples[{i}] is not an object")
@@ -141,14 +141,20 @@ def read_manifest(site_dir: Path) -> dict:
             # a grid file lies in the site directory itself
             if entry[key] in ("", ".", "..") or Path(entry[key]).name != entry[key]:
                 raise GridFormatError(f"{path}: samples[{i}].{key} is not a bare file name")
-        if entry["sample_id"] in sample_ids:
-            raise GridFormatError(f"{path}: samples[{i}].sample_id repeats an earlier entry's")
-        sample_ids.add(entry["sample_id"])
         if entry.get("split") not in SPLITS:
             raise GridFormatError(f'{path}: samples[{i}].split is not "train" or "test"')
         if entry["provenance"] not in _PROVENANCES:
             raise GridFormatError(f"{path}: samples[{i}].provenance is not one of "
                                   f"{sorted(_PROVENANCES)}")
+        # a sample or a grid listed twice would train (or be scored) twice
+        if entry["sample_id"] in sample_ids:
+            raise GridFormatError(f"{path}: samples[{i}].sample_id repeats an earlier entry's")
+        sample_ids.add(entry["sample_id"])
+        for key in ("volume_file", "mask_file"):
+            if entry[key] in grid_files:
+                raise GridFormatError(f"{path}: samples[{i}].{key} names a grid file "
+                                      "already named")
+            grid_files.add(entry[key])
     return manifest
 
 

@@ -23,7 +23,7 @@ from oracles import (brute_dsc, brute_hsd, brute_nave, brute_nsd, finite_diff_gr
 from fedrad import experiment as exp
 from fedrad import wire
 from fedrad.cli import main as cli_main
-from fedrad.config import ServerParams, SiteLink
+from fedrad.config import ExperimentConfig, ServerParams, SiteLink
 from fedrad.dataset import LabelMask, generate_sample, generate_site_dataset
 from fedrad.evalrank import rank
 from fedrad.fedproto import ExperimentAborted, run_client, run_server
@@ -105,11 +105,8 @@ def test_criterion_1_oracle_equivalence():
         datasets = {s: datasets_all[s] for s in roster}
         for rounds in (1, 3, 10):
             train = replace(base.train, epochs=rounds)
-            params = ServerParams(
-                expected_sites=tuple(roster), rounds=rounds, train=train,
-                experiment_seed=base.seed,
-                experiment_digest=f"{n_sites:02d}{rounds:02d}".ljust(64, "0"),
-                round_timeout_s=60.0)
+            params = ServerParams(replace(base, sites=tuple(profiles[:n_sites]), links=(),
+                                          rounds=rounds, train=train))
             want, _ = sequential_federated_reference(datasets, train, base.seed, rounds)
             sim = run_simulated(params, datasets,
                                 [SiteLink(site_id=s) for s in roster])
@@ -231,9 +228,9 @@ def test_criterion_6_crash_restart(tmp_path, monkeypatch):
 
     def params(ckpt_dir):
         return ServerParams(
-            expected_sites=tuple(sorted(datasets)), rounds=rounds, train=train,
-            experiment_seed=606, experiment_digest="6" * 64,
-            checkpoint_dir=ckpt_dir, round_timeout_s=30.0)
+            ExperimentConfig(name="crash", seed=606, rounds=rounds, sites=tuple(profiles),
+                             train=train, round_timeout_s=30.0),
+            ckpt_dir)
 
     links = [SiteLink(site_id=s) for s in sorted(datasets)]
     full = run_simulated(params(None), datasets, links)
@@ -270,9 +267,9 @@ def test_criterion_7_straggler_accounting():
                 for i, s in enumerate(("fast", "slow"))]
     datasets = {p.site_id: generate_site_dataset(p) for p in profiles}
     train = replace(exp.default_config(3).train, epochs=1)
-    params = ServerParams(
-        expected_sites=("fast", "slow"), rounds=4, train=train,
-        experiment_seed=7, experiment_digest="7" * 64, round_timeout_s=1e6)
+    params = ServerParams(ExperimentConfig(name="stragglers", seed=7, rounds=4,
+                                           sites=tuple(profiles), train=train,
+                                           round_timeout_s=1e6))
     base_epoch_s = 10.0
     links = [SiteLink(site_id="fast", speed_factor=1.0),
              SiteLink(site_id="slow", speed_factor=2.0)]

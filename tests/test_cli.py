@@ -695,6 +695,18 @@ def test_config_not_an_object_is_a_usage_error(tmp_path, capsys):
         assert "cannot load config" in capsys.readouterr().err
 
 
+def test_config_without_sites_is_a_usage_error(tmp_path, capsys):
+    # every stage loads the config first, so none gets past an empty federation
+    from fedrad.experiment import default_config
+    doc = to_dict(default_config(2))
+    doc["sites"] = []
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    for stage in ("gen", "train-sim", "evaluate", "report"):
+        assert main([stage, "--config", str(path)]) == 1, stage
+        assert "at least one site is required" in capsys.readouterr().err, stage
+
+
 def test_validate_manifest_not_an_object(tmp_path, capsys):
     site = tmp_path / "site"
     site.mkdir()
@@ -763,7 +775,10 @@ def test_rank_refuses_a_metrics_file_without_records(tmp_path, capsys):
     ("FL,s0,case0,one,DSC,0.5,Scored", "'one'"),
     ("FL,s0,case0,1,DSC,0.5,Bogus", "'Bogus'"),
     ("FL,s0,case0,1,DSC,nan,Scored", "not finite"),
-], ids=["six-fields", "class-not-an-int", "unknown-status", "scored-nan"])
+    ("FL,s0,case0,1,dsc,0.5,Scored", "metric 'dsc' is not one of"),
+    ("FL,s0,case0,0,DSC,0.5,Scored", "class '0' is not one of [1, 2, 3]"),
+], ids=["six-fields", "class-not-an-int", "unknown-status", "scored-nan", "unknown-metric",
+        "class-background"])
 def test_rank_refuses_malformed_metrics_row(tmp_path, capsys, row, named):
     """A bad metrics.csv row ends `fedrad rank` with exit 1, the file and the
     line named, and no ranks written."""

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
@@ -246,6 +247,21 @@ def test_split_all_contain_stratify_class():
     samples = [make_sample(sample_id=f"p{i}", labels=lab.copy()) for i in range(10)]
     train, test = split(samples, 0.2, CLASS_PE, seed=5)
     assert len(test) == 2
+
+
+@pytest.mark.parametrize("fraction", [
+    math.nextafter(0.0, 1.0), 0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 1 / 3, 0.45, 0.5, 0.55,
+    2 / 3, 0.75, 0.99, math.nextafter(1.0, 0.0)])
+def test_split_stratum_counts_fit_their_pools(fraction):
+    # split takes k_strat of the len(has) stratum samples and k_comp of the
+    # n - len(has) others without clamping either: check every n up to 400
+    # and every stratum size h <= n
+    from fedrad.dataset import _round_half_up
+    k = np.array([_round_half_up(fraction * i) for i in range(401)])
+    n, h = np.meshgrid(np.arange(401), np.arange(401), indexing="ij")
+    k_strat, k_comp = k[h], k[n] - k[h]
+    fits = (0 <= k_strat) & (k_strat <= h) & (0 <= k_comp) & (k_comp <= n - h)
+    assert fits[(n >= 2) & (h <= n)].all()
 
 
 def test_split_errors():

@@ -11,7 +11,7 @@ import pytest
 from conftest import ServerCrash, crash_after_round, make_profile
 from oracles import sequential_federated_reference
 
-from fedrad.config import AGG_TOLERANT, ServerParams, SiteLink, TrainConfig
+from fedrad.config import AGG_TOLERANT, ExperimentConfig, ServerParams, SiteLink, TrainConfig
 from fedrad.dataset import generate_site_dataset
 from fedrad.fingerprint import DatasetFingerprint
 from fedrad.fedproto import (Checkpoint, CheckpointMismatch, ExperimentAborted, Site, aggregate,
@@ -33,12 +33,13 @@ def make_datasets(site_ids, n_samples=6, dims=(10, 10, 10)):
     return out
 
 
-def make_params(site_ids, rounds=3, ckpt_dir=None, **kw):
-    return ServerParams(
-        expected_sites=tuple(site_ids), rounds=rounds, train=TRAIN,
-        experiment_seed=12345, experiment_digest="0" * 64,
-        checkpoint_dir=ckpt_dir, round_timeout_s=kw.pop("round_timeout_s", 30.0),
-        **kw)
+def make_params(site_ids, rounds=3, ckpt_dir=None, *, train=TRAIN, round_timeout_s=30.0, **kw):
+    """A server of the experiment of ``site_ids``; ``kw`` sets other
+    :class:`ExperimentConfig` fields."""
+    config = ExperimentConfig(name="test", seed=12345, rounds=rounds,
+                              sites=tuple(make_profile(site_id=s) for s in site_ids),
+                              train=train, round_timeout_s=round_timeout_s, **kw)
+    return ServerParams(config, ckpt_dir)
 
 
 def run_experiment(params, datasets, listener=None, client_kw=None,
@@ -231,14 +232,6 @@ def test_version_4_checkpoint_refused(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("digest", ["A" * 64, "g" * 64, "a" * 63], ids=["upper", "non-hex", "short"])
-def test_server_params_take_only_the_digest_form_a_log_reads_back(digest):
-    # the log stores the digest as bytes and reads it back as lowercase hex,
-    # so a run of an uppercase digest would refuse its own log
-    with pytest.raises(ValueError, match="experiment_digest must be 64 lowercase hex characters"):
-        dataclasses.replace(make_params(["s1"]), experiment_digest=digest)
-
-
 def _meta(**fp_fields):
     """Header metadata whose fingerprint has ``fp_fields`` replaced."""
     return json.dumps({"experiment_seed": 42,
@@ -336,8 +329,8 @@ def test_log_cut_inside_its_last_record_resumes_from_the_round_before(tmp_path, 
     sites = ["s1", "s2"]
     datasets = make_datasets(sites)
     links = [SiteLink(site_id=s) for s in sites]
-    full = run_simulated(make_params(sites, rounds=3, ckpt_dir=tmp_path / "full"),
-                         datasets, links)
+    params = make_params(sites, rounds=3, ckpt_dir=tmp_path / "full")
+    full = run_simulated(params, datasets, links)
     raw = full.checkpoint_file.read_bytes()
     assert len(raw) == _header_end(raw) + 4 * RECORD_LEN  # rounds 0 to 3
     last = len(raw) - RECORD_LEN
@@ -347,7 +340,7 @@ def test_log_cut_inside_its_last_record_resumes_from_the_round_before(tmp_path, 
     for cut in range(last, len(raw)):
         torn.write_bytes(raw[:cut])
         caplog.clear()
-        got = load_checkpoint(torn, expected_digest="0" * 64)
+        got = load_checkpoint(torn, expected_digest=params.config.digest)
         assert (got.round_index, got.weights.tobytes()) == (2, before.weights.tobytes()), cut
         assert ("incomplete final record" in caplog.text) == (cut > last), cut
 
@@ -414,7 +407,7 @@ def test_run_matches_sequential_reference():
     datasets = make_datasets(["s1", "s2", "s3"])
     params = make_params(["s1", "s2", "s3"], rounds=3)
     server_out, client_out = run_experiment(params, datasets)
-    want, _ = sequential_federated_reference(datasets, TRAIN, params.experiment_seed, 3)
+    want, _ = sequential_federated_reference(datasets, TRAIN, params.config.seed, 3)
     assert np.array_equal(server_out["w"], want)
     for sid, got in client_out.items():
         assert np.array_equal(got, want), f"{sid} final model differs"
@@ -429,7 +422,7 @@ def test_single_site_equals_local_training():
     from fedrad.fingerprint import compute_fingerprint, derive_config
     from fedrad.learner import build_training_matrix, site_train_seed, train_epochs
     fp = compute_fingerprint(datasets["solo"].train)
-    derived = derive_config(fp, params.experiment_seed)
+    derived = derive_config(fp, params.config.seed)
     X, y = build_training_matrix(datasets["solo"].train, derived.feature_config)
     cfg = replace(TRAIN, epochs=4, seed=site_train_seed(TRAIN.seed, "solo"))
     local = train_epochs(derived.init_weights, X, y, cfg)
@@ -447,8 +440,8 @@ def test_client_delta_is_definitional(tmp_path):
     from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
     fps = [compute_fingerprint(datasets[s].train) for s in ("s1", "s2")]
     config = wire.ConfigBroadcast(fp_avg=average_fingerprints(fps),
-                                  experiment_seed=params.experiment_seed, rounds=1,
-                                  train=TRAIN, experiment_digest=params.experiment_digest)
+                                  experiment_seed=params.config.seed, rounds=1,
+                                  train=TRAIN, experiment_digest=params.config.digest)
     w0 = derive_config(config.fp_avg, config.experiment_seed).init_weights
     deltas = {sid: Site(sid, datasets[sid].train, config).delta(w0, 1) for sid in ("s1", "s2")}
     assert np.array_equal(server_out["w"], aggregate(w0, deltas))
@@ -460,7 +453,7 @@ def test_checkpoints_written_every_round(tmp_path):
     params = make_params(["s1", "s2"], rounds=3, ckpt_dir=ckpt_dir)
     server_out, _ = run_experiment(params, datasets)
     assert [p.name for p in ckpt_dir.iterdir()] == ["checkpoints.frck"]
-    records = read_checkpoints(checkpoint_log(ckpt_dir), params.experiment_digest)
+    records = read_checkpoints(checkpoint_log(ckpt_dir), params.config.digest)
     assert [r.round_index for r in records] == [0, 1, 2, 3]
     assert records[-1].weights.tobytes() == server_out["w"].tobytes()
     assert load_checkpoint(checkpoint_log(ckpt_dir)).round_index == 3
@@ -733,11 +726,88 @@ def test_resume_refuses_other_experiment(tmp_path, rng):
     path = tmp_path / "other.frck"
     ckpt.save(path)
     datasets = make_datasets(["s1"])
-    params = make_params(["s1"], rounds=2)  # digest 0*64 != c*64
+    params = make_params(["s1"], rounds=2)  # its digest is not c*64
     # the server refuses before accepting any connection, so no client joins
     server_out, _ = run_experiment(params, datasets, joining=[],
                                    server_kw={"resume": path})
     assert isinstance(server_out.get("exc"), CheckpointMismatch)
+
+
+def test_resume_refuses_a_log_of_another_seed(tmp_path, rng):
+    # the digest hashes the seed, so only a log written by hand gets here
+    params = make_params(["s1"], rounds=2)
+    path = tmp_path / "reseeded.frck"
+    Checkpoint(round_index=1, weights=rng.normal(size=WEIGHT_LEN), fp_avg=FP,
+               experiment_seed=params.config.seed + 1,
+               experiment_digest=params.config.digest).save(path)
+    with pytest.raises(CheckpointMismatch, match="different experiment seed"):
+        run_simulated(params, make_datasets(["s1"]), [SiteLink(site_id="s1")], resume=path)
+
+
+@pytest.mark.parametrize("network", ["sim", "live"])
+def test_resume_refuses_a_log_of_other_site_data(tmp_path, network):
+    # a log's fingerprint average must be the one the sites submit on resume
+    sites = ["s1", "s2"]
+    links = [SiteLink(site_id=s) for s in sites]
+    first = run_simulated(make_params(sites, rounds=2, ckpt_dir=tmp_path / "first"),
+                          make_datasets(sites), links)
+    params = make_params(sites, rounds=2, ckpt_dir=tmp_path / "resumed")
+    other = make_datasets(sites, n_samples=7)
+    refusal = "checkpoint fingerprint digest does not match the site data"
+    if network == "sim":
+        with pytest.raises(CheckpointMismatch, match=refusal):
+            run_simulated(params, other, links, resume=first.checkpoint_file)
+    else:
+        server_out, client_out = run_experiment(params, other,
+                                                server_kw={"resume": first.checkpoint_file})
+        assert isinstance(server_out.get("exc"), CheckpointMismatch)
+        assert refusal in str(server_out["exc"])
+        assert all(isinstance(c, ExperimentAborted) for c in client_out.values())
+    assert not checkpoint_log(tmp_path / "resumed").exists()
+
+
+def test_register_of_an_unexpected_site_is_refused():
+    # the server answers an unknown site id with an Abort and hangs up; the
+    # expected sites run to the end as if the stray had never called
+    from fedrad import wire
+    from fedrad.transport import TransportClosed
+    datasets = make_datasets(["s1", "s2"])
+    params = make_params(["s1", "s2"], rounds=2)
+    reference, _ = run_experiment(params, datasets)
+
+    hub = InProcessHub()
+    stray = hub.connect()  # accepted first
+    stray.send(wire.Register(site_id="intruder"))
+    server_out, client_out = run_experiment(params, datasets, listener=hub)
+    reply = stray.recv(timeout=10)
+    assert isinstance(reply, wire.Abort)
+    assert reply.reason == "unexpected site 'intruder'"
+    with pytest.raises(TransportClosed):
+        stray.recv(timeout=10)
+    stray.close()
+    assert "w" in server_out, server_out.get("exc")
+    assert np.array_equal(server_out["w"], reference["w"])
+    for got in client_out.values():
+        assert np.array_equal(got, reference["w"])
+
+
+def test_client_abort_during_setup_aborts_the_run():
+    # a registered site that gives up before every fingerprint is in ends
+    # the run at once, not at the setup deadline
+    from fedrad import wire
+    hub = InProcessHub()
+    site = hub.connect()
+    site.send(wire.Register(site_id="s1"))
+    site.send(wire.Abort("local data unreadable"))
+    started = time.monotonic()
+    with pytest.raises(ExperimentAborted) as aborted:
+        run_server(make_params(["s1", "s2"], rounds=1, setup_timeout_s=5.0), hub)
+    assert time.monotonic() - started < 5.0
+    assert aborted.value.reason == "client abort during setup: local data unreadable"
+    assert aborted.value.round_index == 0
+    reply = site.recv(timeout=10)
+    assert isinstance(reply, wire.Abort) and reply.reason == aborted.value.reason
+    site.close()
 
 
 def test_client_reconnect_mid_experiment():
@@ -988,7 +1058,7 @@ def test_stale_delta_ignored_until_the_real_upload():
         assert not t.is_alive()
     assert resender.stale_sent == 2  # in rounds 2 and 3
     assert "w" in server_out, server_out.get("exc")
-    want, _ = sequential_federated_reference(datasets, TRAIN, params.experiment_seed, 3)
+    want, _ = sequential_federated_reference(datasets, TRAIN, params.config.seed, 3)
     assert np.array_equal(server_out["w"], want)
     assert np.array_equal(client_out["s1"], want)
     assert np.array_equal(client_out["s2"], want)

@@ -134,7 +134,7 @@ def test_train_sim_calls_the_traced_layers_once_per_model(tmp_path, monkeypatch,
         return train_local_models(config, datasets, fingerprints)
 
     def traced_federation(params, datasets, links, **kwargs):
-        federations.append(params.expected_sites)
+        federations.append(params.config.site_ids)
         return run_simulated(params, datasets, links, **kwargs)
 
     monkeypatch.setattr(experiment, "train_local_models", traced_local)

@@ -135,6 +135,7 @@ def _config_doc(path, value):
     (("links", 0, "crash_at_round"), "later", r"^links\[0\]\.crash_at_round: "),
     (("links", 0, "speed_factor"), 0, r"^links\[0\]: site_a: speed_factor must be positive"),
     (("scenarios",), ["personalization", "personalization"], r"^ExperimentConfig: duplicate"),
+    (("sites",), [], r"^ExperimentConfig: at least one site is required"),
 ])
 def test_from_dict_names_the_field(path, value, named):
     with pytest.raises(ValueError, match=named):

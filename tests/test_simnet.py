@@ -50,10 +50,10 @@ def test_empty_schedules_never_unavailable():
 def test_simulated_matches_live_and_sequential(tmp_path):
     datasets = make_datasets(["s1", "s2", "s3"])
     params = make_params(["s1", "s2", "s3"], rounds=3)
-    sim = run_simulated(params, datasets, links_for(params.expected_sites))
+    sim = run_simulated(params, datasets, links_for(params.config.site_ids))
     assert not sim.aborted
     live_out, _ = run_experiment(params, datasets)
-    want, _ = sequential_federated_reference(datasets, TRAIN, params.experiment_seed, 3)
+    want, _ = sequential_federated_reference(datasets, TRAIN, params.config.seed, 3)
     assert np.array_equal(sim.final_weights, live_out["w"])
     assert np.array_equal(sim.final_weights, want)
 
@@ -82,7 +82,7 @@ def test_straggler_timing_exact():
 def test_homogeneous_sites_no_idle():
     datasets = make_datasets(["a", "b", "c"])
     params = make_params(["a", "b", "c"], rounds=2)
-    sim = run_simulated(params, datasets, links_for(params.expected_sites))
+    sim = run_simulated(params, datasets, links_for(params.config.site_ids))
     assert all(row.idle_ns == 0 for row in sim.timing.rows)
 
 
@@ -190,12 +190,12 @@ def test_sim_stop_and_resume_bitidentical(tmp_path, monkeypatch):
     datasets = make_datasets(["a", "b", "c"])
     rounds = 5
     full_params = make_params(["a", "b", "c"], rounds=rounds)
-    full = run_simulated(full_params, datasets, links_for(full_params.expected_sites))
+    full = run_simulated(full_params, datasets, links_for(full_params.config.site_ids))
 
     for k in (1, rounds - 1):
         ckpt_dir = tmp_path / f"ck{k}"
         params = make_params(["a", "b", "c"], rounds=rounds, ckpt_dir=ckpt_dir)
-        links = links_for(params.expected_sites)
+        links = links_for(params.config.site_ids)
         crash_after_round(monkeypatch, k)
         with pytest.raises(ServerCrash) as crash:
             run_simulated(params, datasets, links)
@@ -212,7 +212,7 @@ def test_sim_checkpoints_match_live_server(tmp_path):
     datasets = make_datasets(["a", "b"])
     sim_dir, live_dir = tmp_path / "sim", tmp_path / "live"
     sim_params = make_params(["a", "b"], rounds=2, ckpt_dir=sim_dir)
-    run_simulated(sim_params, datasets, links_for(sim_params.expected_sites))
+    run_simulated(sim_params, datasets, links_for(sim_params.config.site_ids))
     live_params = make_params(["a", "b"], rounds=2, ckpt_dir=live_dir)
     run_experiment(live_params, datasets)
     sim_bytes = checkpoint_log(sim_dir).read_bytes()
@@ -229,7 +229,7 @@ def test_new_run_replaces_the_old_log(tmp_path):
     (ckpt_dir / "checkpoints.frck").write_bytes(b"FRCK torn tail of an earlier run")
     (ckpt_dir / "checkpoints.frck.tmp").write_bytes(b"FRCK")
     params = make_params(["a", "b"], rounds=2, ckpt_dir=ckpt_dir)
-    sim = run_simulated(params, datasets, links_for(params.expected_sites))
+    sim = run_simulated(params, datasets, links_for(params.config.site_ids))
     assert sorted(p.name for p in ckpt_dir.iterdir()) == ["checkpoints.frck"]
     assert sim.checkpoint_file == checkpoint_log(ckpt_dir)
     assert [r.round_index for r in read_checkpoints(sim.checkpoint_file)] == [0, 1, 2]
@@ -285,9 +285,8 @@ def test_failed_local_epoch_aborts_alike_in_sim_and_live(tmp_path, sites, aggreg
     datasets = make_datasets(sites)
 
     def params(run):
-        return replace(make_params(sites, rounds=2, ckpt_dir=tmp_path / run,
-                                   aggregation=aggregation),
-                       train=replace(TRAIN, learning_rate=1.7e308))
+        return make_params(sites, rounds=2, ckpt_dir=tmp_path / run, aggregation=aggregation,
+                           train=replace(TRAIN, learning_rate=1.7e308))
 
     sim = run_simulated(params("sim"), datasets, links_for(sites))
     live_out, client_out = run_experiment(params("live"), datasets)

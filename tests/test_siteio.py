@@ -82,6 +82,9 @@ def test_save_is_byte_deterministic(tmp_path):
     # the same sample listed twice would train (or be scored) twice
     (lambda samples: samples.append(dict(samples[0])),
      r"samples\[8\]\.sample_id repeats"),
+    # and so would one grid listed under a second sample id
+    (lambda samples: samples.append(dict(samples[0], sample_id="copy")),
+     r"samples\[8\]\.volume_file names a grid file already named"),
 ])
 def test_manifest_entries_stay_in_their_site(tmp_path, edit, named):
     for site_id in ("site_a", "site_b"):

@@ -97,12 +97,17 @@ MALFORMED_MANIFESTS = [
      r"samples\[0\]\.volume_file"),
     ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, split="train")]},
      r"samples\[1\]\.sample_id"),
+    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b", mask_file="b.mask.frvd")]},
+     r"samples\[1\]\.volume_file"),
+    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b", volume_file="b.vol.frvd")]},
+     r"samples\[1\]\.mask_file"),
 ]
 MALFORMED_IDS = ["site-id-missing", "site-id-int", "samples-missing", "samples-object",
                  "entry-int", "sample-id-null", "volume-file-list", "mask-file-missing",
                  "provenance-int", "split-missing", "split-unknown", "provenance-unknown",
                  "volume-file-parent", "mask-file-subdir", "volume-file-absolute",
-                 "mask-file-dotdot", "mask-file-dot", "volume-file-empty", "sample-id-repeated"]
+                 "mask-file-dotdot", "mask-file-dot", "volume-file-empty", "sample-id-repeated",
+                 "volume-file-repeated", "mask-file-repeated"]
 
 
 @pytest.mark.parametrize("fields,named", MALFORMED_MANIFESTS, ids=MALFORMED_IDS)

@@ -95,13 +95,15 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
     those of ``datasets``; ``registry`` maps model names to trained models,
     and a member it lacks raises ``KeyError`` before any scoring.
 
-    Per test sample, each member model's probability field is computed once
-    and shared by every variant of every scenario, as is one ``score_pair``
-    memo; only one sample's fields and memo are held at a time. Each
-    (scenario, variant, sample) is still predicted and scored on its own.
+    Per test sample, one :func:`~fedrad.learner.predict_members` call
+    computes the probability field of each distinct member model, in the
+    order the variants first use them, and the fields are shared by every
+    variant of every scenario, as is one ``score_pair`` memo; only one
+    sample's fields and memo are held at a time. Each (scenario, variant,
+    sample) is still predicted and scored on its own.
     """
     # imported here: scoring needs numpy and scipy.ndimage, which ranking never does
-    from .learner import ensemble_predict, predict_proba
+    from .learner import ensemble_predict, predict_members
     from .metrics import score_pair
 
     roster = sorted(datasets)
@@ -119,15 +121,13 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
                 out = scenario_records[(label, eval_site)] = []
                 checklist.append((out, members))
     for eval_site in roster:
+        checklist = checklists[eval_site]
+        names = list(dict.fromkeys(name for _, members in checklist for name, _ in members))
+        models = [(registry[n].weights, registry[n].feature_config) for n in names]
         for sample in sorted(datasets[eval_site].test, key=lambda s: s.sample_id):
-            fields: dict[str, np.ndarray] = {}
+            fields = dict(zip(names, predict_members(sample.volume, models)))
             memo, spacing = {}, sample.volume.spacing
-            for out, members in checklists[eval_site]:
-                for name, _ in members:
-                    if name not in fields:
-                        model = registry[name]
-                        fields[name] = predict_proba(model.weights, sample.volume,
-                                                     model.feature_config)
+            for out, members in checklist:
                 pred = ensemble_predict([fields[n] for n, _ in members],
                                         [mw for _, mw in members], sample.volume.id)
                 for class_id in LESION_CLASSES:

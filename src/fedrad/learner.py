@@ -21,12 +21,18 @@ written through one flat index, and the gradient is the reference's
 product with its operands swapped. Every result is bit-identical to the
 straightforward row-major implementation kept in the tests as the oracle.
 
-How a segmentation is made: :func:`forward` returns a transposed view of
-the class-major probabilities, and :func:`ensemble_predict` works on that
-storage as it is. It sums the weighted members class-major and picks each
-voxel's class with one strict comparison per further class, so no field is
-copied to bring its class axis last. The labels equal the oracle's
-``np.argmax`` of the row-major sum, ties going to the lower class.
+How a segmentation is made: :func:`predict_members` computes the fields
+of all of a test volume's member models at once. It clips one copy of the
+volume per member to that member's bounds and smooths the stack in one
+pass; then, member by member, it writes the normalized features into one
+reused grid and calls :func:`forward`, so each field is the one
+:func:`predict_proba` gives, byte for byte. :func:`forward` returns a
+transposed view of the class-major probabilities, and
+:func:`ensemble_predict` works on that storage as it is. It sums the
+weighted members class-major and picks each voxel's class with one strict
+comparison per further class, so no field is copied to bring its class
+axis last. The labels equal the oracle's ``np.argmax`` of the row-major
+sum, ties going to the lower class.
 """
 
 from __future__ import annotations
@@ -128,16 +134,34 @@ def _gradient_magnitude(x: np.ndarray) -> np.ndarray:
     return np.sqrt(acc, out=acc)
 
 
+def _check_feature_config(config: FeatureConfig) -> None:
+    if not (np.isfinite(config.shift) and np.isfinite(config.scale) and config.scale > 0):
+        raise ValueError(f"invalid feature normalization: {config}")
+
+
+def _clip_and_smooth(x: np.ndarray, clip_low, clip_high) -> tuple[np.ndarray, np.ndarray]:
+    """Clip the grids stacked in ``x`` in place, float64, and return their
+    box-smoothed grids and gradient magnitudes. The bounds are scalars, or
+    arrays that broadcast one bound per stacked grid."""
+    np.clip(x, clip_low, clip_high, out=x)
+    return _box_filter(x), _gradient_magnitude(x)
+
+
+def _normalize(x: np.ndarray, smooth: np.ndarray, grad: np.ndarray, config: FeatureConfig,
+               feats: np.ndarray) -> None:
+    """Fill ``feats`` (``x.shape + (F + 1,)``) with the features of clipped
+    ``x``, its smoothed grid and its gradient magnitude."""
+    feats[..., 0] = (x - config.shift) / config.scale
+    feats[..., 1] = (smooth - config.shift) / config.scale
+    feats[..., 2] = grad / config.scale
+    feats[..., 3] = 1.0
+
+
 def _write_features(x: np.ndarray, config: FeatureConfig, feats: np.ndarray) -> None:
     """Fill ``feats`` (``x.shape + (F + 1,)``) with the features of the grids
     stacked in ``x``, float64; ``x`` is clipped in place."""
-    if not (np.isfinite(config.shift) and np.isfinite(config.scale) and config.scale > 0):
-        raise ValueError(f"invalid feature normalization: {config}")
-    np.clip(x, config.clip_low, config.clip_high, out=x)
-    feats[..., 0] = (x - config.shift) / config.scale
-    feats[..., 1] = (_box_filter(x) - config.shift) / config.scale
-    feats[..., 2] = _gradient_magnitude(x) / config.scale
-    feats[..., 3] = 1.0
+    _check_feature_config(config)
+    _normalize(x, *_clip_and_smooth(x, config.clip_low, config.clip_high), config, feats)
 
 
 def extract_features(volume: Volume, config: FeatureConfig) -> np.ndarray:
@@ -283,6 +307,36 @@ def predict_proba(w: np.ndarray, volume: Volume, config: FeatureConfig) -> np.nd
     return forward(w, extract_features(volume, config))
 
 
+def predict_members(volume: Volume,
+                    members: Sequence[tuple[np.ndarray, FeatureConfig]]) -> list[np.ndarray]:
+    """The probability field of each member model ``(weights, feature
+    config)`` on ``volume``, in member order, each equal to
+    :func:`predict_proba` of that member byte for byte.
+
+    Every member's config and weights are checked first, as
+    :func:`predict_proba` checks them, so an invalid member raises its
+    ``ValueError`` before any work. One float64 copy of the volume per member
+    is clipped to that member's bounds, and the stack is smoothed in one
+    pass. Each member's features are then written into one reused grid and
+    passed to :func:`forward`, whose result is a fresh array.
+    """
+    for w, config in members:
+        _check_feature_config(config)
+        _check_weights(w)
+    grid = volume.intensities.shape
+    x = np.empty((len(members),) + grid, dtype=np.float64)
+    x[...] = volume.intensities
+    bounds = np.array([(c.clip_low, c.clip_high) for _, c in members], dtype=np.float64)
+    bounds = bounds.reshape((len(members), 2) + (1,) * len(grid))
+    smooth, grad = _clip_and_smooth(x, bounds[:, 0], bounds[:, 1])
+    feats = np.empty(grid + (N_FEATURES + 1,), dtype=np.float64)
+    fields = []
+    for k, (w, config) in enumerate(members):
+        _normalize(x[k], smooth[k], grad[k], config, feats)
+        fields.append(forward(w, feats))
+    return fields
+
+
 def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[float],
                      mask_id: str) -> LabelMask:
     """Argmax of the weighted average of member probability fields (each as
@@ -292,9 +346,9 @@ def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[floa
     share one shape. An average that is NaN at any voxel (a NaN, or an
     infinity times a zero weight) raises ``ValueError``.
 
-    The average is summed class-major: each field's class axis is moved
-    first, which for a field from :func:`forward` is a contiguous view of
-    its storage, and member k adds ``mw[k] * field`` through one reused
+    The average is summed class-major: each field is transposed to put its
+    class axis first, which for a field from :func:`forward` is a contiguous
+    view of its storage, and member k adds ``mw[k] * field`` through one reused
     buffer, the row-major sum's arithmetic in its order. The class is then
     picked over the C contiguous rows: a strict ``>`` against the running
     maximum moves a voxel to a later class only when that class is higher,
@@ -310,10 +364,11 @@ def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[floa
         raise ValueError("ensemble members' fields differ in shape: "
                          f"{sorted({f.shape for f in fields})}")
     mw = mw / mw.sum()
-    acc = mw[0] * np.moveaxis(fields[0], -1, 0)
+    class_first = (-1,) + tuple(range(fields[0].ndim - 1))
+    acc = mw[0] * fields[0].transpose(class_first)
     term = np.empty_like(acc)
     for k in range(1, len(fields)):
-        np.multiply(mw[k], np.moveaxis(fields[k], -1, 0), out=term)
+        np.multiply(mw[k], fields[k].transpose(class_first), out=term)
         acc += term
     best = acc[0]  # acc is this call's own array, so its first row is the running maximum
     labels = np.zeros(best.shape, dtype=np.uint8)

@@ -25,7 +25,7 @@ used only for the boundary's erosion.
 :func:`score_pair` reuses work through a memo that its caller keeps for one
 reference at one spacing (``evaluate`` keeps one per test sample): the
 reference's class set and boundary voxels are built once per class, and
-the four values once per (prediction content, class), from one
+the four records once per (prediction content, class), from one
 surface-distance computation; a prediction byte-identical to one already
 scored is not scored again. The public ``dsc``/``nsd``/``hsd``/``nave``
 compute everything afresh and are the reference that ``score_pair`` must
@@ -214,8 +214,9 @@ def score_pair(pred: LabelMask, ref: LabelMask, class_id: int, spacing: Sequence
 
     ``memo`` is a dict the caller keeps for one reference at one spacing and
     passes to every call for it; it holds the reference's class set under
-    the class id, and each prediction's status and values under (its bytes,
-    its dtype, the class id). Without one the pair is scored afresh.
+    the class id, and each prediction's four records under (its bytes, its
+    dtype, the class id). The records are frozen, so a hit returns a new
+    list of the same ones. Without a memo the pair is scored afresh.
     """
     _check_dims(pred, ref)
     memo = {} if memo is None else memo
@@ -223,7 +224,7 @@ def score_pair(pred: LabelMask, ref: LabelMask, class_id: int, spacing: Sequence
     if key not in memo:
         if class_id not in memo:
             memo[class_id] = _ClassSet(ref.labels, class_id)
-        memo[key] = _score(_ClassSet(pred.labels, class_id), memo[class_id], spacing)
-    status, values = memo[key]
-    return [MetricRecord(sample_id=ref.id, class_id=class_id, metric=m,
-                         value=values[m], status=status) for m in METRICS]
+        status, values = _score(_ClassSet(pred.labels, class_id), memo[class_id], spacing)
+        memo[key] = [MetricRecord(sample_id=ref.id, class_id=class_id, metric=m,
+                                  value=values[m], status=status) for m in METRICS]
+    return list(memo[key])

@@ -1,5 +1,6 @@
 import json
 import re
+import shlex
 import socket
 import subprocess
 import sys
@@ -796,3 +797,26 @@ def test_rank_refuses_malformed_metrics_row(tmp_path, capsys, row, named):
     assert f"{path}:5: " in err
     assert named in err
     assert not (tmp_path / "ranks.csv").exists()
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def test_readme_quickstart_ranks_every_scenario_before_report():
+    """The README's pipeline block ranks each scenario of the shipped config,
+    from that scenario's metrics.csv, before ``fedrad report`` joins them."""
+    shipped = json.loads((REPO / "configs" / "default.json").read_text())
+    readme = (REPO / "README.md").read_text()
+    [block] = [b for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "fedrad gen" in b]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [c for c in commands if c and c[0] == "fedrad"]
+    stages = [c[1] for c in commands]
+    assert "report" in stages
+    ranked = set()
+    for command in commands[:stages.index("report")]:
+        if command[1] == "rank":
+            opts = dict(zip(command[2::2], command[3::2]))
+            assert Path(opts["--in"]) == eval_dir(Path(shipped["output_dir"]),
+                                                  opts["--scenario"]) / "metrics.csv"
+            ranked.add(opts["--scenario"])
+    assert ranked == set(shipped["scenarios"])

@@ -311,18 +311,24 @@ def _three_site_datasets(small_dataset):
 
 
 def _count_calls(monkeypatch):
+    """Count the calls of each unit of evaluation, and the member models
+    that the stacked passes of ``predict_members`` cover."""
     import fedrad.learner as learner
     import fedrad.metrics as metrics
-    calls = {"extract_features": 0, "forward": 0, "ensemble_predict": 0, "score_pair": 0}
+    calls = {"predict_members": 0, "members": 0, "extract_features": 0, "forward": 0,
+             "ensemble_predict": 0, "score_pair": 0}
 
     def counting(module, name):
         real = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
+            if name == "predict_members":
+                calls["members"] += len(args[1])
             return real(*args)
         monkeypatch.setattr(module, name, wrapper)
 
+    counting(learner, "predict_members")
     counting(learner, "extract_features")
     counting(learner, "forward")
     counting(learner, "ensemble_predict")
@@ -331,16 +337,22 @@ def _count_calls(monkeypatch):
 
 
 def _want_counts(scenarios, datasets):
-    want_fields = want_preds = 0
+    """One stacked pass per test sample over the sample's distinct member
+    models, one forward pass per member and sample, and no per-member
+    feature extraction; one prediction per (variant, sample), scored once
+    per lesion class."""
+    want_samples = want_fields = want_preds = 0
     roster = sorted(datasets)
     for site in roster:
         variants = [members for scenario in scenarios
                     for _, members in scenario_variants(scenario, roster, site)]
         distinct = {name for members in variants for name, _ in members}
+        want_samples += len(datasets[site].test)
         want_fields += len(distinct) * len(datasets[site].test)
         want_preds += len(variants) * len(datasets[site].test)
-    return {"extract_features": want_fields, "forward": want_fields,
-            "ensemble_predict": want_preds, "score_pair": 3 * want_preds}
+    return {"predict_members": want_samples, "members": want_fields, "extract_features": 0,
+            "forward": want_fields, "ensemble_predict": want_preds,
+            "score_pair": 3 * want_preds}
 
 
 def test_run_scenario_missing_model_named(small_dataset, monkeypatch):

@@ -15,7 +15,7 @@ from fedrad.config import TrainConfig
 from fedrad.learner import (FeatureConfig, N_FEATURES, WEIGHT_LEN, _box_filter,
                             _gradient_magnitude, build_training_matrix, ensemble_predict,
                             extract_features, forward, load_weights, loss_and_grad,
-                            predict_proba, save_weights, train_epochs)
+                            predict_members, predict_proba, save_weights, train_epochs)
 from fedrad.seeding import from_dict
 
 FC = FeatureConfig(shift=0.0, scale=1.0, clip_low=-1e6, clip_high=1e6)
@@ -419,6 +419,75 @@ def test_predict_scale_invariance(rng):
                  spacing=(1, 1, 1))
     w = rng.normal(size=WEIGHT_LEN)
     assert np.array_equal(_predict(w, vol).labels, _predict(3.0 * w, vol).labels)
+
+
+def _random_members(rng, n_members, data):
+    """Member models with random weights whose clip bounds lie inside the
+    range of ``data``, around it (nothing clips), below or above it (every
+    voxel clips), or start at 0.0, where a clipped -0.0 would show."""
+    lo, hi = float(data.min()), float(data.max())
+    span = hi - lo + 1.0
+    members = []
+    for kind in (rng.integers(5) + np.arange(n_members)) % 5:
+        bounds = [np.sort(rng.uniform(lo, hi, size=2)), (lo - span, hi + span),
+                  (lo - 3 * span, lo - 2 * span), (hi + span, hi + 2 * span), (0.0, hi)][kind]
+        config = FeatureConfig(shift=float(rng.normal(lo, span)),
+                               scale=float(rng.uniform(0.01, 2.0) * span),
+                               clip_low=float(bounds[0]), clip_high=float(bounds[1]))
+        members.append((rng.normal(scale=rng.uniform(0.1, 5.0), size=WEIGHT_LEN), config))
+    return members
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (3, 1, 2), (1, 5, 4), (2, 2, 2), (16, 16, 16),
+                                  (18, 16, 16), (16, 20, 20), (7, 9, 11)])
+def test_predict_members_equals_predict_proba_bitwise(dims):
+    # one stacked pass over the members gives each member's own field
+    rng = np.random.default_rng(100 * dims[0] + 10 * dims[1] + dims[2])
+    for n_members in range(1, 10):
+        for signed_zeros in (False, True):
+            if signed_zeros:
+                data = rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, -0.3], size=dims)
+            else:
+                data = rng.normal(-500.0, 300.0, size=dims)
+            vol = Volume(id="v", intensities=data.astype(np.float32), spacing=(1, 1, 1))
+            members = _random_members(rng, n_members, vol.intensities)
+            got = predict_members(vol, members)
+            assert len(got) == n_members
+            for k, (field, (w, config)) in enumerate(zip(got, members)):
+                want = predict_proba(w, vol, config)
+                assert (field.dtype, field.shape) == (want.dtype, want.shape)
+                assert field.tobytes() == want.tobytes(), (n_members, k, config)
+                assert not any(np.shares_memory(field, other) for other in got[:k])
+
+
+_INVALID_MEMBERS = {
+    "scale 0": (np.zeros(WEIGHT_LEN), FeatureConfig(shift=0.0, scale=0.0, clip_low=0.0,
+                                                    clip_high=1.0)),
+    "NaN shift": (np.zeros(WEIGHT_LEN), FeatureConfig(shift=float("nan"), scale=1.0,
+                                                      clip_low=0.0, clip_high=1.0)),
+    "short weights": (np.zeros(WEIGHT_LEN - 1), FC),
+    "NaN weight": (np.full(WEIGHT_LEN, np.nan), FC),
+    "both": (np.zeros(WEIGHT_LEN + 1), FeatureConfig(shift=0.0, scale=-1.0, clip_low=0.0,
+                                                      clip_high=1.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(_INVALID_MEMBERS))
+def test_predict_members_refuses_an_invalid_member_before_any_work(rng, monkeypatch, name):
+    import fedrad.learner as learner
+
+    vol = Volume(id="v", intensities=rng.normal(size=(4, 5, 3)).astype(np.float32),
+                 spacing=(1, 1, 1))
+    bad = _INVALID_MEMBERS[name]
+    with pytest.raises(ValueError) as want:
+        predict_proba(bad[0], vol, bad[1])
+    forwards = []
+    monkeypatch.setattr(learner, "forward", lambda *args: forwards.append(args))
+    good = [(rng.normal(size=WEIGHT_LEN), FC) for _ in range(3)]
+    for position in range(len(good) + 1):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            predict_members(vol, good[:position] + [bad] + good[position:])
+    assert not forwards
 
 
 def test_ensemble_single_and_identical_members(rng):

@@ -363,6 +363,19 @@ def test_score_pair_memo_repeated_prediction(rng):
             _assert_same(_as_tuples(score_pair(pred, ref, c, sp, memo)), want[c])
 
 
+def test_score_pair_memo_hit_returns_a_new_list_of_the_same_records(rng):
+    sp = (1.0, 1.0, 1.0)
+    ref = LabelMask(id="r", labels=_labels(rng, (6, 5, 7)))
+    pred = LabelMask(id="p", labels=_labels(rng, (6, 5, 7)))
+    memo = {}
+    first = score_pair(pred, ref, 2, sp, memo)
+    want = _as_tuples(first)
+    first.clear()  # the caller owns the list it gets
+    again = score_pair(pred, ref, 2, sp, memo)
+    _assert_same(_as_tuples(again), want)
+    assert again is not score_pair(pred, ref, 2, sp, memo)
+
+
 def test_score_pair_memo_interleaved_references(rng):
     sp = (1.0, 1.7, 0.9)
     refs = [LabelMask(id=k, labels=_labels(rng, (8, 6, 7))) for k in ("a", "b")]

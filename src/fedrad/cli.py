@@ -12,8 +12,10 @@
 
 Exit codes: 0 success, 1 usage or configuration error, 2 validation
 failures, 3 experiment aborted (a main run prints the checkpoint log to resume
-from; a leave-out run restarts from round 0). A command aborts by raising
-:class:`fedrad.config.ExperimentAborted`, and :func:`main` alone reports it.
+from; a leave-out run restarts from round 0). Every failure is raised, and
+:func:`main` alone reports it and picks the exit code: an abort is a
+:class:`fedrad.config.ExperimentAborted`, and a ``ValueError``, ``KeyError``
+or ``OSError`` prints ``fedrad <command>: <reason>`` to stderr.
 Set FEDRAD_LOG=error|warn|info|debug to control logging.
 
 Each command imports the modules it runs when it runs, so ``--help``,
@@ -31,7 +33,7 @@ import sys
 from pathlib import Path
 
 from .config import (TRANSPORT_SIM, ExperimentAborted, ExperimentConfig, Scenario,
-                     checkpoints_dir, eval_dir, load_config, site_dir, sites_dir)
+                     checkpoints_dir, eval_dir, load_config, models_dir, site_dir, sites_dir)
 from .seeding import check_stamp, read_stamped_csv, read_stamped_json, to_dict, write_json
 
 logger = logging.getLogger(__name__)
@@ -84,8 +86,7 @@ def cmd_validate(args) -> int:
     else:
         site_dirs = [Path(d) for d in args.site_dirs]
     if not site_dirs:
-        print("fedrad validate: no site directories given", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("no site directories given")
 
     reports = []
     any_failed = False
@@ -128,9 +129,8 @@ def cmd_train_sim(args) -> int:
 
     config = _load_config(args.config)
     if config.transport != TRANSPORT_SIM:
-        print(f"fedrad train-sim: config transport is {config.transport!r}; "
-              "use 'fedrad serve'/'fedrad join' for tcp", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"config transport is {config.transport!r}; "
+                         "use 'fedrad serve'/'fedrad join' for tcp")
     roster = config.site_ids
     # the models the configured scenarios compare, in training order: the local
     # models, the federation, then the leave-out federations, each in site order
@@ -138,9 +138,8 @@ def cmd_train_sim(args) -> int:
               for _, members in scenario_variants(scenario, roster, site) for name, _ in members}
     plan = sorted(needed, key=lambda n: (("local", "fed", "fed_loo").index(n.partition(":")[0]), n))
     if args.resume and "fed" not in plan:
-        print("fedrad train-sim: --resume continues the main federated run, and no "
-              "configured scenario has one", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--resume continues the main federated run, and no "
+                         "configured scenario has one")
     out = _out_dir(config)
     datasets = exp.load_all(config, out)
     # every plan entry, local or federated, uses these; each site once
@@ -166,6 +165,10 @@ def cmd_serve(args) -> int:
 
     config = _load_config(args.config)
     out = _out_dir(config)
+    # read before listening: a registry that exists but fails its checks
+    # stops the run, and only a missing one starts empty
+    registry = (exp.load_registry(out, config.digest)
+                if (models_dir(out) / "models.json").exists() else {})
     host, _, port = args.bind.partition(":")
     listener = TcpServerTransport(host or "127.0.0.1", int(port or 0))
     print(f"listening on {listener.address[0]}:{listener.address[1]}", flush=True)
@@ -176,18 +179,13 @@ def cmd_serve(args) -> int:
                              resume=Path(args.resume) if args.resume else None)
     finally:
         listener.close()
-    try:
-        registry = exp.load_registry(out, config.digest)
-    except (FileNotFoundError, ValueError):
-        registry = {}
     # The final checkpoint holds the averaged fingerprint the sites sent; the
     # fed model's feature config derives from it, so the server needs no site data.
     log = checkpoint_log(ckpt_dir)
     final = load_checkpoint(log, expected_digest=config.digest)
     if final.round_index != config.rounds:
-        print(f"fedrad serve: the last record of {log} is round {final.round_index}, "
-              f"not the final round {config.rounds}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the last record of {log} is round {final.round_index}, "
+                         f"not the final round {config.rounds}")
     derived = derive_config(final.fp_avg, config.seed)
     registry["fed"] = TrainedModel(weights=weights, feature_config=derived.feature_config)
     exp.save_registry(registry, out, config.digest)
@@ -209,8 +207,7 @@ def cmd_join(args) -> int:
     try:
         conn = connect_tcp(host, int(port))
     except OSError as err:
-        print(f"fedrad join: cannot reach {args.server}: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        raise OSError(f"cannot reach {args.server}: {err}") from err
     try:
         run_client(dataset, conn, expected_digest=expected_digest,
                    model_out=site_path / "final_model.frwt")
@@ -229,23 +226,15 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(config)
     # scoring reads only the test grids; the training grids stay on disk
     datasets = load_all(config, out, splits=("test",))
-    try:
-        registry = load_registry(out, config.digest)
-    except (FileNotFoundError, ValueError) as err:
-        print(f"fedrad evaluate: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    registry = load_registry(out, config.digest)
     scenario_names = [args.scenario] if args.scenario else list(config.scenarios)
-    try:
-        results = run_scenario([Scenario(name) for name in scenario_names], datasets, registry)
-    except KeyError as err:
-        print(f"fedrad evaluate: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    for name, result in zip(scenario_names, results):
+    results = run_scenario([Scenario(name) for name in scenario_names], datasets, registry)
+    for name, records in zip(scenario_names, results):
         edir = eval_dir(out, name)
         edir.mkdir(parents=True, exist_ok=True)
-        write_metrics_csv(edir / "metrics.csv", result.records, config.digest)
+        write_metrics_csv(edir / "metrics.csv", records, config.digest)
         print(f"{name}: wrote {edir / 'metrics.csv'} "
-              f"({sum(len(r) for r in result.records.values())} records)")
+              f"({sum(len(r) for r in records.values())} records)")
     return EXIT_OK
 
 
@@ -257,7 +246,10 @@ def cmd_rank(args) -> int:
     records, digest = read_metrics_csv(in_path)
     if not records:
         raise ValueError(f"{in_path}: no metric records to rank")
-    table = rank_records(records, Scenario(args.scenario))
+    try:
+        table = rank_records(records, Scenario(args.scenario))
+    except ValueError as err:  # a grid short of cells: name the file it came from
+        raise ValueError(f"{in_path}: {err}") from err
     ranks_path = in_path.parent / "ranks.csv"
     write_ranks_csv(ranks_path, table, digest)
     write_json(in_path.parent / "summary.json", rank_summary_dict(table, digest))
@@ -279,9 +271,8 @@ def cmd_report(args) -> int:
         summary_path = edir / "summary.json"
         metrics_path = edir / "metrics.csv"
         if not summary_path.exists() or not metrics_path.exists():
-            print(f"fedrad report: missing artifacts for scenario {name!r} "
-                  f"(run evaluate and rank first)", file=sys.stderr)
-            return EXIT_USAGE
+            raise FileNotFoundError(f"missing artifacts for scenario {name!r} "
+                                    "(run evaluate and rank first)")
         report["scenarios"][name] = read_stamped_json(summary_path, config.digest)
         check_stamp(metrics_path, read_stamped_csv(metrics_path)[0], config.digest)
 
@@ -368,7 +359,7 @@ def main(argv=None) -> int:
             print(f"resume from checkpoint log: {abort.checkpoint_path}")
         return EXIT_ABORTED
     except (ValueError, KeyError, OSError) as err:
-        print(f"fedrad: {err}", file=sys.stderr)
+        print(f"fedrad {args.command}: {err}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -82,16 +82,12 @@ def scenario_variants(scenario: Scenario, roster: Sequence[str], eval_site: str
             ("Spec(E)", spec(ensemble)), (f"Spec({fl})", spec(federated))]
 
 
-@dataclass
-class ScenarioResult:
-    scenario: Scenario
-    records: dict[tuple[str, str], list[MetricRecord]]  # (model label, site)
-
-
 def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDataset],
-                 registry: Mapping[str, TrainedModel]) -> list[ScenarioResult]:
+                 registry: Mapping[str, TrainedModel]
+                 ) -> list[dict[tuple[str, str], list[MetricRecord]]]:
     """Evaluate every checked variant of each scenario on every site's test
-    set; the results come back in the order of ``scenarios``. The sites are
+    set: one dict per scenario, in the order of ``scenarios``, mapping each
+    (variant label, site) to its scoring records. The sites are
     those of ``datasets``; ``registry`` maps model names to trained models,
     and a member it lacks raises ``KeyError`` before any scoring.
 
@@ -132,8 +128,7 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
                                         [mw for _, mw in members], sample.volume.id)
                 for class_id in LESION_CLASSES:
                     out.extend(score_pair(pred, sample.mask, class_id, spacing, memo))
-    return [ScenarioResult(scenario=scenario, records=scenario_records)
-            for scenario, scenario_records in zip(scenarios, records)]
+    return records
 
 
 @dataclass

@@ -74,14 +74,18 @@ def generate_all(config: ExperimentConfig, out: Path) -> dict[str, SiteDataset]:
 
 def load_all(config: ExperimentConfig, out: Path,
              splits: Collection[str] = siteio.SPLITS) -> dict[str, SiteDataset]:
-    """Every site's dataset, each stamped with ``config``'s digest; only the
-    grids of ``splits`` are read."""
+    """Every site's dataset, each stamped with ``config``'s digest and
+    holding the site the config names for its directory; only the grids of
+    ``splits`` are read."""
     datasets = {}
     for sid in config.site_ids:
         sdir = site_dir(out, sid)
         manifest = siteio.read_manifest(sdir)
         check_stamp(f"site {sid}: dataset", manifest.get("experiment"), config.digest,
                     hint="; run 'fedrad gen' for this config")
+        if manifest["site_id"] != sid:
+            raise ValueError(f"{sdir}: holds site {manifest['site_id']!r}, "
+                             f"not {sid!r} as the config names it")
         datasets[sid] = siteio.load_site_dataset(sdir, splits, manifest)
     return datasets
 
@@ -122,10 +126,9 @@ def train_local_models(config: ExperimentConfig, datasets: Mapping[str, SiteData
     self-configured from ``fingerprints[site]``, its training data's fingerprint."""
     out = {}
     for sid in sorted(datasets):
-        ds = datasets[sid]
         derived = derive_config(fingerprints[sid], config.seed)
-        features, labels = build_training_matrix(ds.train, derived.feature_config)
-        cfg = replace(config.train, seed=site_train_seed(config.train.seed, ds.site_id))
+        features, labels = build_training_matrix(datasets[sid].train, derived.feature_config)
+        cfg = replace(config.train, seed=site_train_seed(config.train.seed, sid))
         weights = train_epochs(derived.init_weights, features, labels, cfg)
         out[sid] = TrainedModel(weights=weights, feature_config=derived.feature_config)
         logger.info("trained local model of %s", sid)

@@ -204,7 +204,10 @@ def stamped_csv(digest: str, lines: Iterable[str]) -> str:
 def read_stamped_csv(path: Path | str) -> tuple[str, list[str]]:
     """Inverse of :func:`stamped_csv`: the digest and the lines after it;
     ``lines[i]`` is line ``i + 2`` of the file."""
-    first, _, body = Path(path).read_text().partition("\n")
+    try:
+        first, _, body = Path(path).read_text(encoding="utf-8").partition("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     if not first.startswith(_CSV_STAMP):
         raise ValueError(f"{path}: no '{_CSV_STAMP}' line")
     return first[len(_CSV_STAMP):], body.removesuffix("\n").split("\n")

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import shutil
 import socket
 import subprocess
 import sys
@@ -227,7 +228,7 @@ def test_train_sim_names_a_site_without_training_samples(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
     capsys.readouterr()
     assert main(["train-sim", "--config", str(path)]) == 1
-    assert "fedrad: site s0 has no training samples" in capsys.readouterr().err
+    assert "fedrad train-sim: site s0 has no training samples" in capsys.readouterr().err
 
 
 def test_train_sim_refuses_a_mask_of_another_shape(config_file, capsys):
@@ -243,7 +244,7 @@ def test_train_sim_refuses_a_mask_of_another_shape(config_file, capsys):
     write_grid(sdir / entry["mask_file"], labels[:-1], spacing)
     capsys.readouterr()
     assert main(["train-sim", "--config", str(path)]) == 1
-    assert (f"fedrad: sample {entry['sample_id']}: mask shape {labels[:-1].shape} "
+    assert (f"fedrad train-sim: sample {entry['sample_id']}: mask shape {labels[:-1].shape} "
             f"differs from volume shape {labels.shape}") in capsys.readouterr().err
 
 
@@ -375,32 +376,96 @@ def test_serve_needs_no_site_data(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_serve_refuses_a_log_short_of_the_final_round(config_file, monkeypatch, capsys):
-    # the fed model's feature config comes from the final round's record; a
-    # log that ends earlier stores no model and exits 1, naming the log
+def stub_run_server(monkeypatch, config, last_round: int) -> list:
+    """Make ``run_server`` commit one record, of round ``last_round``, and
+    return weights of all 0.25 without listening; returns the calls it gets."""
     import fedrad.fedproto as fedproto
     from fedrad.fedproto import Checkpoint
     from fedrad.fingerprint import average_fingerprints, compute_fingerprint
     from fedrad.learner import WEIGHT_LEN
     from test_fedproto import make_datasets
-    path, config = config_file
     fp = average_fingerprints([compute_fingerprint(ds.train)
                                for ds in make_datasets(["s1"]).values()])
+    calls = []
 
-    def stops_short(params, listener, resume=None):
-        Path(params.checkpoint_dir).mkdir(parents=True)
-        Checkpoint(round_index=config.rounds - 1, weights=np.zeros(WEIGHT_LEN), fp_avg=fp,
+    def run_server(params, listener, resume=None):
+        calls.append(params)
+        Path(params.checkpoint_dir).mkdir(parents=True, exist_ok=True)
+        Checkpoint(round_index=last_round, weights=np.zeros(WEIGHT_LEN), fp_avg=fp,
                    experiment_seed=config.seed, experiment_digest=config.digest,
                    ).save(checkpoint_log(params.checkpoint_dir))
-        return np.zeros(WEIGHT_LEN)
+        return np.full(WEIGHT_LEN, 0.25)
 
-    monkeypatch.setattr(fedproto, "run_server", stops_short)
+    monkeypatch.setattr(fedproto, "run_server", run_server)
+    return calls
+
+
+def test_serve_refuses_a_log_short_of_the_final_round(config_file, monkeypatch, capsys):
+    # the fed model's feature config comes from the final round's record; a
+    # log that ends earlier stores no model and exits 1, naming the log
+    path, config = config_file
+    stub_run_server(monkeypatch, config, config.rounds - 1)
     assert main(["serve", "--config", str(path), "--bind", "127.0.0.1:0"]) == 1
     err = capsys.readouterr().err
     log = checkpoints_dir(Path(config.output_dir), "main") / "checkpoints.frck"
-    assert f"the last record of {log} is round {config.rounds - 1}" in err
+    assert err == (f"fedrad serve: the last record of {log} is round {config.rounds - 1}, "
+                   f"not the final round {config.rounds}\n")
     with pytest.raises(FileNotFoundError):
         exp.load_registry(Path(config.output_dir), config.digest)
+
+
+def test_serve_adds_the_fed_model_to_the_registry(config_file, monkeypatch, capsys):
+    # the models train-sim trained stay; only fed is the server's
+    path, config = config_file
+    out = Path(config.output_dir)
+    assert main(["gen", "--config", str(path)]) == 0
+    assert main(["train-sim", "--config", str(path)]) == 0
+    before = exp.load_registry(out, config.digest)
+    stub_run_server(monkeypatch, config, config.rounds)
+    assert main(["serve", "--config", str(path), "--bind", "127.0.0.1:0"]) == 0
+    after = exp.load_registry(out, config.digest)
+    assert list(after) == list(before)
+    assert np.array_equal(after["fed"].weights, np.full(len(before["fed"].weights), 0.25))
+    for name in set(before) - {"fed"}:
+        assert np.array_equal(after[name].weights, before[name].weights), name
+    capsys.readouterr()
+
+
+def test_serve_refuses_a_broken_registry_before_listening(config_file, monkeypatch, capsys):
+    # a weight file that fails its sha256 stops serve before it listens, and
+    # models.json keeps every model train-sim recorded
+    path, config = config_file
+    out = Path(config.output_dir)
+    assert main(["gen", "--config", str(path)]) == 0
+    assert main(["train-sim", "--config", str(path)]) == 0
+    weights = models_dir(out) / "local_s0.frwt"
+    raw = bytearray(weights.read_bytes())
+    raw[-1] ^= 0x01
+    weights.write_bytes(bytes(raw))
+    registry = (models_dir(out) / "models.json").read_bytes()
+    calls = stub_run_server(monkeypatch, config, config.rounds)
+    capsys.readouterr()
+    assert main(["serve", "--config", str(path), "--bind", "127.0.0.1:0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no "listening on"
+    assert captured.err.startswith(f"fedrad serve: {weights}: sha256 differs")
+    assert calls == []
+    assert (models_dir(out) / "models.json").read_bytes() == registry
+
+
+@pytest.mark.parametrize("stage", ["train-sim", "evaluate", "characterize"])
+def test_site_directory_holding_another_site_is_refused(config_file, capsys, stage):
+    # s1's data copied over s0's carries the same experiment stamp: the
+    # manifest's site id is what tells them apart
+    path, config = config_file
+    out = Path(config.output_dir)
+    assert main(["gen", "--config", str(path)]) == 0
+    shutil.rmtree(site_dir(out, "s0"))
+    shutil.copytree(site_dir(out, "s1"), site_dir(out, "s0"))
+    capsys.readouterr()
+    assert main([stage, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (f"fedrad {stage}: {site_dir(out, 's0')}: holds site "
+                                       "'s1', not 's0' as the config names it\n")
 
 
 _FEATURES = {"shift": -500.0, "scale": 60.0, "clip_low": -900.0, "clip_high": 100.0}
@@ -516,12 +581,43 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_names_the_stage_of_each_refusal(config_file, tmp_path, capsys):
+    # each stage raises its refusal; main alone prints it, after the stage name
+    path, config = config_file
+    out = Path(config.output_dir)
+
+    def refused(argv):
+        assert main(argv) == 1
+        return capsys.readouterr().err
+
+    assert refused(["validate"]) == "fedrad validate: no site directories given\n"
+    assert main(["gen", "--config", str(path)]) == 0
+    capsys.readouterr()
+    assert refused(["evaluate", "--config", str(path)]) == (
+        f"fedrad evaluate: {models_dir(out) / 'models.json'}: no trained models "
+        "(run training first)\n")
+    assert refused(["report", "--config", str(path)]) == (
+        "fedrad report: missing artifacts for scenario 'personalization' "
+        "(run evaluate and rank first)\n")
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    err = refused(["join", "--site", str(site_dir(out, "s0")), "--server", f"127.0.0.1:{port}"])
+    assert re.fullmatch(rf"fedrad join: cannot reach 127\.0\.0\.1:{port}: \[Errno \d+\] .*\n",
+                        err), err
+    tcp = tmp_path / "tcp.json"
+    exp.save_config(replace(config, transport="tcp"), tcp)
+    assert refused(["train-sim", "--config", str(tcp)]) == (
+        "fedrad train-sim: config transport is 'tcp'; use 'fedrad serve'/'fedrad join' "
+        "for tcp\n")
+
+
 def test_validate_json_into_a_directory_is_a_usage_error(config_file, tmp_path, capsys):
     path, config = config_file
     assert main(["gen", "--config", str(path)]) == 0
     capsys.readouterr()
     assert main(["validate", "--config", str(path), "--json", str(tmp_path)]) == 1
-    assert re.fullmatch(r"fedrad: \[Errno \d+\] Is a directory: .*\n", capsys.readouterr().err)
+    assert re.fullmatch(r"fedrad validate: \[Errno \d+\] Is a directory: .*\n", capsys.readouterr().err)
 
 
 def test_serve_on_a_port_in_use_is_a_usage_error(config_file, capsys):
@@ -530,7 +626,7 @@ def test_serve_on_a_port_in_use_is_a_usage_error(config_file, capsys):
         port = taken.getsockname()[1]
         assert main(["serve", "--config", str(path), "--bind", f"127.0.0.1:{port}"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("fedrad: ") and "Address already in use" in err
+    assert err.startswith("fedrad serve: ") and "Address already in use" in err
 
 
 def test_console_entry_point():
@@ -768,6 +864,17 @@ def test_rank_refuses_a_metrics_file_without_records(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}: no metric records" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "ranks.csv").exists()
+
+
+def test_rank_names_the_file_of_a_grid_short_of_cells(tmp_path, capsys):
+    # every row parses, but model E is scored on one metric alone
+    path = tmp_path / "metrics.csv"
+    path.write_text(stamped_csv("e" * 64, [_METRICS_HEADER, *_GOOD_METRICS_ROWS,
+                                           "E,s0,case0,1,DSC,0.5,Scored"]))
+    assert main(["rank", "--in", str(path), "--scenario", "personalization"]) == 1
+    assert capsys.readouterr().err == f"fedrad rank: {path}: missing 3 cells, e.g. " \
+                                      "('E', 's0', 'NSD')\n"
     assert not (tmp_path / "ranks.csv").exists()
 
 

@@ -278,11 +278,11 @@ def test_run_scenario_shapes(small_dataset):
     for i, sid in enumerate(("s1", "s2", "s3")):
         samples = [s for s in small_dataset.samples]
         datasets[sid] = SiteDataset(site_id=sid, train=samples[:5], test=samples[5:7])
-    [result] = run_scenario([Scenario.PERSONALIZATION], datasets, registry)
-    assert len(result.records) == 3 * 5  # shaped like the scenario grid
-    labels = {label for (label, _site) in result.records}
+    [records] = run_scenario([Scenario.PERSONALIZATION], datasets, registry)
+    assert len(records) == 3 * 5  # shaped like the scenario grid
+    labels = {label for (label, _site) in records}
     assert labels == {"L", "E", "FL", "Spec(E)", "Spec(FL)"}
-    table = rank_records(result.records, result.scenario)
+    table = rank_records(records, Scenario.PERSONALIZATION)
     assert set(table.models) == labels
     n = len(labels)
     assert table.rank_point_total() == pytest.approx(
@@ -295,11 +295,11 @@ def test_run_scenario_without_local_never_uses_own_local(small_dataset):
     samples = list(small_dataset.samples)
     datasets = {sid: SiteDataset(site_id=sid, train=samples[:5], test=samples[5:6])
                 for sid in ("s1", "s2")}
-    [result] = run_scenario([Scenario.GEN_WITHOUT_LOCAL], datasets, registry)
-    assert ("L[s1]", "s1") not in result.records
-    assert ("L[s1]", "s2") in result.records
-    assert ("L[s2]", "s1") in result.records
-    table = rank_records(result.records, result.scenario)  # sparse grid must rank
+    [records] = run_scenario([Scenario.GEN_WITHOUT_LOCAL], datasets, registry)
+    assert ("L[s1]", "s1") not in records
+    assert ("L[s1]", "s2") in records
+    assert ("L[s2]", "s1") in records
+    table = rank_records(records, Scenario.GEN_WITHOUT_LOCAL)  # sparse grid must rank
     assert table.ordered_models()
 
 
@@ -434,8 +434,8 @@ def test_run_scenario_one_distance_computation_per_distinct_pair(small_dataset, 
     calls = count_distance_computations(monkeypatch)
     results = run_scenario(list(Scenario), datasets, registry)
     assert len(calls) == want
-    scored_pairs = sum(r.status is RecordStatus.SCORED for result in results
-                       for recs in result.records.values() for r in recs) // len(METRICS)
+    scored_pairs = sum(r.status is RecordStatus.SCORED for records in results
+                       for recs in records.values() for r in recs) // len(METRICS)
     assert want < scored_pairs  # byte-identical predictions share one computation
 
 
@@ -459,8 +459,8 @@ def test_run_scenario_matches_weights_based_reference(small_dataset, scenario):
     want = reference_scenario_records(scenario, datasets, registry)
     for order in (list(Scenario), list(reversed(Scenario))):
         results = run_scenario(order, datasets, registry)
-        assert [r.scenario for r in results] == order
-        got = results[order.index(scenario)].records
+        assert len(results) == len(order)
+        got = results[order.index(scenario)]
         assert list(got) == list(want)
         for key in want:
             assert len(got[key]) == len(want[key]), key
@@ -478,11 +478,11 @@ def test_rank_records_survives_csv_roundtrip(small_dataset, tmp_path, scenario):
     samples = list(small_dataset.samples)
     datasets = {sid: SiteDataset(site_id=sid, train=samples[:5], test=samples[5:7])
                 for sid in ("s1", "s2", "s3")}
-    [result] = run_scenario([scenario], datasets, registry)
+    [records] = run_scenario([scenario], datasets, registry)
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, result.records, "e" * 64)
+    write_metrics_csv(path, records, "e" * 64)
     back, _digest = read_metrics_csv(path)
-    want = rank_records(result.records, scenario)
+    want = rank_records(records, scenario)
     got = rank_records(back, scenario)
     assert got.cell_ranks == want.cell_ranks
     assert got.overall == want.overall

@@ -78,11 +78,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .siteio import read_site_manifest
     from .validation import validate_site_dir
 
     if args.config:
         config = _load_config(args.config)
         site_dirs = [site_dir(Path(config.output_dir), s) for s in config.site_ids]
+        for sid, d in zip(config.site_ids, site_dirs):
+            read_site_manifest(d, sid, config.digest)
     else:
         site_dirs = [Path(d) for d in args.site_dirs]
     if not site_dirs:
@@ -261,6 +264,8 @@ def cmd_rank(args) -> int:
 
 def cmd_report(args) -> int:
     """Join the artifacts into report.json; a foreign stamp raises ValueError (exit 1)."""
+    from .records import read_metrics_csv
+
     config = _load_config(args.config)
     out = _out_dir(config)
     report: dict = {"experiment": config.digest, "name": config.name,
@@ -274,7 +279,7 @@ def cmd_report(args) -> int:
             raise FileNotFoundError(f"missing artifacts for scenario {name!r} "
                                     "(run evaluate and rank first)")
         report["scenarios"][name] = read_stamped_json(summary_path, config.digest)
-        check_stamp(metrics_path, read_stamped_csv(metrics_path)[0], config.digest)
+        check_stamp(metrics_path, read_metrics_csv(metrics_path)[1], config.digest)
 
     timing_path = out / "timing.csv"
     if timing_path.exists():

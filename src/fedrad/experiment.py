@@ -22,7 +22,7 @@ from .evalrank import TrainedModel
 from .fingerprint import DatasetFingerprint, derive_config
 from .learner import (FeatureConfig, build_training_matrix, load_weights, save_weights,
                       site_train_seed, train_epochs)
-from .seeding import check_stamp, from_dict, read_stamped_json, to_dict, write_json
+from .seeding import from_dict, read_stamped_json, to_dict, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -64,8 +64,7 @@ def generate_all(config: ExperimentConfig, out: Path) -> dict[str, SiteDataset]:
     datasets = {}
     for profile in sorted(config.sites, key=lambda p: p.site_id):
         ds = generate_site_dataset(profile, config.test_fraction, config.stratify_class)
-        siteio.save_site_dataset(ds, site_dir(out, profile.site_id), profile,
-                                 experiment_digest=config.digest)
+        siteio.save_site_dataset(ds, site_dir(out, profile.site_id), config.digest)
         datasets[profile.site_id] = ds
         logger.info("generated %s: %d train / %d test samples", profile.site_id,
                     len(ds.train), len(ds.test))
@@ -80,12 +79,7 @@ def load_all(config: ExperimentConfig, out: Path,
     datasets = {}
     for sid in config.site_ids:
         sdir = site_dir(out, sid)
-        manifest = siteio.read_manifest(sdir)
-        check_stamp(f"site {sid}: dataset", manifest.get("experiment"), config.digest,
-                    hint="; run 'fedrad gen' for this config")
-        if manifest["site_id"] != sid:
-            raise ValueError(f"{sdir}: holds site {manifest['site_id']!r}, "
-                             f"not {sid!r} as the config names it")
+        manifest = siteio.read_site_manifest(sdir, sid, config.digest)
         datasets[sid] = siteio.load_site_dataset(sdir, splits, manifest)
     return datasets
 

@@ -63,10 +63,6 @@ _SHA_BYTES = 32
 _RECORD_BYTES = 4 + 8 * WEIGHT_LEN + _SHA_BYTES  # round index, weights, sha256
 
 
-class CheckpointMismatch(ValueError):
-    """Checkpoint does not belong to this experiment."""
-
-
 def aggregate(w: np.ndarray, deltas: Mapping[str, np.ndarray]) -> np.ndarray:
     """Apply one non-weighted averaging update to the global weights.
 
@@ -92,7 +88,6 @@ class Checkpoint:
     round_index: int
     weights: np.ndarray
     fp_avg: DatasetFingerprint
-    experiment_seed: int
     experiment_digest: str
 
     def save(self, path: Path) -> Path:
@@ -104,8 +99,7 @@ class Checkpoint:
         # one write per commit, so a crash can tear only the record being appended
         with open(path, "ab") as f:
             if f.tell() == 0:
-                meta = canonical_json({"experiment_seed": self.experiment_seed,
-                                       "fp_avg": to_dict(self.fp_avg)}).encode("ascii")
+                meta = canonical_json({"fp_avg": to_dict(self.fp_avg)}).encode("ascii")
                 header = _LOG_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, digest,
                                           len(meta)) + meta
                 record = header + hashlib.sha256(header).digest() + record
@@ -125,46 +119,45 @@ def read_checkpoints(path: Path, expected_digest: str | None = None) -> list[Che
     """
     raw = Path(path).read_bytes()
     where = f"{path}: header"
-    cut_short = CheckpointMismatch(f"{where}: the log ends inside it, "
-                                   "so it has no complete checkpoint record")
+    cut_short = ValueError(f"{where}: the log ends inside it, "
+                           "so it has no complete checkpoint record")
     if len(raw) < _LOG_HEADER.size:
         raise cut_short
     magic, version, digest_raw, meta_len = _LOG_HEADER.unpack_from(raw)
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointMismatch(f"{where}: bad magic {magic!r}")
+        raise ValueError(f"{where}: bad magic {magic!r}")
     if version != CHECKPOINT_VERSION:
-        raise CheckpointMismatch(f"{where}: unsupported version {version}")
+        raise ValueError(f"{where}: unsupported version {version}")
     digest = digest_raw.hex()
     if expected_digest is not None and digest != expected_digest:
-        raise CheckpointMismatch(f"{where}: checkpoint belongs to experiment {digest[:12]}..., "
-                                 f"expected {expected_digest[:12]}...")
+        raise ValueError(f"{where}: checkpoint belongs to experiment {digest}, "
+                         f"expected {expected_digest}")
     meta_end = _LOG_HEADER.size + meta_len
     start = meta_end + _SHA_BYTES
     if len(raw) < start:
         raise cut_short
     if hashlib.sha256(raw[:meta_end]).digest() != raw[meta_end:start]:
-        raise CheckpointMismatch(f"{where}: sha256 mismatch")
+        raise ValueError(f"{where}: sha256 mismatch")
     try:
         meta = parse_json(raw[_LOG_HEADER.size:meta_end], "metadata")
         fp_avg = from_dict(DatasetFingerprint, meta["fp_avg"], "fp_avg")
-        seed = from_dict(int, meta["experiment_seed"], "experiment_seed")
     except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointMismatch(f"{where}: bad metadata: {exc!r}") from exc
+        raise ValueError(f"{where}: bad metadata: {exc!r}") from exc
     n, torn = divmod(len(raw) - start, _RECORD_BYTES)
     if torn:
         logger.warning("%s: skipping an incomplete final record (%d bytes)", path, torn)
     if not n:
-        raise CheckpointMismatch(f"{path}: no complete checkpoint record")
+        raise ValueError(f"{path}: no complete checkpoint record")
     records = []
     for i, at in enumerate(range(start, start + n * _RECORD_BYTES, _RECORD_BYTES)):
         sha_at = at + _RECORD_BYTES - _SHA_BYTES
         if hashlib.sha256(digest_raw + raw[at:sha_at]).digest() != raw[sha_at:at + _RECORD_BYTES]:
-            raise CheckpointMismatch(f"{path}: record {i}: sha256 mismatch")
+            raise ValueError(f"{path}: record {i}: sha256 mismatch")
         weights = np.frombuffer(raw, dtype="<f8", count=WEIGHT_LEN, offset=at + 4).copy()
         if not np.isfinite(weights).all():
-            raise CheckpointMismatch(f"{path}: record {i}: non-finite weights")
+            raise ValueError(f"{path}: record {i}: non-finite weights")
         (round_index,) = struct.unpack_from("<I", raw, at)
-        records.append(Checkpoint(round_index, weights, fp_avg, seed, digest))
+        records.append(Checkpoint(round_index, weights, fp_avg, digest))
     return records
 
 
@@ -186,10 +179,7 @@ def load_resume(path: Path | None, params: ServerParams) -> Checkpoint | None:
     """
     if path is None:
         return None
-    ckpt = load_checkpoint(path, expected_digest=params.config.digest)
-    if ckpt.experiment_seed != params.config.seed:
-        raise CheckpointMismatch("checkpoint was written with a different experiment seed")
-    return ckpt
+    return load_checkpoint(path, expected_digest=params.config.digest)
 
 
 class Federation:
@@ -215,16 +205,15 @@ class Federation:
         self.derived = derive_config(self.fp_avg, config.seed)
         # the digest re-hashes the config, so it is read here once, not at every commit
         self.broadcast = wire.ConfigBroadcast(
-            fp_avg=self.fp_avg, experiment_seed=config.seed, rounds=config.rounds,
-            train=config.train, experiment_digest=config.digest)
+            fp_avg=self.fp_avg, experiment_seed=config.seed, train=config.train,
+            experiment_digest=config.digest)
         self.checkpoint_log = None
         if params.checkpoint_dir:
             Path(params.checkpoint_dir).mkdir(parents=True, exist_ok=True)
             self.checkpoint_log = checkpoint_log(params.checkpoint_dir)
         if resumed is not None:
             if resumed.fp_avg.digest != self.fp_avg.digest:
-                raise CheckpointMismatch(
-                    "checkpoint fingerprint digest does not match the site data")
+                raise ValueError("checkpoint fingerprint digest does not match the site data")
             self.weights = resumed.weights.copy()
             self.round_index = resumed.round_index
             logger.info("resumed at round %d", self.round_index)
@@ -244,7 +233,6 @@ class Federation:
 
     def _commit(self, path: Path) -> None:
         Checkpoint(round_index=self.round_index, weights=self.weights, fp_avg=self.fp_avg,
-                   experiment_seed=self.broadcast.experiment_seed,
                    experiment_digest=self.broadcast.experiment_digest).save(path)
 
     def _abort(self, t: int, reason: str) -> ExperimentAborted:
@@ -317,7 +305,7 @@ class _Inbox:
         while True:
             try:
                 msg = conn.recv(timeout=None)
-            except (tp.TransportClosed, tp.RecvTimeout, wire.ProtocolError):
+            except (tp.TransportClosed, wire.ProtocolError):
                 self._queue.put((conn, None))
                 return
             self._queue.put((conn, msg))
@@ -520,8 +508,8 @@ def run_client(dataset: SiteDataset, conn: tp.TcpConnection, *,
             if isinstance(msg, wire.ConfigBroadcast):
                 if expected_digest is not None and msg.experiment_digest != expected_digest:
                     raise _client_abort(conn, f"config digest mismatch: server has "
-                                              f"{msg.experiment_digest[:12]}..., site expects "
-                                              f"{expected_digest[:12]}...")
+                                              f"{msg.experiment_digest}, site expects "
+                                              f"{expected_digest}")
                 try:
                     site = Site(site_id, dataset.train, msg)
                 except ValueError as exc:

@@ -26,13 +26,13 @@ of all of a test volume's member models at once. It clips one copy of the
 volume per member to that member's bounds and smooths the stack in one
 pass; then, member by member, it writes the normalized features into one
 reused grid and calls :func:`forward`, so each field is the one
-:func:`predict_proba` gives, byte for byte. :func:`forward` returns a
-transposed view of the class-major probabilities, and
-:func:`ensemble_predict` works on that storage as it is. It sums the
-weighted members class-major and picks each voxel's class with one strict
-comparison per further class, so no field is copied to bring its class
-axis last. The labels equal the oracle's ``np.argmax`` of the row-major
-sum, ties going to the lower class.
+``forward(w, extract_features(volume, config))`` gives, byte for byte.
+:func:`forward` returns a transposed view of the class-major
+probabilities, and :func:`ensemble_predict` works on that storage as it
+is. It sums the weighted members class-major and picks each voxel's
+class with one strict comparison per further class, so no field is copied
+to bring its class axis last. The labels equal the oracle's ``np.argmax``
+of the row-major sum, ties going to the lower class.
 """
 
 from __future__ import annotations
@@ -303,22 +303,18 @@ def build_training_matrix(samples: Sequence[Sample],
     return features, labels
 
 
-def predict_proba(w: np.ndarray, volume: Volume, config: FeatureConfig) -> np.ndarray:
-    return forward(w, extract_features(volume, config))
-
-
 def predict_members(volume: Volume,
                     members: Sequence[tuple[np.ndarray, FeatureConfig]]) -> list[np.ndarray]:
     """The probability field of each member model ``(weights, feature
     config)`` on ``volume``, in member order, each equal to
-    :func:`predict_proba` of that member byte for byte.
+    ``forward(weights, extract_features(volume, config))`` byte for byte.
 
     Every member's config and weights are checked first, as
-    :func:`predict_proba` checks them, so an invalid member raises its
-    ``ValueError`` before any work. One float64 copy of the volume per member
-    is clipped to that member's bounds, and the stack is smoothed in one
-    pass. Each member's features are then written into one reused grid and
-    passed to :func:`forward`, whose result is a fresh array.
+    :func:`extract_features` and :func:`forward` check them, so an invalid
+    member raises its ``ValueError`` before any work. One float64 copy of the
+    volume per member is clipped to that member's bounds, and the stack is
+    smoothed in one pass. Each member's features are then written into one
+    reused grid and passed to :func:`forward`, whose result is a fresh array.
     """
     for w, config in members:
         _check_feature_config(config)
@@ -340,11 +336,11 @@ def predict_members(volume: Volume,
 def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[float],
                      mask_id: str) -> LabelMask:
     """Argmax of the weighted average of member probability fields (each as
-    :func:`predict_proba` returns it); ties break toward the lower class
-    index. ``member_weights`` are normalized by their sum; each must be
-    finite and non-negative, and their sum positive, and the fields must
-    share one shape. An average that is NaN at any voxel (a NaN, or an
-    infinity times a zero weight) raises ``ValueError``.
+    :func:`forward` returns it); ties break toward the lower class index.
+    ``member_weights`` are normalized by their sum; each must be finite and
+    non-negative, and their sum positive, and the fields must share one
+    shape. An average that is NaN at any voxel (a NaN, or an infinity times
+    a zero weight) raises ``ValueError``.
 
     The average is summed class-major: each field is transposed to put its
     class axis first, which for a field from :func:`forward` is a contiguous

@@ -174,7 +174,7 @@ def check_stamp(what: Path | str, found: str | None, digest: str, hint: str = ""
     """Refuse the artifact ``what`` unless its stamp ``found`` is ``digest``."""
     if found != digest:
         raise ValueError(f"{what} belongs to a different experiment (stamped "
-                         f"{str(found)[:12]}..., expected {digest[:12]}...){hint}")
+                         f"{found}, expected {digest}){hint}")
 
 
 def parse_json(data: str | bytes, source: Any) -> Any:

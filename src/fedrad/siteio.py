@@ -2,7 +2,7 @@
 
 One directory per site:
 
-    <site-dir>/manifest.json        site_id, seed, sample list, provenance,
+    <site-dir>/manifest.json        site_id, sample list, provenance,
                                     train/test membership, experiment digest
     <site-dir>/<sample>.vol.frvd    intensity grid
     <site-dir>/<sample>.mask.frvd   label grid
@@ -20,9 +20,8 @@ from typing import Collection
 
 import numpy as np
 
-from .config import SiteProfile
 from .dataset import LabelMask, Provenance, Sample, SiteDataset, Volume
-from .seeding import parse_json, write_json
+from .seeding import check_stamp, parse_json, write_json
 
 GRID_MAGIC = b"FRVD"
 GRID_VERSION = 1
@@ -87,7 +86,6 @@ def _sample_files(sample_id: str) -> tuple[str, str]:
 
 
 def save_site_dataset(dataset: SiteDataset, site_dir: Path,
-                      profile: SiteProfile | None = None,
                       experiment_digest: str | None = None) -> Path:
     """Write a site dataset directory; returns the manifest path."""
     site_dir = Path(site_dir)
@@ -109,7 +107,6 @@ def save_site_dataset(dataset: SiteDataset, site_dir: Path,
     manifest = {
         "format": "frvd-site-v1",
         "site_id": dataset.site_id,
-        "seed": profile.seed if profile is not None else None,
         "experiment": experiment_digest,
         "samples": entries,
     }
@@ -155,6 +152,19 @@ def read_manifest(site_dir: Path) -> dict:
                 raise GridFormatError(f"{path}: samples[{i}].{key} names a grid file "
                                       "already named")
             grid_files.add(entry[key])
+    return manifest
+
+
+def read_site_manifest(site_dir: Path, site_id: str, experiment_digest: str) -> dict:
+    """The manifest of ``site_dir``, refused unless it is stamped with
+    ``experiment_digest`` and holds ``site_id``, the site that the
+    experiment's config keeps in ``site_dir``."""
+    manifest = read_manifest(site_dir)
+    check_stamp(Path(site_dir) / MANIFEST_NAME, manifest.get("experiment"),
+                experiment_digest, hint="; run 'fedrad gen' for this config")
+    if manifest["site_id"] != site_id:
+        raise ValueError(f"{site_dir}: holds site {manifest['site_id']!r}, "
+                         f"not {site_id!r} as the config names it")
     return manifest
 
 

@@ -4,9 +4,8 @@ Frame layout (little-endian): magic ``FR`` (2 bytes), version u8, message
 type u8, payload length u32, payload. Payloads are message-specific:
 weight arrays travel as raw float64, structured fields as canonical JSON.
 
-The decoder never raises anything but :class:`ProtocolError` subclasses,
-whatever bytes it is fed; each failure mode gets a distinct class so peers
-can tell truncation from corruption.
+The decoder never raises anything but :class:`ProtocolError`, whatever
+bytes it is fed; its message says what was wrong with them.
 """
 
 from __future__ import annotations
@@ -29,31 +28,7 @@ MAX_PAYLOAD = 1 << 24
 
 
 class ProtocolError(Exception):
-    """Base class for every wire decode failure."""
-
-
-class BadMagic(ProtocolError):
-    pass
-
-
-class BadVersion(ProtocolError):
-    pass
-
-
-class UnknownType(ProtocolError):
-    pass
-
-
-class Truncated(ProtocolError):
-    pass
-
-
-class Oversized(ProtocolError):
-    pass
-
-
-class MalformedPayload(ProtocolError):
-    pass
+    """Every wire decode failure, and a payload too large to encode."""
 
 
 class MsgType(enum.IntEnum):
@@ -81,7 +56,6 @@ class FingerprintSubmit:
 class ConfigBroadcast:
     fp_avg: DatasetFingerprint
     experiment_seed: int
-    rounds: int
     train: TrainConfig
     experiment_digest: str
 
@@ -135,7 +109,7 @@ def _weights_bytes(w: np.ndarray) -> bytes:
 
 def _weights_from(buf: bytes, what: str) -> np.ndarray:
     if len(buf) % 8 != 0:
-        raise MalformedPayload(f"{what}: weight bytes not a multiple of 8")
+        raise ProtocolError(f"{what}: weight bytes not a multiple of 8")
     return np.frombuffer(buf, dtype="<f8").copy()
 
 
@@ -143,9 +117,9 @@ def _json_from(buf: bytes, what: str) -> dict:
     try:
         obj = parse_json(buf, what)
     except ValueError as exc:
-        raise MalformedPayload(str(exc)) from exc
+        raise ProtocolError(str(exc)) from exc
     if not isinstance(obj, dict):
-        raise MalformedPayload(f"{what}: JSON payload is not an object")
+        raise ProtocolError(f"{what}: JSON payload is not an object")
     return obj
 
 
@@ -153,7 +127,7 @@ def _text_from(buf: bytes, what: str) -> str:
     try:
         return buf.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedPayload(f"{what}: invalid UTF-8") from exc
+        raise ProtocolError(f"{what}: invalid UTF-8") from exc
 
 
 def _encode_payload(msg: Message) -> bytes:
@@ -189,21 +163,21 @@ def _decode_payload(msg_type: MsgType, buf: bytes) -> Message:
             return from_dict(ConfigBroadcast, _json_from(buf, "ConfigBroadcast"))
         if msg_type is MsgType.ROUND_START:
             if len(buf) < 4:
-                raise MalformedPayload("RoundStart: missing round index")
+                raise ProtocolError("RoundStart: missing round index")
             (t,) = struct.unpack_from("<I", buf)
             return RoundStart(round_index=t, weights=_weights_from(buf[4:], "RoundStart"))
         if msg_type is MsgType.DELTA_UPLOAD:
             if len(buf) < 6:
-                raise MalformedPayload("DeltaUpload: missing header")
+                raise ProtocolError("DeltaUpload: missing header")
             t, site_len = struct.unpack_from("<IH", buf)
             if len(buf) < 6 + site_len:
-                raise MalformedPayload("DeltaUpload: site id exceeds payload")
+                raise ProtocolError("DeltaUpload: site id exceeds payload")
             site = _text_from(buf[6:6 + site_len], "DeltaUpload")
             return DeltaUpload(round_index=t, site_id=site,
                                delta=_weights_from(buf[6 + site_len:], "DeltaUpload"))
         if msg_type is MsgType.CHECKPOINT_NOTICE:
             if len(buf) != 4:
-                raise MalformedPayload("CheckpointNotice: expected 4 bytes")
+                raise ProtocolError("CheckpointNotice: expected 4 bytes")
             (t,) = struct.unpack_from("<I", buf)
             return CheckpointNotice(round_index=t)
         if msg_type is MsgType.FINAL_MODEL:
@@ -211,15 +185,15 @@ def _decode_payload(msg_type: MsgType, buf: bytes) -> Message:
         if msg_type is MsgType.ABORT:
             return Abort(reason=_text_from(buf, "Abort"))
     except ValueError as exc:  # a record that from_dict refuses
-        raise MalformedPayload(f"{msg_type.name}: {exc}") from exc
-    raise UnknownType(f"unhandled message type {msg_type}")
+        raise ProtocolError(f"{msg_type.name}: {exc}") from exc
+    raise ProtocolError(f"unhandled message type {msg_type}")
 
 
 def encode_frame(msg: Message) -> bytes:
     """Encode a message into one complete frame."""
     payload = _encode_payload(msg)
     if len(payload) > MAX_PAYLOAD:
-        raise Oversized(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+        raise ProtocolError(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
     return _FRAME_HEADER.pack(MAGIC, VERSION, int(_TYPE_OF[type(msg)]), len(payload)) + payload
 
 
@@ -227,28 +201,29 @@ def frame_payload_length(buf: bytes) -> int:
     """Check the frame header at the start of ``buf``; returns the payload
     length it declares."""
     if len(buf) < FRAME_HEADER_SIZE:
-        raise Truncated(f"need {FRAME_HEADER_SIZE} header bytes, have {len(buf)}")
+        raise ProtocolError(f"need {FRAME_HEADER_SIZE} header bytes, have {len(buf)}")
     magic, version, _type_code, payload_len = _FRAME_HEADER.unpack_from(buf)
     if magic != MAGIC:
-        raise BadMagic(f"bad magic {magic!r}")
+        raise ProtocolError(f"bad magic {magic!r}")
     if version != VERSION:
-        raise BadVersion(f"unsupported version {version}")
+        raise ProtocolError(f"unsupported version {version}")
     if payload_len > MAX_PAYLOAD:
-        raise Oversized(f"declared payload of {payload_len} bytes exceeds {MAX_PAYLOAD}")
+        raise ProtocolError(f"declared payload of {payload_len} bytes exceeds {MAX_PAYLOAD}")
     return payload_len
 
 
 def decode_frame(buf: bytes) -> Message:
-    """Decode one complete frame; trailing bytes are a MalformedPayload error."""
+    """Decode one complete frame; trailing bytes are a ProtocolError."""
     payload_len = frame_payload_length(buf)
     type_code = buf[3]  # after the magic and the version
     try:
         msg_type = MsgType(type_code)
     except ValueError as exc:
-        raise UnknownType(f"unknown message type {type_code}") from exc
+        raise ProtocolError(f"unknown message type {type_code}") from exc
     end = FRAME_HEADER_SIZE + payload_len
     if len(buf) < end:
-        raise Truncated(f"payload needs {payload_len} bytes, have {len(buf) - FRAME_HEADER_SIZE}")
+        raise ProtocolError(f"payload needs {payload_len} bytes, "
+                            f"have {len(buf) - FRAME_HEADER_SIZE}")
     if len(buf) > end:
-        raise MalformedPayload(f"{len(buf) - end} trailing bytes after frame")
+        raise ProtocolError(f"{len(buf) - end} trailing bytes after frame")
     return _decode_payload(msg_type, bytes(buf[FRAME_HEADER_SIZE:end]))

@@ -182,6 +182,13 @@ def sequential_federated_reference(datasets, train_config, experiment_seed, roun
     return w, derived
 
 
+def predict_proba(w, volume: Volume, config: FeatureConfig) -> np.ndarray:
+    """One model's probability field on ``volume``, from the features of the
+    volume alone: the field :func:`fedrad.learner.predict_members` must give
+    for that member byte for byte."""
+    return forward(w, extract_features(volume, config))
+
+
 def reference_forward(w, features):
     """Softmax class probabilities with ``axis=-1`` reductions."""
     wm = np.asarray(w, dtype=np.float64).reshape(N_CLASSES, N_FEATURES + 1)

@@ -341,7 +341,7 @@ def test_criterion_9_validator_completeness(tmp_path):
     ds = generate_site_dataset(make_profile(site_id="v2", n_samples=2,
                                             dims=(8, 8, 8), seed=901))
     site_dir = tmp_path / "site"
-    save_site_dataset(ds, site_dir, None)
+    save_site_dataset(ds, site_dir)
     victim = ds.samples[0].sample_id
     pristine = (site_dir / f"{victim}.vol.frvd").read_bytes()
     for seed in range(1000):

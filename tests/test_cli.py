@@ -258,6 +258,20 @@ def test_characterize_refuses_another_experiments_data(config_file, tmp_path, ca
     assert not (Path(config.output_dir) / "characteristics.json").exists()
 
 
+def test_validate_config_refuses_another_experiments_data(config_file, tmp_path, capsys):
+    path, config = config_file
+    assert main(["gen", "--config", str(path)]) == 0
+    other = tmp_path / "other.json"
+    exp.save_config(replace(config, seed=999), other)  # same output_dir
+    capsys.readouterr()
+    assert main(["validate", "--config", str(other)]) == 1
+    manifest = site_dir(Path(config.output_dir), "s0") / "manifest.json"
+    assert capsys.readouterr().err == (
+        f"fedrad validate: {manifest} belongs to a different experiment (stamped "
+        f"{config.digest}, expected {replace(config, seed=999).digest}); "
+        "run 'fedrad gen' for this config\n")
+
+
 @pytest.mark.parametrize("artifact", ["summary.json", "metrics.csv", "timing.csv",
                                       "characteristics.json"])
 def test_report_refuses_foreign_artifacts(config_file, capsys, artifact):
@@ -279,6 +293,52 @@ def test_report_refuses_foreign_artifacts(config_file, capsys, artifact):
     victim.write_text(text.replace(config.digest, "f" * 64))
     assert main(["report", "--config", str(path)]) == 1
     assert f"{victim} belongs to" in capsys.readouterr().err
+
+
+def _report_inputs(config):
+    """What ``report`` joins, each stamped with ``config``'s digest: a
+    metrics.csv of whole rows and a summary.json per scenario."""
+    out = Path(config.output_dir)
+    for scenario in config.scenarios:
+        edir = eval_dir(out, scenario)
+        edir.mkdir(parents=True)
+        (edir / "metrics.csv").write_text(
+            stamped_csv(config.digest, [_METRICS_HEADER, *_GOOD_METRICS_ROWS]))
+        (edir / "summary.json").write_text(json.dumps({"experiment": config.digest}))
+    return out
+
+
+def test_report_prints_both_digests_of_a_foreign_stamp_in_full(config_file, capsys):
+    # a stamp one hex digit off near its end is another experiment's, and
+    # the two digests printed differ where the stamps do
+    path, config = config_file
+    out = _report_inputs(config)
+    digit = "1" if config.digest[60] == "0" else "0"
+    stamp = config.digest[:60] + digit + config.digest[61:]
+    (out / "timing.csv").write_text(stamped_csv(stamp, ["round,site,seconds"]))
+    assert main(["report", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"fedrad report: {out / 'timing.csv'} belongs to a different experiment "
+        f"(stamped {stamp}, expected {config.digest})\n")
+    assert not (out / "report.json").exists()
+
+
+def test_report_refuses_a_torn_metrics_csv(config_file, capsys):
+    # a metrics.csv cut inside its last row is refused by the reader that
+    # rank uses, naming the file and the line, and no report is written
+    path, config = config_file
+    out = _report_inputs(config)
+    assert main(["report", "--config", str(path)]) == 0
+    (out / "report.json").unlink()
+    metrics = eval_dir(out, config.scenarios[0]) / "metrics.csv"
+    text = metrics.read_text()
+    metrics.write_text(text[:text.rindex(",NAVE,")])  # line 10 keeps four fields
+    capsys.readouterr()
+    assert main(["report", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fedrad report: {metrics}:10: "), err
+    assert "expected 7, got 4" in err
+    assert not (out / "report.json").exists()
 
 
 def _serve_and_join(config_path, site_dirs):
@@ -392,8 +452,7 @@ def stub_run_server(monkeypatch, config, last_round: int) -> list:
         calls.append(params)
         Path(params.checkpoint_dir).mkdir(parents=True, exist_ok=True)
         Checkpoint(round_index=last_round, weights=np.zeros(WEIGHT_LEN), fp_avg=fp,
-                   experiment_seed=config.seed, experiment_digest=config.digest,
-                   ).save(checkpoint_log(params.checkpoint_dir))
+                   experiment_digest=config.digest).save(checkpoint_log(params.checkpoint_dir))
         return np.full(WEIGHT_LEN, 0.25)
 
     monkeypatch.setattr(fedproto, "run_server", run_server)
@@ -453,7 +512,7 @@ def test_serve_refuses_a_broken_registry_before_listening(config_file, monkeypat
     assert (models_dir(out) / "models.json").read_bytes() == registry
 
 
-@pytest.mark.parametrize("stage", ["train-sim", "evaluate", "characterize"])
+@pytest.mark.parametrize("stage", ["train-sim", "evaluate", "characterize", "validate"])
 def test_site_directory_holding_another_site_is_refused(config_file, capsys, stage):
     # s1's data copied over s0's carries the same experiment stamp: the
     # manifest's site id is what tells them apart
@@ -644,7 +703,7 @@ def _frame_round_start_3_weights(conn):
     train = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4,
                         learning_rate=0.1, seed=1)
     return (wire.encode_frame(wire.ConfigBroadcast(
-                fp_avg=fp, experiment_seed=1, rounds=1, train=train,
+                fp_avg=fp, experiment_seed=1, train=train,
                 experiment_digest="0" * 64))
             + wire.encode_frame(wire.RoundStart(round_index=1, weights=np.zeros(3))))
 

@@ -258,7 +258,8 @@ def test_scenario_variants_match_readme_table(n_sites, scenario):
 
 def test_spec_ensemble_single_site_degenerates_to_local(rng):
     from fedrad.dataset import Volume
-    from fedrad.learner import ensemble_predict, predict_proba
+    from fedrad.learner import ensemble_predict
+    from oracles import predict_proba
     registry = _registry(sites=("only",), with_loo=False)
     members = dict(scenario_variants(Scenario.PERSONALIZATION, ["only"], "only"))["Spec(E)"]
     vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 import threading
 import time
@@ -14,11 +15,10 @@ from oracles import sequential_federated_reference
 from fedrad.config import AGG_TOLERANT, ExperimentConfig, ServerParams, SiteLink, TrainConfig
 from fedrad.dataset import generate_site_dataset
 from fedrad.fingerprint import DatasetFingerprint
-from fedrad.fedproto import (Checkpoint, CheckpointMismatch, ExperimentAborted, Site, aggregate,
-                             checkpoint_log, load_checkpoint, read_checkpoints, run_client,
-                             run_server)
+from fedrad.fedproto import (Checkpoint, ExperimentAborted, Site, aggregate, checkpoint_log,
+                             load_checkpoint, read_checkpoints, run_client, run_server)
 from fedrad.learner import WEIGHT_LEN
-from fedrad.seeding import to_dict
+from fedrad.seeding import canonical_json, to_dict
 from fedrad.simnet import run_simulated
 from fedrad.transport import InProcessHub, TcpServerTransport, connect_tcp
 
@@ -128,7 +128,7 @@ RECORD_LEN = 164  # round index u32, 16 weights f64, sha256
 def _ckpt(rng, t=4):
     return Checkpoint(
         round_index=t, weights=rng.normal(size=WEIGHT_LEN),
-        fp_avg=FP, experiment_seed=42, experiment_digest="a" * 64)
+        fp_avg=FP, experiment_digest="a" * 64)
 
 
 def _log(path, rng, n=3):
@@ -154,6 +154,12 @@ def _write_raw_checkpoint(path, meta: bytes, version=5):
                      + body + hashlib.sha256(digest + body).digest())
 
 
+def _refused(path, what):
+    """``pytest.raises`` of the ValueError that refuses the log at ``path``:
+    its message names the log, then matches ``what``."""
+    return pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + what)
+
+
 def _rounds(records):
     return [(c.round_index, c.weights.tobytes()) for c in records]
 
@@ -170,19 +176,22 @@ def test_checkpoint_roundtrip(tmp_path, rng):
     assert np.array_equal(back.weights, ckpt.weights)
     assert back.fp_avg == ckpt.fp_avg
     assert back.fp_avg.digest == FP.digest
-    assert back.experiment_seed == ckpt.experiment_seed
     assert back.experiment_digest == ckpt.experiment_digest
+    # the header's metadata is the fingerprint average alone: the digest fixes the rest
+    (meta_len,) = struct.unpack_from("<I", raw, HEADER_LEN - 4)
+    assert json.loads(raw[HEADER_LEN:HEADER_LEN + meta_len]) == {"fp_avg": to_dict(FP)}
 
 
 def test_checkpoint_digest_refusal(tmp_path, rng):
     path = tmp_path / "c.frck"
     _ckpt(rng).save(path)
-    with pytest.raises(CheckpointMismatch):
+    with _refused(path, f"header: checkpoint belongs to experiment {'a' * 64}, "
+                        f"expected {'b' * 64}"):
         load_checkpoint(path, expected_digest="b" * 64)
     load_checkpoint(path, expected_digest="a" * 64)  # matching digest loads
     # each record's sha256 binds the digest, so another experiment's append is refused
     dataclasses.replace(_ckpt(rng, 5), experiment_digest="b" * 64).save(path)
-    with pytest.raises(CheckpointMismatch, match="record 1: sha256 mismatch"):
+    with _refused(path, "record 1: sha256 mismatch"):
         load_checkpoint(path)
 
 
@@ -192,7 +201,7 @@ def test_checkpoint_corruption_refused(tmp_path, rng):
     raw = bytearray(path.read_bytes())
     raw[0] = 0x58
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointMismatch):
+    with _refused(path, "header: bad magic b'XRCK'"):
         load_checkpoint(path)
 
 
@@ -201,7 +210,7 @@ def test_non_finite_checkpoint_refused(tmp_path, rng):
     ckpt = _ckpt(rng)
     ckpt.weights[-1] = np.nan
     ckpt.save(path)  # a well-formed record, sha256 included
-    with pytest.raises(CheckpointMismatch, match="record 0: non-finite"):
+    with _refused(path, "record 0: non-finite weights"):
         load_checkpoint(path)
 
 
@@ -211,7 +220,7 @@ def test_version_2_checkpoint_refused(tmp_path):
     path = tmp_path / "v2.frck"
     meta = {"round_index": 1, "fp_avg_digest": FP.digest, "experiment_seed": 42}
     _write_raw_checkpoint(path, json.dumps(meta).encode("ascii"), version=2)
-    with pytest.raises(CheckpointMismatch, match="header: unsupported version 2"):
+    with _refused(path, "header: unsupported version 2"):
         load_checkpoint(path)
 
 
@@ -219,7 +228,7 @@ def test_version_3_checkpoint_refused(tmp_path):
     # format 3 had no sha256 trailer, so a torn or flipped file could load
     path = tmp_path / "v3.frck"
     _write_raw_checkpoint(path, _meta(), version=3)
-    with pytest.raises(CheckpointMismatch, match="header: unsupported version 3"):
+    with _refused(path, "header: unsupported version 3"):
         load_checkpoint(path)
 
 
@@ -228,46 +237,44 @@ def test_version_4_checkpoint_refused(tmp_path):
     # so a corrupted length could pass for a torn append
     path = tmp_path / "v4.frck"
     _write_raw_checkpoint(path, _meta(), version=4)
-    with pytest.raises(CheckpointMismatch, match="header: unsupported version 4"):
+    with _refused(path, "header: unsupported version 4"):
         load_checkpoint(path)
 
 
 def _meta(**fp_fields):
     """Header metadata whose fingerprint has ``fp_fields`` replaced."""
-    return json.dumps({"experiment_seed": 42,
-                       "fp_avg": dict(to_dict(FP), **fp_fields)}).encode("ascii")
+    return json.dumps({"fp_avg": dict(to_dict(FP), **fp_fields)}).encode("ascii")
 
 
 @pytest.mark.parametrize("meta", [
     b"{not json",
     b"\xff\xfe",
     b"[1, 2, 3]",
-    b'{"experiment_seed": 42}',
-    b'{"experiment_seed": 42, "fp_avg": "abc"}',
-    b'{"experiment_seed": 42, "fp_avg": {"n_samples": 3}}',
+    b'{}',
+    b'{"fp_avg": "abc"}',
+    b'{"fp_avg": {"n_samples": 3}}',
     _meta(intensity_mean="abc"),
     _meta(spacing_mean=2.0),
     _meta(class_voxel_freqs=None),
     _meta(n_samples=[3]),
     _meta(n_samples=float("inf")),
     _meta(spacing_mean=[2.0, 1.0]),
-    json.dumps({"experiment_seed": "x", "fp_avg": to_dict(FP)}).encode("ascii"),
 ], ids=["bad-json", "not-ascii", "not-an-object", "fp-avg-missing", "fp-avg-string",
         "fp-avg-incomplete", "mean-string", "spacing-scalar", "freqs-null", "count-list",
-        "count-infinite", "spacing-short", "seed-string"])
+        "count-infinite", "spacing-short"])
 def test_bad_checkpoint_metadata_is_a_mismatch(tmp_path, meta):
     path = tmp_path / "bad.frck"
     _write_raw_checkpoint(path, _meta())
     assert load_checkpoint(path).fp_avg == FP
     _write_raw_checkpoint(path, meta)
-    with pytest.raises(CheckpointMismatch, match="header: bad metadata"):
+    with _refused(path, "header: bad metadata"):
         load_checkpoint(path)
 
 
 def test_mutated_checkpoints_raise_only_mismatch(tmp_path, rng):
     """Seeded truncations, bit flips, appends and deletions of a good
-    three-record log either load a prefix of its records or raise
-    CheckpointMismatch, nothing else."""
+    three-record log either load a prefix of its records or raise a
+    ValueError naming the log, nothing else."""
     path = tmp_path / "c.frck"
     good = _log(path, rng)
     want = _rounds(read_checkpoints(path))
@@ -289,7 +296,8 @@ def test_mutated_checkpoints_raise_only_mismatch(tmp_path, rng):
         path.write_bytes(bytes(raw))
         try:
             got = _rounds(read_checkpoints(path))
-        except CheckpointMismatch:
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: "), exc
             outcomes["refused"] += 1
             continue
         assert got == want[:len(got)]
@@ -315,7 +323,7 @@ def test_every_prefix_loads_its_whole_records_or_is_refused(tmp_path, rng, caplo
         whole = sum(end <= cut for end in ends)
         caplog.clear()
         if not whole:
-            with pytest.raises(CheckpointMismatch, match="no complete checkpoint record"):
+            with _refused(path, "no complete checkpoint record"):
                 read_checkpoints(path)
             continue
         assert _rounds(read_checkpoints(path)) == want[:whole], cut
@@ -370,7 +378,7 @@ def test_log_without_a_complete_record_refused(tmp_path, rng, cut):
         raw = raw[:HEADER_LEN - 4] + struct.pack("<I", 200_000) + b"[" * 100_000
         cut = len(raw)
     path.write_bytes(raw[:cut])
-    with pytest.raises(CheckpointMismatch, match="no complete checkpoint record"):
+    with _refused(path, "no complete checkpoint record"):
         load_checkpoint(path)
 
 
@@ -394,7 +402,7 @@ def test_flipped_byte_is_a_mismatch_naming_its_record(tmp_path, rng, field):
             bad = bytearray(good)
             bad[offset] ^= 1 << bit
             path.write_bytes(bytes(bad))
-            with pytest.raises(CheckpointMismatch, match=f": {name}: "):
+            with _refused(path, f": {name}: "):
                 read_checkpoints(path)
     path.write_bytes(good)
     assert [c.round_index for c in read_checkpoints(path)] == [0, 1, 2]
@@ -445,8 +453,8 @@ def test_client_delta_is_definitional(tmp_path):
     from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
     fps = [compute_fingerprint(datasets[s].train) for s in ("s1", "s2")]
     config = wire.ConfigBroadcast(fp_avg=average_fingerprints(fps),
-                                  experiment_seed=params.config.seed, rounds=1,
-                                  train=TRAIN, experiment_digest=params.config.digest)
+                                  experiment_seed=params.config.seed, train=TRAIN,
+                                  experiment_digest=params.config.digest)
     w0 = derive_config(config.fp_avg, config.experiment_seed).init_weights
     deltas = {sid: Site(sid, datasets[sid].train, config).delta(w0, 1) for sid in ("s1", "s2")}
     assert np.array_equal(server_out["w"], aggregate(w0, deltas))
@@ -685,7 +693,7 @@ def test_client_refuses_non_finite_weights(tmp_path, kind):
     assert isinstance(server.recv(timeout=30), wire.Register)
     fp = server.recv(timeout=30).fingerprint
     nan = np.full(WEIGHT_LEN, np.nan)
-    server.send(wire.ConfigBroadcast(fp_avg=fp, experiment_seed=1, rounds=1, train=TRAIN,
+    server.send(wire.ConfigBroadcast(fp_avg=fp, experiment_seed=1, train=TRAIN,
                                      experiment_digest="0" * 64))
     server.send(wire.RoundStart(round_index=1, weights=nan) if kind == "RoundStart"
                 else wire.FinalModel(weights=nan))
@@ -726,8 +734,7 @@ def test_server_crash_after_round_then_resume(tmp_path, monkeypatch):
 
 def test_resume_refuses_other_experiment(tmp_path, rng):
     ckpt = Checkpoint(round_index=1, weights=rng.normal(size=WEIGHT_LEN),
-                      fp_avg=FP, experiment_seed=999,
-                      experiment_digest="c" * 64)
+                      fp_avg=FP, experiment_digest="c" * 64)
     path = tmp_path / "other.frck"
     ckpt.save(path)
     datasets = make_datasets(["s1"])
@@ -735,18 +742,37 @@ def test_resume_refuses_other_experiment(tmp_path, rng):
     # the server refuses before accepting any connection, so no client joins
     server_out, _ = run_experiment(params, datasets, joining=[],
                                    server_kw={"resume": path})
-    assert isinstance(server_out.get("exc"), CheckpointMismatch)
+    refusal = server_out.get("exc")
+    assert isinstance(refusal, ValueError)
+    assert str(refusal) == (f"{path}: header: checkpoint belongs to experiment {'c' * 64}, "
+                            f"expected {params.config.digest}")
 
 
-def test_resume_refuses_a_log_of_another_seed(tmp_path, rng):
-    # the digest hashes the seed, so only a log written by hand gets here
-    params = make_params(["s1"], rounds=2)
-    path = tmp_path / "reseeded.frck"
-    Checkpoint(round_index=1, weights=rng.normal(size=WEIGHT_LEN), fp_avg=FP,
-               experiment_seed=params.config.seed + 1,
-               experiment_digest=params.config.digest).save(path)
-    with pytest.raises(CheckpointMismatch, match="different experiment seed"):
-        run_simulated(params, make_datasets(["s1"]), [SiteLink(site_id="s1")], resume=path)
+def test_log_whose_header_holds_the_experiment_seed_still_resumes(tmp_path):
+    # a log written while the header still kept a copy of the seed, which the
+    # digest hashes anyway, has the metadata {"experiment_seed", "fp_avg"};
+    # the reader reads fp_avg alone, so it loads and resumes as before
+    sites = ["s1", "s2"]
+    datasets = make_datasets(sites)
+    links = [SiteLink(site_id=s) for s in sites]
+    full = run_simulated(make_params(sites, rounds=3, ckpt_dir=tmp_path / "full"),
+                         datasets, links)
+    raw = full.checkpoint_file.read_bytes()
+    params = make_params(sites, rounds=3, ckpt_dir=tmp_path / "resumed")
+    fp_avg = load_checkpoint(full.checkpoint_file).fp_avg
+    meta = canonical_json({"experiment_seed": params.config.seed,
+                           "fp_avg": to_dict(fp_avg)}).encode("ascii")
+    header = struct.pack("<4sH32sI", b"FRCK", 5, bytes.fromhex(params.config.digest),
+                         len(meta)) + meta
+    old = tmp_path / "old.frck"
+    # the records of rounds 0 to 2: each one's sha256 binds the digest, not the header
+    old.write_bytes(header + hashlib.sha256(header).digest()
+                    + raw[_header_end(raw):-RECORD_LEN])
+    last = load_checkpoint(old, expected_digest=params.config.digest)
+    assert (last.round_index, last.fp_avg) == (2, fp_avg)
+    resumed = run_simulated(params, datasets, links, resume=old)
+    assert resumed.final_weights.tobytes() == full.final_weights.tobytes()
+    assert [r.round_index for r in read_checkpoints(resumed.checkpoint_file)] == [2, 3]
 
 
 @pytest.mark.parametrize("network", ["sim", "live"])
@@ -760,13 +786,13 @@ def test_resume_refuses_a_log_of_other_site_data(tmp_path, network):
     other = make_datasets(sites, n_samples=7)
     refusal = "checkpoint fingerprint digest does not match the site data"
     if network == "sim":
-        with pytest.raises(CheckpointMismatch, match=refusal):
+        with pytest.raises(ValueError, match=refusal):
             run_simulated(params, other, links, resume=first.checkpoint_file)
     else:
         server_out, client_out = run_experiment(params, other,
                                                 server_kw={"resume": first.checkpoint_file})
-        assert isinstance(server_out.get("exc"), CheckpointMismatch)
-        assert refusal in str(server_out["exc"])
+        assert isinstance(server_out.get("exc"), ValueError)
+        assert str(server_out["exc"]) == refusal
         assert all(isinstance(c, ExperimentAborted) for c in client_out.values())
     assert not checkpoint_log(tmp_path / "resumed").exists()
 
@@ -1073,6 +1099,6 @@ def test_stale_delta_ignored_until_the_real_upload():
 def test_checkpoint_metadata_nested_too_deep_is_a_mismatch(tmp_path):
     path = tmp_path / "deep.frck"
     _write_raw_checkpoint(path, b"[" * 100_000)
-    with pytest.raises(CheckpointMismatch, match="bad metadata") as err:
+    with _refused(path, "header: bad metadata") as err:
         load_checkpoint(path)
     assert str(path) in str(err.value) and "not valid JSON" in str(err.value)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_profile, make_sample
-from oracles import (finite_diff_grad, padded_gradient_magnitude, reference_ensemble_labels,
-                     reference_forward, reference_loss_and_grad, reference_train_epochs,
-                     scipy_extract_features)
+from oracles import (finite_diff_grad, padded_gradient_magnitude, predict_proba,
+                     reference_ensemble_labels, reference_forward, reference_loss_and_grad,
+                     reference_train_epochs, scipy_extract_features)
 
 from fedrad.dataset import Volume, generate_site_dataset
 from fedrad.experiment import default_profiles
@@ -15,7 +15,7 @@ from fedrad.config import TrainConfig
 from fedrad.learner import (FeatureConfig, N_FEATURES, WEIGHT_LEN, _box_filter,
                             _gradient_magnitude, build_training_matrix, ensemble_predict,
                             extract_features, forward, load_weights, loss_and_grad,
-                            predict_members, predict_proba, save_weights, train_epochs)
+                            predict_members, save_weights, train_epochs)
 from fedrad.seeding import from_dict
 
 FC = FeatureConfig(shift=0.0, scale=1.0, clip_low=-1e6, clip_high=1e6)

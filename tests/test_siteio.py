@@ -54,9 +54,12 @@ def test_grid_corruption_detected(tmp_path, mutate):
 def test_site_dataset_roundtrip(tmp_path):
     profile = make_profile(seed=13)
     ds = generate_site_dataset(profile)
-    save_site_dataset(ds, tmp_path / "site", profile, experiment_digest="d" * 64)
+    save_site_dataset(ds, tmp_path / "site", experiment_digest="d" * 64)
     back = load_site_dataset(tmp_path / "site")
     assert back.site_id == ds.site_id
+    manifest = json.loads((tmp_path / "site" / "manifest.json").read_text())
+    assert manifest.keys() == {"format", "site_id", "experiment", "samples"}
+    assert manifest["experiment"] == "d" * 64
     assert [s.sample_id for s in back.train] == [s.sample_id for s in ds.train]
     assert [s.sample_id for s in back.test] == [s.sample_id for s in ds.test]
     for a, b in zip(ds.samples, back.samples):
@@ -69,8 +72,8 @@ def test_site_dataset_roundtrip(tmp_path):
 def test_save_is_byte_deterministic(tmp_path):
     profile = make_profile(seed=14)
     ds = generate_site_dataset(profile)
-    save_site_dataset(ds, tmp_path / "a", profile)
-    save_site_dataset(ds, tmp_path / "b", profile)
+    save_site_dataset(ds, tmp_path / "a")
+    save_site_dataset(ds, tmp_path / "b")
     for f in sorted((tmp_path / "a").iterdir()):
         assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
@@ -89,7 +92,7 @@ def test_save_is_byte_deterministic(tmp_path):
 def test_manifest_entries_stay_in_their_site(tmp_path, edit, named):
     for site_id in ("site_a", "site_b"):
         profile = make_profile(site_id=site_id, seed=15)
-        save_site_dataset(generate_site_dataset(profile), tmp_path / site_id, profile)
+        save_site_dataset(generate_site_dataset(profile), tmp_path / site_id)
     path = tmp_path / "site_a" / "manifest.json"
     manifest = json.loads(path.read_text())
     edit(manifest["samples"])

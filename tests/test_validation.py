@@ -34,7 +34,7 @@ def test_dims_mismatch():
 def test_validate_site_dir_counts(tmp_path):
     profile = make_profile(seed=22, n_samples=6)
     ds = generate_site_dataset(profile)
-    save_site_dataset(ds, tmp_path / "clean", profile)
+    save_site_dataset(ds, tmp_path / "clean")
     report = validate_site_dir(tmp_path / "clean")
     assert report.all_passed
     assert report.counts_by_code == {}
@@ -42,7 +42,7 @@ def test_validate_site_dir_counts(tmp_path):
     corrupted = inject_corruption(ds.train[0], FindingCode.NON_FINITE_INTENSITY, seed=1)
     mixed = SiteDataset(site_id=ds.site_id,
                         train=[corrupted] + ds.train[1:], test=ds.test)
-    save_site_dataset(mixed, tmp_path / "mixed", profile)
+    save_site_dataset(mixed, tmp_path / "mixed")
     report = validate_site_dir(tmp_path / "mixed")
     assert report.n_failed == 1
     assert report.excluded == [corrupted.sample_id]
@@ -135,7 +135,7 @@ def test_inject_then_regenerate_passes():
 def test_header_corruption_detected_on_disk(tmp_path):
     profile = make_profile(seed=25, n_samples=4)
     ds = generate_site_dataset(profile)
-    save_site_dataset(ds, tmp_path / "site", profile)
+    save_site_dataset(ds, tmp_path / "site")
 
     report = validate_site_dir(tmp_path / "site")
     assert report.all_passed
@@ -166,7 +166,7 @@ def test_no_false_positives_on_pristine():
 
 def test_report_to_dict(tmp_path):
     profile = make_profile(seed=27, n_samples=4)
-    save_site_dataset(generate_site_dataset(profile), tmp_path / "site", profile)
+    save_site_dataset(generate_site_dataset(profile), tmp_path / "site")
     doc = validate_site_dir(tmp_path / "site").to_dict()
     assert doc["n_samples"] == 4
     assert doc["n_failed"] == 0

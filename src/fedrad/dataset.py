@@ -10,12 +10,14 @@ Generation is fully deterministic: every sample derives its own RNG from
 ``(profile.seed, sample index)``, so datasets are bit-identical across
 processes and machines and generation can be parallelized per sample.
 
+A :class:`Sample` is named by its ``sample_id`` alone: its volume and its
+``uint8`` label grid carry no id of their own.
+
 The profile record and the voxel class ids live in :mod:`fedrad.config`.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -37,23 +39,10 @@ HISTOGRAM_EDGES = np.linspace(-1024.0, 1024.0, 65)
 MIN_GRID_DIM = 8
 
 
-class Provenance(str, enum.Enum):
-    MANUAL = "manual"
-    AUTO_PREPROCESSED = "auto_preprocessed"
-
-
-# Fragmentation regime is the synthetic stand-in for the annotation pipeline.
-_REGIME_PROVENANCE = {
-    CcRegime.FEW_LARGE: Provenance.MANUAL,
-    CcRegime.MANY_SMALL: Provenance.AUTO_PREPROCESSED,
-}
-
-
 @dataclass(frozen=True)
 class Volume:
     """A 3-D intensity grid with physical voxel spacing in mm."""
 
-    id: str
     intensities: np.ndarray  # (D, H, W) float32
     spacing: tuple[float, float, float]
 
@@ -63,20 +52,12 @@ class Volume:
 
 
 @dataclass(frozen=True)
-class LabelMask:
-    """Per-voxel class labels paired with a volume via a shared id."""
-
-    id: str
-    labels: np.ndarray  # (D, H, W) uint8
-
-
-@dataclass(frozen=True)
 class Sample:
+    """One volume and its per-voxel class labels, named by ``sample_id``."""
+
     sample_id: str
     volume: Volume
-    mask: LabelMask
-    site_id: str
-    annotation_provenance: Provenance
+    labels: np.ndarray  # (D, H, W) uint8
 
 
 @dataclass
@@ -190,12 +171,8 @@ def generate_sample(profile: SiteProfile, index: int) -> Sample:
         if sel.any():
             base[sel] += CLASS_INTENSITY_OFFSET[class_id]
 
-    volume = Volume(id=sample_id, intensities=base.astype(np.float32),
-                    spacing=profile.spacing)
-    mask = LabelMask(id=sample_id, labels=labels)
-    return Sample(sample_id=sample_id, volume=volume, mask=mask,
-                  site_id=profile.site_id,
-                  annotation_provenance=_REGIME_PROVENANCE[profile.cc_count_regime])
+    volume = Volume(intensities=base.astype(np.float32), spacing=profile.spacing)
+    return Sample(sample_id=sample_id, volume=volume, labels=labels)
 
 
 def split(samples: Sequence[Sample], test_fraction: float, stratify_class: int,
@@ -213,8 +190,8 @@ def split(samples: Sequence[Sample], test_fraction: float, stratify_class: int,
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
 
     ordered = sorted(samples, key=lambda s: s.sample_id)
-    has = [s for s in ordered if (s.mask.labels == stratify_class).any()]
-    lacks = [s for s in ordered if not (s.mask.labels == stratify_class).any()]
+    has = [s for s in ordered if (s.labels == stratify_class).any()]
+    lacks = [s for s in ordered if not (s.labels == stratify_class).any()]
 
     # _round_half_up is monotone and test_fraction < 1, so
     # 0 <= k_strat <= len(has) and 0 <= k_comp <= len(lacks)
@@ -242,21 +219,21 @@ def generate_site_dataset(profile: SiteProfile, test_fraction: float = 0.2,
     return SiteDataset(site_id=profile.site_id, train=train, test=test)
 
 
-def connected_components(mask: LabelMask, class_id: int,
+def connected_components(labels: np.ndarray, class_id: int,
                          spacing: tuple[float, float, float] | None = None) -> list[Component]:
     """26-connected components of one class, with voxel counts and volumes in ml.
 
     Components come in the order ``scipy.ndimage.label`` numbers them: by
     their first voxel in raster order. The labelling is numpy's, so
     characterization loads no scipy. ``spacing`` defaults to 1 mm isotropic
-    when the mask is used standalone.
+    when the labels are used standalone.
     """
     if class_id not in LESION_CLASSES:
         raise ValueError(f"class_id must be one of {LESION_CLASSES}, got {class_id}")
     sp = spacing if spacing is not None else (1.0, 1.0, 1.0)
     voxel_ml = (sp[0] * sp[1] * sp[2]) / 1000.0
     return [Component(voxel_count=int(c), volume_ml=int(c) * voxel_ml)
-            for c in _component_sizes(mask.labels == class_id)]
+            for c in _component_sizes(labels == class_id)]
 
 
 def _component_sizes(fg: np.ndarray) -> list[int]:
@@ -314,7 +291,7 @@ def site_statistics(dataset: SiteDataset) -> dict:
     class_ccs: dict[int, list[int]] = {c: [] for c in LESION_CLASSES}
     for s in samples:
         for c in LESION_CLASSES:
-            comps = connected_components(s.mask, c, s.volume.spacing)
+            comps = connected_components(s.labels, c, s.volume.spacing)
             if comps:
                 class_sample_counts[c] = class_sample_counts.get(c, 0) + 1
                 class_volumes[c].append(sum(comp.volume_ml for comp in comps))

@@ -125,9 +125,10 @@ def run_scenario(scenarios: Sequence[Scenario], datasets: Mapping[str, SiteDatas
             memo, spacing = {}, sample.volume.spacing
             for out, members in checklist:
                 pred = ensemble_predict([fields[n] for n, _ in members],
-                                        [mw for _, mw in members], sample.volume.id)
+                                        [mw for _, mw in members], sample.sample_id)
                 for class_id in LESION_CLASSES:
-                    out.extend(score_pair(pred, sample.mask, class_id, spacing, memo))
+                    out.extend(score_pair(pred, sample.labels, sample.sample_id, class_id,
+                                          spacing, memo))
     return records
 
 

@@ -63,7 +63,7 @@ def compute_fingerprint(train: Sequence[Sample]) -> DatasetFingerprint:
 
     counts = np.zeros(N_CLASSES, dtype=np.int64)
     for s in ordered:
-        counts += np.bincount(s.mask.labels.ravel(), minlength=N_CLASSES)[:N_CLASSES]
+        counts += np.bincount(s.labels.ravel(), minlength=N_CLASSES)[:N_CLASSES]
     total = int(counts.sum())
     freqs = tuple(float(c) / float(total) for c in counts)
 

@@ -46,7 +46,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import N_CLASSES, TrainConfig
-from .dataset import LabelMask, Sample, Volume
+from .dataset import Sample, Volume
 from .seeding import derive_seed, rng_from
 
 N_FEATURES = 3
@@ -288,8 +288,8 @@ def build_training_matrix(samples: Sequence[Sample],
     if not ordered:
         raise ValueError("no samples")
     for s in ordered:
-        if s.mask.labels.shape != s.volume.intensities.shape:
-            raise ValueError(f"sample {s.sample_id}: mask shape {s.mask.labels.shape} "
+        if s.labels.shape != s.volume.intensities.shape:
+            raise ValueError(f"sample {s.sample_id}: mask shape {s.labels.shape} "
                              f"differs from volume shape {s.volume.intensities.shape}")
     n_rows = sum(s.volume.intensities.size for s in ordered)
     features = np.empty((n_rows, N_FEATURES + 1), dtype=np.float64)
@@ -299,7 +299,7 @@ def build_training_matrix(samples: Sequence[Sample],
         stop = row + x.size
         _write_features(x, config, features[row:stop].reshape(x.shape + (N_FEATURES + 1,)))
         row = stop
-    labels = np.concatenate([s.mask.labels.reshape(-1) for s in ordered], dtype=np.int64)
+    labels = np.concatenate([s.labels.reshape(-1) for s in ordered], dtype=np.int64)
     return features, labels
 
 
@@ -334,13 +334,14 @@ def predict_members(volume: Volume,
 
 
 def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[float],
-                     mask_id: str) -> LabelMask:
-    """Argmax of the weighted average of member probability fields (each as
-    :func:`forward` returns it); ties break toward the lower class index.
-    ``member_weights`` are normalized by their sum; each must be finite and
-    non-negative, and their sum positive, and the fields must share one
-    shape. An average that is NaN at any voxel (a NaN, or an infinity times
-    a zero weight) raises ``ValueError``.
+                     sample_id: str) -> np.ndarray:
+    """The ``uint8`` label grid that is the argmax of the weighted average of
+    member probability fields (each as :func:`forward` returns it); ties
+    break toward the lower class index. ``member_weights`` are normalized by
+    their sum; each must be finite and non-negative, and their sum positive,
+    and the fields must share one shape. An average that is NaN at any
+    voxel (a NaN, or an infinity times a zero weight) raises ``ValueError``
+    naming ``sample_id``.
 
     The average is summed class-major: each field is transposed to put its
     class axis first, which for a field from :func:`forward` is a contiguous
@@ -372,9 +373,9 @@ def ensemble_predict(fields: Sequence[np.ndarray], member_weights: Sequence[floa
         labels[acc[c] > best] = c
         np.maximum(best, acc[c], out=best)
     if np.isnan(best).any():
-        raise ValueError(f"{mask_id}: ensemble average is NaN at "
+        raise ValueError(f"{sample_id}: ensemble average is NaN at "
                          f"{int(np.isnan(best).sum())} voxels")
-    return LabelMask(id=mask_id, labels=labels)
+    return labels
 
 
 def save_weights(path: Path, w: np.ndarray) -> None:

@@ -42,7 +42,6 @@ from typing import Sequence
 import numpy as np
 from scipy import ndimage
 
-from .dataset import LabelMask
 from .records import (METRIC_DSC, METRIC_HSD, METRIC_NAVE, METRIC_NSD, METRICS, MetricRecord,
                       RecordStatus)
 
@@ -65,14 +64,14 @@ PAIR_CHUNK_ELEMENTS = 1 << 15
 _STRUCT_6 = ndimage.generate_binary_structure(3, 1)
 
 
-def _check_dims(pred: LabelMask, ref: LabelMask) -> None:
-    if pred.labels.shape != ref.labels.shape:
-        raise ValueError(f"mask dims differ: {pred.labels.shape} vs {ref.labels.shape}")
+def _check_dims(pred: np.ndarray, ref: np.ndarray) -> None:
+    if pred.shape != ref.shape:
+        raise ValueError(f"mask dims differ: {pred.shape} vs {ref.shape}")
 
 
-def _class_masks(pred: LabelMask, ref: LabelMask, class_id: int) -> tuple[np.ndarray, np.ndarray]:
+def _class_masks(pred: np.ndarray, ref: np.ndarray, class_id: int) -> tuple[np.ndarray, np.ndarray]:
     _check_dims(pred, ref)
-    return pred.labels == class_id, ref.labels == class_id
+    return pred == class_id, ref == class_id
 
 
 def _boundary(mask: np.ndarray) -> np.ndarray:
@@ -152,25 +151,25 @@ def _nave(p: np.ndarray, r: np.ndarray) -> float:
     return abs(int(p.sum()) - nr) / nr
 
 
-def dsc(pred: LabelMask, ref: LabelMask, class_id: int) -> float:
+def dsc(pred: np.ndarray, ref: np.ndarray, class_id: int) -> float:
     """Dice similarity 2|P&R| / (|P|+|R|) of one class."""
     return _dsc(*_class_masks(pred, ref, class_id))
 
 
-def nsd(pred: LabelMask, ref: LabelMask, class_id: int,
+def nsd(pred: np.ndarray, ref: np.ndarray, class_id: int,
         spacing: Sequence[float]) -> float:
     """Normalized surface dice: fraction of boundary voxels of either mask
     lying within ``NSD_TAU_MM`` of the other mask's boundary."""
     return _nsd(*_boundary_distances(*_class_masks(pred, ref, class_id), spacing))
 
 
-def hsd(pred: LabelMask, ref: LabelMask, class_id: int,
+def hsd(pred: np.ndarray, ref: np.ndarray, class_id: int,
         spacing: Sequence[float]) -> float:
     """Symmetric Hausdorff distance (100th percentile) between boundaries, mm."""
     return _hsd(*_boundary_distances(*_class_masks(pred, ref, class_id), spacing))
 
 
-def nave(pred: LabelMask, ref: LabelMask, class_id: int) -> float:
+def nave(pred: np.ndarray, ref: np.ndarray, class_id: int) -> float:
     """Relative absolute volume error |V_pred - V_ref| / V_ref.
 
     The voxel volume cancels, so this is computed from voxel counts.
@@ -208,9 +207,10 @@ def _score(p: _ClassSet, r: _ClassSet,
     return status, {m: float("nan") for m in METRICS}
 
 
-def score_pair(pred: LabelMask, ref: LabelMask, class_id: int, spacing: Sequence[float],
-               memo: dict | None = None) -> list[MetricRecord]:
-    """Score one (prediction, reference, class) pair into four records.
+def score_pair(pred: np.ndarray, ref: np.ndarray, sample_id: str, class_id: int,
+               spacing: Sequence[float], memo: dict | None = None) -> list[MetricRecord]:
+    """Score one (prediction, reference, class) pair of label grids into four
+    records of sample ``sample_id``, the sample whose labels ``ref`` holds.
 
     ``memo`` is a dict the caller keeps for one reference at one spacing and
     passes to every call for it; it holds the reference's class set under
@@ -220,11 +220,11 @@ def score_pair(pred: LabelMask, ref: LabelMask, class_id: int, spacing: Sequence
     """
     _check_dims(pred, ref)
     memo = {} if memo is None else memo
-    key = (pred.labels.tobytes(), pred.labels.dtype.str, class_id)
+    key = (pred.tobytes(), pred.dtype.str, class_id)
     if key not in memo:
         if class_id not in memo:
-            memo[class_id] = _ClassSet(ref.labels, class_id)
-        status, values = _score(_ClassSet(pred.labels, class_id), memo[class_id], spacing)
-        memo[key] = [MetricRecord(sample_id=ref.id, class_id=class_id, metric=m,
+            memo[class_id] = _ClassSet(ref, class_id)
+        status, values = _score(_ClassSet(pred, class_id), memo[class_id], spacing)
+        memo[key] = [MetricRecord(sample_id=sample_id, class_id=class_id, metric=m,
                                   value=values[m], status=status) for m in METRICS]
     return list(memo[key])

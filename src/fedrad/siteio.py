@@ -2,10 +2,14 @@
 
 One directory per site:
 
-    <site-dir>/manifest.json        site_id, sample list, provenance,
-                                    train/test membership, experiment digest
+    <site-dir>/manifest.json        site_id, experiment digest, and one
+                                    {sample_id, split} entry per sample
     <site-dir>/<sample>.vol.frvd    intensity grid
-    <site-dir>/<sample>.mask.frvd   label grid
+    <site-dir>/<sample>.mask.frvd   label grid, at the intensity grid's spacing
+
+A sample's grid files are named after its ``sample_id``, so the manifest
+does not store their names; readers ignore keys an entry has beyond these
+two.
 
 Grid files are raw little-endian binary with a 32-byte header:
 magic ``FRVD``, version u16, dtype code u8 (1 = float32, 2 = uint8),
@@ -20,7 +24,7 @@ from typing import Collection
 
 import numpy as np
 
-from .dataset import LabelMask, Provenance, Sample, SiteDataset, Volume
+from .dataset import Sample, SiteDataset, Volume
 from .seeding import check_stamp, parse_json, write_json
 
 GRID_MAGIC = b"FRVD"
@@ -34,9 +38,8 @@ _DTYPE_TO_CODE = {np.dtype("float32"): DTYPE_F32, np.dtype("uint8"): DTYPE_U8}
 
 MANIFEST_NAME = "manifest.json"
 SPLITS = ("train", "test")
-# the fields of a manifest sample entry that readers index as strings
-_ENTRY_STRINGS = ("sample_id", "volume_file", "mask_file", "provenance")
-_PROVENANCES = {p.value for p in Provenance}
+# a sample id names its grid files and is a field of every metrics CSV line
+_ID_FORBIDDEN = ",\r\n\0"
 
 
 class GridFormatError(ValueError):
@@ -93,16 +96,10 @@ def save_site_dataset(dataset: SiteDataset, site_dir: Path,
     entries = []
     for split_name, samples in (("train", dataset.train), ("test", dataset.test)):
         for s in sorted(samples, key=lambda s: s.sample_id):
-            vol_file, mask_file = _sample_files(s.sample_id)
-            write_grid(site_dir / vol_file, s.volume.intensities, s.volume.spacing)
-            write_grid(site_dir / mask_file, s.mask.labels, s.volume.spacing)
-            entries.append({
-                "sample_id": s.sample_id,
-                "split": split_name,
-                "provenance": s.annotation_provenance.value,
-                "volume_file": vol_file,
-                "mask_file": mask_file,
-            })
+            vol_name, mask_name = _sample_files(s.sample_id)
+            write_grid(site_dir / vol_name, s.volume.intensities, s.volume.spacing)
+            write_grid(site_dir / mask_name, s.labels, s.volume.spacing)
+            entries.append({"sample_id": s.sample_id, "split": split_name})
     entries.sort(key=lambda e: e["sample_id"])
     manifest = {
         "format": "frvd-site-v1",
@@ -127,31 +124,24 @@ def read_manifest(site_dir: Path) -> dict:
         raise GridFormatError(f"{path}: site_id is not a string")
     if not isinstance(manifest.get("samples"), list):
         raise GridFormatError(f"{path}: samples is not a list")
-    sample_ids, grid_files = set(), set()
+    sample_ids = set()
     for i, entry in enumerate(manifest["samples"]):
         if not isinstance(entry, dict):
             raise GridFormatError(f"{path}: samples[{i}] is not an object")
-        for key in _ENTRY_STRINGS:
-            if not isinstance(entry.get(key), str):
-                raise GridFormatError(f"{path}: samples[{i}].{key} is not a string")
-        for key in ("volume_file", "mask_file"):
-            # a grid file lies in the site directory itself
-            if entry[key] in ("", ".", "..") or Path(entry[key]).name != entry[key]:
-                raise GridFormatError(f"{path}: samples[{i}].{key} is not a bare file name")
+        sid = entry.get("sample_id")
+        if not isinstance(sid, str):
+            raise GridFormatError(f"{path}: samples[{i}].sample_id is not a string")
+        # the grid files lie in the site directory itself
+        if (sid in ("", ".", "..") or Path(sid).name != sid
+                or any(c in sid for c in _ID_FORBIDDEN)):
+            raise GridFormatError(f"{path}: samples[{i}].sample_id is not a bare file name "
+                                  "free of commas and line breaks")
         if entry.get("split") not in SPLITS:
             raise GridFormatError(f'{path}: samples[{i}].split is not "train" or "test"')
-        if entry["provenance"] not in _PROVENANCES:
-            raise GridFormatError(f"{path}: samples[{i}].provenance is not one of "
-                                  f"{sorted(_PROVENANCES)}")
-        # a sample or a grid listed twice would train (or be scored) twice
-        if entry["sample_id"] in sample_ids:
+        # a sample listed twice would train (or be scored) twice
+        if sid in sample_ids:
             raise GridFormatError(f"{path}: samples[{i}].sample_id repeats an earlier entry's")
-        sample_ids.add(entry["sample_id"])
-        for key in ("volume_file", "mask_file"):
-            if entry[key] in grid_files:
-                raise GridFormatError(f"{path}: samples[{i}].{key} names a grid file "
-                                      "already named")
-            grid_files.add(entry[key])
+        sample_ids.add(sid)
     return manifest
 
 
@@ -168,18 +158,19 @@ def read_site_manifest(site_dir: Path, site_id: str, experiment_digest: str) -> 
     return manifest
 
 
-def load_sample(site_dir: Path, entry: dict, site_id: str) -> Sample:
-    site_dir = Path(site_dir)
-    intens, spacing = read_grid(site_dir / entry["volume_file"])
-    labels, _ = read_grid(site_dir / entry["mask_file"])
-    sample_id = entry["sample_id"]
-    return Sample(
-        sample_id=sample_id,
-        volume=Volume(id=sample_id, intensities=intens, spacing=spacing),
-        mask=LabelMask(id=sample_id, labels=labels),
-        site_id=site_id,
-        annotation_provenance=Provenance(entry["provenance"]),
-    )
+def load_sample(site_dir: Path, sample_id: str) -> Sample:
+    """Sample ``sample_id`` of ``site_dir``, read from its two grid files; a
+    label grid stored at another spacing than the intensity grid's is a
+    :class:`GridFormatError`."""
+    vol_path, mask_path = (Path(site_dir) / name for name in _sample_files(sample_id))
+    intens, spacing = read_grid(vol_path)
+    labels, mask_spacing = read_grid(mask_path)
+    # a NaN spacing in both headers is left to validation's spacing rule
+    if not np.array_equal(mask_spacing, spacing, equal_nan=True):
+        raise GridFormatError(f"{mask_path}: spacing {mask_spacing} differs from the "
+                              f"intensity grid's {spacing}")
+    return Sample(sample_id=sample_id, volume=Volume(intensities=intens, spacing=spacing),
+                  labels=labels)
 
 
 def load_site_dataset(site_dir: Path, splits: Collection[str] = SPLITS,
@@ -193,6 +184,6 @@ def load_site_dataset(site_dir: Path, splits: Collection[str] = SPLITS,
     ds = SiteDataset(site_id=manifest["site_id"])
     for entry in manifest["samples"]:
         if entry["split"] in splits:
-            sample = load_sample(site_dir, entry, manifest["site_id"])
+            sample = load_sample(site_dir, entry["sample_id"])
             (ds.train if entry["split"] == "train" else ds.test).append(sample)
     return ds

@@ -3,7 +3,9 @@
 Validators return findings instead of raising, so a run can exclude bad
 samples and keep going; the exclusion list is part of the report for
 reproducibility. :func:`validate_site_dir` checks a persisted site, and
-reports unreadable grid files as ``HeaderCorrupt`` findings.
+reports unreadable grid files, and a label grid stored at another spacing
+than its intensity grid, as ``HeaderCorrupt`` findings. Both grids of a
+sample are found by its ``sample_id``, so no rule compares ids.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ class FindingCode(str, enum.Enum):
     LABEL_OUT_OF_RANGE = "LabelOutOfRange"
     NON_FINITE_INTENSITY = "NonFiniteIntensity"
     NON_POSITIVE_SPACING = "NonPositiveSpacing"
-    REFERENCE_MISMATCH = "ReferenceMismatch"
     EMPTY_VOLUME = "EmptyVolume"
     HEADER_CORRUPT = "HeaderCorrupt"
 
@@ -78,17 +79,17 @@ def validate_sample(sample: Sample) -> list[ValidationFinding]:
     """Check one sample against all readiness rules; empty list means pass."""
     out: list[ValidationFinding] = []
     sid = sample.sample_id
-    vol, mask = sample.volume, sample.mask
+    vol, labels = sample.volume, sample.labels
 
-    if vol.intensities.size == 0 or mask.labels.size == 0:
+    if vol.intensities.size == 0 or labels.size == 0:
         out.append(ValidationFinding(sid, FindingCode.EMPTY_VOLUME,
                                      f"volume has {vol.intensities.size} voxels, "
-                                     f"mask has {mask.labels.size}"))
-    if vol.intensities.shape != mask.labels.shape:
+                                     f"mask has {labels.size}"))
+    if vol.intensities.shape != labels.shape:
         out.append(ValidationFinding(sid, FindingCode.DIMS_MISMATCH,
                                      f"volume dims {vol.intensities.shape} != "
-                                     f"mask dims {mask.labels.shape}"))
-    bad = np.unique(mask.labels[(mask.labels < 0) | (mask.labels >= N_CLASSES)])
+                                     f"mask dims {labels.shape}"))
+    bad = np.unique(labels[(labels < 0) | (labels >= N_CLASSES)])
     if bad.size:
         out.append(ValidationFinding(sid, FindingCode.LABEL_OUT_OF_RANGE,
                                      f"labels outside 0..{N_CLASSES - 1}: {bad.tolist()}"))
@@ -99,10 +100,6 @@ def validate_sample(sample: Sample) -> list[ValidationFinding]:
     if any(not (s > 0.0) for s in vol.spacing):
         out.append(ValidationFinding(sid, FindingCode.NON_POSITIVE_SPACING,
                                      f"spacing {vol.spacing}"))
-    if vol.id != sid or mask.id != sid:
-        out.append(ValidationFinding(sid, FindingCode.REFERENCE_MISMATCH,
-                                     f"volume id {vol.id!r} / mask id {mask.id!r} "
-                                     f"vs sample id {sid!r}"))
     return out
 
 
@@ -113,7 +110,7 @@ def validate_site_dir(site_dir: Path) -> ValidationReport:
     for entry in sorted(manifest["samples"], key=lambda e: e["sample_id"]):
         sid = entry["sample_id"]
         try:
-            sample = siteio.load_sample(site_dir, entry, manifest["site_id"])
+            sample = siteio.load_sample(site_dir, sid)
         except siteio.GridFormatError as exc:
             report.sample_pass[sid] = False
             report.findings.append(

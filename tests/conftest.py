@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fedrad.config import CcRegime, SiteProfile
-from fedrad.dataset import LabelMask, Sample, Volume, generate_site_dataset
+from fedrad.dataset import Sample, Volume, generate_site_dataset
 from fedrad.fedproto import Federation
 
 _close_round = Federation.close_round
@@ -44,19 +44,13 @@ def make_profile(site_id="site_t", n_samples=8, seed=7, regime=CcRegime.FEW_LARG
 
 
 def make_sample(sample_id="s0", dims=(10, 10, 10), spacing=(1.0, 1.0, 1.0),
-                labels=None, intensities=None, site_id="site_t"):
+                labels=None, intensities=None):
     if intensities is None:
         intensities = np.zeros(dims, dtype=np.float32)
     if labels is None:
         labels = np.zeros(dims, dtype=np.uint8)
-    from fedrad.dataset import Provenance
-    return Sample(
-        sample_id=sample_id,
-        volume=Volume(id=sample_id, intensities=intensities, spacing=spacing),
-        mask=LabelMask(id=sample_id, labels=labels),
-        site_id=site_id,
-        annotation_provenance=Provenance.MANUAL,
-    )
+    return Sample(sample_id=sample_id,
+                  volume=Volume(intensities=intensities, spacing=spacing), labels=labels)
 
 
 @pytest.fixture(scope="session")

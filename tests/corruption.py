@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from fedrad.config import N_CLASSES
-from fedrad.dataset import LabelMask, Sample, Volume
+from fedrad.dataset import Sample, Volume
 from fedrad.seeding import rng_from
 from fedrad.validation import FindingCode
 
@@ -24,7 +24,6 @@ INJECTABLE_CODES = (
     FindingCode.LABEL_OUT_OF_RANGE,
     FindingCode.NON_FINITE_INTENSITY,
     FindingCode.NON_POSITIVE_SPACING,
-    FindingCode.REFERENCE_MISMATCH,
     FindingCode.EMPTY_VOLUME,
 )
 
@@ -32,47 +31,41 @@ INJECTABLE_CODES = (
 def inject_corruption(sample: Sample, kind: FindingCode, seed: int) -> Sample:
     """Return a copy of ``sample`` that fails validation with exactly ``kind``."""
     rng = rng_from(seed, "corrupt", kind.value, sample.sample_id)
-    vol, mask = sample.volume, sample.mask
+    vol = sample.volume
 
     if kind is FindingCode.DIMS_MISMATCH:
         axis = int(rng.integers(0, 3))
         sel = [slice(None)] * 3
-        sel[axis] = slice(0, mask.labels.shape[axis] - 1)
-        new_mask = LabelMask(id=mask.id, labels=mask.labels[tuple(sel)].copy())
-        return replace(sample, mask=new_mask)
+        sel[axis] = slice(0, sample.labels.shape[axis] - 1)
+        return replace(sample, labels=sample.labels[tuple(sel)].copy())
 
     if kind is FindingCode.LABEL_OUT_OF_RANGE:
-        labels = mask.labels.copy()
+        labels = sample.labels.copy()
         flat = int(rng.integers(0, labels.size))
         labels.ravel()[flat] = int(rng.integers(N_CLASSES, 2 * N_CLASSES))
-        return replace(sample, mask=LabelMask(id=mask.id, labels=labels))
+        return replace(sample, labels=labels)
 
     if kind is FindingCode.NON_FINITE_INTENSITY:
         intens = vol.intensities.copy()
         flat = int(rng.integers(0, intens.size))
         intens.ravel()[flat] = [np.nan, np.inf, -np.inf][int(rng.integers(0, 3))]
-        return replace(sample, volume=Volume(id=vol.id, intensities=intens,
-                                             spacing=vol.spacing))
+        return replace(sample, volume=Volume(intensities=intens, spacing=vol.spacing))
 
     if kind is FindingCode.NON_POSITIVE_SPACING:
         axis = int(rng.integers(0, 3))
         spacing = list(vol.spacing)
         spacing[axis] = [0.0, -abs(spacing[axis])][int(rng.integers(0, 2))]
-        return replace(sample, volume=Volume(id=vol.id, intensities=vol.intensities,
+        return replace(sample, volume=Volume(intensities=vol.intensities,
                                              spacing=tuple(spacing)))
-
-    if kind is FindingCode.REFERENCE_MISMATCH:
-        return replace(sample, mask=LabelMask(id=mask.id + "-x", labels=mask.labels))
 
     if kind is FindingCode.EMPTY_VOLUME:
         # Empty both grids so only the emptiness rule fires, not DimsMismatch.
         empty_shape = (0,) + vol.intensities.shape[1:]
         return replace(
             sample,
-            volume=Volume(id=vol.id,
-                          intensities=np.empty(empty_shape, dtype=vol.intensities.dtype),
+            volume=Volume(intensities=np.empty(empty_shape, dtype=vol.intensities.dtype),
                           spacing=vol.spacing),
-            mask=LabelMask(id=mask.id, labels=np.empty(empty_shape, dtype=mask.labels.dtype)),
+            labels=np.empty(empty_shape, dtype=sample.labels.dtype),
         )
 
     raise ValueError(f"cannot inject {kind.value} into an in-memory sample")

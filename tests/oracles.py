@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from fedrad.config import LESION_CLASSES, N_CLASSES
-from fedrad.dataset import LabelMask, Volume
+from fedrad.dataset import Volume
 from fedrad.evalrank import scenario_variants
 from fedrad.fedproto import aggregate
 from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
@@ -256,9 +256,9 @@ def ndimage_component_sizes(mask: np.ndarray) -> list[int]:
 def reference_ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volume,
                                config: FeatureConfig,
                                configs: Sequence[FeatureConfig] | None = None,
-                               member_weights: Sequence[float] | None = None) -> LabelMask:
-    """Argmax of the weighted average of member probability fields; ties
-    break toward the lower class index.
+                               member_weights: Sequence[float] | None = None) -> np.ndarray:
+    """The label grid that is the argmax of the weighted average of member
+    probability fields; ties break toward the lower class index.
 
     ``configs`` optionally gives each member its own feature normalization
     (models trained in different federations); by default all members share
@@ -285,7 +285,7 @@ def reference_ensemble_predict(weights_list: Sequence[np.ndarray], volume: Volum
         if fc not in cache:
             cache[fc] = extract_features(volume, fc)
         fields.append(forward(w, cache[fc]))
-    return LabelMask(id=volume.id, labels=reference_ensemble_labels(fields, mw))
+    return reference_ensemble_labels(fields, mw)
 
 
 def reference_ensemble_labels(fields: Sequence[np.ndarray], mw: np.ndarray) -> np.ndarray:
@@ -322,7 +322,8 @@ def reference_scenario_records(scenario, datasets, registry):
     for label, eval_site, sample, pred in reference_predictions(scenario, datasets, registry):
         recs = records.setdefault((label, eval_site), [])
         for class_id in LESION_CLASSES:
-            recs.extend(score_pair(pred, sample.mask, class_id, sample.volume.spacing))
+            recs.extend(score_pair(pred, sample.labels, sample.sample_id, class_id,
+                                   sample.volume.spacing))
     return records
 
 

@@ -24,7 +24,7 @@ from fedrad import experiment as exp
 from fedrad import wire
 from fedrad.cli import main as cli_main
 from fedrad.config import ExperimentConfig, ServerParams, SiteLink
-from fedrad.dataset import LabelMask, generate_sample, generate_site_dataset
+from fedrad.dataset import generate_sample, generate_site_dataset
 from fedrad.evalrank import rank
 from fedrad.fedproto import ExperimentAborted, run_client, run_server
 from fedrad.learner import N_FEATURES, WEIGHT_LEN, loss_and_grad
@@ -149,8 +149,7 @@ def test_criterion_3_degenerate_constants():
     ref = np.zeros((8, 8, 8), dtype=np.uint8)
     ref[2:5, 2:5, 2:5] = 1
     empty = np.zeros((8, 8, 8), dtype=np.uint8)
-    fn_records = score_pair(LabelMask(id="s", labels=empty),
-                            LabelMask(id="s", labels=ref), 1, (1.0, 1.0, 1.0))
+    fn_records = score_pair(empty, ref, "s", 1, (1.0, 1.0, 1.0))
     values = {r.metric: r.value for r in fn_records}
     assert values["DSC"] == 0.0
     assert values["NSD"] == 0.0
@@ -160,10 +159,8 @@ def test_criterion_3_degenerate_constants():
     assert all(r.status is RecordStatus.FN_DEFAULTED for r in fn_records)
 
     # false positives contribute nothing to the means
-    scored = score_pair(LabelMask(id="s", labels=ref),
-                        LabelMask(id="s", labels=ref), 1, (1.0, 1.0, 1.0))
-    fp_records = score_pair(LabelMask(id="t", labels=ref),
-                            LabelMask(id="t", labels=empty), 1, (1.0, 1.0, 1.0))
+    scored = score_pair(ref, ref, "s", 1, (1.0, 1.0, 1.0))
+    fp_records = score_pair(ref, empty, "t", 1, (1.0, 1.0, 1.0))
     with_fp = summarize(scored + fp_records, "site")
     without_fp = summarize(scored, "site")
     assert with_fp == without_fp
@@ -184,12 +181,11 @@ def test_criterion_4_metric_oracles():
         if not p.any() or not r.any():
             continue
         spacing = tuple(float(s) for s in rng.uniform(0.6, 2.4, size=3))
-        pred, ref = LabelMask(id="p", labels=p), LabelMask(id="r", labels=r)
-        assert dsc(pred, ref, 1) == brute_dsc(p, r, 1)
-        assert nave(pred, ref, 1) == brute_nave(p, r, 1)
-        assert hsd(pred, ref, 1, spacing) == pytest.approx(
+        assert dsc(p, r, 1) == brute_dsc(p, r, 1)
+        assert nave(p, r, 1) == brute_nave(p, r, 1)
+        assert hsd(p, r, 1, spacing) == pytest.approx(
             brute_hsd(p, r, 1, spacing), abs=1e-9)
-        assert nsd(pred, ref, 1, spacing) == pytest.approx(
+        assert nsd(p, r, 1, spacing) == pytest.approx(
             brute_nsd(p, r, 1, spacing, tau=1.0), abs=1e-9)
         checked += 1
     elapsed = time.monotonic() - started

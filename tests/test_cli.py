@@ -64,6 +64,33 @@ def test_validate_detects_corruption(config_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_a_label_grid_at_another_spacing_is_refused(config_file, tmp_path, capsys):
+    # labels stored at twice their volume's z spacing no longer pass for the
+    # volume's: validate reports the sample, every other reader exits 1
+    from fedrad.siteio import read_grid, write_grid
+    path, config = config_file
+    out = Path(config.output_dir)
+    for stage in ("gen", "train-sim"):
+        assert main([stage, "--config", str(path)]) == 0
+    s0 = site_dir(out, "s0")
+    victim = next(e["sample_id"] for e in json.loads((s0 / "manifest.json").read_text())["samples"]
+                  if e["split"] == "test")
+    mask_path = s0 / f"{victim}.mask.frvd"
+    labels, (z, y, x) = read_grid(mask_path)
+    write_grid(mask_path, labels, (2 * z, y, x))
+    reason = f"{mask_path}: spacing {(2 * z, y, x)} differs from the intensity grid's {(z, y, x)}"
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    assert main(["validate", "--config", str(path), "--json", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())[0]
+    assert report["excluded"] == [victim]
+    assert report["findings"] == [{"sample_id": victim, "code": "HeaderCorrupt", "detail": reason}]
+    for stage in ("characterize", "train-sim", "evaluate"):
+        capsys.readouterr()
+        assert main([stage, "--config", str(path)]) == 1, stage
+        assert capsys.readouterr().err == f"fedrad {stage}: {reason}\n", stage
+
+
 def test_full_sim_pipeline(config_file, capsys):
     path, config = config_file
     out = Path(config.output_dir)
@@ -240,8 +267,9 @@ def test_train_sim_refuses_a_mask_of_another_shape(config_file, capsys):
     sdir = site_dir(Path(config.output_dir), "s0")
     manifest = json.loads((sdir / "manifest.json").read_text())
     entry = next(e for e in manifest["samples"] if e["split"] == "train")
-    labels, spacing = read_grid(sdir / entry["mask_file"])
-    write_grid(sdir / entry["mask_file"], labels[:-1], spacing)
+    mask_path = sdir / f"{entry['sample_id']}.mask.frvd"
+    labels, spacing = read_grid(mask_path)
+    write_grid(mask_path, labels[:-1], spacing)
     capsys.readouterr()
     assert main(["train-sim", "--config", str(path)]) == 1
     assert (f"fedrad train-sim: sample {entry['sample_id']}: mask shape {labels[:-1].shape} "

@@ -27,6 +27,7 @@ SCENARIOS = ("personalization", "generalization_with_local")
 READERS = {
     "manifest": ("validate", "characterize", "train-sim", "evaluate"),
     "test-volume": ("validate", "characterize", "train-sim", "evaluate"),
+    "test-mask": ("validate", "characterize", "train-sim", "evaluate"),
     "models.json": ("evaluate",),
     "weights": ("evaluate",),
     "metrics.csv": ("rank", "report"),
@@ -71,10 +72,11 @@ def finished_run(tmp_path_factory):
                      "--scenario", scenario]) == 0
     assert main(["report", "--config", str(path)]) == 0
     manifest = json.loads((site_dir(out, "s0") / "manifest.json").read_text())
-    test_volume = next(e["volume_file"] for e in manifest["samples"] if e["split"] == "test")
+    test_id = next(e["sample_id"] for e in manifest["samples"] if e["split"] == "test")
     artifacts = {
         "manifest": site_dir(out, "s0") / "manifest.json",
-        "test-volume": site_dir(out, "s0") / test_volume,
+        "test-volume": site_dir(out, "s0") / f"{test_id}.vol.frvd",
+        "test-mask": site_dir(out, "s0") / f"{test_id}.mask.frvd",
         "models.json": models_dir(out) / "models.json",
         "weights": models_dir(out) / "local_s0.frwt",
         "metrics.csv": eval_dir(out, SCENARIOS[0]) / "metrics.csv",

@@ -10,14 +10,14 @@ from oracles import flood_fill_components, ndimage_component_sizes
 
 from fedrad.cli import main
 from fedrad.config import CLASS_PE, LESION_CLASSES, CcRegime
-from fedrad.dataset import (LabelMask, connected_components, generate_sample,
-                            generate_site_dataset, site_statistics, split)
+from fedrad.dataset import (connected_components, generate_sample, generate_site_dataset,
+                            site_statistics, split)
 
 DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "default.json"
 
 
 def _mask_has(sample, class_id):
-    return bool((sample.mask.labels == class_id).any())
+    return bool((sample.labels == class_id).any())
 
 
 def test_generation_deterministic():
@@ -27,24 +27,23 @@ def test_generation_deterministic():
     assert [s.sample_id for s in a.samples] == [s.sample_id for s in b.samples]
     for sa, sb in zip(a.samples, b.samples):
         assert np.array_equal(sa.volume.intensities, sb.volume.intensities)
-        assert np.array_equal(sa.mask.labels, sb.mask.labels)
+        assert np.array_equal(sa.labels, sb.labels)
         assert sa.volume.spacing == sb.volume.spacing
 
 
 def test_generated_samples_consistent():
     ds = generate_site_dataset(make_profile(seed=3))
     for s in ds.samples:
-        assert s.volume.intensities.shape == s.mask.labels.shape
-        assert s.volume.id == s.mask.id == s.sample_id
+        assert s.volume.intensities.shape == s.labels.shape
         assert np.isfinite(s.volume.intensities).all()
-        assert set(np.unique(s.mask.labels)) <= {0, 1, 2, 3}
+        assert set(np.unique(s.labels)) <= {0, 1, 2, 3}
 
 
 def test_zero_prevalence_gives_background_only():
     profile = make_profile(prevalence=(0.0, 0.0, 0.0), seed=5)
     ds = generate_site_dataset(profile)
     for s in ds.samples:
-        assert not s.mask.labels.any()
+        assert not s.labels.any()
 
 
 def test_prevalence_controls_presence_frequency():
@@ -75,7 +74,7 @@ def test_regime_component_counts():
         counts = []
         for s in ds.samples:
             for c in LESION_CLASSES:
-                sizes = flood_fill_components(s.mask.labels, c)
+                sizes = flood_fill_components(s.labels, c)
                 if sizes:
                     counts.append(len(sizes))
         return np.mean(counts)
@@ -91,7 +90,7 @@ def test_regime_target_ranges():
     for regime, lo, hi in ((CcRegime.FEW_LARGE, 1, 3), (CcRegime.MANY_SMALL, 5, 20)):
         ds = generate_site_dataset(make_profile(regime=regime, **common))
         for s in ds.samples:
-            n = len(flood_fill_components(s.mask.labels, 1))
+            n = len(flood_fill_components(s.labels, 1))
             assert lo <= n <= hi, f"{regime}: {n} components"
 
 
@@ -99,13 +98,12 @@ def test_connected_components_against_flood_fill(rng):
     for trial in range(30):
         dims = tuple(int(rng.integers(6, 17)) for _ in range(3))  # up to 16^3
         labels = (rng.random(dims) < 0.12).astype(np.uint8)
-        mask = LabelMask(id="m", labels=labels)
-        got = sorted(c.voxel_count for c in connected_components(mask, 1))
+        got = sorted(c.voxel_count for c in connected_components(labels, 1))
         assert got == flood_fill_components(labels, 1)
 
 
 def _component_sizes_in_order(labels, class_id):
-    return [c.voxel_count for c in connected_components(LabelMask(id="m", labels=labels), class_id)]
+    return [c.voxel_count for c in connected_components(labels, class_id)]
 
 
 def test_connected_components_match_ndimage_label_random():
@@ -131,8 +129,8 @@ def test_connected_components_match_ndimage_label_sites(regime):
                                             prevalence=(0.9, 0.9, 0.9), dims=(16, 18, 14)))
     for s in ds.samples:
         for c in LESION_CLASSES:
-            want = ndimage_component_sizes(s.mask.labels == c)
-            assert _component_sizes_in_order(s.mask.labels, c) == want, (s.sample_id, c)
+            want = ndimage_component_sizes(s.labels == c)
+            assert _component_sizes_in_order(s.labels, c) == want, (s.sample_id, c)
 
 
 # sha256 of characteristics.json from `fedrad gen` + `fedrad characterize` on
@@ -175,14 +173,14 @@ def test_connected_components_basics():
     labels = np.zeros((8, 8, 8), dtype=np.uint8)
     labels[1, 1, 1] = 1
     labels[6, 6, 6] = 1
-    comps = connected_components(LabelMask(id="m", labels=labels), 1)
+    comps = connected_components(labels, 1)
     assert sorted(c.voxel_count for c in comps) == [1, 1]
 
-    assert connected_components(LabelMask(id="m", labels=np.zeros((8, 8, 8), np.uint8)), 2) == []
+    assert connected_components(np.zeros((8, 8, 8), np.uint8), 2) == []
 
     cube = np.zeros((8, 8, 8), dtype=np.uint8)
     cube[2:5, 2:5, 2:5] = 2
-    comps = connected_components(LabelMask(id="m", labels=cube), 2, spacing=(1.0, 1.0, 1.0))
+    comps = connected_components(cube, 2, spacing=(1.0, 1.0, 1.0))
     assert len(comps) == 1
     assert comps[0].voxel_count == 27
     assert comps[0].volume_ml == pytest.approx(0.027)
@@ -190,7 +188,7 @@ def test_connected_components_basics():
 
 def test_connected_components_bad_class():
     with pytest.raises(ValueError):
-        connected_components(LabelMask(id="m", labels=np.zeros((8, 8, 8), np.uint8)), 0)
+        connected_components(np.zeros((8, 8, 8), np.uint8), 0)
 
 
 def test_split_partition_and_sizes():

@@ -262,14 +262,13 @@ def test_spec_ensemble_single_site_degenerates_to_local(rng):
     from oracles import predict_proba
     registry = _registry(sites=("only",), with_loo=False)
     members = dict(scenario_variants(Scenario.PERSONALIZATION, ["only"], "only"))["Spec(E)"]
-    vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
-                 spacing=(1, 1, 1))
+    vol = Volume(intensities=rng.normal(size=(6, 6, 6)).astype(np.float32), spacing=(1, 1, 1))
     spec_mask = ensemble_predict(
         [predict_proba(registry[n].weights, vol, FC) for n, _ in members],
-        [mw for _, mw in members], vol.id)
+        [mw for _, mw in members], "v")
     local_mask = ensemble_predict([predict_proba(registry["local:only"].weights, vol, FC)],
-                                  [1.0], vol.id)
-    assert np.array_equal(spec_mask.labels, local_mask.labels)
+                                  [1.0], "v")
+    assert np.array_equal(spec_mask, local_mask)
 
 
 def test_run_scenario_shapes(small_dataset):
@@ -416,11 +415,9 @@ def _want_distance_calls(scenarios, datasets, registry):
     pairs: dict[tuple[str, str], set] = {}
     for scenario in scenarios:
         for _label, site, sample, pred in reference_predictions(scenario, datasets, registry):
-            ref = sample.mask.labels
             for c in LESION_CLASSES:
-                if (ref == c).any() and (pred.labels == c).any():
-                    pairs.setdefault((site, sample.sample_id), set()).add(
-                        (pred.labels.tobytes(), c))
+                if (sample.labels == c).any() and (pred == c).any():
+                    pairs.setdefault((site, sample.sample_id), set()).add((pred.tobytes(), c))
     return sum(len(s) for s in pairs.values())
 
 

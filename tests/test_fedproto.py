@@ -653,11 +653,9 @@ def test_client_with_a_mask_of_another_shape_aborts():
     # s2's first training mask is one slice short of its volume: the site
     # sends its Abort on the configuration, and the strict server aborts
     from dataclasses import replace
-    from fedrad.dataset import LabelMask
     datasets = make_datasets(["s1", "s2"])
     sample = datasets["s2"].train[0]
-    datasets["s2"].train[0] = replace(
-        sample, mask=LabelMask(id=sample.mask.id, labels=sample.mask.labels[:-1]))
+    datasets["s2"].train[0] = replace(sample, labels=sample.labels[:-1])
     params = make_params(["s1", "s2"], rounds=2)
     server_out, client_out = run_experiment(params, datasets)
     site_abort = client_out["s2"]

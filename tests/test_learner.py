@@ -28,7 +28,7 @@ def random_batch(rng, n=32):
 
 
 def test_extract_features_constant_volume():
-    vol = Volume(id="v", intensities=np.full((8, 8, 8), 25.0, dtype=np.float32),
+    vol = Volume(intensities=np.full((8, 8, 8), 25.0, dtype=np.float32),
                  spacing=(1.0, 1.0, 1.0))
     feats = extract_features(vol, FC)
     assert feats.shape == (8, 8, 8, 4)
@@ -39,7 +39,7 @@ def test_extract_features_constant_volume():
 
 
 def test_extract_features_normalization_and_clip():
-    vol = Volume(id="v", intensities=np.full((8, 8, 8), 300.0, dtype=np.float32),
+    vol = Volume(intensities=np.full((8, 8, 8), 300.0, dtype=np.float32),
                  spacing=(1.0, 1.0, 1.0))
     fc = FeatureConfig(shift=100.0, scale=50.0, clip_low=-200.0, clip_high=200.0)
     feats = extract_features(vol, fc)
@@ -47,7 +47,7 @@ def test_extract_features_normalization_and_clip():
 
 
 def test_extract_features_invalid_config():
-    vol = Volume(id="v", intensities=np.zeros((8, 8, 8), np.float32), spacing=(1, 1, 1))
+    vol = Volume(intensities=np.zeros((8, 8, 8), np.float32), spacing=(1, 1, 1))
     invalid = FeatureConfig(shift=0.0, scale=0.0, clip_low=0, clip_high=1)
     with pytest.raises(ValueError):
         extract_features(vol, invalid)
@@ -388,14 +388,13 @@ def test_diverging_run_raises_instead_of_returning_non_finite(rng, epochs, batch
 
 def _predict(w, vol):
     """The argmax segmentation of one model: a one-member ensemble."""
-    return ensemble_predict([predict_proba(w, vol, FC)], [1.0], vol.id)
+    return ensemble_predict([predict_proba(w, vol, FC)], [1.0], "v")
 
 
 def test_predict_zero_weights_tie_breaks_to_background():
-    vol = Volume(id="v", intensities=np.zeros((6, 6, 6), np.float32), spacing=(1, 1, 1))
+    vol = Volume(intensities=np.zeros((6, 6, 6), np.float32), spacing=(1, 1, 1))
     mask = _predict(np.zeros(WEIGHT_LEN), vol)
-    assert not mask.labels.any()
-    assert mask.id == "v"
+    assert not mask.any()
 
 
 @pytest.mark.parametrize("biases,want", [((0.0, 0.0, 0.0, 0.0), 0),
@@ -404,21 +403,21 @@ def test_predict_zero_weights_tie_breaks_to_background():
 def test_predict_and_ensemble_break_ties_toward_the_lower_class(rng, biases, want):
     # predict_proba returns a transposed view of class-major probabilities;
     # the argmax over its class axis must still pick the first of equal ones
-    vol = Volume(id="v", intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
+    vol = Volume(intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
                  spacing=(1, 1, 1))
     w = np.zeros((4, N_FEATURES + 1))
     w[:, N_FEATURES] = biases
     w = w.reshape(WEIGHT_LEN)
-    assert (_predict(w, vol).labels == want).all()
+    assert (_predict(w, vol) == want).all()
     p = predict_proba(w, vol, FC)
-    assert (ensemble_predict([p, p], [1.0, 3.0], vol.id).labels == want).all()
+    assert (ensemble_predict([p, p], [1.0, 3.0], "v") == want).all()
 
 
 def test_predict_scale_invariance(rng):
-    vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
+    vol = Volume(intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
     w = rng.normal(size=WEIGHT_LEN)
-    assert np.array_equal(_predict(w, vol).labels, _predict(3.0 * w, vol).labels)
+    assert np.array_equal(_predict(w, vol), _predict(3.0 * w, vol))
 
 
 def _random_members(rng, n_members, data):
@@ -449,7 +448,7 @@ def test_predict_members_equals_predict_proba_bitwise(dims):
                 data = rng.choice([0.0, -0.0, 1.0, -1.0, 0.1, -0.3], size=dims)
             else:
                 data = rng.normal(-500.0, 300.0, size=dims)
-            vol = Volume(id="v", intensities=data.astype(np.float32), spacing=(1, 1, 1))
+            vol = Volume(intensities=data.astype(np.float32), spacing=(1, 1, 1))
             members = _random_members(rng, n_members, vol.intensities)
             got = predict_members(vol, members)
             assert len(got) == n_members
@@ -476,7 +475,7 @@ _INVALID_MEMBERS = {
 def test_predict_members_refuses_an_invalid_member_before_any_work(rng, monkeypatch, name):
     import fedrad.learner as learner
 
-    vol = Volume(id="v", intensities=rng.normal(size=(4, 5, 3)).astype(np.float32),
+    vol = Volume(intensities=rng.normal(size=(4, 5, 3)).astype(np.float32),
                  spacing=(1, 1, 1))
     bad = _INVALID_MEMBERS[name]
     with pytest.raises(ValueError) as want:
@@ -491,99 +490,98 @@ def test_predict_members_refuses_an_invalid_member_before_any_work(rng, monkeypa
 
 
 def test_ensemble_single_and_identical_members(rng):
-    vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
+    vol = Volume(intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
     w = rng.normal(size=WEIGHT_LEN)
     p = predict_proba(w, vol, FC)
     single = np.argmax(p, axis=-1)
-    one = ensemble_predict([p], [1.0], vol.id)
-    three = ensemble_predict([p, p, p], [1.0, 1.0, 1.0], vol.id)
-    assert np.array_equal(one.labels, single)
-    assert np.array_equal(three.labels, single)
-    assert one.id == three.id == "v"
+    one = ensemble_predict([p], [1.0], "v")
+    three = ensemble_predict([p, p, p], [1.0, 1.0, 1.0], "v")
+    assert np.array_equal(one, single)
+    assert np.array_equal(three, single)
 
 
 def test_ensemble_order_invariance(rng):
-    vol = Volume(id="v", intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
+    vol = Volume(intensities=rng.normal(size=(6, 6, 6)).astype(np.float32),
                  spacing=(1, 1, 1))
     p1 = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
     p2 = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
-    a = ensemble_predict([p1, p2], [1.0, 1.0], vol.id)
-    b = ensemble_predict([p2, p1], [1.0, 1.0], vol.id)
-    assert np.array_equal(a.labels, b.labels)
+    a = ensemble_predict([p1, p2], [1.0, 1.0], "v")
+    b = ensemble_predict([p2, p1], [1.0, 1.0], "v")
+    assert np.array_equal(a, b)
 
 
 def test_ensemble_validation(rng):
-    vol = Volume(id="v", intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
+    vol = Volume(intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
     with pytest.raises(ValueError):
-        ensemble_predict([], [], vol.id)
+        ensemble_predict([], [], "v")
     with pytest.raises(ValueError):  # a member's weights are checked where its field is made
         predict_proba(np.zeros(WEIGHT_LEN - 1), vol, FC)
     p = predict_proba(np.zeros(WEIGHT_LEN), vol, FC)
     with pytest.raises(ValueError):
-        ensemble_predict([p], [1.0, 2.0], vol.id)
+        ensemble_predict([p], [1.0, 2.0], "v")
     # a smaller field is refused in either order, not broadcast
     for fields in ([p, p[:1]], [p[:1], p]):
         with pytest.raises(ValueError, match="differ in shape"):
-            ensemble_predict(fields, [1.0, 1.0], vol.id)
+            ensemble_predict(fields, [1.0, 1.0], "v")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_ensemble_refuses_non_finite_member_weights(bad):
     # a NaN weight used to pass both the sign and the sum check, and every
     # voxel then came out as label 0
-    vol = Volume(id="v", intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
+    vol = Volume(intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
     p = predict_proba(np.zeros(WEIGHT_LEN), vol, FC)
     for weights in ([bad], [1.0, bad], [bad, 1.0]):
         with pytest.raises(ValueError, match="valid weight"):
-            ensemble_predict([p] * len(weights), weights, vol.id)
+            ensemble_predict([p] * len(weights), weights, "v")
 
 
 def test_spec_is_two_member_average(rng):
     # Spec(X) = 1/2 p_X + 1/2 p_local, expressed as a weighted member list
-    vol = Volume(id="v", intensities=rng.normal(size=(5, 5, 5)).astype(np.float32),
+    vol = Volume(intensities=rng.normal(size=(5, 5, 5)).astype(np.float32),
                  spacing=(1, 1, 1))
     px = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
     pl = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
     direct = 0.5 * px + 0.5 * pl
-    via_members = ensemble_predict([px, pl], [0.5, 0.5], vol.id)
-    assert np.array_equal(via_members.labels, np.argmax(direct, axis=-1).astype(np.uint8))
+    via_members = ensemble_predict([px, pl], [0.5, 0.5], "v")
+    assert np.array_equal(via_members, np.argmax(direct, axis=-1).astype(np.uint8))
 
 
 def test_ensemble_ignores_a_zero_weight_member(rng):
-    vol = Volume(id="v", intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
+    vol = Volume(intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
                  spacing=(1, 1, 1))
     p = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
     q = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
-    alone = ensemble_predict([p], [1.0], vol.id).labels
-    assert not np.array_equal(alone, ensemble_predict([q], [1.0], vol.id).labels)
-    assert np.array_equal(ensemble_predict([p, q], [1.0, 0.0], vol.id).labels, alone)
+    alone = ensemble_predict([p], [1.0], "v")
+    assert not np.array_equal(alone, ensemble_predict([q], [1.0], "v"))
+    assert np.array_equal(ensemble_predict([p, q], [1.0, 0.0], "v"), alone)
 
 
 def test_ensemble_refuses_all_zero_weights():
-    vol = Volume(id="v", intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
+    vol = Volume(intensities=np.zeros((4, 4, 4), np.float32), spacing=(1, 1, 1))
     p = predict_proba(np.zeros(WEIGHT_LEN), vol, FC)
     for weights in ([0.0], [0.0, 0.0], [0.0, -0.0, 0.0]):
         with pytest.raises(ValueError, match="valid weight"):
-            ensemble_predict([p] * len(weights), weights, vol.id)
+            ensemble_predict([p] * len(weights), weights, "v")
 
 
 @pytest.mark.parametrize("class_id", range(4))
 def test_ensemble_refuses_a_nan_average(rng, class_id):
     # one NaN cell, in any class, used to come out as that voxel's label
-    vol = Volume(id="v", intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
+    vol = Volume(intensities=rng.normal(size=(5, 6, 7)).astype(np.float32),
                  spacing=(1, 1, 1))
     p = predict_proba(rng.normal(size=WEIGHT_LEN), vol, FC)
     nan = p.copy()
     nan[1, 2, 3, class_id] = np.nan
     for fields in ([nan], [p, nan], [nan, p, p]):
         with pytest.raises(ValueError, match="v: ensemble average is NaN at 1 voxels"):
-            ensemble_predict(fields, [1.0] * len(fields), vol.id)
+            ensemble_predict(fields, [1.0] * len(fields), "v")
     # an infinity times a zero member weight is NaN too
     inf = p.copy()
     inf[4, 5, 6, class_id] = np.inf
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="NaN at 1 voxels"):
-        ensemble_predict([p, inf], [1.0, 0.0], vol.id)
+        ensemble_predict([p, inf], [1.0, 0.0], "v")
 
 
 def _tied_fields(rng, n_members, layout, shape=(5, 6, 7)):
@@ -618,8 +616,8 @@ def test_ensemble_matches_row_major_argmax_oracle(n_members, layout):
     mw = weights / weights.sum()
     want = reference_ensemble_labels(fields, mw)
     got = ensemble_predict(fields, weights, "v")
-    assert got.labels.dtype == np.uint8
-    assert np.array_equal(got.labels, want)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, want)
     # every pair of classes ties at the top of the average somewhere
     avg = sum(mw[k] * f for k, f in enumerate(fields))
     top = avg == avg.max(axis=-1, keepdims=True)
@@ -657,7 +655,7 @@ def _per_sample_matrix(samples, config):
     ordered = sorted(samples, key=lambda s: s.sample_id)
     features = np.concatenate([extract_features(s.volume, config).reshape(-1, N_FEATURES + 1)
                                for s in ordered])
-    labels = np.concatenate([s.mask.labels.reshape(-1).astype(np.int64) for s in ordered])
+    labels = np.concatenate([s.labels.reshape(-1).astype(np.int64) for s in ordered])
     return features, labels
 
 

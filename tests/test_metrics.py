@@ -3,7 +3,6 @@ import pytest
 
 from oracles import brute_dsc, brute_hsd, brute_nave, brute_nsd, edt_surface_distances
 
-from fedrad.dataset import LabelMask
 from fedrad.experiment import default_config, default_profiles
 from fedrad.metrics import (FN_DEFAULTS, _boundary, _boundary_points, _surface_distances, dsc,
                             hsd, nave, nsd, score_pair)
@@ -14,7 +13,7 @@ SP = (1.0, 1.0, 1.0)
 
 
 def lm(labels):
-    return LabelMask(id="m", labels=np.asarray(labels, dtype=np.uint8))
+    return np.asarray(labels, dtype=np.uint8)
 
 
 def cube(dims, lo, hi, class_id=1):
@@ -63,7 +62,7 @@ def test_nsd_shifted_cube_matches_oracle():
     ref = cube((9, 9, 9), (2, 2, 2), (7, 7, 7))
     pred = cube((9, 9, 9), (3, 2, 2), (8, 7, 7))  # shifted one voxel along z
     got = nsd(pred, ref, 1, SP)
-    want = brute_nsd(pred.labels, ref.labels, 1, SP, tau=1.0)
+    want = brute_nsd(pred, ref, 1, SP, tau=1.0)
     assert got == pytest.approx(want, abs=1e-12)
     assert 0.0 < got < 1.0 or got == want
 
@@ -80,16 +79,16 @@ def test_metric_oracles_on_random_masks(rng):
     checked = 0
     for _ in range(120):
         pred, ref, spacing = random_pair(rng)
-        if not (pred.labels == 1).any() or not (ref.labels == 1).any():
+        if not (pred == 1).any() or not (ref == 1).any():
             continue
         checked += 1
-        assert dsc(pred, ref, 1) == brute_dsc(pred.labels, ref.labels, 1)
-        assert nave(pred, ref, 1) == brute_nave(pred.labels, ref.labels, 1)
+        assert dsc(pred, ref, 1) == brute_dsc(pred, ref, 1)
+        assert nave(pred, ref, 1) == brute_nave(pred, ref, 1)
         got_h = hsd(pred, ref, 1, spacing)
-        want_h = brute_hsd(pred.labels, ref.labels, 1, spacing)
+        want_h = brute_hsd(pred, ref, 1, spacing)
         assert got_h == pytest.approx(want_h, abs=1e-9)
         got_n = nsd(pred, ref, 1, spacing)
-        want_n = brute_nsd(pred.labels, ref.labels, 1, spacing, tau=1.0)
+        want_n = brute_nsd(pred, ref, 1, spacing, tau=1.0)
         assert got_n == pytest.approx(want_n, abs=1e-9)
     assert checked > 60
 
@@ -97,7 +96,7 @@ def test_metric_oracles_on_random_masks(rng):
 def test_metric_symmetry(rng):
     for _ in range(20):
         pred, ref, spacing = random_pair(rng, p=0.15)
-        if not (pred.labels == 1).any() or not (ref.labels == 1).any():
+        if not (pred == 1).any() or not (ref == 1).any():
             continue
         assert dsc(pred, ref, 1) == dsc(ref, pred, 1)
         assert nsd(pred, ref, 1, spacing) == pytest.approx(nsd(ref, pred, 1, spacing), abs=1e-12)
@@ -126,7 +125,7 @@ def test_nave_values():
 def test_score_pair_scored():
     ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
     pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
-    records = score_pair(pred, ref, 1, SP)
+    records = score_pair(pred, ref, "m", 1, SP)
     assert [r.metric for r in records] == list(METRICS)
     assert all(r.status is RecordStatus.SCORED for r in records)
     assert all(np.isfinite(r.value) for r in records)
@@ -135,7 +134,7 @@ def test_score_pair_scored():
 def test_score_pair_false_negative_constants():
     ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
     empty = lm(np.zeros((8, 8, 8)))
-    records = score_pair(empty, ref, 1, SP)
+    records = score_pair(empty, ref, "m", 1, SP)
     assert all(r.status is RecordStatus.FN_DEFAULTED for r in records)
     values = {r.metric: r.value for r in records}
     assert values == {"DSC": 0.0, "NSD": 0.0, "HSD": 260.0, "NAVE": 20.0}
@@ -145,9 +144,9 @@ def test_score_pair_false_negative_constants():
 def test_score_pair_false_positive_and_true_negative():
     pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
     empty = lm(np.zeros((8, 8, 8)))
-    fp_records = score_pair(pred, empty, 1, SP)
+    fp_records = score_pair(pred, empty, "m", 1, SP)
     assert all(r.status is RecordStatus.FP_SKIPPED for r in fp_records)
-    tn_records = score_pair(empty, empty, 1, SP)
+    tn_records = score_pair(empty, empty, "m", 1, SP)
     assert all(r.status is RecordStatus.TN_SKIPPED for r in tn_records)
     assert not any(r.included for r in fp_records + tn_records)
 
@@ -156,10 +155,10 @@ def test_score_pair_equals_public_metrics(rng):
     checked = 0
     while checked < 100:
         pred, ref, spacing = random_pair(rng, p=float(rng.uniform(0.03, 0.3)))
-        if not (pred.labels == 1).any() or not (ref.labels == 1).any():
+        if not (pred == 1).any() or not (ref == 1).any():
             continue
         checked += 1
-        got = {r.metric: r.value for r in score_pair(pred, ref, 1, spacing)}
+        got = {r.metric: r.value for r in score_pair(pred, ref, "m", 1, spacing)}
         assert got == {"DSC": dsc(pred, ref, 1), "NSD": nsd(pred, ref, 1, spacing),
                        "HSD": hsd(pred, ref, 1, spacing), "NAVE": nave(pred, ref, 1)}
 
@@ -186,28 +185,28 @@ def count_distance_computations(monkeypatch) -> list:
 def test_score_pair_one_distance_computation_per_pair(monkeypatch):
     calls = count_distance_computations(monkeypatch)
     ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
-    ref.labels[5:7, 5:7, 5:7] = 2
+    ref[5:7, 5:7, 5:7] = 2
     pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
-    pred.labels[5:7, 5:7, 6:8] = 2
+    pred[5:7, 5:7, 6:8] = 2
     memo = {}
-    score_pair(pred, ref, 1, SP, memo)
+    score_pair(pred, ref, "m", 1, SP, memo)
     assert len(calls) == 1
-    score_pair(pred, ref, 1, SP, memo)  # the same pair again
-    score_pair(LabelMask(id="p", labels=pred.labels.copy()), ref, 1, SP, memo)  # equal content
+    score_pair(pred, ref, "m", 1, SP, memo)  # the same pair again
+    score_pair(pred.copy(), ref, "m", 1, SP, memo)  # equal content
     assert len(calls) == 1
-    score_pair(pred, ref, 2, SP, memo)  # the same masks, another class
+    score_pair(pred, ref, "m", 2, SP, memo)  # the same masks, another class
     assert len(calls) == 2
-    score_pair(cube((8, 8, 8), (1, 1, 1), (4, 3, 4)), ref, 1, SP, memo)  # new prediction
+    score_pair(cube((8, 8, 8), (1, 1, 1), (4, 3, 4)), ref, "m", 1, SP, memo)  # new prediction
     assert len(calls) == 3
-    score_pair(pred, ref, 1, (2.0, 1.0, 1.0), {})  # new spacing, new memo
+    score_pair(pred, ref, "m", 1, (2.0, 1.0, 1.0), {})  # new spacing, new memo
     assert len(calls) == 4
     empty = lm(np.zeros((8, 8, 8)))
-    score_pair(empty, ref, 1, SP, memo)
-    score_pair(pred, empty, 1, SP, {})
+    score_pair(empty, ref, "m", 1, SP, memo)
+    score_pair(pred, empty, "m", 1, SP, {})
     assert len(calls) == 4
-    score_pair(pred, cube((8, 8, 8), (2, 1, 1), (5, 4, 4)), 1, SP, {})  # new reference
+    score_pair(pred, cube((8, 8, 8), (2, 1, 1), (5, 4, 4)), "m", 1, SP, {})  # new reference
     assert len(calls) == 5
-    score_pair(pred, ref, 1, SP)  # no memo: scored afresh
+    score_pair(pred, ref, "m", 1, SP)  # no memo: scored afresh
     assert len(calls) == 6
 
 
@@ -285,9 +284,9 @@ def test_surface_distances_equal_scipy_on_evaluate_inputs(tmp_path, monkeypatch,
     inputs = []
     score = metrics.score_pair
 
-    def captured(pred, ref, class_id, spacing, memo):
-        inputs.append((pred.labels, ref.labels, class_id, spacing))
-        return score(pred, ref, class_id, spacing, memo)
+    def captured(pred, ref, sample_id, class_id, spacing, memo):
+        inputs.append((pred, ref, class_id, spacing))
+        return score(pred, ref, sample_id, class_id, spacing, memo)
 
     monkeypatch.setattr(metrics, "score_pair", captured)
     assert main(["evaluate", "--config", str(path)]) == 0
@@ -319,9 +318,9 @@ def test_surface_distances_memory_is_bounded_by_the_chunk():
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
-def _public_records(pred, ref, class_id, spacing):
+def _public_records(pred, ref, sample_id, class_id, spacing):
     """What score_pair must return, from the public metric functions."""
-    in_pred, in_ref = (pred.labels == class_id).any(), (ref.labels == class_id).any()
+    in_pred, in_ref = (pred == class_id).any(), (ref == class_id).any()
     if in_pred and in_ref:
         values = {"DSC": dsc(pred, ref, class_id), "NSD": nsd(pred, ref, class_id, spacing),
                   "HSD": hsd(pred, ref, class_id, spacing), "NAVE": nave(pred, ref, class_id)}
@@ -331,7 +330,7 @@ def _public_records(pred, ref, class_id, spacing):
     else:
         values = dict.fromkeys(METRICS, float("nan"))
         status = RecordStatus.FP_SKIPPED if in_pred else RecordStatus.TN_SKIPPED
-    return [(ref.id, class_id, m, values[m], status) for m in METRICS]
+    return [(sample_id, class_id, m, values[m], status) for m in METRICS]
 
 
 def _as_tuples(records):
@@ -353,53 +352,53 @@ def _labels(rng, dims, p=0.25):
 
 def test_score_pair_memo_repeated_prediction(rng):
     sp = (2.0, 0.8, 1.3)
-    ref = LabelMask(id="r", labels=_labels(rng, (7, 9, 8)))
-    pred = LabelMask(id="p", labels=_labels(rng, (7, 9, 8), p=0.2))
-    pred.labels[pred.labels == 3] = 0  # class 3 is a false negative
-    want = {c: _public_records(pred, ref, c, sp) for c in (1, 2, 3)}
+    ref = _labels(rng, (7, 9, 8))
+    pred = _labels(rng, (7, 9, 8), p=0.2)
+    pred[pred == 3] = 0  # class 3 is a false negative
+    want = {c: _public_records(pred, ref, "r", c, sp) for c in (1, 2, 3)}
     memo = {}
     for _ in range(3):
         for c in (1, 2, 3):
-            _assert_same(_as_tuples(score_pair(pred, ref, c, sp, memo)), want[c])
+            _assert_same(_as_tuples(score_pair(pred, ref, "r", c, sp, memo)), want[c])
 
 
 def test_score_pair_memo_hit_returns_a_new_list_of_the_same_records(rng):
     sp = (1.0, 1.0, 1.0)
-    ref = LabelMask(id="r", labels=_labels(rng, (6, 5, 7)))
-    pred = LabelMask(id="p", labels=_labels(rng, (6, 5, 7)))
+    ref = _labels(rng, (6, 5, 7))
+    pred = _labels(rng, (6, 5, 7))
     memo = {}
-    first = score_pair(pred, ref, 2, sp, memo)
+    first = score_pair(pred, ref, "r", 2, sp, memo)
     want = _as_tuples(first)
     first.clear()  # the caller owns the list it gets
-    again = score_pair(pred, ref, 2, sp, memo)
+    again = score_pair(pred, ref, "r", 2, sp, memo)
     _assert_same(_as_tuples(again), want)
-    assert again is not score_pair(pred, ref, 2, sp, memo)
+    assert again is not score_pair(pred, ref, "r", 2, sp, memo)
 
 
 def test_score_pair_memo_interleaved_references(rng):
     sp = (1.0, 1.7, 0.9)
-    refs = [LabelMask(id=k, labels=_labels(rng, (8, 6, 7))) for k in ("a", "b")]
-    preds = [LabelMask(id="p", labels=_labels(rng, (8, 6, 7), p)) for p in (0.1, 0.2, 0.3)]
-    preds.append(LabelMask(id="p", labels=refs[0].labels.copy()))  # a perfect prediction
+    refs = {k: _labels(rng, (8, 6, 7)) for k in ("a", "b")}
+    preds = [_labels(rng, (8, 6, 7), p) for p in (0.1, 0.2, 0.3)]
+    preds.append(refs["a"].copy())  # a perfect prediction
     memos = {}  # one per (reference, spacing), kept across the interleaving
-    for ref, sp in ((refs[0], sp), (refs[1], sp), (refs[0], sp), (refs[0], (1.0, 1.0, 2.0))):
-        memo = memos.setdefault((ref.id, sp), {})
+    for k, sp in (("a", sp), ("b", sp), ("a", sp), ("a", (1.0, 1.0, 2.0))):
+        memo = memos.setdefault((k, sp), {})
         for pred in preds:
             for c in (1, 2, 3):
-                _assert_same(_as_tuples(score_pair(pred, ref, c, sp, memo)),
-                             _public_records(pred, ref, c, sp))
+                _assert_same(_as_tuples(score_pair(pred, refs[k], k, c, sp, memo)),
+                             _public_records(pred, refs[k], k, c, sp))
 
 
 def test_score_pair_memo_sees_labels_mutated_in_place(rng):
     sp = (1.5, 1.0, 1.0)
-    ref = LabelMask(id="r", labels=_labels(rng, (6, 7, 8)))
-    pred = LabelMask(id="p", labels=_labels(rng, (6, 7, 8)))
+    ref = _labels(rng, (6, 7, 8))
+    pred = _labels(rng, (6, 7, 8))
     memo = {}
     for mutate in (pred, ref, pred):
         for c in (1, 2, 3):
-            _assert_same(_as_tuples(score_pair(pred, ref, c, sp, memo)),
-                         _public_records(pred, ref, c, sp))
-        mutate.labels[1:4, 2:6, 3:7] = (mutate.labels[1:4, 2:6, 3:7] + 1) % 4
+            _assert_same(_as_tuples(score_pair(pred, ref, "r", c, sp, memo)),
+                         _public_records(pred, ref, "r", c, sp))
+        mutate[1:4, 2:6, 3:7] = (mutate[1:4, 2:6, 3:7] + 1) % 4
         if mutate is ref:
             memo = {}  # a memo holds the work of one reference
 
@@ -448,9 +447,9 @@ def test_metrics_csv_roundtrip(tmp_path):
     ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
     pred = cube((8, 8, 8), (1, 1, 1), (4, 4, 3))
     empty = lm(np.zeros((8, 8, 8)))
-    records = {("L", "site_a"): score_pair(pred, ref, 1, SP),
-               ("FL", "site_a"): score_pair(empty, ref, 1, SP),
-               ("FL", "site_b"): score_pair(pred, empty, 2, SP)}
+    records = {("L", "site_a"): score_pair(pred, ref, "m", 1, SP),
+               ("FL", "site_a"): score_pair(empty, ref, "m", 1, SP),
+               ("FL", "site_b"): score_pair(pred, empty, "m", 2, SP)}
     path = tmp_path / "metrics.csv"
     write_metrics_csv(path, records, experiment_digest="e" * 64)
     back, digest = read_metrics_csv(path)
@@ -467,7 +466,7 @@ def test_metrics_csv_roundtrip(tmp_path):
 def test_metrics_csv_without_digest_line_refused(tmp_path):
     ref = cube((8, 8, 8), (1, 1, 1), (4, 4, 4))
     path = tmp_path / "metrics.csv"
-    write_metrics_csv(path, {("L", "site_a"): score_pair(ref, ref, 1, SP)}, "e" * 64)
+    write_metrics_csv(path, {("L", "site_a"): score_pair(ref, ref, "m", 1, SP)}, "e" * 64)
     lines = path.read_text().splitlines(keepends=True)
     assert lines[0] == "# experiment=" + "e" * 64 + "\n"
     path.write_text("".join(lines[1:]))

@@ -6,8 +6,9 @@ import pytest
 from conftest import make_profile
 
 from fedrad.dataset import generate_site_dataset
-from fedrad.siteio import (GridFormatError, load_site_dataset, read_grid,
-                           save_site_dataset, write_grid)
+from fedrad.siteio import (GridFormatError, load_site_dataset, read_grid, save_site_dataset,
+                           write_grid)
+from fedrad.validation import validate_site_dir
 
 
 def test_grid_roundtrip(tmp_path, rng):
@@ -60,13 +61,39 @@ def test_site_dataset_roundtrip(tmp_path):
     manifest = json.loads((tmp_path / "site" / "manifest.json").read_text())
     assert manifest.keys() == {"format", "site_id", "experiment", "samples"}
     assert manifest["experiment"] == "d" * 64
+    # an entry holds only what a reader cannot work out from the sample id
+    assert all(entry.keys() == {"sample_id", "split"} for entry in manifest["samples"])
     assert [s.sample_id for s in back.train] == [s.sample_id for s in ds.train]
     assert [s.sample_id for s in back.test] == [s.sample_id for s in ds.test]
-    for a, b in zip(ds.samples, back.samples):
+    _assert_same_samples(ds.samples, back.samples)
+
+
+def _assert_same_samples(want, got):
+    assert [s.sample_id for s in got] == [s.sample_id for s in want]
+    for a, b in zip(want, got):
         assert np.array_equal(a.volume.intensities, b.volume.intensities)
-        assert np.array_equal(a.mask.labels, b.mask.labels)
+        assert np.array_equal(a.labels, b.labels)
+        assert a.labels.dtype == b.labels.dtype == np.uint8
         assert a.volume.spacing == b.volume.spacing
-        assert a.annotation_provenance == b.annotation_provenance
+
+
+def test_a_manifest_with_stored_grid_names_and_provenance_still_loads(tmp_path):
+    # manifests once stored each sample's grid file names and provenance;
+    # the names are the ones the sample id gives, and readers ignore the rest
+    ds = generate_site_dataset(make_profile(seed=16))
+    site = tmp_path / "site"
+    save_site_dataset(ds, site)
+    path = site / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for entry in manifest["samples"]:
+        sid = entry["sample_id"]
+        entry.update(provenance="manual", volume_file=f"{sid}.vol.frvd",
+                     mask_file=f"{sid}.mask.frvd")
+    path.write_text(json.dumps(manifest))
+    _assert_same_samples(ds.samples, load_site_dataset(site).samples)
+    report = validate_site_dir(site)
+    assert report.all_passed and not report.findings
+    assert len(report.sample_pass) == len(ds.samples)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -79,15 +106,12 @@ def test_save_is_byte_deterministic(tmp_path):
 
 
 @pytest.mark.parametrize("edit,named", [
-    # a grid file of another site, reached through its parent directory
-    (lambda samples: samples[0].update(volume_file="../site_b/site_b-0000.vol.frvd"),
-     r"samples\[0\]\.volume_file is not a bare file name"),
+    # the grid files of another site's sample, reached through its parent directory
+    (lambda samples: samples[0].update(sample_id="../site_b/site_b-0000"),
+     r"samples\[0\]\.sample_id is not a bare file name"),
     # the same sample listed twice would train (or be scored) twice
     (lambda samples: samples.append(dict(samples[0])),
      r"samples\[8\]\.sample_id repeats"),
-    # and so would one grid listed under a second sample id
-    (lambda samples: samples.append(dict(samples[0], sample_id="copy")),
-     r"samples\[8\]\.volume_file names a grid file already named"),
 ])
 def test_manifest_entries_stay_in_their_site(tmp_path, edit, named):
     for site_id in ("site_a", "site_b"):

@@ -64,8 +64,7 @@ def test_manifest_not_an_object_refused(tmp_path):
         validate_site_dir(tmp_path)
 
 
-_ENTRY = {"sample_id": "a", "split": "test", "provenance": "manual",
-          "volume_file": "a.vol.frvd", "mask_file": "a.mask.frvd"}
+_ENTRY = {"sample_id": "a", "split": "test"}
 # (manifest fields besides "format", the field the error must name)
 MALFORMED_MANIFESTS = [
     ({"samples": []}, "site_id"),
@@ -75,39 +74,34 @@ MALFORMED_MANIFESTS = [
     ({"site_id": "x", "samples": [1]}, r"samples\[0\]"),
     ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id=None)]},
      r"samples\[1\]\.sample_id"),
-    ({"site_id": "x", "samples": [dict(_ENTRY, volume_file=["a"])]}, "volume_file"),
-    ({"site_id": "x", "samples": [{k: v for k, v in _ENTRY.items() if k != "mask_file"}]},
-     "mask_file"),
-    ({"site_id": "x", "samples": [dict(_ENTRY, provenance=2)]}, "provenance"),
     ({"site_id": "x", "samples": [{k: v for k, v in _ENTRY.items() if k != "split"}]},
      r"samples\[0\]\.split"),
     ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b", split="val")]},
      r"samples\[1\]\.split"),
-    ({"site_id": "x", "samples": [dict(_ENTRY, provenance="bogus")]},
-     r"samples\[0\]\.provenance"),
-    ({"site_id": "x", "samples": [dict(_ENTRY, volume_file="../b/b-0000.vol.frvd")]},
-     r"samples\[0\]\.volume_file"),
-    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b", mask_file="b/a.mask.frvd")]},
-     r"samples\[1\]\.mask_file"),
-    ({"site_id": "x", "samples": [dict(_ENTRY, volume_file="/tmp/a.vol.frvd")]},
-     r"samples\[0\]\.volume_file"),
-    ({"site_id": "x", "samples": [dict(_ENTRY, mask_file="..")]}, r"samples\[0\]\.mask_file"),
-    ({"site_id": "x", "samples": [dict(_ENTRY, mask_file=".")]}, r"samples\[0\]\.mask_file"),
-    ({"site_id": "x", "samples": [dict(_ENTRY, volume_file="")]},
-     r"samples\[0\]\.volume_file"),
+    # a sample id names the sample's grid files, which lie in the site directory
+    ({"site_id": "x", "samples": [dict(_ENTRY, sample_id="../b/b-0000")]},
+     r"samples\[0\]\.sample_id"),
+    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b/a")]},
+     r"samples\[1\]\.sample_id"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, sample_id="/tmp/a")]},
+     r"samples\[0\]\.sample_id"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, sample_id="")]}, r"samples\[0\]\.sample_id"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, sample_id="..")]}, r"samples\[0\]\.sample_id"),
+    # and is a field of every line of a metrics CSV
+    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b,x")]},
+     r"samples\[1\]\.sample_id"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, sample_id="a\nb")]},
+     r"samples\[0\]\.sample_id"),
+    ({"site_id": "x", "samples": [dict(_ENTRY, sample_id="a\r")]},
+     r"samples\[0\]\.sample_id"),
     ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, split="train")]},
      r"samples\[1\]\.sample_id"),
-    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b", mask_file="b.mask.frvd")]},
-     r"samples\[1\]\.volume_file"),
-    ({"site_id": "x", "samples": [_ENTRY, dict(_ENTRY, sample_id="b", volume_file="b.vol.frvd")]},
-     r"samples\[1\]\.mask_file"),
 ]
 MALFORMED_IDS = ["site-id-missing", "site-id-int", "samples-missing", "samples-object",
-                 "entry-int", "sample-id-null", "volume-file-list", "mask-file-missing",
-                 "provenance-int", "split-missing", "split-unknown", "provenance-unknown",
-                 "volume-file-parent", "mask-file-subdir", "volume-file-absolute",
-                 "mask-file-dotdot", "mask-file-dot", "volume-file-empty", "sample-id-repeated",
-                 "volume-file-repeated", "mask-file-repeated"]
+                 "entry-int", "sample-id-null", "split-missing", "split-unknown",
+                 "sample-id-parent", "sample-id-subdir", "sample-id-absolute", "sample-id-empty",
+                 "sample-id-dotdot", "sample-id-comma", "sample-id-newline",
+                 "sample-id-carriage-return", "sample-id-repeated"]
 
 
 @pytest.mark.parametrize("fields,named", MALFORMED_MANIFESTS, ids=MALFORMED_IDS)

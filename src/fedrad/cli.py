@@ -34,7 +34,7 @@ from pathlib import Path
 
 from .config import (TRANSPORT_SIM, ExperimentAborted, ExperimentConfig, Scenario,
                      checkpoints_dir, eval_dir, load_config, models_dir, site_dir, sites_dir)
-from .seeding import check_stamp, read_stamped_csv, read_stamped_json, to_dict, write_json
+from .seeding import check_stamp, read_stamped_json, to_dict, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +144,8 @@ def cmd_train_sim(args) -> int:
         raise ValueError("--resume continues the main federated run, and no "
                          "configured scenario has one")
     out = _out_dir(config)
-    datasets = exp.load_all(config, out)
+    # training reads only the training grids; the test grids stay on disk
+    datasets = exp.load_all(config, out, splits=("train",))
     # every plan entry, local or federated, uses these; each site once
     fingerprints = {s: site_fingerprint(s, datasets[s].train) for s in roster}
     resume = Path(args.resume) if args.resume else None
@@ -202,7 +203,8 @@ def cmd_join(args) -> int:
     from .transport import connect_tcp
 
     site_path = Path(args.site)
-    dataset = load_site_dataset(site_path)
+    # a site trains on its training grids only; the test grids stay on disk
+    dataset = load_site_dataset(site_path, splits=("train",))
     host, _, port = args.server.partition(":")
     expected_digest = None
     if args.config:
@@ -264,7 +266,7 @@ def cmd_rank(args) -> int:
 
 def cmd_report(args) -> int:
     """Join the artifacts into report.json; a foreign stamp raises ValueError (exit 1)."""
-    from .records import read_metrics_csv
+    from .records import check_timing_csv, read_metrics_csv
 
     config = _load_config(args.config)
     out = _out_dir(config)
@@ -283,7 +285,7 @@ def cmd_report(args) -> int:
 
     timing_path = out / "timing.csv"
     if timing_path.exists():
-        check_stamp(timing_path, read_stamped_csv(timing_path)[0], config.digest)
+        check_timing_csv(timing_path, config)
         report["timing_csv"] = timing_path.name
 
     characteristics = out / "characteristics.json"

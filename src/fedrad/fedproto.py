@@ -170,16 +170,18 @@ def checkpoint_log(checkpoint_dir: Path) -> Path:
     return Path(checkpoint_dir) / CHECKPOINT_LOG
 
 
-def load_resume(path: Path | None, params: ServerParams) -> Checkpoint | None:
-    """Load the last committed checkpoint of the log to resume from,
-    refusing one of another experiment.
+def load_resume(path: Path | None,
+                params: ServerParams) -> tuple[Path, Checkpoint] | None:
+    """The log to resume from and its last committed checkpoint, refusing
+    one of another experiment.
 
     Called before any site is contacted; the fingerprint digest is checked
-    later, by :class:`Federation`, once the fingerprints are known.
+    later, by :class:`Federation`, once the fingerprints are known, and its
+    refusal names the log.
     """
     if path is None:
         return None
-    return load_checkpoint(path, expected_digest=params.config.digest)
+    return path, load_checkpoint(path, expected_digest=params.config.digest)
 
 
 class Federation:
@@ -195,11 +197,12 @@ class Federation:
     The log is ``checkpoints.frck`` in ``params.checkpoint_dir``. The header
     and start record replace any earlier log whole, through a temp file, so
     the header is never torn and a run never appends after another run's
-    torn tail; each round then appends one record.
+    torn tail; each round then appends one record. A resumed run starts
+    from ``resumed``, the log and checkpoint :func:`load_resume` returns.
     """
 
     def __init__(self, params: ServerParams, fingerprints: Mapping[str, DatasetFingerprint],
-                 resumed: Checkpoint | None = None):
+                 resumed: tuple[Path, Checkpoint] | None = None):
         self.config = config = params.config
         self.fp_avg = average_fingerprints([fingerprints[s] for s in config.site_ids])
         self.derived = derive_config(self.fp_avg, config.seed)
@@ -212,10 +215,12 @@ class Federation:
             Path(params.checkpoint_dir).mkdir(parents=True, exist_ok=True)
             self.checkpoint_log = checkpoint_log(params.checkpoint_dir)
         if resumed is not None:
-            if resumed.fp_avg.digest != self.fp_avg.digest:
-                raise ValueError("checkpoint fingerprint digest does not match the site data")
-            self.weights = resumed.weights.copy()
-            self.round_index = resumed.round_index
+            log, last = resumed
+            if last.fp_avg.digest != self.fp_avg.digest:
+                raise ValueError(f"{log}: checkpoint fingerprint digest does not match "
+                                 "the site data")
+            self.weights = last.weights.copy()
+            self.round_index = last.round_index
             logger.info("resumed at round %d", self.round_index)
         else:
             self.weights = self.derived.init_weights.copy()

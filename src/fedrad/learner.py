@@ -12,8 +12,12 @@ draws its batches from an RNG seeded by (train seed, site, epoch index),
 which makes one federated round of local training at epoch t bit-identical
 to epoch t of an uninterrupted local run.
 
-How a step runs: an epoch gathers the rows of all its batches in one
-``take``, then calls :func:`loss_and_grad` once per batch. The logits are
+How a step runs: an epoch gathers the rows and labels of all its batches
+in one ``take`` each, then calls :func:`loss_and_grad` once per batch. The
+step checks nothing: :func:`train_epochs` checks the matrix and the label
+vector once per call, the gathered labels once per epoch, and the weights
+at the start and after every epoch, so no non-finite weights are
+returned. The logits are
 the reference's BLAS product ``features @ W.T``; the softmax runs on a
 class-major copy of them, shape (C, n), so its reductions over the classes
 are single calls over contiguous rows. The true-class cells are read and
@@ -197,14 +201,16 @@ def _class_probs(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     and each reduction over the classes runs along axis 0: numpy adds (or
     compares) the class rows left to right, as ``max``/``sum(axis=-1)``
     does over a row this short, so the result is bit-identical to the
-    row-major reference (pinned in the tests).
+    row-major reference (pinned in the tests). The ufuncs' ``reduce`` is
+    what ``ndarray.max``/``sum`` call, without their dispatch. ``w`` is not
+    checked here: :func:`forward` checks it, and :func:`train_epochs` checks
+    what :func:`loss_and_grad` is given.
     """
-    w = _check_weights(w)
     logits = features @ w.reshape(N_CLASSES, N_FEATURES + 1).T
     probs = np.ascontiguousarray(logits.reshape(-1, N_CLASSES).T)
-    probs -= probs.max(axis=0)
+    probs -= np.maximum.reduce(probs, axis=0)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=0)
+    probs /= np.add.reduce(probs, axis=0)
     return probs
 
 
@@ -212,24 +218,23 @@ def forward(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     """Softmax class probabilities; output shape = features.shape[:-1] + (C,).
 
     The result is a transposed view of the class-major probabilities.
+    Weights that are not ``WEIGHT_LEN`` finite numbers raise ``ValueError``.
     """
-    return _class_probs(w, features).T.reshape(features.shape[:-1] + (N_CLASSES,))
+    probs = _class_probs(_check_weights(w), features)
+    return probs.T.reshape(features.shape[:-1] + (N_CLASSES,))
 
 
 def loss_and_grad(w: np.ndarray, features: np.ndarray,
                   labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch and its gradient in weight layout.
+    """Mean cross-entropy over a batch and its gradient in weight layout:
+    one SGD step's arithmetic and nothing else.
 
-    ``features`` is (n, F + 1), ``labels`` is (n,) with values in 0..C-1.
+    Precondition, which :func:`train_epochs` establishes before its steps:
+    ``w`` is ``WEIGHT_LEN`` finite float64 numbers, ``features`` is a
+    non-empty (n, F + 1) matrix and ``labels`` an (n,) integer vector with
+    values in 0..C-1. Nothing is checked here.
     """
-    if features.ndim != 2 or features.shape[0] == 0:
-        raise ValueError("batch must be a non-empty (n, F+1) matrix")
     n = features.shape[0]
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
-    if labels.min() < 0 or labels.max() >= N_CLASSES:
-        raise ValueError("labels out of range")
     probs = _class_probs(w, features)
     # the true-class cell of row i is flat cell labels[i] * n + i; intp,
     # because a narrow label dtype would wrap
@@ -238,7 +243,7 @@ def loss_and_grad(w: np.ndarray, features: np.ndarray,
     flat = probs.reshape(-1)
     p_true = flat.take(cells)
     # the sum over n is np.mean's own arithmetic, without its dispatch cost
-    loss = float(-(np.log(p_true + _TINY).sum() / n))
+    loss = float(-(np.add.reduce(np.log(p_true + _TINY)) / n))
     flat[cells] = p_true - 1.0
     # the reference's (probs.T @ features) with the operands swapped, the
     # form that matches it on every BLAS kernel tried
@@ -257,21 +262,35 @@ def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
 
     An epoch's batch indices come from one draw of shape (batches, batch
     size); the generator yields the same stream as one draw per batch. The
-    epoch's rows are gathered in one ``take``, and each step is one call of
-    :func:`loss_and_grad` by its module name. Weights that become
-    non-finite raise ``ValueError``.
+    epoch's rows and labels are gathered in one ``take`` each, and each step
+    is one call of :func:`loss_and_grad` by its module name.
+
+    The step checks nothing, so its inputs are checked here, each with a
+    ``ValueError``: the matrix and the label vector once per call, the
+    epoch's gathered labels (exactly those its steps read, not the whole
+    vector) before the epoch's first step, and the weights at the start and
+    after every epoch. A diverging epoch runs to its end and is refused
+    there, so non-finite weights are never returned.
     """
     w = _check_weights(w)
-    if features.shape[0] == 0:
-        raise ValueError("empty training set")
+    if features.ndim != 2 or features.shape[0] == 0 or features.shape[1] != N_FEATURES + 1:
+        raise ValueError(f"training set must be a non-empty (N, {N_FEATURES + 1}) matrix, "
+                         f"got shape {features.shape}")
     n = features.shape[0]
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
+        raise ValueError(f"labels must have shape ({n},), got {labels.shape}")
     for e in range(start_epoch, start_epoch + config.epochs):
         rng = rng_from(config.seed, "epoch", e)
         batches = rng.integers(0, n, size=(config.batches_per_epoch, config.batch_size))
-        for xb, yb in zip(features.take(batches, axis=0), labels.take(batches)):
+        batch_labels = labels.take(batches)
+        if batch_labels.min() < 0 or batch_labels.max() >= N_CLASSES:
+            raise ValueError("labels out of range")
+        for xb, yb in zip(features.take(batches, axis=0), batch_labels):
             _, grad = loss_and_grad(w, xb, yb)
             w = w - config.learning_rate * grad
-    return _check_weights(w)
+        w = _check_weights(w)
+    return w
 
 
 def build_training_matrix(samples: Sequence[Sample],

@@ -4,7 +4,8 @@ A record carries its value and how it came about (:class:`RecordStatus`):
 Scored, false-negative defaulted, or a false-positive / true-negative skip
 marker whose value is NaN and which stays out of every mean. The ranking
 and report stages read and summarize records without scoring anything, so
-this module needs neither scipy nor the scoring code in ``metrics``.
+this module needs neither scipy nor the scoring code in ``metrics``. The
+report also reads the rows of ``timing.csv`` here, so it loads no numpy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .config import LESION_CLASSES
-from .seeding import read_stamped_csv, stamped_csv
+from .config import LESION_CLASSES, ExperimentConfig
+from .seeding import check_stamp, read_stamped_csv, stamped_csv
+
+TIMING_HEADER = "round,site,train_s,latency_s,idle_s,wall_s"
 
 METRIC_DSC = "DSC"
 METRIC_NSD = "NSD"
@@ -116,3 +119,35 @@ def summarize(records: Iterable[MetricRecord], site_id: str) -> dict[str, float]
         if vals:
             means[metric] = math.fsum(vals) / len(vals)
     return means
+
+
+def check_timing_csv(path, config: ExperimentConfig) -> None:
+    """Read every row of the ``timing.csv`` at ``path`` and refuse the file
+    unless it is stamped with ``config``'s digest, its header is
+    ``TIMING_HEADER`` and each row holds six fields: a round in
+    1..``config.rounds``, a configured site, and four finite, non-negative
+    times, with no (round, site) pair twice. The error names the file and
+    the line."""
+    digest, lines = read_stamped_csv(path)
+    check_stamp(path, digest, config.digest)
+    if lines[0] != TIMING_HEADER:
+        raise ValueError(f"{path}:2: header is not {TIMING_HEADER!r}")
+    seen = set()
+    for lineno, line in enumerate(lines[1:], start=3):
+        try:
+            fields = line.split(",")
+            if len(fields) != 6:
+                raise ValueError(f"expected 6 fields, got {len(fields)}")
+            round_index, site, *times = fields
+            key = (int(round_index), site)
+            if key[0] not in range(1, config.rounds + 1):
+                raise ValueError(f"round {round_index!r} is not in 1..{config.rounds}")
+            if site not in config.site_ids:
+                raise ValueError(f"site {site!r} is not one of {list(config.site_ids)}")
+            if not all(0 <= float(t) < math.inf for t in times):  # NaN fails too
+                raise ValueError(f"times {times} are not all finite and non-negative")
+            if key in seen:
+                raise ValueError(f"round {key[0]}, site {site!r} appears twice")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        seen.add(key)

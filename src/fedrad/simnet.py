@@ -27,6 +27,7 @@ from .config import DEFAULT_PER_BATCH_SECONDS, ServerParams, SiteLink
 from .dataset import SiteDataset
 from .fedproto import ExperimentAborted, Federation, Site, load_resume
 from .fingerprint import DatasetFingerprint, DerivedConfig, site_fingerprint
+from .records import TIMING_HEADER
 from .seeding import stamped_csv
 
 logger = logging.getLogger(__name__)
@@ -63,7 +64,7 @@ class TimingReport:
     rows: list[RoundSiteTiming] = field(default_factory=list)
 
     def to_csv(self, experiment_digest: str) -> str:
-        lines = ["round,site,train_s,latency_s,idle_s,wall_s"]
+        lines = [TIMING_HEADER]
         for row in self.rows:
             lines.append(",".join([
                 str(row.round_index), row.site_id,

@@ -22,6 +22,7 @@ from fedrad.cli import main
 from fedrad.config import (Scenario, checkpoints_dir, eval_dir, models_dir, site_dir,
                            sites_dir)
 from fedrad.fedproto import checkpoint_log, load_checkpoint
+from fedrad.records import TIMING_HEADER
 from fedrad.seeding import stamped_csv, to_dict
 
 
@@ -66,7 +67,8 @@ def test_validate_detects_corruption(config_file, tmp_path, capsys):
 
 def test_a_label_grid_at_another_spacing_is_refused(config_file, tmp_path, capsys):
     # labels stored at twice their volume's z spacing no longer pass for the
-    # volume's: validate reports the sample, every other reader exits 1
+    # volume's: validate reports the sample, every other reader of test
+    # grids exits 1, and train-sim, which reads none, still trains
     from fedrad.siteio import read_grid, write_grid
     path, config = config_file
     out = Path(config.output_dir)
@@ -85,10 +87,39 @@ def test_a_label_grid_at_another_spacing_is_refused(config_file, tmp_path, capsy
     report = json.loads(report_path.read_text())[0]
     assert report["excluded"] == [victim]
     assert report["findings"] == [{"sample_id": victim, "code": "HeaderCorrupt", "detail": reason}]
-    for stage in ("characterize", "train-sim", "evaluate"):
+    for stage in ("characterize", "evaluate"):
         capsys.readouterr()
         assert main([stage, "--config", str(path)]) == 1, stage
         assert capsys.readouterr().err == f"fedrad {stage}: {reason}\n", stage
+    assert main(["train-sim", "--config", str(path)]) == 0
+    capsys.readouterr()
+
+
+def _truncate_a_test_grid(site: Path, suffix: str) -> Path:
+    """Cut the ``suffix`` grid file of the site's first test sample in half."""
+    manifest = json.loads((site / "manifest.json").read_text())
+    victim = next(e["sample_id"] for e in manifest["samples"] if e["split"] == "test")
+    grid = site / f"{victim}.{suffix}.frvd"
+    grid.write_bytes(grid.read_bytes()[:grid.stat().st_size // 2])
+    return grid
+
+
+@pytest.mark.parametrize("suffix", ["vol", "mask"])
+def test_train_sim_reads_no_test_grid(config_file, capsys, suffix):
+    # a garbled test grid stops the stages that read it, not training: the
+    # models are the bytes of the run on intact data
+    path, config = config_file
+    out = Path(config.output_dir)
+    assert main(["gen", "--config", str(path)]) == 0
+    assert main(["train-sim", "--config", str(path)]) == 0
+    intact = {f.name: f.read_bytes() for f in models_dir(out).glob("*.frwt")}
+    shutil.rmtree(models_dir(out))
+    grid = _truncate_a_test_grid(site_dir(out, "s1"), suffix)
+    assert main(["train-sim", "--config", str(path)]) == 0
+    assert {f.name: f.read_bytes() for f in models_dir(out).glob("*.frwt")} == intact
+    capsys.readouterr()
+    assert main(["evaluate", "--config", str(path)]) == 1
+    assert str(grid) in capsys.readouterr().err
 
 
 def test_full_sim_pipeline(config_file, capsys):
@@ -369,6 +400,44 @@ def test_report_refuses_a_torn_metrics_csv(config_file, capsys):
     assert not (out / "report.json").exists()
 
 
+_TIMING_ROWS = ["1,s0,0.5,0.02,0.0,0.52", "1,s1,0.4,0.02,0.1,0.52",
+                "2,s0,0.5,0.02,0.0,0.52", "2,s1,0.4,0.02,0.1,0.52"]
+
+
+@pytest.mark.parametrize("lineno,bad,reason", [
+    (2, "round,site,seconds", "header is not"),
+    (4, "1,s1,0.4,0.02,0.1", "expected 6 fields, got 5"),
+    (4, "1,s1,0.4,0.02,0.1,0.52,0.0", "expected 6 fields, got 7"),
+    (4, "0,s1,0.4,0.02,0.1,0.52", "round '0' is not in 1..2"),
+    (4, "3,s1,0.4,0.02,0.1,0.52", "round '3' is not in 1..2"),
+    (4, "x,s1,0.4,0.02,0.1,0.52", "invalid literal for int"),
+    (4, "1,s9,0.4,0.02,0.1,0.52", "site 's9' is not one of ['s0', 's1']"),
+    (4, "1,s1,0.4,nan,0.1,0.52", "not all finite and non-negative"),
+    (4, "1,s1,0.4,0.02,-0.1,0.52", "not all finite and non-negative"),
+    (4, "1,s1,0.4,0.02,0.1,inf", "not all finite and non-negative"),
+    (4, "1,s1,0.4,0.02,0.1,", "could not convert"),
+    (4, "1,s0,0.5,0.02,0.0,0.52", "round 1, site 's0' appears twice"),
+])
+def test_report_refuses_a_bad_timing_csv_row(config_file, capsys, lineno, bad, reason):
+    # report reads every row of timing.csv, not only its stamp, and names
+    # the file and the line of the first row it refuses
+    path, config = config_file
+    out = _report_inputs(config)
+    timing = out / "timing.csv"
+    timing.write_text(stamped_csv(config.digest, [TIMING_HEADER, *_TIMING_ROWS]))
+    assert main(["report", "--config", str(path)]) == 0
+    (out / "report.json").unlink()
+    lines = [TIMING_HEADER, *_TIMING_ROWS]
+    lines[lineno - 2] = bad
+    timing.write_text(stamped_csv(config.digest, lines))
+    capsys.readouterr()
+    assert main(["report", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fedrad report: {timing}:{lineno}: "), err
+    assert reason in err, err
+    assert not (out / "report.json").exists()
+
+
 def _serve_and_join(config_path, site_dirs):
     """Run ``fedrad serve`` on a free port and ``fedrad join`` for every site
     dir, each on its own thread; returns the server's and the sites' exit codes."""
@@ -437,7 +506,8 @@ def test_tcp_serve_join_roundtrip(tmp_path, capsys):
 
 def test_serve_needs_no_site_data(tmp_path, capsys):
     # a federation server holds no site data: with the sites moved out of its
-    # output dir, serve still stores the fed model that the simulator trains
+    # output dir, serve still stores the fed model that the simulator trains.
+    # A site reads no test grid, so one truncated at each site changes nothing
     from dataclasses import replace
     from fedrad import siteio
     from fedrad.simnet import run_simulated
@@ -449,13 +519,16 @@ def test_serve_needs_no_site_data(tmp_path, capsys):
     at_sites = tmp_path / "at-the-sites"
     sites_dir(out).rename(at_sites)
     site_dirs = [at_sites / s for s in config.site_ids]
+    for site, suffix in zip(site_dirs, ("vol", "mask")):
+        _truncate_a_test_grid(site, suffix)
 
     server_rc, join_rcs = _serve_and_join(path, site_dirs)
     assert join_rcs == [0, 0]
     assert server_rc == 0
     assert not sites_dir(out).exists()
 
-    datasets = {s: siteio.load_site_dataset(at_sites / s) for s in config.site_ids}
+    datasets = {s: siteio.load_site_dataset(at_sites / s, splits=("train",))
+                for s in config.site_ids}
     sim = run_simulated(exp.server_params(config, None), datasets,
                         exp.zero_fault_links(config))
     fed = exp.load_registry(out, config.digest)["fed"]

@@ -100,10 +100,9 @@ def _argv(stage: str, config_path: Path, artifacts: dict) -> list[str]:
     return [stage, "--config", str(config_path)]
 
 
-@pytest.mark.parametrize("artifact,stage,kind,seed", CASES,
-                         ids=[f"{a}-{s}-{k}{n}" for a, s, k, n in CASES])
-def test_mutated_artifact_ends_in_an_exit_code(finished_run, capsys, artifact, stage,
-                                               kind, seed):
+def _run_case(finished_run, capsys, artifact, stage, kind, seed):
+    """Mutate ``artifact`` of a fresh copy of the run and run ``stage``;
+    returns the exit code, stderr, the mutated file and the argv run."""
     config_path, out, pristine, artifacts = finished_run
     shutil.rmtree(out)
     shutil.copytree(pristine, out)
@@ -114,8 +113,24 @@ def test_mutated_artifact_ends_in_an_exit_code(finished_run, capsys, artifact, s
 
     argv = _argv(stage, config_path, artifacts)
     rc = main(argv)
-    err = capsys.readouterr().err
+    return rc, capsys.readouterr().err, target, argv
+
+
+@pytest.mark.parametrize("artifact,stage,kind,seed", CASES,
+                         ids=[f"{a}-{s}-{k}{n}" for a, s, k, n in CASES])
+def test_mutated_artifact_ends_in_an_exit_code(finished_run, capsys, artifact, stage,
+                                               kind, seed):
+    rc, err, target, argv = _run_case(finished_run, capsys, artifact, stage, kind, seed)
     assert rc in (0, 1, 2, 3)
     if rc == 1:  # the reason names the file it refuses
         last = err.splitlines()[-1]
         assert last.startswith(f"fedrad {argv[0]}: ") and str(target) in last, err
+
+
+def test_report_refuses_a_timing_csv_with_a_duplicated_span(finished_run, capsys):
+    # report reads every row of timing.csv, so a span of it inserted again
+    # is refused, naming the file, where reading the stamp alone let it pass
+    rc, err, target, _ = _run_case(finished_run, capsys, "timing.csv", "report",
+                                   "duplicate", 0)
+    assert rc == 1
+    assert err.startswith(f"fedrad report: {target}:"), err

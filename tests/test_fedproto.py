@@ -782,10 +782,12 @@ def test_resume_refuses_a_log_of_other_site_data(tmp_path, network):
                           make_datasets(sites), links)
     params = make_params(sites, rounds=2, ckpt_dir=tmp_path / "resumed")
     other = make_datasets(sites, n_samples=7)
-    refusal = "checkpoint fingerprint digest does not match the site data"
+    refusal = (f"{first.checkpoint_file}: checkpoint fingerprint digest does not match "
+               "the site data")
     if network == "sim":
-        with pytest.raises(ValueError, match=refusal):
+        with pytest.raises(ValueError) as refused:
             run_simulated(params, other, links, resume=first.checkpoint_file)
+        assert str(refused.value) == refusal
     else:
         server_out, client_out = run_experiment(params, other,
                                                 server_kw={"resume": first.checkpoint_file})

@@ -16,7 +16,7 @@ from fedrad.learner import (FeatureConfig, N_FEATURES, WEIGHT_LEN, _box_filter,
                             _gradient_magnitude, build_training_matrix, ensemble_predict,
                             extract_features, forward, load_weights, loss_and_grad,
                             predict_members, save_weights, train_epochs)
-from fedrad.seeding import from_dict
+from fedrad.seeding import from_dict, rng_from
 
 FC = FeatureConfig(shift=0.0, scale=1.0, clip_low=-1e6, clip_high=1e6)
 
@@ -153,9 +153,12 @@ def test_gradient_duplication_invariance(rng):
     assert np.allclose(g1, g2)
 
 
-def test_loss_empty_batch():
-    with pytest.raises(ValueError):
-        loss_and_grad(np.zeros(WEIGHT_LEN), np.zeros((0, 4)), np.zeros(0, dtype=int))
+@pytest.mark.parametrize("shape", [(0, 4), (16,), (16, 3), (2, 8, 4)])
+def test_loss_empty_batch(shape):
+    # the step checks nothing; train_epochs refuses a matrix it cannot draw from
+    cfg = TrainConfig(epochs=1, batches_per_epoch=1, batch_size=4, learning_rate=0.5, seed=0)
+    with pytest.raises(ValueError, match=r"non-empty \(N, 4\) matrix"):
+        train_epochs(np.zeros(WEIGHT_LEN), np.zeros(shape), np.zeros(shape[0], dtype=int), cfg)
 
 
 def _separable_set(rng, n=4000):
@@ -312,10 +315,10 @@ def test_forward_matches_reference_bitwise(rng, dims):
         assert np.array_equal(got, reference_forward(w, features))
 
 
-@pytest.mark.parametrize("epochs", [1, 3])
-@pytest.mark.parametrize("batches_per_epoch", [1, 4])
-def test_one_loss_and_grad_call_per_sgd_step(rng, monkeypatch, epochs, batches_per_epoch):
-    # the benchmark counts SGD steps as calls of learner.loss_and_grad, by name
+@pytest.fixture
+def steps(monkeypatch):
+    """The arguments of every call of ``learner.loss_and_grad``, looked up by
+    its module name as ``train_epochs`` and the benchmark's tracer do."""
     import fedrad.learner as learner
 
     calls = []
@@ -326,32 +329,68 @@ def test_one_loss_and_grad_call_per_sgd_step(rng, monkeypatch, epochs, batches_p
         return inner(*args)
 
     monkeypatch.setattr(learner, "loss_and_grad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+@pytest.mark.parametrize("batches_per_epoch", [1, 4])
+def test_one_loss_and_grad_call_per_sgd_step(rng, steps, epochs, batches_per_epoch):
+    # the benchmark counts SGD steps as calls of learner.loss_and_grad, by name
     features, labels = random_batch(rng, n=64)
     cfg = TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch, batch_size=8,
                       learning_rate=0.3, seed=5)
     train_epochs(rng.normal(size=WEIGHT_LEN), features, labels, cfg)
-    assert len(calls) == epochs * batches_per_epoch
+    assert len(steps) == epochs * batches_per_epoch
 
 
 # ---------------------------------------------------------------------------
-# input checks of the SGD step
+# input checks of the SGD step, which train_epochs makes for it
 
 @pytest.mark.parametrize("bad", [-1, 4, 255])
 def test_labels_out_of_range_rejected(rng, bad):
     features, labels = random_batch(rng, n=16)
     labels[5] = bad
-    with pytest.raises(ValueError, match="labels out of range"):
-        loss_and_grad(np.zeros(WEIGHT_LEN), features, labels)
     cfg = TrainConfig(epochs=1, batches_per_epoch=4, batch_size=16, learning_rate=0.5, seed=0)
+    with pytest.raises(ValueError, match="labels out of range"):
+        train_epochs(np.zeros(WEIGHT_LEN), features, labels, cfg)
     with pytest.raises(ValueError, match="labels out of range"):
         train_epochs(np.zeros(WEIGHT_LEN), features, np.full(16, bad), cfg)
 
 
+@pytest.mark.parametrize("bad", [-1, 4, 255])
+def test_label_out_of_range_in_a_later_batch_rejected(rng, steps, bad):
+    # the bad row is drawn only by the epoch's last batch: the epoch is
+    # refused before its first step
+    features, labels = random_batch(rng, n=64)
+    cfg = TrainConfig(epochs=1, batches_per_epoch=3, batch_size=4, learning_rate=0.5, seed=11)
+    batches = rng_from(cfg.seed, "epoch", 1).integers(0, 64, size=(3, 4))
+    row = next(int(r) for r in batches[-1] if r not in batches[:-1])
+    labels[row] = bad
+    with pytest.raises(ValueError, match="labels out of range"):
+        train_epochs(np.zeros(WEIGHT_LEN), features, labels, cfg)
+    assert steps == []
+
+
+def test_labels_never_drawn_are_not_checked(rng):
+    # only the labels an epoch draws are checked, as only those reach a step
+    features, labels = random_batch(rng, n=64)
+    cfg = TrainConfig(epochs=1, batches_per_epoch=2, batch_size=4, learning_rate=0.5, seed=11)
+    drawn = np.unique(rng_from(cfg.seed, "epoch", 1).integers(0, 64, size=(2, 4)))
+    unused = np.setdiff1d(np.arange(64), drawn)
+    bad = labels.copy()
+    bad[unused] = 255
+    w0 = rng.normal(size=WEIGHT_LEN)
+    assert np.array_equal(train_epochs(w0, features, bad, cfg),
+                          train_epochs(w0, features, labels, cfg))
+
+
 @pytest.mark.parametrize("n_labels", [1, 15, 17])
 def test_labels_of_another_length_rejected(rng, n_labels):
+    # a shorter and a longer vector are refused alike, before any row is drawn
     features, labels = random_batch(rng, n=16)
+    cfg = TrainConfig(epochs=1, batches_per_epoch=2, batch_size=8, learning_rate=0.5, seed=0)
     with pytest.raises(ValueError, match=r"labels must have shape \(16,\)"):
-        loss_and_grad(np.zeros(WEIGHT_LEN), features, labels[:1].repeat(n_labels))
+        train_epochs(np.zeros(WEIGHT_LEN), features, labels[:1].repeat(n_labels), cfg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -360,7 +399,7 @@ def test_non_finite_start_weights_rejected(rng, bad):
     w = np.zeros(WEIGHT_LEN)
     w[3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        loss_and_grad(w, features, labels)
+        forward(w, features)
     cfg = TrainConfig(epochs=1, batches_per_epoch=2, batch_size=8, learning_rate=0.5, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
         train_epochs(w, features, labels, cfg)
@@ -368,15 +407,16 @@ def test_non_finite_start_weights_rejected(rng, bad):
 
 @pytest.mark.parametrize("epochs,batches_per_epoch", [(1, 1), (1, 3), (3, 2)])
 @pytest.mark.parametrize("learning_rate", [1e306, np.inf])
-def test_diverging_run_raises_instead_of_returning_non_finite(rng, epochs, batches_per_epoch,
-                                                              learning_rate):
+def test_diverging_run_raises_instead_of_returning_non_finite(rng, steps, epochs,
+                                                              batches_per_epoch, learning_rate):
     if np.isinf(learning_rate):
         # refused up front, before a first step could overflow
         with pytest.raises(ValueError, match="non-finite"):
             TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch, batch_size=16,
                         learning_rate=learning_rate, seed=0)
         return
-    # the first step already overflows, so (1, 1) can only be caught on return
+    # the first step already overflows; the first epoch runs to its end and
+    # is refused there, so no later epoch runs
     features, labels = random_batch(rng, n=64)
     features[:, :N_FEATURES] *= 1e3
     cfg = TrainConfig(epochs=epochs, batches_per_epoch=batches_per_epoch, batch_size=16,
@@ -384,6 +424,7 @@ def test_diverging_run_raises_instead_of_returning_non_finite(rng, epochs, batch
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(ValueError, match="non-finite"):
         train_epochs(rng.normal(size=WEIGHT_LEN), features, labels, cfg)
+    assert len(steps) == batches_per_epoch
 
 
 def _predict(w, vol):

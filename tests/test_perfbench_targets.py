@@ -1,13 +1,16 @@
 """Every fedrad name the benchmark uses must still exist under its name.
 
 A renamed or moved target would otherwise show up only as a "missing"
-per-layer metric or a failed workload in a benchmark run.
+per-layer metric or a failed workload in a benchmark run. And train-sim
+must take, as calls of ``learner.loss_and_grad``, the SGD steps the
+benchmark counts.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -142,4 +145,39 @@ def test_train_sim_calls_the_traced_layers_once_per_model(tmp_path, monkeypatch,
     assert main(["train-sim", "--config", str(path)]) == 0
     assert local_sites == [["s0"], ["s1"], ["s2"]]
     assert federations == [("s0", "s1", "s2"), ("s1", "s2"), ("s0", "s2"), ("s0", "s1")]
+    capsys.readouterr()
+
+
+def test_train_sim_takes_the_sgd_steps_the_benchmark_counts(tmp_path, monkeypatch, capsys):
+    """The benchmark reports ``perfbench/run.py``'s ``sgd_steps`` of its
+    config as the ``learner.loss_and_grad`` calls of train-sim, so a run must
+    make exactly that many calls: one per SGD step of every local model,
+    the federation and each leave-out federation."""
+    from test_experiment import small_config
+
+    from fedrad import experiment, learner
+    from fedrad.cli import main
+    from fedrad.config import Scenario
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports speed
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+
+    config = small_config(tmp_path, n_sites=3, scenarios=[s.value for s in Scenario])
+    path = tmp_path / "exp.json"
+    experiment.save_config(config, path)
+    assert main(["gen", "--config", str(path)]) == 0
+    calls = []
+    step = learner.loss_and_grad
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return step(*args)
+
+    monkeypatch.setattr(learner, "loss_and_grad", counted)
+    assert main(["train-sim", "--config", str(path)]) == 0
+    steps = bench.sgd_steps(json.loads(path.read_text()))
+    assert steps > 0 and len(calls) == steps
+    assert set(calls) == {config.train.batch_size}
     capsys.readouterr()

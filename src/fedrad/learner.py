@@ -13,17 +13,19 @@ which makes one federated round of local training at epoch t bit-identical
 to epoch t of an uninterrupted local run.
 
 How a step runs: an epoch gathers the rows and labels of all its batches
-in one ``take`` each, then calls :func:`loss_and_grad` once per batch. The
-step checks nothing: :func:`train_epochs` checks the matrix and the label
+in one ``take`` each, turns the labels into each row's flat true-class
+cell once, then calls :func:`loss_and_grad` once per batch. The step
+checks nothing: :func:`train_epochs` checks the matrix and the label
 vector once per call, the gathered labels once per epoch, and the weights
 at the start and after every epoch, so no non-finite weights are
-returned. The logits are
-the reference's BLAS product ``features @ W.T``; the softmax runs on a
-class-major copy of them, shape (C, n), so its reductions over the classes
-are single calls over contiguous rows. The true-class cells are read and
-written through one flat index, and the gradient is the reference's
-product with its operands swapped. Every result is bit-identical to the
-straightforward row-major implementation kept in the tests as the oracle.
+returned. The step computes only the gradient, not the loss, which
+training never reads. The logits are the reference's BLAS product
+``features @ W.T``; the softmax runs on a class-major copy of them, shape
+(C, n), so its reductions over the classes are single calls over
+contiguous rows. The true-class cells get their ``- 1.0`` through one
+flat index, and the gradient is the reference's product with its
+operands swapped. Every result is bit-identical to the straightforward
+row-major implementation kept in the tests as the oracle.
 
 How a segmentation is made: :func:`predict_members` computes the fields
 of all of a test volume's member models at once. It clips one copy of the
@@ -55,7 +57,6 @@ from .seeding import derive_seed, rng_from
 
 N_FEATURES = 3
 WEIGHT_LEN = N_CLASSES * (N_FEATURES + 1)
-_TINY = np.finfo(np.float64).tiny
 
 WEIGHT_MAGIC = b"FRWT"
 WEIGHT_VERSION = 1
@@ -224,31 +225,29 @@ def forward(w: np.ndarray, features: np.ndarray) -> np.ndarray:
     return probs.T.reshape(features.shape[:-1] + (N_CLASSES,))
 
 
-def loss_and_grad(w: np.ndarray, features: np.ndarray,
-                  labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over a batch and its gradient in weight layout:
-    one SGD step's arithmetic and nothing else.
+def loss_and_grad(w: np.ndarray, features: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The gradient of a batch's mean cross-entropy, in weight layout: one
+    SGD step's arithmetic and nothing else. The loss itself is not computed,
+    as training never reads it; the name stays because the benchmark's
+    tracer and self-test count SGD steps as calls of ``loss_and_grad``.
+
+    ``cells[i]`` is the flat index ``labels[i] * n + i`` of row i's
+    true-class cell in the class-major (C, n) probabilities, which
+    :func:`train_epochs` computes once per epoch for all of its batches.
 
     Precondition, which :func:`train_epochs` establishes before its steps:
     ``w`` is ``WEIGHT_LEN`` finite float64 numbers, ``features`` is a
-    non-empty (n, F + 1) matrix and ``labels`` an (n,) integer vector with
-    values in 0..C-1. Nothing is checked here.
+    non-empty (n, F + 1) matrix and ``cells`` the (n,) true-class cells of
+    labels in 0..C-1. Nothing is checked here.
     """
     n = features.shape[0]
     probs = _class_probs(w, features)
-    # the true-class cell of row i is flat cell labels[i] * n + i; intp,
-    # because a narrow label dtype would wrap
-    cells = np.multiply(labels, n, dtype=np.intp)
-    cells += np.arange(n)
-    flat = probs.reshape(-1)
-    p_true = flat.take(cells)
-    # the sum over n is np.mean's own arithmetic, without its dispatch cost
-    loss = float(-(np.add.reduce(np.log(p_true + _TINY)) / n))
-    flat[cells] = p_true - 1.0
+    # a batch's cells are distinct, so each gets exactly p - 1.0
+    probs.reshape(-1)[cells] -= 1.0
     # the reference's (probs.T @ features) with the operands swapped, the
     # form that matches it on every BLAS kernel tried
     grad = (features.T @ probs.T).T / n
-    return loss, grad.reshape(WEIGHT_LEN)
+    return grad.reshape(WEIGHT_LEN)
 
 
 def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
@@ -262,8 +261,10 @@ def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
 
     An epoch's batch indices come from one draw of shape (batches, batch
     size); the generator yields the same stream as one draw per batch. The
-    epoch's rows and labels are gathered in one ``take`` each, and each step
-    is one call of :func:`loss_and_grad` by its module name.
+    epoch's rows and labels are gathered in one ``take`` each, the labels
+    become each row's flat true-class cell ``label * batch_size + row`` in
+    one pass, and each step is one call of :func:`loss_and_grad` by its
+    module name, given its batch's rows and cells.
 
     The step checks nothing, so its inputs are checked here, each with a
     ``ValueError``: the matrix and the label vector once per call, the
@@ -286,9 +287,11 @@ def train_epochs(w: np.ndarray, features: np.ndarray, labels: np.ndarray,
         batch_labels = labels.take(batches)
         if batch_labels.min() < 0 or batch_labels.max() >= N_CLASSES:
             raise ValueError("labels out of range")
-        for xb, yb in zip(features.take(batches, axis=0), batch_labels):
-            _, grad = loss_and_grad(w, xb, yb)
-            w = w - config.learning_rate * grad
+        # intp, because a narrow label dtype would wrap
+        cells = np.multiply(batch_labels, config.batch_size, dtype=np.intp)
+        cells += np.arange(config.batch_size)
+        for xb, cb in zip(features.take(batches, axis=0), cells):
+            w = w - config.learning_rate * loss_and_grad(w, xb, cb)
         w = _check_weights(w)
     return w
 

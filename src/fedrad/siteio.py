@@ -24,6 +24,7 @@ from typing import Collection
 
 import numpy as np
 
+from .config import N_CLASSES
 from .dataset import Sample, SiteDataset, Volume
 from .seeding import check_stamp, parse_json, write_json
 
@@ -173,17 +174,34 @@ def load_sample(site_dir: Path, sample_id: str) -> Sample:
                   labels=labels)
 
 
+def _check_label_grid(site_dir: Path, sample: Sample) -> None:
+    """Refuse, as a :class:`GridFormatError` naming the mask file, a label
+    grid that is not ``uint8`` or holds a class above ``N_CLASSES - 1``."""
+    labels = sample.labels
+    mask_path = Path(site_dir) / _sample_files(sample.sample_id)[1]
+    if labels.dtype != np.uint8:
+        raise GridFormatError(f"{mask_path}: label grid is {labels.dtype}, not uint8")
+    if labels.size and labels.max() >= N_CLASSES:
+        bad = np.unique(labels[labels >= N_CLASSES]).tolist()
+        raise GridFormatError(f"{mask_path}: labels outside 0..{N_CLASSES - 1}: {bad}")
+
+
 def load_site_dataset(site_dir: Path, splits: Collection[str] = SPLITS,
                       manifest: dict | None = None) -> SiteDataset:
     """The site's dataset, with the grids of the samples in ``splits`` read;
     the splits left out stay empty. The manifest is checked in full either
     way: ``manifest`` is one that :func:`read_manifest` already returned for
-    ``site_dir``, and without it the manifest is read here."""
+    ``site_dir``, and without it the manifest is read here. A label grid
+    that is not ``uint8`` or holds a label outside 0..C-1 is a
+    :class:`GridFormatError` naming its file, so no stage trains on it or
+    scores against it (``fedrad validate`` reads grids with
+    :func:`load_sample` and reports such labels as a finding)."""
     if manifest is None:
         manifest = read_manifest(site_dir)
     ds = SiteDataset(site_id=manifest["site_id"])
     for entry in manifest["samples"]:
         if entry["split"] in splits:
             sample = load_sample(site_dir, entry["sample_id"])
+            _check_label_grid(site_dir, sample)
             (ds.train if entry["split"] == "train" else ds.test).append(sample)
     return ds

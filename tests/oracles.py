@@ -27,7 +27,7 @@ from fedrad.evalrank import scenario_variants
 from fedrad.fedproto import aggregate
 from fedrad.fingerprint import average_fingerprints, compute_fingerprint, derive_config
 from fedrad.learner import (N_FEATURES, FeatureConfig, _check_weights,
-                            build_training_matrix, extract_features, forward, loss_and_grad,
+                            build_training_matrix, extract_features, forward,
                             site_train_seed, train_epochs)
 from fedrad.metrics import score_pair
 from fedrad.seeding import rng_from
@@ -145,15 +145,16 @@ def brute_nave(pred, ref, class_id) -> float:
 
 
 def finite_diff_grad(w, features, labels, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the batch loss."""
+    """Central-difference gradient of the batch loss of
+    :func:`reference_loss_and_grad`."""
     grad = np.zeros_like(w)
     for k in range(len(w)):
         wp = w.copy()
         wp[k] += step
-        lp, _ = loss_and_grad(wp, features, labels)
+        lp, _ = reference_loss_and_grad(wp, features, labels)
         wm = w.copy()
         wm[k] -= step
-        lm, _ = loss_and_grad(wm, features, labels)
+        lm, _ = reference_loss_and_grad(wm, features, labels)
         grad[k] = (lp - lm) / (2 * step)
     return grad
 
@@ -199,7 +200,16 @@ def reference_forward(w, features):
     return logits
 
 
+def true_class_cells(labels):
+    """The flat index ``labels[i] * n + i`` of each row's true-class cell in
+    class-major (C, n) probabilities: what ``learner.loss_and_grad`` takes
+    in place of the labels."""
+    n = len(labels)
+    return np.asarray(labels, dtype=np.intp) * n + np.arange(n)
+
+
 def reference_loss_and_grad(w, features, labels):
+    """Mean cross-entropy of a batch and its gradient, row-major."""
     n = features.shape[0]
     probs = reference_forward(w, features)
     eps = np.finfo(np.float64).tiny

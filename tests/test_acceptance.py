@@ -18,7 +18,7 @@ import rank_fixtures as rf
 from conftest import ServerCrash, crash_after_round, make_profile
 from corruption import INJECTABLE_CODES, corrupt_grid_file, inject_corruption
 from oracles import (brute_dsc, brute_hsd, brute_nave, brute_nsd, finite_diff_grad,
-                     sequential_federated_reference)
+                     sequential_federated_reference, true_class_cells)
 
 from fedrad import experiment as exp
 from fedrad import wire
@@ -204,7 +204,7 @@ def test_criterion_5_gradient_check():
             [rng.normal(size=(n, N_FEATURES)), np.ones((n, 1))], axis=1)
         labels = rng.integers(0, 4, size=n)
         w = rng.normal(scale=0.8, size=WEIGHT_LEN)
-        _, grad = loss_and_grad(w, features, labels)
+        grad = loss_and_grad(w, features, true_class_cells(labels))
         fd = finite_diff_grad(w, features, labels)
         rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel < 1e-4, f"relative error {rel:.2e}"

@@ -95,6 +95,37 @@ def test_a_label_grid_at_another_spacing_is_refused(config_file, tmp_path, capsy
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("split,stages", [("test", ("evaluate", "characterize")),
+                                          ("train", ("train-sim", "characterize"))])
+def test_a_label_outside_the_classes_is_refused(config_file, tmp_path, capsys, split, stages):
+    # a voxel of class 137: validate reports the sample as LabelOutOfRange,
+    # and every stage that loads the grid exits 1 naming it, where evaluate
+    # used to score it as background
+    from fedrad.siteio import read_grid, write_grid
+    path, config = config_file
+    out = Path(config.output_dir)
+    for stage in ("gen", "train-sim"):
+        assert main([stage, "--config", str(path)]) == 0
+    s0 = site_dir(out, "s0")
+    victim = next(e["sample_id"] for e in json.loads((s0 / "manifest.json").read_text())["samples"]
+                  if e["split"] == split)
+    mask_path = s0 / f"{victim}.mask.frvd"
+    labels, spacing = read_grid(mask_path)
+    labels[0, 0, 0] = 137
+    write_grid(mask_path, labels, spacing)
+    capsys.readouterr()
+    report_path = tmp_path / "report.json"
+    assert main(["validate", "--config", str(path), "--json", str(report_path)]) == 2
+    report = json.loads(report_path.read_text())[0]
+    assert report["excluded"] == [victim]
+    assert [f["code"] for f in report["findings"]] == ["LabelOutOfRange"]
+    for stage in stages:
+        capsys.readouterr()
+        assert main([stage, "--config", str(path)]) == 1, stage
+        assert capsys.readouterr().err == (f"fedrad {stage}: {mask_path}: "
+                                           "labels outside 0..3: [137]\n"), stage
+
+
 def _truncate_a_test_grid(site: Path, suffix: str) -> Path:
     """Cut the ``suffix`` grid file of the site's first test sample in half."""
     manifest = json.loads((site / "manifest.json").read_text())

@@ -68,6 +68,26 @@ def test_site_dataset_roundtrip(tmp_path):
     _assert_same_samples(ds.samples, back.samples)
 
 
+@pytest.mark.parametrize("edit,reason", [
+    (lambda labels: labels.astype(np.float32), "label grid is float32, not uint8"),
+    (lambda labels: np.where(labels == labels.flat[0], 200, labels).astype(np.uint8),
+     "labels outside 0..3: [200]"),
+])
+def test_a_label_grid_outside_the_classes_is_refused(tmp_path, edit, reason):
+    # every stage loads grids through load_site_dataset, so a mask it could
+    # not train on or score against stops it there, naming the file
+    ds = generate_site_dataset(make_profile(seed=13))
+    site = tmp_path / "site"
+    save_site_dataset(ds, site)
+    mask_path = site / f"{ds.train[0].sample_id}.mask.frvd"
+    labels, spacing = read_grid(mask_path)
+    write_grid(mask_path, edit(labels), spacing)
+    with pytest.raises(GridFormatError) as err:
+        load_site_dataset(site)
+    assert str(err.value) == f"{mask_path}: {reason}"
+    assert load_site_dataset(site, splits=("test",)).test  # the test split is intact
+
+
 def _assert_same_samples(want, got):
     assert [s.sample_id for s in got] == [s.sample_id for s in want]
     for a, b in zip(want, got):
